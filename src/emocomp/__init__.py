@@ -16,9 +16,8 @@ from .errors import (ConfigError, CorpusFormatError, DataError,
 from .gradcheck import GradCheckReport, gradient_check
 from .losses import weighted_bce
 from .maxent import (AdvResources, FeatureCombination, FeatureSearchResult,
-                     MaxEntConfig, MaxEntModel, OneVsRestEnsemble,
-                     feature_combination_search, predict_maxent,
-                     predict_one_vs_rest, train_maxent, train_one_vs_rest)
+                     MaxEntConfig, MaxEntModel, feature_combination_search,
+                     predict_maxent, train_maxent)
 from .metrics import (CooccurrenceTable, MetricsReport, agreement_degenerate,
                       cohen_kappa, cooccurrence_stats, evaluate)
 from .nn import (ModelConfig, NeuralModel, build_model, default_config,
@@ -36,10 +35,9 @@ __all__ = [
     "load_corpus", "save_corpus", "split_train_test", "kfold",
     "evaluate", "MetricsReport", "cohen_kappa", "agreement_degenerate",
     "cooccurrence_stats", "CooccurrenceTable",
-    "MaxEntConfig", "MaxEntModel", "OneVsRestEnsemble", "AdvResources",
+    "MaxEntConfig", "MaxEntModel", "AdvResources",
     "FeatureCombination", "FeatureSearchResult",
-    "train_maxent", "predict_maxent", "train_one_vs_rest",
-    "predict_one_vs_rest", "feature_combination_search",
+    "train_maxent", "predict_maxent", "feature_combination_search",
     "ModelConfig", "NeuralModel", "build_model", "default_config",
     "train_model", "save_checkpoint", "load_checkpoint",
     "ME_TAGS", "ALL_TAGS", "MeArtifact",

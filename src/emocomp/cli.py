@@ -342,15 +342,24 @@ def cmd_train(args) -> int:
 
 
 def _load_any_model(args):
-    path = Path(args.model_path)
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    if "params" in payload:
-        return "nn", load_checkpoint(path)
-    embeddings = load_embedding_file(args.embeddings) if getattr(args, "embeddings", None) else None
-    pos = load_tagged_sidecar(args.pos_sidecar) if getattr(args, "pos_sidecar", None) else None
-    appraisal = load_vector_sidecar(args.appraisal_sidecar) if getattr(args, "appraisal_sidecar", None) else None
-    return "me", pipeline.load_me_artifact(path, embeddings=embeddings,
-                                           pos_tags=pos, appraisal=appraisal)
+    """Parse the model file once; unreadable JSON or a missing key is a data error."""
+    path = args.model_path
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path} is not a JSON model file: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path} does not hold a JSON object")
+    try:
+        if "params" in payload:
+            return "nn", load_checkpoint(payload)
+        embeddings = load_embedding_file(args.embeddings) if getattr(args, "embeddings", None) else None
+        pos = load_tagged_sidecar(args.pos_sidecar) if getattr(args, "pos_sidecar", None) else None
+        appraisal = load_vector_sidecar(args.appraisal_sidecar) if getattr(args, "appraisal_sidecar", None) else None
+        return "me", pipeline.load_me_artifact(payload, embeddings=embeddings,
+                                               pos_tags=pos, appraisal=appraisal)
+    except KeyError as exc:
+        raise DataError(f"{path} lacks required key {exc}") from exc
 
 
 def cmd_eval(args) -> int:
@@ -392,14 +401,15 @@ def cmd_predict(args) -> int:
                 cpm_txt = " ".join(c for c, p in zip(COMPONENTS, cpm_probs) if p > 0.5)
             lines.append(f"{ex.id}\t{' '.join(sorted(labels))}\t{cpm_txt}")
     else:
-        for inst in corpus:
-            stemmed = pipeline.preprocess(inst)
-            emotions = model.predict_emotions(inst) if model.emotion_model else set()
-            cpm_txt = ""
-            if model.component_models:
-                flags = model.predict_components(stemmed, inst.id)
-                cpm_txt = " ".join(c for c, v in zip(COMPONENTS, flags) if v)
-            lines.append(f"{inst.id}\t{' '.join(sorted(emotions))}\t{cpm_txt}")
+        stemmed = [pipeline.preprocess(i) for i in corpus]
+        ids = [i.id for i in corpus]
+        emotions = (model.predict_emotions(corpus.instances, stemmed) if model.emotion_model
+                    else [set()] * len(ids))
+        cpms = ([" ".join(c for c, v in zip(COMPONENTS, flags) if v)
+                 for flags in model.predict_components(stemmed, ids)]
+                if model.component_models else [""] * len(ids))
+        for inst_id, labels, cpm_txt in zip(ids, emotions, cpms):
+            lines.append(f"{inst_id}\t{' '.join(sorted(labels))}\t{cpm_txt}")
     (out / "predictions.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines[:11]))
     return 0

@@ -146,20 +146,27 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             }) + "\n")
 
 
-def split_train_test(corpus: Corpus, ratio: float = 0.9, seed: int = 0) -> tuple[Corpus, Corpus]:
-    """Seeded shuffle then split; the test share is floored, remainder trains.
-
-    1000 instances at 0.9 give 900/100; 2041 give 1837/204.
+def split_indices(n: int, ratio: float = 0.9, seed: int = 0) -> tuple[list[int], list[int]]:
+    """Seeded shuffle then split of ``range(n)``; the test share is floored,
+    remainder trains. Train indices ascend; test indices keep shuffle order.
     """
     if not 0.0 < ratio < 1.0:
         raise ConfigError(f"split ratio must be in (0, 1), got {ratio}")
-    n = len(corpus)
     n_test = int(math.floor(n * (1.0 - ratio) + 1e-9))
     order = np.random.default_rng(seed).permutation(n)
-    test_idx = set(order[:n_test].tolist())
-    train = [corpus.instances[i] for i in range(n) if i not in test_idx]
-    test = [corpus.instances[i] for i in order[:n_test]]
-    return corpus.subset(train), corpus.subset(test)
+    test = order[:n_test].tolist()
+    test_set = set(test)
+    return [i for i in range(n) if i not in test_set], test
+
+
+def split_train_test(corpus: Corpus, ratio: float = 0.9, seed: int = 0) -> tuple[Corpus, Corpus]:
+    """:func:`split_indices` applied to the corpus instances.
+
+    1000 instances at 0.9 give 900/100; 2041 give 1837/204.
+    """
+    train, test = split_indices(len(corpus), ratio, seed)
+    return (corpus.subset([corpus.instances[i] for i in train]),
+            corpus.subset([corpus.instances[i] for i in test]))
 
 
 def kfold(corpus: Corpus, k: int = 10, seed: int = 0) -> list[list[int]]:

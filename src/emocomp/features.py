@@ -1,53 +1,18 @@
-"""Sparse feature vectors, TF-IDF, component dictionaries and embedding
-features for the feature-based classifiers; token-embedding ingestion for
-the neural ones.
+"""TF-IDF, component dictionaries and embedding features for the
+feature-based classifiers; token-embedding ingestion for the neural ones.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, DimensionError, StateError
+from .errors import DataError, StateError
 from .text import extract_ngrams, porter_stem
-
-
-@dataclass
-class SparseVector:
-    """Sorted (index, value) pairs; zero values are never stored."""
-
-    indices: list[int] = field(default_factory=list)
-    values: list[float] = field(default_factory=list)
-
-    @classmethod
-    def from_dict(cls, entries: dict[int, float]) -> "SparseVector":
-        idx = sorted(i for i, v in entries.items() if v != 0.0)
-        return cls(idx, [entries[i] for i in idx])
-
-    def to_dense(self, dim: int) -> np.ndarray:
-        out = np.zeros(dim)
-        for i, v in zip(self.indices, self.values):
-            if i >= dim:
-                raise DimensionError(f"sparse index {i} out of range for dimension {dim}")
-            out[i] = v
-        return out
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(v * v for v in self.values)))
-
-    def concat_dense(self, block: np.ndarray, offset: int) -> "SparseVector":
-        """Append a dense block starting at ``offset`` (must be past all indices)."""
-        idx = list(self.indices)
-        val = list(self.values)
-        for j, v in enumerate(block):
-            if v != 0.0:
-                idx.append(offset + j)
-                val.append(float(v))
-        return SparseVector(idx, val)
 
 
 # ---------------------------------------------------------------------------
@@ -76,23 +41,30 @@ def tfidf_fit(documents: list[list[str]]) -> TfIdfModel:
     for doc in documents:
         df.update(set(extract_ngrams(doc)))
     vocab = {g: i for i, g in enumerate(sorted(df))}
-    return TfIdfModel(vocab, dict(df), len(documents))
+    # vocabulary order, not set-iteration order, so stored models are
+    # byte-identical whatever the string hash seed
+    return TfIdfModel(vocab, {g: df[g] for g in vocab}, len(documents))
 
 
-def tfidf_transform(model: TfIdfModel | None, tokens: list[str]) -> SparseVector:
-    """Raw-count tf times smoothed idf, L2-normalized; unseen n-grams dropped."""
+def tfidf_transform(model: TfIdfModel | None, documents: list[list[str]]) -> np.ndarray:
+    """One row per document: raw-count tf times smoothed idf, L2-normalized;
+    unseen n-grams dropped."""
     if model is None:
         raise StateError("tfidf_transform called before tfidf_fit")
-    entries: dict[int, float] = {}
-    for gram, count in extract_ngrams(tokens).items():
-        col = model.vocabulary.get(gram)
-        if col is not None:
-            entries[col] = count * model.idf(gram)
-    vec = SparseVector.from_dict(entries)
-    n = vec.norm()
-    if n > 0:
-        vec = SparseVector(vec.indices, [v / n for v in vec.values])
-    return vec
+    out = np.zeros((len(documents), model.dim))
+    for row, tokens in enumerate(documents):
+        entries = {}
+        for gram, count in extract_ngrams(tokens).items():
+            col = model.vocabulary.get(gram)
+            if col is not None:
+                entries[col] = count * model.idf(gram)
+        cols = sorted(entries)
+        # a sequential sum in column order: numpy's pairwise sum rounds some
+        # norms differently, which shifts fitted weights in the last bits
+        norm = float(np.sqrt(sum(entries[c] * entries[c] for c in cols)))
+        for c in cols:
+            out[row, c] = entries[c] / norm
+    return out
 
 
 # ---------------------------------------------------------------------------

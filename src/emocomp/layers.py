@@ -133,15 +133,3 @@ class ConvPool:
         pooled = [max_over_time(m) for m in self.maps(x)]
         return concat(pooled, axis=0).reshape(1, self.out_dim)
 
-
-def conv1d_multi(x: Tensor, kernels: list[Parameter], biases: list[Parameter],
-                 relu: bool = True) -> list[Tensor]:
-    """Functional form of the multi-kernel convolution (used by tests)."""
-    T = x.data.shape[0]
-    out = []
-    for K, b in zip(kernels, biases):
-        k = K.data.shape[0]
-        xk = pad_rows_front(x, k - T) if T < k else x
-        m = conv1d(xk, K.tensor, b.tensor)
-        out.append(m.relu() if relu else m)
-    return out

@@ -1,10 +1,14 @@
-"""Maximum-entropy (logistic regression) classifiers over sparse lexical
-features, the advanced per-component feature stack, exhaustive feature
-combination search, and component-to-emotion feature stacking.
+"""Maximum-entropy (logistic regression) classifiers over dense design
+matrices (one row per instance), the advanced per-component feature stack,
+exhaustive feature combination search, and component-to-emotion feature
+stacking.
 
 Training reuses the autodiff core: L2-regularized multinomial or binary
 logistic regression fit with full-batch Adam from zero-initialized
-weights, which makes fits deterministic.
+weights, which makes fits deterministic. A binary fit takes one 0/1
+target column per label and fits them all in one call: the columns share
+no parameters, so this is one-vs-rest with a single design matrix.
+Prediction scores a whole matrix at once.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ import numpy as np
 
 from .autodiff import Parameter, Tensor
 from .errors import ConfigError, DataError, DimensionError, ResourceError
-from .features import (DictionaryLexicon, EmbeddingTable, SparseVector,
-                       TfIdfModel, dictionary_features,
+from .features import (DictionaryLexicon, EmbeddingTable, TfIdfModel,
+                       dictionary_features,
                        pooled_embedding_features, tfidf_transform)
 from .losses import weighted_bce
 from .metrics import evaluate
@@ -41,134 +45,138 @@ class MaxEntConfig:
 class MaxEntModel:
     classes: tuple[str, ...]
     mode: str
-    weights: np.ndarray       # features x classes (binary: features x 1)
-    bias: np.ndarray
+    weights: np.ndarray       # features x classes
+    bias: np.ndarray          # classes
     feature_dim: int
-    degenerate: bool = False
-    constant_class: str | None = None
+    # classes whose training column held a single class: their fixed decision
+    constant: dict[str, bool] = field(default_factory=dict)
 
 
-def _dense_matrix(X: list[SparseVector], feature_dim: int) -> np.ndarray:
-    mat = np.zeros((len(X), feature_dim))
-    for row, vec in enumerate(X):
-        for i, v in zip(vec.indices, vec.values):
-            if i >= feature_dim:
-                raise DimensionError(f"feature index {i} >= dimension {feature_dim}")
-            mat[row, i] = v
-    return mat
-
-
-def train_maxent(X: list[SparseVector], y: list, classes: tuple[str, ...],
+def train_maxent(X: np.ndarray, y, classes: tuple[str, ...],
                  mode: str, feature_dim: int,
                  config: MaxEntConfig | None = None) -> MaxEntModel:
-    """Fit a multinomial (y: labels) or binary (y: 0/1) logistic model."""
+    """Fit a logistic model on the N x ``feature_dim`` design matrix ``X``.
+
+    Multinomial: ``y`` holds one label per row. Binary: ``y`` is an N x L
+    0/1 matrix with one column per class (a 1-d ``y`` is one column); the
+    columns are independent one-vs-rest problems fit in one call. A binary
+    column, or a multinomial target, with a single class present becomes a
+    zero-weight constant predictor.
+    """
     config = config or MaxEntConfig()
-    if not X:
+    if len(X) == 0:
         raise DataError("empty training set")
     if len(X) != len(y):
         raise DataError(f"{len(X)} feature vectors but {len(y)} targets")
-
-    if mode == MULTINOMIAL:
-        present = set(y)
-        n_out = len(classes)
-    elif mode == BINARY:
-        present = set(int(v) for v in y)
-        n_out = 1
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
-
-    if len(present) < 2:
-        warnings.warn("single class present in training data; fitting a constant predictor")
-        if mode == MULTINOMIAL:
-            const = next(iter(present))
-        else:
-            const = classes[0] if next(iter(present)) == 1 else None
-        return MaxEntModel(classes, mode, np.zeros((feature_dim, n_out)),
-                           np.zeros(n_out), feature_dim, degenerate=True,
-                           constant_class=const)
-
-    Xd = Tensor(_dense_matrix(X, feature_dim))
-    W = Parameter(Tensor(np.zeros((feature_dim, n_out))), "maxent.W")
-    b = Parameter(Tensor(np.zeros(n_out)), "maxent.b")
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != feature_dim:
+        raise DimensionError(f"design matrix of shape {X.shape}, expected {feature_dim} columns")
 
     if mode == MULTINOMIAL:
         class_index = {c: i for i, c in enumerate(classes)}
-        onehot = np.zeros((len(y), n_out))
+        Y = np.zeros((len(y), len(classes)))
         for row, label in enumerate(y):
-            onehot[row, class_index[label]] = 1.0
-        Y = Tensor(onehot)
-        ones_col = Tensor(np.ones((n_out, 1)))
+            Y[row, class_index[label]] = 1.0
+        present = set(y)
+        constant = {next(iter(present)): True} if len(present) < 2 else {}
+        live = [] if constant else list(range(len(classes)))
+    elif mode == BINARY:
+        Y = np.asarray(y, dtype=float).reshape(len(y), -1)
+        if Y.shape[1] != len(classes):
+            raise DimensionError(f"{Y.shape[1]} target columns for {len(classes)} classes")
+        positives = Y.sum(axis=0)
+        constant = {c: bool(positives[j]) for j, c in enumerate(classes)
+                    if positives[j] in (0, len(Y))}
+        live = [j for j, c in enumerate(classes) if c not in constant]
+    else:
+        raise ConfigError(f"unknown mode {mode!r}")
+
+    if constant:
+        warnings.warn(f"single class present in training data for {', '.join(constant)}; "
+                      "fitting a constant predictor")
+    weights = np.zeros((feature_dim, len(classes)))
+    bias = np.zeros(len(classes))
+    if live:
+        weights[:, live], bias[live] = _fit(X, Y[:, live], mode, config)
+    return MaxEntModel(classes, mode, weights, bias, feature_dim, constant)
+
+
+def _fit(X: np.ndarray, Y: np.ndarray, mode: str,
+         config: MaxEntConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Full-batch Adam from zero weights on an N x K one-hot or 0/1 target."""
+    n, k = Y.shape
+    Xd = Tensor(X)
+    Yt = Tensor(Y)
+    W = Parameter(Tensor(np.zeros((X.shape[1], k))), "maxent.W")
+    b = Parameter(Tensor(np.zeros(k)), "maxent.b")
+
+    if mode == MULTINOMIAL:
+        ones_col = Tensor(np.ones((k, 1)))
 
         def loss_fn():
             z = Xd.matmul(W.tensor) + b.tensor
             m = Tensor(z.data.max(axis=1, keepdims=True))
             lse = ((z - m).exp().matmul(ones_col)).log() + m
-            nll = (lse.sum() - (z * Y).sum()) * (1.0 / len(y))
+            nll = (lse.sum() - (z * Yt).sum()) * (1.0 / n)
             return nll + config.l2 * (W.tensor * W.tensor).sum()
     else:
-        Y = Tensor(np.array([float(v) for v in y]).reshape(-1, 1))
-
         def loss_fn():
             p = (Xd.matmul(W.tensor) + b.tensor).sigmoid()
-            return weighted_bce(p, Y, 1.0) + config.l2 * (W.tensor * W.tensor).sum()
+            # the mean runs over all N x K entries; scaling by K gives every
+            # column the gradient, and so the Adam steps, of its own fit
+            return weighted_bce(p, Yt, 1.0) * k + config.l2 * (W.tensor * W.tensor).sum()
 
     opt = Adam([W, b], lr=config.learning_rate)
     for _ in range(config.iterations):
         loss_fn().backward()
         opt.step()
-    return MaxEntModel(classes, mode, W.data.copy(), b.data.copy(), feature_dim)
+    return W.data.copy(), b.data.copy()
 
 
-def _scores(model: MaxEntModel, x: SparseVector) -> np.ndarray:
-    xd = x.to_dense(model.feature_dim)
-    z = xd @ model.weights + model.bias
+def predict_maxent(model: MaxEntModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decisions (N x classes, bool) and probabilities for each row of ``X``:
+    the argmax class (multinomial) or every class whose probability exceeds
+    0.5 (binary, so a row may have none); constant classes keep their
+    fixed decision."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != model.feature_dim:
+        raise DimensionError(f"design matrix of shape {X.shape}, expected {model.feature_dim} columns")
+    z = X @ model.weights + model.bias
     if model.mode == MULTINOMIAL:
-        z = z - z.max()
-        e = np.exp(z)
-        return e / e.sum()
-    return 1.0 / (1.0 + np.exp(-z))
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        decisions = np.zeros(probs.shape, dtype=bool)
+        decisions[np.arange(len(probs)), np.argmax(probs, axis=1)] = True
+        if model.constant:
+            decisions[:] = False
+    else:
+        probs = 1.0 / (1.0 + np.exp(-z))
+        decisions = probs > 0.5
+    for label, value in model.constant.items():
+        decisions[:, model.classes.index(label)] = value
+    return decisions, probs
 
 
-def predict_maxent(model: MaxEntModel, x: SparseVector) -> tuple[set[str], dict[str, float]]:
-    """Argmax label (multinomial) or positive class above 0.5 (binary)."""
-    scores = _scores(model, x)
-    if model.mode == MULTINOMIAL:
-        per_class = {c: float(s) for c, s in zip(model.classes, scores)}
-        if model.degenerate:
-            return {model.constant_class}, per_class
-        return {model.classes[int(np.argmax(scores))]}, per_class
-    p = float(scores[0])
-    label = model.classes[0]
-    if model.degenerate:
-        return ({label} if model.constant_class else set()), {label: p}
-    return ({label} if p > 0.5 else set()), {label: p}
+def label_sets(decisions: np.ndarray, classes: tuple[str, ...]) -> list[set[str]]:
+    """The chosen classes of each row of a decision matrix."""
+    return [{c for c, chosen in zip(classes, row) if chosen} for row in decisions]
 
 
-@dataclass
-class OneVsRestEnsemble:
-    labels: tuple[str, ...]
-    models: dict[str, MaxEntModel]
+def split_labels(model: MaxEntModel) -> dict[str, MaxEntModel]:
+    """One single-class binary model per class of a binary model."""
+    return {c: MaxEntModel((c,), BINARY, model.weights[:, [j]], model.bias[[j]],
+                           model.feature_dim,
+                           {c: model.constant[c]} if c in model.constant else {})
+            for j, c in enumerate(model.classes)}
 
 
-def train_one_vs_rest(X: list[SparseVector], label_sets: list[set[str]],
-                      inventory: tuple[str, ...], feature_dim: int,
-                      config: MaxEntConfig | None = None) -> OneVsRestEnsemble:
-    models = {}
-    for label in inventory:
-        y = [1 if label in s else 0 for s in label_sets]
-        models[label] = train_maxent(X, y, (label,), BINARY, feature_dim, config)
-    return OneVsRestEnsemble(inventory, models)
-
-
-def predict_one_vs_rest(ensemble: OneVsRestEnsemble, x: SparseVector) -> tuple[set[str], dict[str, float]]:
-    """Every label whose binary probability exceeds 0.5; empty set allowed."""
-    labels: set[str] = set()
-    scores: dict[str, float] = {}
-    for label in ensemble.labels:
-        chosen, sc = predict_maxent(ensemble.models[label], x)
-        scores[label] = sc[label]
-        labels |= chosen
-    return labels, scores
+def stack_labels(models: list[MaxEntModel]) -> MaxEntModel:
+    """Inverse of :func:`split_labels`: one binary model over all classes."""
+    return MaxEntModel(tuple(c for m in models for c in m.classes), BINARY,
+                       np.hstack([m.weights for m in models]),
+                       np.concatenate([m.bias for m in models]),
+                       models[0].feature_dim,
+                       {c: v for m in models for c, v in m.constant.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +236,9 @@ class FeatureCombination:
     def enabled(self) -> tuple[str, ...]:
         return tuple(f for f in FEATURE_FLAGS if getattr(self, f))
 
-    def validate(self, component: str) -> None:
-        if self.appraisal_predictions and component != COGNITIVE_COMPONENT:
-            raise ConfigError(
-                "appraisal predictions are only permitted for the cognitive-appraisal component")
+    def permits(self, component: str) -> bool:
+        """Appraisal predictions are only permitted for the cognitive-appraisal component."""
+        return not self.appraisal_predictions or component == COGNITIVE_COMPONENT
 
 
 @dataclass
@@ -257,90 +264,76 @@ class AdvResources:
             self.appraisal_dim = len(next(iter(self.appraisal.values())))
 
 
+def _block_width(flag: str, resources: AdvResources) -> int:
+    if flag == "dictionaries":
+        return 2 * len(resources.lexicons)
+    if flag == "pos_tags":
+        return len(resources.pos_inventory)
+    if flag == "word_embeddings":
+        return resources.embeddings.dimension
+    return resources.appraisal_dim
+
+
 def feature_dim(resources: AdvResources, combination: FeatureCombination) -> int:
-    dim = resources.tfidf.dim
-    if combination.dictionaries:
-        dim += 2 * len(resources.lexicons)
-    if combination.pos_tags:
-        dim += len(resources.pos_inventory)
-    if combination.word_embeddings:
-        dim += resources.embeddings.dimension
-    if combination.appraisal_predictions:
-        dim += resources.appraisal_dim
-    return dim
+    return resources.tfidf.dim + sum(_block_width(f, resources) for f in combination.enabled())
 
 
-def build_cpm_adv_features(stemmed: list[str], inst_id: str,
-                           combination: FeatureCombination,
-                           resources: AdvResources) -> tuple[SparseVector, dict[str, tuple[int, int]]]:
-    """TF-IDF block plus each enabled block, concatenated; returns the
-    vector and per-block (offset, length) spans for introspection."""
-    vec = tfidf_transform(resources.tfidf, stemmed)
-    offsets = {"tfidf": (0, resources.tfidf.dim)}
-    pos = resources.tfidf.dim
-
-    if combination.dictionaries:
+def _block(flag: str, stemmed: list[list[str]], inst_ids: list[str],
+           resources: AdvResources) -> np.ndarray:
+    if flag == "dictionaries":
         if not resources.lexicons:
             raise ResourceError("dictionaries flag enabled but no lexicons loaded")
-        block = dictionary_features(stemmed, resources.lexicons)
-        vec = vec.concat_dense(block, pos)
-        offsets["dictionaries"] = (pos, len(block))
-        pos += len(block)
-
-    if combination.pos_tags:
+        rows = [dictionary_features(s, resources.lexicons) for s in stemmed]
+    elif flag == "pos_tags":
         if resources.pos_tags is None:
             raise ResourceError("pos_tags flag enabled but no POS sidecar loaded")
-        tags = resources.pos_tags.get(inst_id, [])
-        block = np.array([float(tags.count(t)) for t in resources.pos_inventory])
-        vec = vec.concat_dense(block, pos)
-        offsets["pos_tags"] = (pos, len(block))
-        pos += len(block)
-
-    if combination.word_embeddings:
+        tags = [resources.pos_tags.get(i, []) for i in inst_ids]
+        rows = [[float(t.count(tag)) for tag in resources.pos_inventory] for t in tags]
+    elif flag == "word_embeddings":
         if resources.embeddings is None:
             raise ResourceError("word_embeddings flag enabled but no embedding table loaded")
-        block = pooled_embedding_features(stemmed, resources.embeddings)
-        vec = vec.concat_dense(block, pos)
-        offsets["word_embeddings"] = (pos, len(block))
-        pos += len(block)
-
-    if combination.appraisal_predictions:
+        rows = [pooled_embedding_features(s, resources.embeddings) for s in stemmed]
+    else:
         if resources.appraisal is None:
             raise ResourceError("appraisal_predictions flag enabled but no appraisal sidecar loaded")
-        block = resources.appraisal.get(inst_id)
-        if block is None:
-            raise ResourceError(f"no appraisal predictions for instance {inst_id!r}")
-        vec = vec.concat_dense(block, pos)
-        offsets["appraisal_predictions"] = (pos, resources.appraisal_dim)
-        pos += resources.appraisal_dim
-
-    return vec, offsets
+        missing = [i for i in inst_ids if i not in resources.appraisal]
+        if missing:
+            raise ResourceError(f"no appraisal predictions for instance {missing[0]!r}")
+        rows = [resources.appraisal[i] for i in inst_ids]
+    return np.array(rows, dtype=float).reshape(len(rows), _block_width(flag, resources))
 
 
-def _available_flags(resources: AdvResources, component: str) -> list[str]:
-    flags = []
-    if resources.lexicons:
-        flags.append("dictionaries")
-    if resources.pos_tags is not None:
-        flags.append("pos_tags")
-    if resources.embeddings is not None:
-        flags.append("word_embeddings")
-    if resources.appraisal is not None and component == COGNITIVE_COMPONENT:
-        flags.append("appraisal_predictions")
-    return flags
+def build_cpm_adv_features(stemmed: list[list[str]], inst_ids: list[str],
+                           combination: FeatureCombination,
+                           resources: AdvResources) -> tuple[np.ndarray, dict[str, tuple[int, int]]]:
+    """The TF-IDF block and each enabled block, column-stacked with one row
+    per document; also returns each block's (offset, length) span.
+
+    Every feature depends only on its instance and on resources fit on the
+    training split, so the rows of any subset are row selections of this
+    matrix and any sub-combination is a column selection of it."""
+    blocks = [("tfidf", tfidf_transform(resources.tfidf, stemmed))]
+    blocks += [(f, _block(f, stemmed, inst_ids, resources)) for f in combination.enabled()]
+    offsets, pos = {}, 0
+    for name, block in blocks:
+        offsets[name] = (pos, block.shape[1])
+        pos += block.shape[1]
+    return np.hstack([block for _, block in blocks]), offsets
 
 
-def _combo_f1(train_stemmed, train_ids, train_y, dev_stemmed, dev_ids, dev_y,
-              combination, resources, component, config) -> float:
-    dim = feature_dim(resources, combination)
-    Xtr = [build_cpm_adv_features(s, i, combination, resources)[0]
-           for s, i in zip(train_stemmed, train_ids)]
-    Xdev = [build_cpm_adv_features(s, i, combination, resources)[0]
-            for s, i in zip(dev_stemmed, dev_ids)]
-    model = train_maxent(Xtr, train_y, (component,), BINARY, dim, config)
-    gold = {i: ({component} if y else set()) for i, y in zip(dev_ids, dev_y)}
-    pred = {i: predict_maxent(model, x)[0] for i, x in zip(dev_ids, Xdev)}
-    return evaluate(gold, pred, (component,)).per_class[component].f1
+def combination_columns(offsets: dict[str, tuple[int, int]],
+                        combination: FeatureCombination) -> np.ndarray:
+    """Column indices of the blocks ``combination`` uses, in a matrix whose
+    block spans are ``offsets``."""
+    return np.concatenate([np.arange(start, start + length) for start, length in
+                           (offsets[b] for b in ("tfidf",) + combination.enabled())])
+
+
+def available_flags(resources: AdvResources) -> tuple[str, ...]:
+    """The feature flags whose resources are loaded."""
+    loaded = (bool(resources.lexicons), resources.pos_tags is not None,
+              resources.embeddings is not None, resources.appraisal is not None)
+    return tuple(f for f, ok in zip(FEATURE_FLAGS, loaded) if ok)
 
 
 @dataclass
@@ -351,27 +344,43 @@ class FeatureSearchResult:
     single_feature: dict[str, float]                 # one flag at a time
 
 
-def feature_combination_search(train_stemmed: list[list[str]], train_ids: list[str],
-                               train_y: list[int],
-                               dev_stemmed: list[list[str]], dev_ids: list[str],
-                               dev_y: list[int],
-                               component: str, resources: AdvResources,
-                               config: MaxEntConfig | None = None) -> FeatureSearchResult:
-    """Exhaustive search over all subsets of the permitted feature flags,
-    selected by dev F1 of the component; ties go to fewer features."""
-    flags = _available_flags(resources, component)
-    results: dict[tuple[str, ...], float] = {}
+def feature_combination_search(X: np.ndarray, offsets: dict[str, tuple[int, int]],
+                               Y: np.ndarray, components: tuple[str, ...],
+                               train_rows: list[int], dev_rows: list[int],
+                               resources: AdvResources,
+                               config: MaxEntConfig | None = None) -> dict[str, FeatureSearchResult]:
+    """Exhaustive search over all subsets of the available feature flags,
+    selected per component by dev F1; ties go to fewer features.
+
+    ``X`` and ``offsets`` come from :func:`build_cpm_adv_features` with every
+    available flag; ``Y`` holds one 0/1 column per entry of ``components``.
+    Each combination is fit once, jointly for every component it permits.
+    """
+    Y = np.asarray(Y).reshape(len(Y), -1)
+    flags = available_flags(resources)
+    results: dict[str, dict[tuple[str, ...], float]] = {c: {} for c in components}
     for r in range(len(flags) + 1):
         for subset in combinations(flags, r):
             combo = FeatureCombination(**{f: True for f in subset})
-            combo.validate(component)
-            results[subset] = _combo_f1(train_stemmed, train_ids, train_y,
-                                        dev_stemmed, dev_ids, dev_y,
-                                        combo, resources, component, config)
-    best_subset = max(results, key=lambda s: (results[s], -len(s)))
-    single = {f: results[(f,)] for f in flags}
-    return FeatureSearchResult(FeatureCombination(**{f: True for f in best_subset}),
-                               results[best_subset], results, single)
+            applies = [j for j, c in enumerate(components) if combo.permits(c)]
+            if not applies:
+                continue
+            labels = tuple(components[j] for j in applies)
+            cols = combination_columns(offsets, combo)
+            model = train_maxent(X[np.ix_(train_rows, cols)], Y[np.ix_(train_rows, applies)],
+                                 labels, BINARY, feature_dim(resources, combo), config)
+            pred = predict_maxent(model, X[np.ix_(dev_rows, cols)])[0]
+            gold = Y[np.ix_(dev_rows, applies)]
+            report = evaluate(dict(enumerate(label_sets(gold, labels))),
+                              dict(enumerate(label_sets(pred, labels))), labels)
+            for c in labels:
+                results[c][subset] = report.per_class[c].f1
+    out = {}
+    for c, res in results.items():
+        best = max(res, key=lambda s: (res[s], -len(s)))
+        out[c] = FeatureSearchResult(FeatureCombination(**{f: True for f in best}), res[best],
+                                     res, {f: res[(f,)] for f in flags if (f,) in res})
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +391,11 @@ GOLD = "gold"
 PREDICTED = "predicted"
 
 
-def stack_component_features(base: SparseVector, base_dim: int,
-                             cpm: list[int] | tuple[int, ...],
-                             source: str) -> SparseVector:
-    """Extend a feature vector by the 5 binary component dimensions."""
-    if len(cpm) != 5 or any(v not in (0, 1) for v in cpm):
-        raise DimensionError(f"cpm feature vector must be 5 binary values, got {cpm!r}")
+def stack_component_features(base: np.ndarray, cpm, source: str) -> np.ndarray:
+    """Extend each row of a design matrix by its 5 binary component flags."""
+    cpm = np.zeros((0, 5)) if len(base) == 0 else np.asarray(cpm, dtype=float)
+    if cpm.shape != (len(base), 5) or not np.isin(cpm, (0.0, 1.0)).all():
+        raise DimensionError(f"cpm features must be 5 binary values per row, got shape {cpm.shape}")
     if source not in (GOLD, PREDICTED):
         raise ConfigError(f"unknown component source {source!r}")
-    return base.concat_dense(np.array([float(v) for v in cpm]), base_dim)
+    return np.hstack([base, cpm])

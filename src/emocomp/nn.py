@@ -604,8 +604,9 @@ def save_checkpoint(model: NeuralModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
-def load_checkpoint(path: str | Path) -> NeuralModel:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+def load_checkpoint(source: str | Path | dict) -> NeuralModel:
+    """Rebuild a model from a checkpoint file or its parsed JSON payload."""
+    payload = source if isinstance(source, dict) else json.loads(Path(source).read_text(encoding="utf-8"))
     if payload.get("version") != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {payload.get('version')!r}")
     config = ModelConfig.from_dict(payload["config"])

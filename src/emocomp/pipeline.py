@@ -15,16 +15,16 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (COMPONENTS, SINGLE_LABEL, Corpus, Instance,
-                     split_train_test)
+                     split_indices, split_train_test)
 from .errors import ConfigError, ResourceError
 from .features import (TfIdfModel, load_token_embedding_store,
                        resolve_token_embeddings, tfidf_fit, tfidf_transform)
 from .maxent import (BINARY, MULTINOMIAL, AdvResources, FeatureCombination,
                      FeatureSearchResult, MaxEntConfig, MaxEntModel,
-                     OneVsRestEnsemble, build_cpm_adv_features,
-                     feature_combination_search, feature_dim, predict_maxent,
-                     predict_one_vs_rest, stack_component_features,
-                     train_maxent, train_one_vs_rest)
+                     available_flags, build_cpm_adv_features,
+                     combination_columns, feature_combination_search,
+                     feature_dim, label_sets, predict_maxent, split_labels,
+                     stack_component_features, stack_labels, train_maxent)
 from .nn import (Example, ModelConfig, NeuralModel, SingleTaskModel,
                  TrainingLog, build_model, predict_example, train_model)
 from .text import stem_tokens, tokenize
@@ -57,7 +57,7 @@ class MeArtifact:
     emotion_inventory: tuple[str, ...]
     tfidf: TfIdfModel
     feature_dim: int
-    emotion_model: MaxEntModel | OneVsRestEnsemble | None = None
+    emotion_model: MaxEntModel | None = None   # binary: one-vs-rest, one column per label
     component_models: dict[str, MaxEntModel] = field(default_factory=dict)
     combinations: dict[str, FeatureCombination] = field(default_factory=dict)
     resources: AdvResources | None = None
@@ -65,48 +65,49 @@ class MeArtifact:
     cpm_artifact: "MeArtifact | None" = None  # predictor used for stacking
     search_results: dict[str, FeatureSearchResult] = field(default_factory=dict)
 
-    def predict_components(self, stemmed: list[str], inst_id: str) -> tuple[int, ...]:
-        flags = []
+    def predict_components(self, stemmed: list[list[str]], inst_ids: list[str]) -> np.ndarray:
+        """0/1 flags with one row per document and one column per component."""
+        used = {f for combo in self.combinations.values() for f in combo.enabled()}
+        X, offsets = build_cpm_adv_features(stemmed, inst_ids,
+                                            FeatureCombination(**{f: True for f in used}),
+                                            self.resources or AdvResources(self.tfidf))
+        flags = np.zeros((len(stemmed), len(COMPONENTS)), dtype=int)
         for j, comp in enumerate(COMPONENTS):
-            model = self.component_models[comp]
-            combo = self.combinations.get(comp, FeatureCombination())
-            if self.resources is not None:
-                x, _ = build_cpm_adv_features(stemmed, inst_id, combo, self.resources)
-            else:
-                x = tfidf_transform(self.tfidf, stemmed)
-            labels, _ = predict_maxent(model, x)
-            flags.append(1 if labels else 0)
-        return tuple(flags)
+            cols = combination_columns(offsets, self.combinations.get(comp, FeatureCombination()))
+            flags[:, j] = predict_maxent(self.component_models[comp], X[:, cols])[0][:, 0]
+        return flags
 
-    def predict_emotions(self, instance: Instance) -> set[str]:
-        stemmed = preprocess(instance)
-        x = tfidf_transform(self.tfidf, stemmed)
+    def predict_emotions(self, instances: list[Instance], stemmed: list[list[str]]) -> list[set[str]]:
+        """Emotion label sets of ``instances``, given their stemmed tokens."""
+        X = tfidf_transform(self.tfidf, stemmed)
         if self.stack_source is not None:
             if self.stack_source == "gold":
-                cpm = instance.cpm
+                cpm = [i.cpm for i in instances]
             else:
-                cpm = self.cpm_artifact.predict_components(stemmed, instance.id)
-            x = stack_component_features(x, self.tfidf.dim, cpm, self.stack_source)
-        if self.mode == SINGLE_LABEL:
-            labels, _ = predict_maxent(self.emotion_model, x)
-            return labels
-        labels, _ = predict_one_vs_rest(self.emotion_model, x)
-        if not labels and "neutral" in self.emotion_inventory:
-            labels = {"neutral"}
+                cpm = self.cpm_artifact.predict_components(stemmed, [i.id for i in instances])
+            X = stack_component_features(X, cpm, self.stack_source)
+        decisions, _ = predict_maxent(self.emotion_model, X)
+        labels = label_sets(decisions, self.emotion_model.classes)
+        if "neutral" in self.emotion_inventory:
+            labels = [s or {"neutral"} for s in labels]
         return labels
 
 
 def _maxent_to_dict(m: MaxEntModel) -> dict:
+    """Version-1 layout of a multinomial or single-class binary model."""
     return {"classes": list(m.classes), "mode": m.mode,
             "weights": m.weights.tolist(), "bias": m.bias.tolist(),
-            "feature_dim": m.feature_dim, "degenerate": m.degenerate,
-            "constant_class": m.constant_class}
+            "feature_dim": m.feature_dim, "degenerate": bool(m.constant),
+            "constant_class": next((c for c, v in m.constant.items() if v), None)}
 
 
 def _maxent_from_dict(d: dict) -> MaxEntModel:
+    constant = {}
+    if d["degenerate"]:
+        constant = ({d["constant_class"]: True} if d["constant_class"] is not None
+                    else {d["classes"][0]: False})
     return MaxEntModel(tuple(d["classes"]), d["mode"], np.array(d["weights"]),
-                       np.array(d["bias"]), d["feature_dim"], d["degenerate"],
-                       d["constant_class"])
+                       np.array(d["bias"]), d["feature_dim"], constant)
 
 
 def save_me_artifact(artifact: MeArtifact, path: str | Path) -> None:
@@ -114,14 +115,16 @@ def save_me_artifact(artifact: MeArtifact, path: str | Path) -> None:
 
     Lexicons and the POS tag inventory travel with the file; embedding and
     appraisal resources must be re-supplied at load time when a stored
-    combination uses them.
+    combination uses them. A one-vs-rest emotion model is stored as one
+    single-class model per label.
     """
     def emotion_model_dict(a: MeArtifact):
         if a.emotion_model is None:
             return None
-        if isinstance(a.emotion_model, OneVsRestEnsemble):
-            return {"kind": "ovr", "labels": list(a.emotion_model.labels),
-                    "models": {l: _maxent_to_dict(m) for l, m in a.emotion_model.models.items()}}
+        if a.emotion_model.mode == BINARY:
+            return {"kind": "ovr", "labels": list(a.emotion_model.classes),
+                    "models": {l: _maxent_to_dict(m)
+                               for l, m in split_labels(a.emotion_model).items()}}
         return {"kind": "multinomial", "model": _maxent_to_dict(a.emotion_model)}
 
     def artifact_dict(a: MeArtifact) -> dict:
@@ -152,8 +155,9 @@ def save_me_artifact(artifact: MeArtifact, path: str | Path) -> None:
     Path(path).write_text(json.dumps(artifact_dict(artifact)), encoding="utf-8")
 
 
-def load_me_artifact(path: str | Path, embeddings=None, pos_tags=None,
+def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
                      appraisal=None) -> MeArtifact:
+    """Rebuild an artifact from a model file or its parsed JSON payload."""
     from .features import DictionaryLexicon
 
     def from_dict(d: dict) -> MeArtifact:
@@ -164,9 +168,8 @@ def load_me_artifact(path: str | Path, embeddings=None, pos_tags=None,
         em = d["emotion_model"]
         if em is not None:
             if em["kind"] == "ovr":
-                a.emotion_model = OneVsRestEnsemble(
-                    tuple(em["labels"]),
-                    {l: _maxent_from_dict(m) for l, m in em["models"].items()})
+                a.emotion_model = stack_labels([_maxent_from_dict(em["models"][l])
+                                                for l in em["labels"]])
             else:
                 a.emotion_model = _maxent_from_dict(em["model"])
         a.component_models = {c: _maxent_from_dict(m) for c, m in d["component_models"].items()}
@@ -193,7 +196,8 @@ def load_me_artifact(path: str | Path, embeddings=None, pos_tags=None,
             a.cpm_artifact = from_dict(d["cpm_artifact"])
         return a
 
-    return from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    return from_dict(source if isinstance(source, dict)
+                     else json.loads(Path(source).read_text(encoding="utf-8")))
 
 
 def train_emotion_me(corpus: Corpus, config: MaxEntConfig | None = None,
@@ -203,27 +207,24 @@ def train_emotion_me(corpus: Corpus, config: MaxEntConfig | None = None,
     is 'gold' or 'predicted' (the latter needs a component artifact)."""
     stemmed = [preprocess(i) for i in corpus]
     tfidf = tfidf_fit(stemmed)
-    dim = tfidf.dim
-    X = [tfidf_transform(tfidf, s) for s in stemmed]
+    X = tfidf_transform(tfidf, stemmed)
     if stack_source is not None:
         if stack_source == "predicted":
             if cpm_artifact is None:
                 raise ConfigError("predicted component stacking needs a component model")
-            cpm_values = [cpm_artifact.predict_components(s, i.id)
-                          for s, i in zip(stemmed, corpus)]
+            cpm_values = cpm_artifact.predict_components(stemmed, [i.id for i in corpus])
         else:
             cpm_values = [i.cpm for i in corpus]
-        X = [stack_component_features(x, dim, c, stack_source)
-             for x, c in zip(X, cpm_values)]
-        dim += len(COMPONENTS)
+        X = stack_component_features(X, cpm_values, stack_source)
+    inventory = corpus.emotion_inventory
     if corpus.mode == SINGLE_LABEL:
         y = [next(iter(i.emotions)) for i in corpus]
-        model = train_maxent(X, y, corpus.emotion_inventory, MULTINOMIAL, dim, config)
+        model = train_maxent(X, y, inventory, MULTINOMIAL, X.shape[1], config)
     else:
-        model = train_one_vs_rest(X, [set(i.emotions) for i in corpus],
-                                  corpus.emotion_inventory, dim, config)
+        Y = np.array([emotion_multi_hot(i, inventory) for i in corpus])
+        model = train_maxent(X, Y, inventory, BINARY, X.shape[1], config)
     tag = "emo-me-base" if stack_source is None else f"emo-cpm-me-{'gold' if stack_source == 'gold' else 'pred'}"
-    return MeArtifact(tag, corpus.mode, corpus.emotion_inventory, tfidf, dim,
+    return MeArtifact(tag, corpus.mode, inventory, tfidf, X.shape[1],
                       emotion_model=model, stack_source=stack_source,
                       cpm_artifact=cpm_artifact)
 
@@ -231,56 +232,53 @@ def train_emotion_me(corpus: Corpus, config: MaxEntConfig | None = None,
 def train_component_me(corpus: Corpus, config: MaxEntConfig | None = None,
                        resources_loader=None, dev_ratio: float = 0.1,
                        seed: int = 0) -> MeArtifact:
-    """Cpm-ME-Base (no resources) or Cpm-ME-Adv with a per-component
-    exhaustive feature combination search on a held-out dev slice."""
+    """Cpm-ME-Base (no resources) or Cpm-ME-Adv with an exhaustive feature
+    combination search on a held-out dev slice, per component."""
     stemmed = [preprocess(i) for i in corpus]
+    ids = [i.id for i in corpus]
     tfidf = tfidf_fit(stemmed)
-    X_base = [tfidf_transform(tfidf, s) for s in stemmed]
+    Y = np.array([i.cpm for i in corpus], dtype=float)
     artifact = MeArtifact("cpm-me-base", corpus.mode, corpus.emotion_inventory,
                           tfidf, tfidf.dim)
     if resources_loader is None:
-        for j, comp in enumerate(COMPONENTS):
-            y = [i.cpm[j] for i in corpus]
-            artifact.component_models[comp] = train_maxent(
-                X_base, y, (comp,), BINARY, tfidf.dim, config)
+        model = train_maxent(tfidf_transform(tfidf, stemmed), Y, COMPONENTS, BINARY,
+                             tfidf.dim, config)
+        artifact.component_models = split_labels(model)
         return artifact
 
-    resources: AdvResources = resources_loader(tfidf, [i.id for i in corpus])
+    resources: AdvResources = resources_loader(tfidf, ids)
     artifact.tag = "cpm-me-adv"
     artifact.resources = resources
-    sub_train, dev = split_train_test(corpus, ratio=1.0 - dev_ratio, seed=seed)
-    tr_stem = [preprocess(i) for i in sub_train]
-    dv_stem = [preprocess(i) for i in dev]
+    # features depend only on the instance and on resources fit on this
+    # split, so the search's sub-split and dev slice are row selections
+    X, offsets = build_cpm_adv_features(
+        stemmed, ids, FeatureCombination(**{f: True for f in available_flags(resources)}),
+        resources)
+    sub_rows, dev_rows = split_indices(len(corpus), 1.0 - dev_ratio, seed)
+    artifact.search_results = feature_combination_search(
+        X, offsets, Y, COMPONENTS, sub_rows, dev_rows, resources, config)
     for j, comp in enumerate(COMPONENTS):
-        result = feature_combination_search(
-            tr_stem, [i.id for i in sub_train], [i.cpm[j] for i in sub_train],
-            dv_stem, [i.id for i in dev], [i.cpm[j] for i in dev],
-            comp, resources, config)
-        artifact.combinations[comp] = result.best
-        artifact.search_results[comp] = result
-        dim = feature_dim(resources, result.best)
-        X = [build_cpm_adv_features(s, i.id, result.best, resources)[0]
-             for s, i in zip(stemmed, corpus)]
+        combo = artifact.search_results[comp].best
+        artifact.combinations[comp] = combo
         artifact.component_models[comp] = train_maxent(
-            X, [i.cpm[j] for i in corpus], (comp,), BINARY, dim, config)
+            X[:, combination_columns(offsets, combo)], Y[:, j], (comp,), BINARY,
+            feature_dim(resources, combo), config)
     return artifact
 
 
 def evaluate_components_me(artifact: MeArtifact, corpus: Corpus):
     from .metrics import evaluate
     gold = {i.id: {c for c, v in zip(COMPONENTS, i.cpm) if v} for i in corpus}
-    pred = {}
-    for inst in corpus:
-        stemmed = preprocess(inst)
-        flags = artifact.predict_components(stemmed, inst.id)
-        pred[inst.id] = {c for c, v in zip(COMPONENTS, flags) if v}
+    flags = artifact.predict_components([preprocess(i) for i in corpus], [i.id for i in corpus])
+    pred = {i.id: labels for i, labels in zip(corpus, label_sets(flags, COMPONENTS))}
     return evaluate(gold, pred, COMPONENTS)
 
 
 def evaluate_emotions_me(artifact: MeArtifact, corpus: Corpus):
     from .metrics import evaluate
     gold = {i.id: set(i.emotions) for i in corpus}
-    pred = {i.id: artifact.predict_emotions(i) for i in corpus}
+    labels = artifact.predict_emotions(corpus.instances, [preprocess(i) for i in corpus])
+    pred = {i.id: l for i, l in zip(corpus, labels)}
     return evaluate(gold, pred, corpus.emotion_inventory)
 
 

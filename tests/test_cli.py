@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +142,41 @@ class TestTrainEvalPredict:
         aj = (tmp_path / "a" / "metrics_test.json").read_bytes()
         bj = (tmp_path / "b" / "metrics_test.json").read_bytes()
         assert aj == bj
+
+
+class TestModelFiles:
+    def test_model_json_independent_of_hash_seed(self, tmp_path, tec_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("me_iterations = 5\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        outputs = []
+        for hash_seed in ("1", "2"):
+            out = tmp_path / hash_seed
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=str(src))
+            subprocess.run([sys.executable, "-m", "emocomp.cli", "train",
+                            "--model", "emo-cpm-me-pred", "--corpus", str(tec_path),
+                            "--config", str(cfg), "--out", str(out)],
+                           env=env, check=True, capture_output=True, timeout=300)
+            outputs.append((out / "model.json").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("verb", ["predict", "eval"])
+    def test_bad_model_file_is_data_error(self, verb, tmp_path, tec_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("me_iterations = 5\n")
+        assert run(["train", "--model", "emo-me-base", "--corpus", tec_path,
+                    "--config", cfg, "--out", tmp_path / "run"]) == 0
+        text = (tmp_path / "run" / "model.json").read_text()
+        truncated = tmp_path / "truncated.json"
+        truncated.write_text(text[:len(text) // 2])
+        payload = json.loads(text)
+        del payload["tfidf"]
+        no_tfidf = tmp_path / "no_tfidf.json"
+        no_tfidf.write_text(json.dumps(payload))
+        for bad in (truncated, no_tfidf):
+            assert run([verb, "--model-path", bad, "--corpus", tec_path,
+                        "--out", tmp_path / "o"]) == 2
+            assert "data error" in capsys.readouterr().err
 
 
 class TestCrossval:

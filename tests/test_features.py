@@ -5,44 +5,48 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emocomp.errors import DataError, DimensionError, StateError
-from emocomp.features import (DictionaryLexicon, SparseVector,
-                              dictionary_features, hashed_token_embedding,
+from emocomp.errors import DataError, StateError
+from emocomp.features import (DictionaryLexicon, dictionary_features, hashed_token_embedding,
                               load_embedding_file, load_lexicon,
                               load_token_embedding_store,
                               pooled_embedding_features,
                               resolve_token_embeddings, tfidf_fit,
                               tfidf_transform)
+from emocomp.text import extract_ngrams
 
 token_lists = st.lists(st.sampled_from(["cat", "dog", "sun", "rain", "run"]),
                        min_size=0, max_size=10)
 
 
-class TestSparseVector:
-    def test_from_dict_drops_zeros_and_sorts(self):
-        v = SparseVector.from_dict({3: 0.0, 1: 2.0, 5: -1.0})
-        assert v.indices == [1, 5]
-        assert v.values == [2.0, -1.0]
-
-    def test_to_dense_and_norm(self):
-        v = SparseVector([0, 2], [3.0, 4.0])
-        np.testing.assert_array_equal(v.to_dense(4), [3.0, 0.0, 4.0, 0.0])
-        assert v.norm() == 5.0
-
-    def test_to_dense_out_of_range(self):
-        with pytest.raises(DimensionError):
-            SparseVector([5], [1.0]).to_dense(3)
-
-    def test_concat_dense(self):
-        v = SparseVector([1], [2.0]).concat_dense(np.array([0.0, 7.0]), 3)
-        assert v.indices == [1, 4]
-        assert v.values == [2.0, 7.0]
-
-
 class TestTfIdf:
     def test_transform_before_fit(self):
         with pytest.raises(StateError):
-            tfidf_transform(None, ["x"])
+            tfidf_transform(None, [["x"]])
+
+    def test_rows_fill_vocabulary_columns(self):
+        model = tfidf_fit([["a", "b"], ["c"]])
+        X = tfidf_transform(model, [["c"], ["a", "zzz"], []])
+        assert X.shape == (3, model.dim)
+        assert set(np.flatnonzero(X[0])) == {model.vocabulary["c"]}
+        assert set(np.flatnonzero(X[1])) == {model.vocabulary["a"]}
+        assert not X[2].any()
+
+    @given(st.lists(token_lists, min_size=1, max_size=6),
+           st.lists(token_lists, min_size=1, max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_rows_match_reference(self, docs, queries):
+        # per-document loop: count * idf at the n-gram's column, divided by
+        # the L2 norm summed in column order
+        model = tfidf_fit(docs)
+        X = tfidf_transform(model, queries)
+        for row, tokens in zip(X, queries):
+            entries = {model.vocabulary[g]: c * model.idf(g)
+                       for g, c in extract_ngrams(tokens).items() if g in model.vocabulary}
+            norm = math.sqrt(sum(entries[i] ** 2 for i in sorted(entries)))
+            want = np.zeros(model.dim)
+            for i, v in entries.items():
+                want[i] = v / norm
+            np.testing.assert_array_equal(row, want)
 
     def test_idf_formula(self):
         model = tfidf_fit([["a"], ["a", "b"]])
@@ -51,8 +55,8 @@ class TestTfIdf:
 
     def test_unseen_ngrams_dropped(self):
         model = tfidf_fit([["a", "b"]])
-        vec = tfidf_transform(model, ["zzz"])
-        assert vec.indices == []
+        X = tfidf_transform(model, [["zzz"]])
+        assert X.shape == (1, model.dim) and not X.any()
 
     def test_bigrams_in_vocabulary(self):
         model = tfidf_fit([["a", "b"]])
@@ -62,16 +66,14 @@ class TestTfIdf:
     @settings(max_examples=50, deadline=None)
     def test_unit_norm_or_empty(self, docs, query):
         model = tfidf_fit(docs)
-        vec = tfidf_transform(model, query)
-        n = vec.norm()
+        n = np.linalg.norm(tfidf_transform(model, [query])[0])
         assert n == 0.0 or abs(n - 1.0) < 1e-9
 
     @given(st.lists(token_lists, min_size=1, max_size=6))
     @settings(max_examples=30, deadline=None)
     def test_values_nonnegative(self, docs):
         model = tfidf_fit(docs)
-        for doc in docs:
-            assert all(v >= 0.0 for v in tfidf_transform(model, doc).values)
+        assert (tfidf_transform(model, docs) >= 0.0).all()
 
 
 class TestDictionaries:

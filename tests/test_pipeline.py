@@ -7,7 +7,7 @@ from emocomp.features import DictionaryLexicon
 from emocomp.maxent import AdvResources, MaxEntConfig
 from emocomp.pipeline import (ALL_TAGS, ME_TAGS, embeddings_for,
                               evaluate_components_me, evaluate_emotions_me,
-                              evaluate_neural, load_me_artifact,
+                              evaluate_neural, load_me_artifact, preprocess,
                               save_me_artifact, train_component_me,
                               train_emotion_me, train_neural)
 from emocomp.nn import ModelConfig
@@ -84,8 +84,9 @@ class TestMeArtifactPersistence:
         path = tmp_path / "model.json"
         save_me_artifact(art, path)
         again = load_me_artifact(path)
-        for inst in test.instances[:10]:
-            assert art.predict_emotions(inst) == again.predict_emotions(inst)
+        stemmed = [preprocess(i) for i in test]
+        assert (art.predict_emotions(test.instances, stemmed)
+                == again.predict_emotions(test.instances, stemmed))
 
     def test_round_trip_component_adv(self, tec, tmp_path):
         def loader(tfidf, ids):
@@ -97,10 +98,9 @@ class TestMeArtifactPersistence:
         path = tmp_path / "model.json"
         save_me_artifact(art, path)
         again = load_me_artifact(path)
-        from emocomp.pipeline import preprocess
-        for inst in test.instances[:10]:
-            s = preprocess(inst)
-            assert art.predict_components(s, inst.id) == again.predict_components(s, inst.id)
+        stemmed, ids = [preprocess(i) for i in test], [i.id for i in test]
+        np.testing.assert_array_equal(art.predict_components(stemmed, ids),
+                                      again.predict_components(stemmed, ids))
 
     def test_missing_embedding_resource_rejected_at_load(self, tec, tmp_path):
         from emocomp.features import EmbeddingTable
@@ -121,6 +121,41 @@ class TestMeArtifactPersistence:
                 load_me_artifact(path)
         else:
             load_me_artifact(path)
+
+
+class TestStemOnce:
+    @pytest.fixture
+    def preprocess_calls(self, monkeypatch):
+        from emocomp import pipeline
+        calls = []
+
+        def counting(instance):
+            calls.append(instance.id)
+            return preprocess(instance)
+
+        monkeypatch.setattr(pipeline, "preprocess", counting)
+        return calls
+
+    def test_component_training_with_resources(self, tec, preprocess_calls):
+        def loader(tfidf, ids):
+            return AdvResources(tfidf, lexicons=[
+                DictionaryLexicon("c", frozenset({"furious"}))])
+
+        train, _ = split_train_test(tec, seed=0)
+        train_component_me(train, MaxEntConfig(iterations=5), loader, seed=0)
+        assert sorted(preprocess_calls) == sorted(i.id for i in train)
+
+    def test_me_predict(self, tec, tmp_path, data_dir, preprocess_calls, capsys):
+        from emocomp.cli import main
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("me_iterations = 5\n")
+        corpus = data_dir / "synthetic_tec.jsonl"
+        assert main(["train", "--model", "emo-cpm-me-pred", "--corpus", str(corpus),
+                     "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        preprocess_calls.clear()
+        assert main(["predict", "--model-path", str(tmp_path / "model.json"),
+                     "--corpus", str(corpus), "--out", str(tmp_path)]) == 0
+        assert sorted(preprocess_calls) == sorted(i.id for i in tec)
 
 
 class TestNeuralPipeline:
