@@ -184,11 +184,6 @@ class Tensor:
 
     # -- nonlinearities ------------------------------------------------------
 
-    def exp(self):
-        a = self
-        out_data = np.exp(a.data)
-        return Tensor(out_data, _parents=(a,), _backward=lambda g: (g * out_data,))
-
     def log(self):
         a = self
         return Tensor(np.log(a.data), _parents=(a,), _backward=lambda g: (g / a.data,))

@@ -272,14 +272,15 @@ def _train_me(tag, train_corpus, settings, args):
     if tag == "emo-me-base":
         return pipeline.train_emotion_me(train_corpus, me_config)
     source = "gold" if tag == "emo-cpm-me-gold" else "predicted"
+    stemmed = [pipeline.preprocess(i) for i in train_corpus]   # shared by both models
     cpm_art = None
     if source == "predicted":
         args.advanced = True
         loader = _resources_loader(args, settings)
         cpm_art = pipeline.train_component_me(train_corpus, me_config, loader,
-                                              dev_ratio=dev_ratio, seed=seed)
-    return pipeline.train_emotion_me(train_corpus, me_config,
-                                     stack_source=source, cpm_artifact=cpm_art)
+                                              dev_ratio=dev_ratio, seed=seed, stemmed=stemmed)
+    return pipeline.train_emotion_me(train_corpus, me_config, stack_source=source,
+                                     cpm_artifact=cpm_art, stemmed=stemmed)
 
 
 def _train_nn(tag, train_corpus, settings, args):
@@ -318,10 +319,7 @@ def cmd_train(args) -> int:
     if args.model in ME_TAGS:
         artifact = _train_me(args.model, train_corpus, settings, args)
         pipeline.save_me_artifact(artifact, out / "model.json")
-        if artifact.tag.startswith("cpm-"):
-            report = pipeline.evaluate_components_me(artifact, test_corpus)
-        else:
-            report = pipeline.evaluate_emotions_me(artifact, test_corpus)
+        report = pipeline.evaluate_me(artifact, test_corpus)
         log_lines = [f"model {args.model}", f"train {len(train_corpus)}",
                      f"test {len(test_corpus)}"]
     else:
@@ -374,10 +372,7 @@ def cmd_eval(args) -> int:
                                            settings.get("seed", 0))
         report = pipeline.evaluate_neural(model, corpus, table)
     else:
-        if model.tag.startswith("cpm-"):
-            report = pipeline.evaluate_components_me(model, corpus)
-        else:
-            report = pipeline.evaluate_emotions_me(model, corpus)
+        report = pipeline.evaluate_me(model, corpus)
     _write_metrics(out, "metrics", report)
     print(report.to_tsv(), end="")
     return 0
@@ -430,11 +425,8 @@ def _run_fold(payload):
     fold_settings["seed"] = settings.get("seed", 0) + fold_index
     ns = argparse.Namespace(**resource_args)
     if tag in ME_TAGS:
-        artifact = _train_me(tag, train_corpus, fold_settings, ns)
-        if artifact.tag.startswith("cpm-"):
-            report = pipeline.evaluate_components_me(artifact, test_corpus)
-        else:
-            report = pipeline.evaluate_emotions_me(artifact, test_corpus)
+        report = pipeline.evaluate_me(_train_me(tag, train_corpus, fold_settings, ns),
+                                      test_corpus)
     else:
         model, _, _ = _train_nn(tag, train_corpus, fold_settings, ns)
         table, _ = pipeline.embeddings_for(corpus, resource_args.get("token_embeddings"),

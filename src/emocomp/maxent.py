@@ -3,12 +3,14 @@ matrices (one row per instance), the advanced per-component feature stack,
 exhaustive feature combination search, and component-to-emotion feature
 stacking.
 
-Training reuses the autodiff core: L2-regularized multinomial or binary
-logistic regression fit with full-batch Adam from zero-initialized
-weights, which makes fits deterministic. A binary fit takes one 0/1
-target column per label and fits them all in one call: the columns share
-no parameters, so this is one-vs-rest with a single design matrix.
-Prediction scores a whole matrix at once.
+Training is L2-regularized multinomial or binary logistic regression fit
+with full-batch Adam from zero-initialized weights, which makes fits
+deterministic. The objective is convex and its gradient has a closed
+form, so fitting computes it directly in numpy and builds no autodiff
+tape. A binary fit takes one 0/1 target column per label and fits them
+all in one call: the columns share no parameters, so this is one-vs-rest
+with a single design matrix. Prediction scores a whole matrix at once,
+with the same probability function that training uses.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .errors import ConfigError, DataError, DimensionError, ResourceError
 from .features import (DictionaryLexicon, EmbeddingTable, TfIdfModel,
                        dictionary_features,
                        pooled_embedding_features, tfidf_transform)
-from .losses import weighted_bce
 from .metrics import evaluate
 from .optim import Adam
 
@@ -101,34 +102,29 @@ def train_maxent(X: np.ndarray, y, classes: tuple[str, ...],
     return MaxEntModel(classes, mode, weights, bias, feature_dim, constant)
 
 
+def _probabilities(X: np.ndarray, W: np.ndarray, b: np.ndarray, mode: str) -> np.ndarray:
+    """Row-wise softmax (multinomial) or elementwise sigmoid (binary) of the logits."""
+    z = X @ W + b
+    if mode == MULTINOMIAL:
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def _fit(X: np.ndarray, Y: np.ndarray, mode: str,
          config: MaxEntConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Full-batch Adam from zero weights on an N x K one-hot or 0/1 target."""
+    """Full-batch Adam from zero weights on an N x K one-hot or 0/1 target.
+    Loss: mean negative log-likelihood per row plus ``l2 * ||W||^2``; a binary
+    row sums its K columns, so each column steps as in its own fit. The
+    gradient at the logits is ``(P - Y) / N`` in both modes."""
     n, k = Y.shape
-    Xd = Tensor(X)
-    Yt = Tensor(Y)
     W = Parameter(Tensor(np.zeros((X.shape[1], k))), "maxent.W")
     b = Parameter(Tensor(np.zeros(k)), "maxent.b")
-
-    if mode == MULTINOMIAL:
-        ones_col = Tensor(np.ones((k, 1)))
-
-        def loss_fn():
-            z = Xd.matmul(W.tensor) + b.tensor
-            m = Tensor(z.data.max(axis=1, keepdims=True))
-            lse = ((z - m).exp().matmul(ones_col)).log() + m
-            nll = (lse.sum() - (z * Yt).sum()) * (1.0 / n)
-            return nll + config.l2 * (W.tensor * W.tensor).sum()
-    else:
-        def loss_fn():
-            p = (Xd.matmul(W.tensor) + b.tensor).sigmoid()
-            # the mean runs over all N x K entries; scaling by K gives every
-            # column the gradient, and so the Adam steps, of its own fit
-            return weighted_bce(p, Yt, 1.0) * k + config.l2 * (W.tensor * W.tensor).sum()
-
     opt = Adam([W, b], lr=config.learning_rate)
     for _ in range(config.iterations):
-        loss_fn().backward()
+        G = (_probabilities(X, W.data, b.data, mode) - Y) / n
+        W.grad[...] = X.T @ G + 2.0 * config.l2 * W.data
+        b.grad[...] = G.sum(axis=0)
         opt.step()
     return W.data.copy(), b.data.copy()
 
@@ -141,16 +137,13 @@ def predict_maxent(model: MaxEntModel, X: np.ndarray) -> tuple[np.ndarray, np.nd
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.feature_dim:
         raise DimensionError(f"design matrix of shape {X.shape}, expected {model.feature_dim} columns")
-    z = X @ model.weights + model.bias
+    probs = _probabilities(X, model.weights, model.bias, model.mode)
     if model.mode == MULTINOMIAL:
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        probs = e / e.sum(axis=1, keepdims=True)
         decisions = np.zeros(probs.shape, dtype=bool)
         decisions[np.arange(len(probs)), np.argmax(probs, axis=1)] = True
         if model.constant:
             decisions[:] = False
     else:
-        probs = 1.0 / (1.0 + np.exp(-z))
         decisions = probs > 0.5
     for label, value in model.constant.items():
         decisions[:, model.classes.index(label)] = value

@@ -617,5 +617,8 @@ def load_checkpoint(source: str | Path | dict) -> NeuralModel:
                                  payload["input_dim"], "cpm")
     model = build_model(tag, config, payload["input_dim"],
                         tuple(payload["emo_labels"]), frozen_cpm=frozen)
-    model.load_state({name: np.array(arr) for name, arr in payload["params"].items()})
+    try:
+        model.load_state({n: np.array(a, dtype=float) for n, a in payload["params"].items()})
+    except (AttributeError, TypeError, ValueError, DimensionError) as exc:
+        raise DataError(f"checkpoint parameter is not a numeric array of its shape: {exc}") from exc
     return model

@@ -16,8 +16,8 @@ import numpy as np
 
 from .corpus import (COMPONENTS, SINGLE_LABEL, Corpus, Instance,
                      split_indices, split_train_test)
-from .errors import ConfigError, ResourceError
-from .features import (TfIdfModel, load_token_embedding_store,
+from .errors import ConfigError, DataError, ResourceError
+from .features import (DictionaryLexicon, TfIdfModel, load_token_embedding_store,
                        resolve_token_embeddings, tfidf_fit, tfidf_transform)
 from .maxent import (BINARY, MULTINOMIAL, AdvResources, FeatureCombination,
                      FeatureSearchResult, MaxEntConfig, MaxEntModel,
@@ -25,6 +25,7 @@ from .maxent import (BINARY, MULTINOMIAL, AdvResources, FeatureCombination,
                      combination_columns, feature_combination_search,
                      feature_dim, label_sets, predict_maxent, split_labels,
                      stack_component_features, stack_labels, train_maxent)
+from .metrics import evaluate
 from .nn import (Example, ModelConfig, NeuralModel, SingleTaskModel,
                  TrainingLog, build_model, predict_example, train_model)
 from .text import stem_tokens, tokenize
@@ -102,12 +103,19 @@ def _maxent_to_dict(m: MaxEntModel) -> dict:
 
 
 def _maxent_from_dict(d: dict) -> MaxEntModel:
+    classes = tuple(d["classes"])
+    try:
+        weights, bias = np.array(d["weights"], dtype=float), np.array(d["bias"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"maxent weights and bias must be numeric arrays: {exc}") from exc
+    if weights.shape != (d["feature_dim"], len(classes)) or bias.shape != (len(classes),):
+        raise DataError(f"maxent weights {weights.shape} / bias {bias.shape} do not fit "
+                        f"{d['feature_dim']} features x {len(classes)} classes")
     constant = {}
     if d["degenerate"]:
         constant = ({d["constant_class"]: True} if d["constant_class"] is not None
-                    else {d["classes"][0]: False})
-    return MaxEntModel(tuple(d["classes"]), d["mode"], np.array(d["weights"]),
-                       np.array(d["bias"]), d["feature_dim"], constant)
+                    else {classes[0]: False})
+    return MaxEntModel(classes, d["mode"], weights, bias, d["feature_dim"], constant)
 
 
 def save_me_artifact(artifact: MeArtifact, path: str | Path) -> None:
@@ -158,7 +166,6 @@ def save_me_artifact(artifact: MeArtifact, path: str | Path) -> None:
 def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
                      appraisal=None) -> MeArtifact:
     """Rebuild an artifact from a model file or its parsed JSON payload."""
-    from .features import DictionaryLexicon
 
     def from_dict(d: dict) -> MeArtifact:
         tfidf = TfIdfModel(d["tfidf"]["vocabulary"], d["tfidf"]["document_frequency"],
@@ -202,10 +209,12 @@ def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
 
 def train_emotion_me(corpus: Corpus, config: MaxEntConfig | None = None,
                      stack_source: str | None = None,
-                     cpm_artifact: MeArtifact | None = None) -> MeArtifact:
+                     cpm_artifact: MeArtifact | None = None,
+                     stemmed: list[list[str]] | None = None) -> MeArtifact:
     """Emo-ME-Base, or its component-stacked variants when ``stack_source``
-    is 'gold' or 'predicted' (the latter needs a component artifact)."""
-    stemmed = [preprocess(i) for i in corpus]
+    is 'gold' or 'predicted' (the latter needs a component artifact).
+    ``stemmed`` is the corpus's preprocessed tokens, if already at hand."""
+    stemmed = stemmed or [preprocess(i) for i in corpus]
     tfidf = tfidf_fit(stemmed)
     X = tfidf_transform(tfidf, stemmed)
     if stack_source is not None:
@@ -231,10 +240,11 @@ def train_emotion_me(corpus: Corpus, config: MaxEntConfig | None = None,
 
 def train_component_me(corpus: Corpus, config: MaxEntConfig | None = None,
                        resources_loader=None, dev_ratio: float = 0.1,
-                       seed: int = 0) -> MeArtifact:
+                       seed: int = 0, stemmed: list[list[str]] | None = None) -> MeArtifact:
     """Cpm-ME-Base (no resources) or Cpm-ME-Adv with an exhaustive feature
-    combination search on a held-out dev slice, per component."""
-    stemmed = [preprocess(i) for i in corpus]
+    combination search on a held-out dev slice, per component.
+    ``stemmed`` is the corpus's preprocessed tokens, if already at hand."""
+    stemmed = stemmed or [preprocess(i) for i in corpus]
     ids = [i.id for i in corpus]
     tfidf = tfidf_fit(stemmed)
     Y = np.array([i.cpm for i in corpus], dtype=float)
@@ -267,7 +277,6 @@ def train_component_me(corpus: Corpus, config: MaxEntConfig | None = None,
 
 
 def evaluate_components_me(artifact: MeArtifact, corpus: Corpus):
-    from .metrics import evaluate
     gold = {i.id: {c for c, v in zip(COMPONENTS, i.cpm) if v} for i in corpus}
     flags = artifact.predict_components([preprocess(i) for i in corpus], [i.id for i in corpus])
     pred = {i.id: labels for i, labels in zip(corpus, label_sets(flags, COMPONENTS))}
@@ -275,11 +284,17 @@ def evaluate_components_me(artifact: MeArtifact, corpus: Corpus):
 
 
 def evaluate_emotions_me(artifact: MeArtifact, corpus: Corpus):
-    from .metrics import evaluate
     gold = {i.id: set(i.emotions) for i in corpus}
     labels = artifact.predict_emotions(corpus.instances, [preprocess(i) for i in corpus])
     pred = {i.id: l for i, l in zip(corpus, labels)}
     return evaluate(gold, pred, corpus.emotion_inventory)
+
+
+def evaluate_me(artifact: MeArtifact, corpus: Corpus):
+    """The component report of a cpm-* artifact, the emotion report otherwise."""
+    if artifact.tag.startswith("cpm-"):
+        return evaluate_components_me(artifact, corpus)
+    return evaluate_emotions_me(artifact, corpus)
 
 
 # ---------------------------------------------------------------------------

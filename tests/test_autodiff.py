@@ -35,7 +35,6 @@ class TestElementwiseGradients:
         x = Tensor(rng.standard_normal((3, 3)) * 0.7)
         check(lambda: x.tanh().sum(), [x])
         check(lambda: x.sigmoid().sum(), [x])
-        check(lambda: x.exp().sum(), [x])
         check(lambda: (x * x + 0.5).log().sum(), [x])
 
     def test_relu_away_from_kink(self, rng):

@@ -8,6 +8,7 @@ import pytest
 
 from emocomp.cli import main, read_config_file
 from emocomp.errors import ConfigError
+from emocomp.nn import ModelConfig, build_model, save_checkpoint
 
 
 def run(args):
@@ -169,11 +170,34 @@ class TestModelFiles:
         text = (tmp_path / "run" / "model.json").read_text()
         truncated = tmp_path / "truncated.json"
         truncated.write_text(text[:len(text) // 2])
-        payload = json.loads(text)
-        del payload["tfidf"]
-        no_tfidf = tmp_path / "no_tfidf.json"
-        no_tfidf.write_text(json.dumps(payload))
-        for bad in (truncated, no_tfidf):
+        bad_files = [truncated]
+
+        def variant(name, edit, source=json.loads(text)):
+            payload = json.loads(json.dumps(source))
+            edit(payload)
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(payload))
+            bad_files.append(path)
+
+        variant("no_tfidf", lambda p: p.pop("tfidf"))
+        variant("text_weights", lambda p: p["emotion_model"]["model"].update(weights="x"))
+        variant("short_weights", lambda p: p["emotion_model"]["model"].update(
+            weights=p["emotion_model"]["model"]["weights"][1:]))
+        variant("long_bias", lambda p: p["emotion_model"]["model"].update(
+            bias=p["emotion_model"]["model"]["bias"] * 2))
+        model = build_model("emo-nn-base", ModelConfig(bilstm_units=2, cnn_filters=2,
+                                                       kernel_sizes=(2,), fc_neurons_emo=2),
+                            4, ("joy", "sadness"))
+        save_checkpoint(model, tmp_path / "checkpoint.json")
+        checkpoint = json.loads((tmp_path / "checkpoint.json").read_text())
+        name = next(iter(checkpoint["params"]))
+        variant("text_param", lambda p: p["params"].update({name: "x"}), checkpoint)
+        variant("ragged_param", lambda p: p["params"].update({name: [[1.0], [1.0, 2.0]]}),
+                checkpoint)
+        variant("short_param", lambda p: p["params"].update({name: p["params"][name][1:]}),
+                checkpoint)
+        variant("params_list", lambda p: p.update(params=[]), checkpoint)
+        for bad in bad_files:
             assert run([verb, "--model-path", bad, "--corpus", tec_path,
                         "--out", tmp_path / "o"]) == 2
             assert "data error" in capsys.readouterr().err

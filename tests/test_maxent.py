@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from emocomp.autodiff import Parameter, Tensor
 from emocomp.corpus import REMAN_EMOTIONS
 from emocomp.errors import ConfigError, DataError, DimensionError, ResourceError
 from emocomp.features import (DictionaryLexicon, EmbeddingTable, tfidf_fit,
@@ -15,6 +16,8 @@ from emocomp.maxent import (BINARY, MULTINOMIAL, AdvResources, available_flags,
                             load_vector_sidecar, predict_maxent, split_labels,
                             stack_component_features, stack_labels,
                             train_maxent)
+from emocomp.losses import weighted_bce
+from emocomp.optim import Adam
 
 FAST = MaxEntConfig(iterations=150, learning_rate=0.1)
 
@@ -89,6 +92,64 @@ class TestTraining:
     def test_target_columns_must_match_classes(self):
         with pytest.raises(DimensionError):
             train_maxent(units(0, 1), np.eye(2), ("p",), BINARY, 4, FAST)
+
+
+def _exp(a: Tensor) -> Tensor:
+    out = np.exp(a.data)
+    return Tensor(out, _parents=(a,), _backward=lambda g: (g * out,))
+
+
+def taped_fit(X, Y, mode, config):
+    """The maxent objective built on the autodiff tape, as training once did:
+    binary mean BCE over all N x K entries times K, or the multinomial NLL
+    through a shifted log-sum-exp, plus l2 * ||W||^2; Adam on the
+    backward sweep's gradients."""
+    n, k = Y.shape
+    Xd, Yt = Tensor(X), Tensor(Y)
+    W = Parameter(Tensor(np.zeros((X.shape[1], k))), "maxent.W")
+    b = Parameter(Tensor(np.zeros(k)), "maxent.b")
+
+    def loss_fn():
+        z = Xd.matmul(W.tensor) + b.tensor
+        if mode == MULTINOMIAL:
+            m = Tensor(z.data.max(axis=1, keepdims=True))
+            lse = _exp(z - m).matmul(Tensor(np.ones((k, 1)))).log() + m
+            data = (lse.sum() - (z * Yt).sum()) * (1.0 / n)
+        else:
+            data = weighted_bce(z.sigmoid(), Yt, 1.0) * k
+        return data + config.l2 * (W.tensor * W.tensor).sum()
+
+    opt = Adam([W, b], lr=config.learning_rate)
+    for _ in range(config.iterations):
+        loss_fn().backward()
+        opt.step()
+    return W.data, b.data
+
+
+class TestClosedFormGradient:
+    CONFIG = MaxEntConfig(iterations=200, learning_rate=0.05, l2=1e-2)
+
+    def test_binary_matches_taped_fit(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((40, 12))
+        Y = (rng.standard_normal((40, 3)) + X[:, :3] > 0).astype(float)
+        Y[:, 1] = 1.0   # a single-class column: constant, left out of the fit
+        with pytest.warns(UserWarning, match="single class"):
+            model = train_maxent(X, Y, ("a", "b", "c"), BINARY, 12, self.CONFIG)
+        W, b = taped_fit(X, Y[:, [0, 2]], BINARY, self.CONFIG)
+        np.testing.assert_allclose(model.weights[:, [0, 2]], W, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.bias[[0, 2]], b, rtol=0, atol=1e-12)
+        assert not model.weights[:, 1].any() and model.bias[1] == 0.0
+
+    def test_multinomial_matches_taped_fit(self):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((40, 12))
+        idx = np.argmax(X[:, :3] + rng.standard_normal((40, 3)), axis=1)
+        model = train_maxent(X, ["abc"[i] for i in idx], ("a", "b", "c"), MULTINOMIAL, 12,
+                             self.CONFIG)
+        W, b = taped_fit(X, np.eye(3)[idx], MULTINOMIAL, self.CONFIG)
+        np.testing.assert_allclose(model.weights, W, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.bias, b, rtol=0, atol=1e-12)
 
 
 class TestPrediction:

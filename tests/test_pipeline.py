@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,19 @@ FAST = MaxEntConfig(iterations=120, learning_rate=0.1)
 def tec(data_dir=None):
     from pathlib import Path
     return load_corpus(Path(__file__).resolve().parent.parent / "data" / "synthetic_tec.jsonl")
+
+
+def test_readme_library_use(tmp_path, monkeypatch, capsys):
+    # the README's library example runs as written on a bundled corpus
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("## Library use"):]
+    code = section[section.index("```python") + len("```python"):]
+    code = code[:code.index("```")]
+    (tmp_path / "corpus.jsonl").write_bytes((root / "data" / "synthetic_tec.jsonl").read_bytes())
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("class\tprecision")
 
 
 def test_tag_inventory():
@@ -144,6 +159,19 @@ class TestStemOnce:
         train, _ = split_train_test(tec, seed=0)
         train_component_me(train, MaxEntConfig(iterations=5), loader, seed=0)
         assert sorted(preprocess_calls) == sorted(i.id for i in train)
+
+    def test_predicted_stacking_training(self, tec, tmp_path, data_dir, preprocess_calls,
+                                         capsys):
+        # the component model and the stacked emotion model share one
+        # stemming pass over the training split; the test split is stemmed
+        # once for evaluation
+        from emocomp.cli import main
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("me_iterations = 5\n")
+        assert main(["train", "--model", "emo-cpm-me-pred",
+                     "--corpus", str(data_dir / "synthetic_tec.jsonl"),
+                     "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert sorted(preprocess_calls) == sorted(i.id for i in tec)
 
     def test_me_predict(self, tec, tmp_path, data_dir, preprocess_calls, capsys):
         from emocomp.cli import main
