@@ -1,10 +1,13 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
 Only the operations the classifiers in this package actually need are
-implemented: elementwise arithmetic, matmul, the usual activations,
-1-d valid convolution, max-over-time pooling, slicing/concatenation and
-reductions. Gradients are accumulated into ``Tensor.grad`` buffers by
-``Tensor.backward()`` via a topological sweep over the recorded tape.
+implemented: elementwise arithmetic, matmul, sigmoid/ReLU/log/clamp,
+slicing, concatenation and reductions, plus two fused sequence ops with
+hand-written backward passes: ``lstm`` (one direction over a whole
+sequence) and ``conv_pool`` (multi-kernel convolution, ReLU and
+max-over-time pooling). Each op is one tape node. Gradients are
+accumulated into ``Tensor.grad`` buffers by ``Tensor.backward()`` via a
+topological sweep over the recorded tape.
 """
 
 from __future__ import annotations
@@ -165,12 +168,6 @@ class Tensor:
 
         return Tensor(a.data[key], _parents=(a,), _backward=bwd)
 
-    def reshape(self, *shape):
-        a = self
-        old = a.data.shape
-        return Tensor(a.data.reshape(*shape), _parents=(a,),
-                      _backward=lambda g: (g.reshape(old),))
-
     def sum(self):
         a = self
         return Tensor(a.data.sum(), _parents=(a,),
@@ -187,11 +184,6 @@ class Tensor:
     def log(self):
         a = self
         return Tensor(np.log(a.data), _parents=(a,), _backward=lambda g: (g / a.data,))
-
-    def tanh(self):
-        a = self
-        out_data = np.tanh(a.data)
-        return Tensor(out_data, _parents=(a,), _backward=lambda g: (g * (1.0 - out_data ** 2),))
 
     def sigmoid(self):
         a = self
@@ -227,61 +219,91 @@ def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
                   _parents=tuple(tensors), _backward=bwd)
 
 
-def pad_rows_front(x: Tensor, n: int) -> Tensor:
-    """Prepend ``n`` all-zero rows to a 2-d tensor."""
-    if n <= 0:
-        return x
-    a = x
-    zeros = np.zeros((n, a.data.shape[1]))
-    return Tensor(np.concatenate([zeros, a.data], axis=0), _parents=(a,),
-                  _backward=lambda g: (g[n:],))
+def _sigmoid(z: Array) -> Array:
+    return 1.0 / (1.0 + np.exp(-z))
 
 
-def affine(x: Tensor, W: Tensor, b: Tensor) -> Tensor:
-    """x @ W + b with a broadcast row bias."""
-    if x.data.shape[1] != W.data.shape[0]:
-        raise DimensionError(f"affine shape mismatch: x {x.data.shape} vs W {W.data.shape}")
-    return x.matmul(W) + b
+def lstm(x: Tensor, W: Tensor, U: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
+    """One LSTM direction over a T x d sequence from a zero state: T x units.
 
-
-def conv1d(x: Tensor, kernel: Tensor, bias: Tensor) -> Tensor:
-    """Valid 1-d convolution of a T x d sequence with a k x d x f kernel.
-
-    Output is (T-k+1) x f. No padding here; callers pad short sequences.
+    W (d x 4u), U (u x 4u) and b (4u) hold the gates in the order i, f, g, o.
+    With ``reverse`` the steps run from the last row to the first; output
+    row t is always the hidden state after reading input row t. The
+    backward pass is backpropagation through time over the cached gates.
     """
-    k, d, f = kernel.data.shape
-    T = x.data.shape[0]
-    if x.data.shape[1] != d:
-        raise DimensionError(f"conv1d channel mismatch: x {x.data.shape} vs kernel {kernel.data.shape}")
-    if T < k:
-        raise DimensionError(f"conv1d sequence length {T} shorter than kernel {k}")
-    windows = np.lib.stride_tricks.sliding_window_view(x.data, k, axis=0)  # (T-k+1, d, k)
-    out_data = np.einsum("tdk,kdf->tf", windows, kernel.data) + bias.data
+    T, u = x.data.shape[0], U.data.shape[0]
+    if T == 0:
+        raise DimensionError("lstm over an empty sequence")
+    if x.data.shape[1] != W.data.shape[0]:
+        raise DimensionError(f"lstm shape mismatch: x {x.data.shape} vs W {W.data.shape}")
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    xw = x.data @ W.data + b.data
+    gates = np.empty_like(xw)          # i, f, g, o after their nonlinearities
+    h_in, c_in = np.zeros((T, u)), np.zeros((T, u))   # state entering each step
+    h_out, tanh_c = np.empty((T, u)), np.empty((T, u))
+    h, c = np.zeros(u), np.zeros(u)
+    for t in steps:
+        h_in[t], c_in[t] = h, c
+        z = xw[t] + h @ U.data
+        i, f, o = _sigmoid(z[:u]), _sigmoid(z[u:2 * u]), _sigmoid(z[3 * u:])
+        g = np.tanh(z[2 * u:3 * u])
+        c = f * c + i * g
+        tanh_c[t] = np.tanh(c)
+        h = h_out[t] = o * tanh_c[t]
+        gates[t] = np.concatenate([i, f, g, o])
 
-    def bwd(g):
-        dk = np.einsum("tdk,tf->kdf", windows, g)
-        db = g.sum(axis=0)
-        dx = np.zeros_like(x.data)
-        for i in range(k):
-            dx[i:i + g.shape[0]] += g @ kernel.data[i].T
-        return (dx, dk, db)
+    def bwd(grad):
+        dz = np.empty_like(xw)
+        dh, dc = np.zeros(u), np.zeros(u)
+        for t in reversed(steps):
+            i, f, g, o = np.split(gates[t], 4)
+            dh = dh + grad[t]
+            dc = dc + dh * o * (1.0 - tanh_c[t] ** 2)
+            dz[t] = np.concatenate([dc * g * i * (1.0 - i), dc * c_in[t] * f * (1.0 - f),
+                                    dc * i * (1.0 - g ** 2), dh * tanh_c[t] * o * (1.0 - o)])
+            dh, dc = dz[t] @ U.data.T, dc * f
+        return dz @ W.data.T, x.data.T @ dz, h_in.T @ dz, dz.sum(axis=0)
 
-    return Tensor(out_data, _parents=(x, kernel, bias), _backward=bwd)
+    return Tensor(h_out, _parents=(x, W, U, b), _backward=bwd)
 
 
-def max_over_time(x: Tensor) -> Tensor:
-    """Per-channel maximum over axis 0; gradient to the first maximal index."""
-    if x.data.shape[0] == 0:
-        raise DimensionError("max_over_time over an empty sequence")
-    idx = np.argmax(x.data, axis=0)  # first occurrence on ties
-    cols = np.arange(x.data.shape[1])
+def conv_pool(x: Tensor, kernels: list[Tensor], biases: list[Tensor]) -> Tensor:
+    """Multi-kernel valid 1-d convolution, ReLU and max over time: 1 x (K*f).
 
-    def bwd(g):
-        dx = np.zeros_like(x.data)
-        dx[idx, cols] = g
-        return (dx,)
+    Each k x d x f kernel slides over the T x d sequence, left-zero-padded
+    to k rows when T < k. The gradient of a pooled value goes to the first
+    maximal timestep of its feature map.
+    """
+    T, d = x.data.shape
+    if T == 0:
+        raise DimensionError("conv_pool over an empty sequence")
+    pooled, cache = [], []
+    for K, b in zip(kernels, biases):
+        k, f = K.data.shape[0], K.data.shape[2]
+        if K.data.shape[1] != d:
+            raise DimensionError(f"conv_pool channel mismatch: x {x.data.shape} vs kernel {K.data.shape}")
+        xk = np.concatenate([np.zeros((k - T, d)), x.data]) if T < k else x.data
+        win = np.lib.stride_tricks.sliding_window_view(xk, k, axis=0)   # (T'-k+1, d, k)
+        maps = np.einsum("tdk,kdf->tf", win, K.data) + b.data
+        idx = np.argmax(maps, axis=0)   # first occurrence on ties
+        # ReLU is monotone, so the max of the ReLU'd map is the ReLU of its max
+        pooled.append(np.maximum(maps[idx, np.arange(f)], 0.0))
+        cache.append((idx, win))
+    out = np.concatenate(pooled)
 
-    return Tensor(x.data[idx, cols], _parents=(x,), _backward=bwd)
+    def bwd(grad):
+        grads = np.split(grad.reshape(-1) * (out > 0), len(kernels))
+        dx, dks = np.zeros_like(x.data), []
+        for K, g, (idx, win) in zip(kernels, grads, cache):
+            k, f = K.data.shape[0], K.data.shape[2]
+            dks.append(np.einsum("fdk,f->kdf", win[idx], g))
+            # channel j read (padded) input rows idx[j] .. idx[j] + k - 1
+            spread = np.zeros((f, max(T, k), d))
+            spread[np.arange(f)[:, None], idx[:, None] + np.arange(k)] = (K.data * g).transpose(2, 0, 1)
+            dx += spread.sum(axis=0)[max(k - T, 0):]
+        return (dx, *dks, *grads)
+
+    return Tensor(out.reshape(1, -1), _parents=(x, *kernels, *biases), _backward=bwd)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:

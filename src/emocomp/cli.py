@@ -283,12 +283,15 @@ def _train_me(tag, train_corpus, settings, args):
                                      cpm_artifact=cpm_art, stemmed=stemmed)
 
 
-def _train_nn(tag, train_corpus, settings, args):
+def _embeddings(corpus, settings, store_path):
+    """Token embeddings of every instance in ``corpus``, and their dimension."""
+    return pipeline.embeddings_for(corpus, store_path, settings.get("fallback_dim", 64),
+                                   settings.get("seed", 0))
+
+
+def _train_nn(tag, train_corpus, settings, table, dim):
+    """Train on ``train_corpus``; ``table`` embeds at least its instances."""
     config = _nn_config(tag, train_corpus, settings)
-    table, dim = pipeline.embeddings_for(train_corpus,
-                                         getattr(args, "token_embeddings", None),
-                                         settings.get("fallback_dim", 64),
-                                         settings.get("seed", 0))
     frozen = None
     if tag == "emo-cpm-nn-pred":
         sub_cfg = _nn_config("cpm-nn-base", train_corpus, settings)
@@ -298,7 +301,7 @@ def _train_nn(tag, train_corpus, settings, args):
     model, log = pipeline.train_neural(tag, train_corpus, config, table, dim,
                                        dev_ratio=settings.get("dev_ratio", 0.1),
                                        frozen_cpm=frozen)
-    return model, log, table
+    return model, log
 
 
 def _write_metrics(out: Path, name: str, report) -> None:
@@ -323,13 +326,10 @@ def cmd_train(args) -> int:
         log_lines = [f"model {args.model}", f"train {len(train_corpus)}",
                      f"test {len(test_corpus)}"]
     else:
-        model, log, table = _train_nn(args.model, train_corpus, settings, args)
-        # test instances need embeddings too
-        full_table, _ = pipeline.embeddings_for(corpus,
-                                                getattr(args, "token_embeddings", None),
-                                                settings.get("fallback_dim", 64), seed)
+        table, dim = _embeddings(corpus, settings, args.token_embeddings)
+        model, log = _train_nn(args.model, train_corpus, settings, table, dim)
         save_checkpoint(model, out / "checkpoint.json")
-        report = pipeline.evaluate_neural(model, test_corpus, full_table)
+        report = pipeline.evaluate_neural(model, test_corpus, table)
         log_lines = ([f"model {args.model}", f"train {len(train_corpus)}",
                       f"test {len(test_corpus)}"] + log.lines())
 
@@ -367,9 +367,7 @@ def cmd_eval(args) -> int:
     _check_model_corpus(kind, model, corpus)
     out = _out_dir(args)
     if kind == "nn":
-        table, _ = pipeline.embeddings_for(corpus, getattr(args, "token_embeddings", None),
-                                           settings.get("fallback_dim", 64),
-                                           settings.get("seed", 0))
+        table, _ = _embeddings(corpus, settings, args.token_embeddings)
         report = pipeline.evaluate_neural(model, corpus, table)
     else:
         report = pipeline.evaluate_me(model, corpus)
@@ -385,9 +383,7 @@ def cmd_predict(args) -> int:
     out = _out_dir(args)
     lines = ["id\temotions\tcpm"]
     if kind == "nn":
-        table, _ = pipeline.embeddings_for(corpus, getattr(args, "token_embeddings", None),
-                                           settings.get("fallback_dim", 64),
-                                           settings.get("seed", 0))
+        table, _ = _embeddings(corpus, settings, args.token_embeddings)
         from .nn import predict_example
         for ex in pipeline.build_examples(corpus, table):
             labels, cpm_probs = predict_example(model, ex, corpus.mode)
@@ -423,15 +419,13 @@ def _run_fold(payload):
     test_corpus = corpus.subset([corpus.instances[j] for j in sorted(test_idx)])
     fold_settings = dict(settings)
     fold_settings["seed"] = settings.get("seed", 0) + fold_index
-    ns = argparse.Namespace(**resource_args)
     if tag in ME_TAGS:
-        report = pipeline.evaluate_me(_train_me(tag, train_corpus, fold_settings, ns),
-                                      test_corpus)
+        report = pipeline.evaluate_me(
+            _train_me(tag, train_corpus, fold_settings, argparse.Namespace(**resource_args)),
+            test_corpus)
     else:
-        model, _, _ = _train_nn(tag, train_corpus, fold_settings, ns)
-        table, _ = pipeline.embeddings_for(corpus, resource_args.get("token_embeddings"),
-                                           fold_settings.get("fallback_dim", 64),
-                                           fold_settings.get("seed", 0))
+        table, dim = _embeddings(corpus, fold_settings, resource_args["token_embeddings"])
+        model, _ = _train_nn(tag, train_corpus, fold_settings, table, dim)
         report = pipeline.evaluate_neural(model, test_corpus, table)
     return fold_index, report.macro_f1, report.micro_f1
 

@@ -1,5 +1,7 @@
-"""Network layers built on the autodiff core: fully connected, BiLSTM,
-multi-kernel 1-d CNN with max-over-time pooling.
+"""Network layers built on the autodiff core: fully connected (matmul, bias
+and activation nodes), BiLSTM (one fused ``lstm`` node per direction) and
+multi-kernel 1-d CNN with max-over-time pooling (one fused ``conv_pool``
+node).
 
 Sequences shorter than a kernel are left-zero-padded up to the kernel
 size for that kernel only, so every kernel size stays usable on short
@@ -10,9 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import (Parameter, Tensor, affine, concat, conv1d, max_over_time,
-                       pad_rows_front, xavier_uniform)
-from .errors import DimensionError
+from .autodiff import Parameter, Tensor, concat, conv_pool, lstm, xavier_uniform
 
 
 class Dense:
@@ -28,7 +28,7 @@ class Dense:
         return [self.W, self.b]
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = affine(x, self.W.tensor, self.b.tensor)
+        out = x.matmul(self.W.tensor) + self.b.tensor
         if self.activation == "relu":
             return out.relu()
         if self.activation == "sigmoid":
@@ -36,61 +36,27 @@ class Dense:
         return out
 
 
-class LstmCell:
-    """Single-direction LSTM cell; gate order i, f, g, o in one fused matrix."""
-
-    def __init__(self, d_in: int, units: int, rng: np.random.Generator, name: str):
-        self.units = units
-        self.W = Parameter(Tensor(xavier_uniform((d_in, 4 * units), rng)), f"{name}.W")
-        self.U = Parameter(Tensor(xavier_uniform((units, 4 * units), rng)), f"{name}.U")
-        self.b = Parameter(Tensor(np.zeros(4 * units)), f"{name}.b")
-
-    def params(self) -> list[Parameter]:
-        return [self.W, self.U, self.b]
-
-    def step(self, x_t: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-        u = self.units
-        z = affine(x_t, self.W.tensor, self.b.tensor) + h.matmul(self.U.tensor)
-        i = z[:, 0 * u:1 * u].sigmoid()
-        f = z[:, 1 * u:2 * u].sigmoid()
-        g = z[:, 2 * u:3 * u].tanh()
-        o = z[:, 3 * u:4 * u].sigmoid()
-        c_new = f * c + i * g
-        h_new = o * c_new.tanh()
-        return h_new, c_new
-
-
 class BiLstm:
     """Forward and backward LSTM passes, concatenated per timestep.
 
     Input T x d, output T x 2*units; initial hidden and cell state zero.
+    Each direction has its own W (d x 4u), U (u x 4u) and b, gate order
+    i, f, g, o.
     """
 
     def __init__(self, d_in: int, units: int, rng: np.random.Generator, name: str):
-        self.units = units
-        self.fwd = LstmCell(d_in, units, rng, f"{name}.fwd")
-        self.bwd = LstmCell(d_in, units, rng, f"{name}.bwd")
+        self.directions = [
+            [Parameter(Tensor(xavier_uniform((d_in, 4 * units), rng)), f"{name}.{d}.W"),
+             Parameter(Tensor(xavier_uniform((units, 4 * units), rng)), f"{name}.{d}.U"),
+             Parameter(Tensor(np.zeros(4 * units)), f"{name}.{d}.b")]
+            for d in ("fwd", "bwd")]
 
     def params(self) -> list[Parameter]:
-        return self.fwd.params() + self.bwd.params()
+        return self.directions[0] + self.directions[1]
 
     def __call__(self, x: Tensor) -> Tensor:
-        T = x.data.shape[0]
-        if T == 0:
-            raise DimensionError("bilstm over an empty sequence")
-        zero = Tensor(np.zeros((1, self.units)))
-        outs_fwd: list[Tensor] = []
-        h, c = zero, zero
-        for t in range(T):
-            h, c = self.fwd.step(x[t:t + 1, :], h, c)
-            outs_fwd.append(h)
-        outs_bwd: list[Tensor] = [None] * T
-        h, c = zero, zero
-        for t in reversed(range(T)):
-            h, c = self.bwd.step(x[t:t + 1, :], h, c)
-            outs_bwd[t] = h
-        rows = [concat([outs_fwd[t], outs_bwd[t]], axis=1) for t in range(T)]
-        return concat(rows, axis=0)
+        fwd, bwd = ([p.tensor for p in ps] for ps in self.directions)
+        return concat([lstm(x, *fwd), lstm(x, *bwd, reverse=True)], axis=1)
 
 
 class ConvPool:
@@ -120,16 +86,5 @@ class ConvPool:
             out.extend([K, b])
         return out
 
-    def maps(self, x: Tensor, relu: bool = True) -> list[Tensor]:
-        T = x.data.shape[0]
-        out = []
-        for k, K, b in zip(self.kernel_sizes, self.kernels, self.biases):
-            xk = pad_rows_front(x, k - T) if T < k else x
-            m = conv1d(xk, K.tensor, b.tensor)
-            out.append(m.relu() if relu else m)
-        return out
-
     def __call__(self, x: Tensor) -> Tensor:
-        pooled = [max_over_time(m) for m in self.maps(x)]
-        return concat(pooled, axis=0).reshape(1, self.out_dim)
-
+        return conv_pool(x, [K.tensor for K in self.kernels], [b.tensor for b in self.biases])

@@ -106,14 +106,22 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Rebuild a stored config; unknown keys or mistyped values are data errors."""
+        if not isinstance(d, dict):
+            raise DataError(f"model config must be an object, got {type(d).__name__}")
         d = dict(d)
-        for key in ("bilstm_units", "cnn_filters"):
-            v = d.get(key)
-            if isinstance(v, list):
-                d[key] = int(v[0]) if v[0] == v[1] else (int(v[0]), int(v[1]))
-        if "kernel_sizes" in d:
-            d["kernel_sizes"] = tuple(d["kernel_sizes"])
-        return cls(**d)
+        try:
+            for key in ("bilstm_units", "cnn_filters"):
+                v = d.get(key)
+                if isinstance(v, list):
+                    d[key] = int(v[0]) if v[0] == v[1] else (int(v[0]), int(v[1]))
+            if "kernel_sizes" in d:
+                if not isinstance(d["kernel_sizes"], list):
+                    raise TypeError("kernel_sizes must be a list")
+                d["kernel_sizes"] = tuple(d["kernel_sizes"])
+            return cls(**d)
+        except (TypeError, ValueError, IndexError, ConfigError) as exc:
+            raise DataError(f"stored model config is invalid: {exc}") from exc
 
 
 # Per-(tag, domain) hyperparameter defaults for the studied corpora.
@@ -610,13 +618,16 @@ def load_checkpoint(source: str | Path | dict) -> NeuralModel:
     if payload.get("version") != CHECKPOINT_VERSION:
         raise DataError(f"unsupported checkpoint version {payload.get('version')!r}")
     config = ModelConfig.from_dict(payload["config"])
-    tag = payload["tag"]
+    tag, input_dim, labels = payload["tag"], payload["input_dim"], payload["emo_labels"]
+    if type(input_dim) is not int or input_dim < 1:
+        raise DataError(f"checkpoint input_dim must be a positive integer, got {input_dim!r}")
+    if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
+        raise DataError(f"checkpoint emo_labels must be a list of names, got {labels!r}")
     frozen = None
     if tag == "emo-cpm-nn-pred":
         frozen = SingleTaskModel(ModelConfig.from_dict(payload["frozen_cpm_config"]),
-                                 payload["input_dim"], "cpm")
-    model = build_model(tag, config, payload["input_dim"],
-                        tuple(payload["emo_labels"]), frozen_cpm=frozen)
+                                 input_dim, "cpm")
+    model = build_model(tag, config, input_dim, tuple(labels), frozen_cpm=frozen)
     try:
         model.load_state({n: np.array(a, dtype=float) for n, a in payload["params"].items()})
     except (AttributeError, TypeError, ValueError, DimensionError) as exc:

@@ -118,6 +118,21 @@ def _maxent_from_dict(d: dict) -> MaxEntModel:
     return MaxEntModel(classes, d["mode"], weights, bias, d["feature_dim"], constant)
 
 
+def _tfidf_from_dict(d: dict) -> TfIdfModel:
+    """The stored featurizer: integer counts, and a vocabulary that numbers
+    its n-grams 0..n-1 and has a document frequency for each."""
+    if not isinstance(d, dict):
+        raise DataError(f"tfidf must be an object, got {type(d).__name__}")
+    vocab, df, n = d["vocabulary"], d["document_frequency"], d["corpus_size"]
+    if not (isinstance(vocab, dict) and isinstance(df, dict)) or set(vocab) != set(df):
+        raise DataError("tfidf vocabulary and document_frequency must cover the same n-grams")
+    if not all(type(v) is int for v in (n, *vocab.values(), *df.values())):
+        raise DataError("tfidf indices, document frequencies and corpus_size must be integers")
+    if sorted(vocab.values()) != list(range(len(vocab))):
+        raise DataError(f"tfidf vocabulary must number its {len(vocab)} n-grams 0..{len(vocab) - 1}")
+    return TfIdfModel(vocab, df, n)
+
+
 def save_me_artifact(artifact: MeArtifact, path: str | Path) -> None:
     """Persist a feature-based model with its featurizer state.
 
@@ -168,8 +183,7 @@ def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
     """Rebuild an artifact from a model file or its parsed JSON payload."""
 
     def from_dict(d: dict) -> MeArtifact:
-        tfidf = TfIdfModel(d["tfidf"]["vocabulary"], d["tfidf"]["document_frequency"],
-                           d["tfidf"]["corpus_size"])
+        tfidf = _tfidf_from_dict(d["tfidf"])
         a = MeArtifact(d["tag"], d["mode"], tuple(d["emotion_inventory"]), tfidf,
                        d["feature_dim"], stack_source=d["stack_source"])
         em = d["emotion_model"]

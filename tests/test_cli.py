@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from emocomp import pipeline
 from emocomp.cli import main, read_config_file
 from emocomp.errors import ConfigError
 from emocomp.nn import ModelConfig, build_model, save_checkpoint
@@ -185,6 +186,9 @@ class TestModelFiles:
             weights=p["emotion_model"]["model"]["weights"][1:]))
         variant("long_bias", lambda p: p["emotion_model"]["model"].update(
             bias=p["emotion_model"]["model"]["bias"] * 2))
+        variant("vocabulary_entry_deleted", lambda p: p["tfidf"]["vocabulary"].popitem())
+        variant("tfidf_list", lambda p: p.update(tfidf=[]))
+        variant("text_corpus_size", lambda p: p["tfidf"].update(corpus_size="x"))
         model = build_model("emo-nn-base", ModelConfig(bilstm_units=2, cnn_filters=2,
                                                        kernel_sizes=(2,), fc_neurons_emo=2),
                             4, ("joy", "sadness"))
@@ -197,6 +201,10 @@ class TestModelFiles:
         variant("short_param", lambda p: p["params"].update({name: p["params"][name][1:]}),
                 checkpoint)
         variant("params_list", lambda p: p.update(params=[]), checkpoint)
+        variant("unknown_config_key", lambda p: p["config"].update(mystery=1), checkpoint)
+        variant("text_input_dim", lambda p: p.update(input_dim="x"), checkpoint)
+        variant("text_kernel_sizes", lambda p: p["config"].update(kernel_sizes="ab"), checkpoint)
+        variant("number_emo_labels", lambda p: p.update(emo_labels=5), checkpoint)
         for bad in bad_files:
             assert run([verb, "--model-path", bad, "--corpus", tec_path,
                         "--out", tmp_path / "o"]) == 2
@@ -210,6 +218,32 @@ class TestCrossval:
         rows = (tmp_path / "crossval.tsv").read_text().strip().splitlines()
         assert len(rows) == 5  # header + 3 folds + mean
         assert rows[-1].startswith("mean")
+
+    def test_parallel_folds_write_the_same_table(self, tmp_path, tec_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("me_iterations = 20\n")
+        for jobs in ("1", "2"):
+            assert run(["crossval", "--model", "emo-me-base", "--corpus", tec_path,
+                        "--k", "3", "--jobs", jobs, "--config", cfg,
+                        "--out", tmp_path / jobs]) == 0
+        assert ((tmp_path / "1" / "crossval.tsv").read_bytes()
+                == (tmp_path / "2" / "crossval.tsv").read_bytes())
+
+
+class TestEmbeddings:
+    def test_train_resolves_token_embeddings_once(self, tmp_path, tec_path, monkeypatch,
+                                                  capsys):
+        calls = []
+        resolve = pipeline.resolve_token_embeddings
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return resolve(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "resolve_token_embeddings", counting)
+        assert run(["train", "--model", "emo-nn-base", "--corpus", tec_path,
+                    "--epochs", "1", "--out", tmp_path]) == 0
+        assert len(calls) == 1
 
 
 class TestAblate:
