@@ -1,12 +1,13 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
 Only the operations the classifiers in this package actually need are
-implemented: elementwise arithmetic, matmul, sigmoid/ReLU/log/clamp,
-slicing, concatenation and reductions, plus two fused sequence ops with
-hand-written backward passes: ``lstm`` (one direction over a whole
-sequence) and ``conv_pool`` (multi-kernel convolution, ReLU and
-max-over-time pooling). Each op is one tape node. Gradients are
-accumulated into ``Tensor.grad`` buffers by ``Tensor.backward()`` via a
+implemented: broadcasting addition and multiplication, matmul,
+sigmoid/ReLU, slicing, concatenation and sum, plus two fused sequence
+ops with hand-written backward passes: ``lstm`` (one direction over a
+whole sequence) and ``conv_pool`` (multi-kernel convolution, ReLU and
+max-over-time pooling). The loss is one more fused node, in ``losses``.
+Each op is one tape node. Gradients are accumulated into ``Tensor.grad``
+buffers, allocated on first use, by ``Tensor.backward()`` via a
 topological sweep over the recorded tape.
 """
 
@@ -41,7 +42,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         self.data = _as_array(data)
         self.requires_grad = requires_grad
-        self.grad = np.zeros_like(self.data) if requires_grad else None
+        self.grad = None
         self._parents = _parents
         self._backward = _backward
 
@@ -111,50 +112,27 @@ class Tensor:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
-        other = _wrap(other)
-        a, b = self, other
-        out = Tensor(a.data + b.data, _parents=(a, b),
-                     _backward=lambda g: (_unbroadcast(g, a.data.shape),
-                                          _unbroadcast(g, b.data.shape)))
-        return out
+        a, b = self, _wrap(other)
+        return Tensor(a.data + b.data, _parents=(a, b),
+                      _backward=lambda g: (_unbroadcast(g, a.data.shape),
+                                           _unbroadcast(g, b.data.shape)))
 
     __radd__ = __add__
 
-    def __neg__(self):
-        a = self
-        return Tensor(-a.data, _parents=(a,), _backward=lambda g: (-g,))
-
-    def __sub__(self, other):
-        return self + (-_wrap(other))
-
-    def __rsub__(self, other):
-        return _wrap(other) + (-self)
-
     def __mul__(self, other):
-        other = _wrap(other)
-        a, b = self, other
-        out = Tensor(a.data * b.data, _parents=(a, b),
-                     _backward=lambda g: (_unbroadcast(g * b.data, a.data.shape),
-                                          _unbroadcast(g * a.data, b.data.shape)))
-        return out
+        a, b = self, _wrap(other)
+        return Tensor(a.data * b.data, _parents=(a, b),
+                      _backward=lambda g: (_unbroadcast(g * b.data, a.data.shape),
+                                           _unbroadcast(g * a.data, b.data.shape)))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _wrap(other)
-        a, b = self, other
-        out = Tensor(a.data / b.data, _parents=(a, b),
-                     _backward=lambda g: (_unbroadcast(g / b.data, a.data.shape),
-                                          _unbroadcast(-g * a.data / (b.data ** 2), b.data.shape)))
-        return out
 
     def matmul(self, other: "Tensor") -> "Tensor":
         a, b = self, _wrap(other)
         if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
             raise DimensionError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
-        out = Tensor(a.data @ b.data, _parents=(a, b),
-                     _backward=lambda g: (g @ b.data.T, a.data.T @ g))
-        return out
+        return Tensor(a.data @ b.data, _parents=(a, b),
+                      _backward=lambda g: (g @ b.data.T, a.data.T @ g))
 
     __matmul__ = matmul
 
@@ -173,17 +151,7 @@ class Tensor:
         return Tensor(a.data.sum(), _parents=(a,),
                       _backward=lambda g: (np.full_like(a.data, float(g)),))
 
-    def mean(self):
-        a = self
-        n = a.data.size
-        return Tensor(a.data.mean(), _parents=(a,),
-                      _backward=lambda g: (np.full_like(a.data, float(g) / n),))
-
     # -- nonlinearities ------------------------------------------------------
-
-    def log(self):
-        a = self
-        return Tensor(np.log(a.data), _parents=(a,), _backward=lambda g: (g / a.data,))
 
     def sigmoid(self):
         a = self
@@ -195,12 +163,6 @@ class Tensor:
         a = self
         mask = a.data > 0
         return Tensor(a.data * mask, _parents=(a,), _backward=lambda g: (g * mask,))
-
-    def clamp(self, lo: float, hi: float):
-        """Clip values to [lo, hi]; gradient is zero where the clamp engages."""
-        a = self
-        mask = (a.data > lo) & (a.data < hi)
-        return Tensor(np.clip(a.data, lo, hi), _parents=(a,), _backward=lambda g: (g * mask,))
 
 
 def _wrap(x) -> Tensor:

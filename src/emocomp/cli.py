@@ -26,7 +26,8 @@ from .maxent import (AdvResources, MaxEntConfig, load_tagged_sidecar,
                      load_vector_sidecar)
 from .metrics import (agreement_degenerate, cohen_kappa, cooccurrence_stats,
                       round_half_up)
-from .nn import ModelConfig, default_config, load_checkpoint, save_checkpoint
+from .nn import (ModelConfig, default_config, load_checkpoint, predict_example,
+                 predicted_components, save_checkpoint)
 from . import pipeline
 from .pipeline import ALL_TAGS, ME_TAGS
 
@@ -384,19 +385,16 @@ def cmd_predict(args) -> int:
     lines = ["id\temotions\tcpm"]
     if kind == "nn":
         table, _ = _embeddings(corpus, settings, args.token_embeddings)
-        from .nn import predict_example
         for ex in pipeline.build_examples(corpus, table):
             labels, cpm_probs = predict_example(model, ex, corpus.mode)
-            cpm_txt = ""
-            if cpm_probs is not None:
-                cpm_txt = " ".join(c for c, p in zip(COMPONENTS, cpm_probs) if p > 0.5)
+            cpm_txt = " ".join(predicted_components(cpm_probs)) if cpm_probs is not None else ""
             lines.append(f"{ex.id}\t{' '.join(sorted(labels))}\t{cpm_txt}")
     else:
         stemmed = [pipeline.preprocess(i) for i in corpus]
         ids = [i.id for i in corpus]
         emotions = (model.predict_emotions(corpus.instances, stemmed) if model.emotion_model
                     else [set()] * len(ids))
-        cpms = ([" ".join(c for c, v in zip(COMPONENTS, flags) if v)
+        cpms = ([" ".join(predicted_components(flags))
                  for flags in model.predict_components(stemmed, ids)]
                 if model.component_models else [""] * len(ids))
         for inst_id, labels, cpm_txt in zip(ids, emotions, cpms):

@@ -121,6 +121,8 @@ def load_embedding_file(path: str | Path) -> EmbeddingTable:
                 vec = np.array([float(v) for v in vals])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-numeric embedding value") from exc
+            if not np.isfinite(vec).all():
+                raise DataError(f"{path}:{lineno}: non-finite embedding value")
             if dimension is None:
                 dimension = len(vec)
                 if dimension == 0:
@@ -165,6 +167,8 @@ def load_token_embedding_store(path: str | Path) -> TokenEmbeddingStore:
         except (IndexError, ValueError) as exc:
             raise DataError(f"{path}: malformed record for id {inst_id!r}") from exc
         mat = np.array(rows)
+        if not np.isfinite(mat).all():
+            raise DataError(f"{path}: record {inst_id!r} holds a non-finite value")
         if dimension is None:
             dimension = mat.shape[1]
         elif mat.shape[1] != dimension:

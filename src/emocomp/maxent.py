@@ -202,6 +202,8 @@ def load_vector_sidecar(path: str | Path) -> dict[str, np.ndarray]:
             vec = np.array([float(v) for v in rest.split()])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: expected id<TAB>decimals") from exc
+        if not np.isfinite(vec).all():
+            raise DataError(f"{path}:{lineno}: non-finite value")
         if dim is None:
             dim = len(vec)
         elif len(vec) != dim:

@@ -22,9 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Parameter, Tensor, concat, dropout
+from .corpus import COMPONENTS
 from .errors import ConfigError, DataError, DimensionError
 from .layers import BiLstm, ConvPool, Dense
 from .losses import weighted_bce
+from .metrics import MetricsReport, evaluate
 from .optim import Adam
 
 CHECKPOINT_VERSION = 1
@@ -229,10 +231,7 @@ class NeuralModel:
             terms.append(cfg.task_weight_cpm * weighted_bce(
                 outputs["cpm"], Tensor(np.asarray(y_cpm, dtype=float).reshape(1, -1)),
                 cfg.loss_weight_cpm))
-        total = terms[0]
-        for t in terms[1:]:
-            total = total + t
-        return total
+        return sum(terms[1:], terms[0])
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {p.name: p.data.copy() for p in self.params()}
@@ -509,24 +508,22 @@ class TrainingLog:
         return out
 
 
+def _forward(model: NeuralModel, ex: Example, training: bool = False, rng=None) -> dict[str, Tensor]:
+    """Only the gold-injection model reads the example's component flags."""
+    return model.forward(Tensor(ex.x), training=training, rng=rng,
+                         cpm=ex.y_cpm if isinstance(model, CpmInjectModel) else None)
+
+
 def _batch_loss(model: NeuralModel, batch: list[Example], training: bool, rng) -> Tensor:
-    losses = []
-    for ex in batch:
-        out = model.forward(Tensor(ex.x), training=training, rng=rng,
-                            cpm=ex.y_cpm if isinstance(model, CpmInjectModel) else None)
-        losses.append(model.loss(out, ex.y_emo, ex.y_cpm))
-    total = losses[0]
-    for l in losses[1:]:
-        total = total + l
-    return total * (1.0 / len(batch))
+    losses = [model.loss(_forward(model, ex, training, rng), ex.y_emo, ex.y_cpm) for ex in batch]
+    return sum(losses[1:], losses[0]) * (1.0 / len(batch))
 
 
 def predict_example(model: NeuralModel, ex: Example, mode: str,
                     neutral_label: str = "neutral") -> tuple[set[str], np.ndarray | None]:
     """Decision rule: argmax for single-label, threshold 0.5 for multi-label
     (empty sets map to the neutral class when the inventory has one)."""
-    out = model.forward(Tensor(ex.x), training=False,
-                        cpm=ex.y_cpm if isinstance(model, CpmInjectModel) else None)
+    out = _forward(model, ex)
     cpm_probs = out["cpm"].data.reshape(-1) if "cpm" in out else None
     if not model.has_emo:
         return set(), cpm_probs
@@ -540,26 +537,29 @@ def predict_example(model: NeuralModel, ex: Example, mode: str,
     return labels, cpm_probs
 
 
-def _dev_macro_f1(model: NeuralModel, dev: list[Example], mode: str) -> float:
-    from .metrics import evaluate
-    if model.has_emo:
-        inventory = model.emo_labels
-        gold = {ex.id: {l for l, v in zip(inventory, ex.y_emo) if v} for ex in dev}
-        pred = {ex.id: predict_example(model, ex, mode)[0] for ex in dev}
-        return evaluate(gold, pred, inventory).macro_f1
-    inventory = tuple(f"c{i}" for i in range(N_COMPONENTS))
-    gold = {ex.id: {c for c, v in zip(inventory, ex.y_cpm) if v} for ex in dev}
-    pred = {}
-    for ex in dev:
-        _, cpm_probs = predict_example(model, ex, mode)
-        pred[ex.id] = {c for c, p in zip(inventory, cpm_probs) if p > 0.5}
-    return evaluate(gold, pred, inventory).macro_f1
+def predicted_components(probs) -> list[str]:
+    """The components whose probability exceeds 0.5, in inventory order."""
+    return [c for c, p in zip(COMPONENTS, probs) if p > 0.5]
+
+
+def evaluate_examples(model: NeuralModel, examples: list[Example], mode: str) -> MetricsReport:
+    """Metrics for the model's primary task: emotions when it has an
+    emotion head, components otherwise."""
+    inventory = model.emo_labels if model.has_emo else COMPONENTS
+    gold, pred = {}, {}
+    for ex in examples:
+        labels, cpm_probs = predict_example(model, ex, mode)
+        targets = ex.y_emo if model.has_emo else ex.y_cpm
+        gold[ex.id] = {l for l, v in zip(inventory, targets) if v}
+        pred[ex.id] = labels if model.has_emo else set(predicted_components(cpm_probs))
+    return evaluate(gold, pred, inventory)
 
 
 def train_model(model: NeuralModel, train: list[Example], mode: str,
                 dev: list[Example] | None = None) -> TrainingLog:
     """Minibatch Adam training; with a dev set, the best-dev-macro-F1
-    parameters are restored at the end. Deterministic under a fixed seed."""
+    parameters are restored at the end. Deterministic under a fixed seed.
+    A non-finite loss or gradient stops training before the update."""
     if not train:
         raise DataError("empty training split")
     cfg = model.config
@@ -577,12 +577,17 @@ def train_model(model: NeuralModel, train: list[Example], mode: str,
             batch = [train[i] for i in order[start:start + cfg.minibatch_size]]
             loss = _batch_loss(model, batch, training=True, rng=drop_rng)
             loss.backward()
+            finite = np.isfinite(loss.item()) and all(np.isfinite(p.grad).all() for p in opt.params)
+            if not finite:
+                opt.zero_grad()
+                raise ConfigError(f"non-finite loss or gradient in epoch {epoch + 1}, batch "
+                                  f"{n_batches + 1}; lower the learning rate")
             opt.step()
             epoch_loss += loss.item()
             n_batches += 1
         entry = {"epoch": epoch + 1, "train_loss": epoch_loss / n_batches}
         if dev:
-            f1 = _dev_macro_f1(model, dev, mode)
+            f1 = evaluate_examples(model, dev, mode).macro_f1
             entry["dev_macro_f1"] = f1
             if f1 > best_f1:
                 best_f1 = f1
@@ -629,7 +634,11 @@ def load_checkpoint(source: str | Path | dict) -> NeuralModel:
                                  input_dim, "cpm")
     model = build_model(tag, config, input_dim, tuple(labels), frozen_cpm=frozen)
     try:
-        model.load_state({n: np.array(a, dtype=float) for n, a in payload["params"].items()})
+        state = {n: np.array(a, dtype=float) for n, a in payload["params"].items()}
+        model.load_state(state)
     except (AttributeError, TypeError, ValueError, DimensionError) as exc:
         raise DataError(f"checkpoint parameter is not a numeric array of its shape: {exc}") from exc
+    bad = [n for n, a in state.items() if not np.isfinite(a).all()]
+    if bad:
+        raise DataError(f"checkpoint parameters hold non-finite values: {', '.join(bad[:4])}")
     return model

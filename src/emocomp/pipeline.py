@@ -27,7 +27,7 @@ from .maxent import (BINARY, MULTINOMIAL, AdvResources, FeatureCombination,
                      stack_component_features, stack_labels, train_maxent)
 from .metrics import evaluate
 from .nn import (Example, ModelConfig, NeuralModel, SingleTaskModel,
-                 TrainingLog, build_model, predict_example, train_model)
+                 TrainingLog, build_model, evaluate_examples, train_model)
 from .text import stem_tokens, tokenize
 
 ME_TAGS = ("emo-me-base", "cpm-me-base", "cpm-me-adv",
@@ -111,6 +111,8 @@ def _maxent_from_dict(d: dict) -> MaxEntModel:
     if weights.shape != (d["feature_dim"], len(classes)) or bias.shape != (len(classes),):
         raise DataError(f"maxent weights {weights.shape} / bias {bias.shape} do not fit "
                         f"{d['feature_dim']} features x {len(classes)} classes")
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        raise DataError("maxent weights and bias must be finite")
     constant = {}
     if d["degenerate"]:
         constant = ({d["constant_class"]: True} if d["constant_class"] is not None
@@ -213,9 +215,25 @@ def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
                 raise ResourceError("stored model uses POS features; pass a POS sidecar")
             if "appraisal_predictions" in used and appraisal is None:
                 raise ResourceError("stored model uses appraisal features; pass an appraisal sidecar")
+        check_widths(a)
         if d["cpm_artifact"]:
             a.cpm_artifact = from_dict(d["cpm_artifact"])
         return a
+
+    def check_widths(a: MeArtifact) -> None:
+        """Each stored model must read as many columns as its featurizer makes."""
+        expected = []
+        for comp, m in a.component_models.items():
+            combo = a.combinations.get(comp, FeatureCombination())
+            expected.append((comp, m, feature_dim(a.resources, combo) if a.resources
+                             else a.tfidf.dim))
+        if a.emotion_model is not None:
+            stacked = len(COMPONENTS) if a.stack_source is not None else 0
+            expected.append(("emotion", a.emotion_model, a.tfidf.dim + stacked))
+        for name, m, width in expected:
+            if m.feature_dim != width:
+                raise DataError(f"stored {name} model reads {m.feature_dim} features, "
+                                f"but its featurizer makes {width}")
 
     return from_dict(source if isinstance(source, dict)
                      else json.loads(Path(source).read_text(encoding="utf-8")))
@@ -349,15 +367,6 @@ def train_neural(tag: str, train_corpus: Corpus, config: ModelConfig,
 def evaluate_neural(model: NeuralModel, corpus: Corpus,
                     embeddings: dict[str, np.ndarray]):
     """Metrics for the model's primary task over ``corpus``."""
-    from .metrics import evaluate
-    examples = build_examples(corpus, embeddings)
-    if model.has_emo:
-        gold = {i.id: set(i.emotions) for i in corpus}
-        pred = {ex.id: predict_example(model, ex, corpus.mode)[0] for ex in examples}
-        return evaluate(gold, pred, corpus.emotion_inventory)
-    gold = {i.id: {c for c, v in zip(COMPONENTS, i.cpm) if v} for i in corpus}
-    pred = {}
-    for ex in examples:
-        _, cpm_probs = predict_example(model, ex, corpus.mode)
-        pred[ex.id] = {c for c, p in zip(COMPONENTS, cpm_probs) if p > 0.5}
-    return evaluate(gold, pred, COMPONENTS)
+    if model.has_emo and tuple(model.emo_labels) != corpus.emotion_inventory:
+        raise ConfigError("model and corpus emotion inventories differ")
+    return evaluate_examples(model, build_examples(corpus, embeddings), corpus.mode)

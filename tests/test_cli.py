@@ -189,6 +189,17 @@ class TestModelFiles:
         variant("vocabulary_entry_deleted", lambda p: p["tfidf"]["vocabulary"].popitem())
         variant("tfidf_list", lambda p: p.update(tfidf=[]))
         variant("text_corpus_size", lambda p: p["tfidf"].update(corpus_size="x"))
+
+        def drop_top_ngram(p):
+            vocab = p["tfidf"]["vocabulary"]
+            top = max(vocab, key=vocab.get)
+            del vocab[top], p["tfidf"]["document_frequency"][top]
+
+        variant("top_ngram_dropped", drop_top_ngram)
+        variant("nan_weight", lambda p: p["emotion_model"]["model"]["weights"][0].__setitem__(
+            0, float("nan")))
+        variant("inf_bias", lambda p: p["emotion_model"]["model"]["bias"].__setitem__(
+            0, float("inf")))
         model = build_model("emo-nn-base", ModelConfig(bilstm_units=2, cnn_filters=2,
                                                        kernel_sizes=(2,), fc_neurons_emo=2),
                             4, ("joy", "sadness"))
@@ -205,6 +216,8 @@ class TestModelFiles:
         variant("text_input_dim", lambda p: p.update(input_dim="x"), checkpoint)
         variant("text_kernel_sizes", lambda p: p["config"].update(kernel_sizes="ab"), checkpoint)
         variant("number_emo_labels", lambda p: p.update(emo_labels=5), checkpoint)
+        variant("nan_param", lambda p: p["params"][name][0].__setitem__(0, float("nan")),
+                checkpoint)
         for bad in bad_files:
             assert run([verb, "--model-path", bad, "--corpus", tec_path,
                         "--out", tmp_path / "o"]) == 2
@@ -231,6 +244,23 @@ class TestCrossval:
 
 
 class TestEmbeddings:
+    def test_non_finite_token_embedding_is_data_error(self, tmp_path, tec_path, capsys):
+        store = tmp_path / "store.txt"
+        store.write_text("tec0000\n2\n0.1 0.2 0.3\n0.4 nan 0.6\n")
+        assert run(["train", "--model", "emo-nn-base", "--corpus", tec_path,
+                    "--token-embeddings", store, "--epochs", "1",
+                    "--out", tmp_path / "o"]) == 2
+        assert "store.txt: record 'tec0000'" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+    def test_divergence_is_config_error(self, tmp_path, tec_path, capsys):
+        assert run(["train", "--model", "emo-nn-base", "--corpus", tec_path,
+                    "--learning-rate", "1e300", "--epochs", "2",
+                    "--out", tmp_path / "o"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: non-finite loss or gradient in epoch" in err
+        assert not (tmp_path / "o" / "checkpoint.json").exists()
+
     def test_train_resolves_token_embeddings_once(self, tmp_path, tec_path, monkeypatch,
                                                   capsys):
         calls = []

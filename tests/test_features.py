@@ -42,7 +42,7 @@ class TestTfIdf:
         for row, tokens in zip(X, queries):
             entries = {model.vocabulary[g]: c * model.idf(g)
                        for g, c in extract_ngrams(tokens).items() if g in model.vocabulary}
-            norm = math.sqrt(sum(entries[i] ** 2 for i in sorted(entries)))
+            norm = math.sqrt(sum(entries[i] * entries[i] for i in sorted(entries)))
             want = np.zeros(model.dim)
             for i, v in entries.items():
                 want[i] = v / norm
@@ -123,6 +123,13 @@ class TestEmbeddingFiles:
         with pytest.raises(DataError):
             load_embedding_file(f)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        f = tmp_path / "emb.txt"
+        f.write_text(f"cat 1.0 2.0\ndog 0.1 {value}\n")
+        with pytest.raises(DataError, match=r"emb\.txt:2: non-finite"):
+            load_embedding_file(f)
+
 
 class TestTokenEmbeddingStore:
     def test_round_trip(self, tmp_path):
@@ -136,6 +143,13 @@ class TestTokenEmbeddingStore:
         f = tmp_path / "store.txt"
         f.write_text("id1\n1\n1.0\nid1\n1\n2.0\n")
         with pytest.raises(DataError):
+            load_token_embedding_store(f)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_names_record(self, tmp_path, value):
+        f = tmp_path / "store.txt"
+        f.write_text(f"id1\n1\n1.0 2.0\nid2\n2\n3.0 4.0\n5.0 {value}\n")
+        with pytest.raises(DataError, match=r"store\.txt: record 'id2'.*non-finite"):
             load_token_embedding_store(f)
 
 

@@ -99,6 +99,10 @@ def _exp(a: Tensor) -> Tensor:
     return Tensor(out, _parents=(a,), _backward=lambda g: (g * out,))
 
 
+def _log(a: Tensor) -> Tensor:
+    return Tensor(np.log(a.data), _parents=(a,), _backward=lambda g: (g / a.data,))
+
+
 def taped_fit(X, Y, mode, config):
     """The maxent objective built on the autodiff tape, as training once did:
     binary mean BCE over all N x K entries times K, or the multinomial NLL
@@ -112,9 +116,9 @@ def taped_fit(X, Y, mode, config):
     def loss_fn():
         z = Xd.matmul(W.tensor) + b.tensor
         if mode == MULTINOMIAL:
-            m = Tensor(z.data.max(axis=1, keepdims=True))
-            lse = _exp(z - m).matmul(Tensor(np.ones((k, 1)))).log() + m
-            data = (lse.sum() - (z * Yt).sum()) * (1.0 / n)
+            m = z.data.max(axis=1, keepdims=True)
+            lse = _log(_exp(z + Tensor(-m)).matmul(Tensor(np.ones((k, 1))))) + Tensor(m)
+            data = (lse.sum() + (z * Yt).sum() * -1.0) * (1.0 / n)
         else:
             data = weighted_bce(z.sigmoid(), Yt, 1.0) * k
         return data + config.l2 * (W.tensor * W.tensor).sum()
@@ -247,6 +251,12 @@ class TestSidecars:
         f = tmp_path / "ap.tsv"
         f.write_text("id1\t0.1 0.9\nid2\t0.4\n")
         with pytest.raises(DataError):
+            load_vector_sidecar(f)
+
+    def test_vector_sidecar_non_finite_reports_line(self, tmp_path):
+        f = tmp_path / "ap.tsv"
+        f.write_text("id1\t0.1 0.9\nid2\tnan 0.4\n")
+        with pytest.raises(DataError, match=r"ap\.tsv:2: non-finite"):
             load_vector_sidecar(f)
 
 

@@ -209,6 +209,24 @@ class TestTraining:
         with pytest.raises(DataError):
             train_model(build("emo-nn-base"), [], "single-label")
 
+    @pytest.mark.parametrize("tag", ["emo-nn-base", "mtl-xs"])
+    def test_non_finite_loss_stops_before_update(self, tag, rng):
+        examples = toy_examples(8, rng)
+        examples[5].x[2, 1] = np.nan
+        # one batch of all eight examples: no update may run at all
+        model = build(tag, toy_config(minibatch_size=8, epochs=1))
+        before = model.state_dict()
+        with pytest.raises(ConfigError, match="epoch 1, batch 1;"):
+            train_model(model, examples, "single-label")
+        for name, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+        assert not any(p.grad.any() for p in model.params())
+        # one example per batch, in the training loop's shuffled order
+        batch = list(np.random.default_rng([0, 1]).permutation(8)).index(5) + 1
+        model = build(tag, toy_config(minibatch_size=1, epochs=1))
+        with pytest.raises(ConfigError, match=f"epoch 1, batch {batch};"):
+            train_model(model, examples, "single-label")
+
     def test_dev_restores_best_state(self, rng):
         examples = toy_examples(9, rng)
         model = build("emo-nn-base", toy_config(epochs=3))
@@ -256,6 +274,14 @@ class TestCheckpoints:
         bad = path.read_text().replace('"version": 1', '"version": 99', 1)
         path.write_text(bad)
         with pytest.raises(DataError, match="version"):
+            load_checkpoint(path)
+
+    def test_non_finite_parameter_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        model = build("emo-nn-base")
+        model.out.b.data[0] = np.inf
+        save_checkpoint(model, path)
+        with pytest.raises(DataError, match="non-finite.*emo.out.b"):
             load_checkpoint(path)
 
     def test_mismatched_state_rejected(self):

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from emocomp.autodiff import Parameter, Tensor
 from emocomp.errors import ConfigError
-from emocomp.losses import weighted_bce
+from emocomp.gradcheck import gradient_check
+from emocomp.losses import PROB_EPS, weighted_bce
 from emocomp.optim import Adam
 
 
@@ -56,9 +57,40 @@ class TestAdam:
         opt = Adam([p], lr=0.2)
         for _ in range(300):
             x = p.tensor
-            ((x - 3.0) * (x - 3.0)).sum().backward()
+            ((x + -3.0) * (x + -3.0)).sum().backward()
             opt.step()
         assert abs(p.data[0] - 3.0) < 1e-3
+
+
+def _clamp(a: Tensor, lo: float, hi: float) -> Tensor:
+    mask = (a.data > lo) & (a.data < hi)
+    return Tensor(np.clip(a.data, lo, hi), _parents=(a,), _backward=lambda g: (g * mask,))
+
+
+def _log(a: Tensor) -> Tensor:
+    return Tensor(np.log(a.data), _parents=(a,), _backward=lambda g: (g / a.data,))
+
+
+def _mean(a: Tensor) -> Tensor:
+    n = a.data.size
+    return Tensor(a.data.mean(), _parents=(a,),
+                  _backward=lambda g: (np.full_like(a.data, float(g) / n),))
+
+
+def weighted_bce_reference(p, y, pos_weight):
+    """The loss ``weighted_bce`` replaced, composed from generic tape nodes;
+    ``* -1.0`` stands for the deleted negation, so ``1.0 - y`` reads
+    ``1.0 + y * -1.0``."""
+    pc = _clamp(p, PROB_EPS, 1.0 - PROB_EPS)
+    loss = (pos_weight * y * _log(pc) + (1.0 + y * -1.0) * _log(1.0 + pc * -1.0)) * -1.0
+    return _mean(loss)
+
+
+def bce_value_and_grad(op, p, y, pos_weight, scale):
+    p = Tensor(p.copy(), requires_grad=True)
+    loss = op(p, Tensor(y), pos_weight)
+    loss.backward(np.array(scale))
+    return loss.data, p.grad
 
 
 class TestWeightedBce:
@@ -84,11 +116,16 @@ class TestWeightedBce:
             weighted_bce(Tensor(np.array([[0.5]])), Tensor(np.array([[1.0]])), 0.0)
 
     def test_gradient_matches_finite_differences(self, rng):
-        from emocomp.gradcheck import gradient_check
         p = Tensor(rng.uniform(0.05, 0.95, size=(1, 4)))
         y = Tensor(np.array([[1.0, 0.0, 1.0, 0.0]]))
         report = gradient_check(lambda: weighted_bce(p, y, 3.0), [p])
         assert report.max_rel_error < 1e-6, report
+        # two rows, a small and a large weight, and an upstream scale
+        p = Tensor(rng.uniform(0.05, 0.95, size=(2, 3)))
+        y = Tensor(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))
+        for w in (0.5, 7.8):
+            report = gradient_check(lambda: weighted_bce(p, y, w) * 2.5, [p])
+            assert report.max_rel_error < 1e-6, report
 
     @given(st.floats(0.05, 0.95), st.floats(1.0, 10.0), st.floats(0.1, 5.0))
     @settings(max_examples=50, deadline=None)
@@ -104,3 +141,32 @@ class TestWeightedBce:
         p = Tensor(np.array([[prob]]))
         y = Tensor(np.array([[0.0]]))
         assert abs(weighted_bce(p, y, w).item() - weighted_bce(p, y, 1.0).item()) < 1e-12
+
+    @pytest.mark.parametrize("pos_weight", [0.25, 1.0, 4.0, 7.8])
+    @pytest.mark.parametrize("scale", [1.0, 0.02, -3.0])
+    def test_matches_composed_loss_bitwise(self, pos_weight, scale, rng):
+        edges = [0.0, 1.0, 1e-13, 1e-12, 1.0 - 1e-12]
+        for trial in range(50):
+            shape = (1 + trial % 2, 1 + trial % 7)
+            p = rng.uniform(0.0, 1.0, size=shape)
+            p.flat[rng.integers(p.size)] = edges[trial % len(edges)]
+            y = (rng.random(shape) < 0.5).astype(float)
+            got = bce_value_and_grad(weighted_bce, p, y, pos_weight, scale)
+            want = bce_value_and_grad(weighted_bce_reference, p, y, pos_weight, scale)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_only_parent_is_p(self):
+        p = Tensor(np.array([[0.3, 0.6]]), requires_grad=True)
+        y = Tensor(np.array([[1.0, 0.0]]), requires_grad=True)
+        loss = weighted_bce(p, y, 2.0)
+        assert len(loss._parents) == 1 and loss._parents[0] is p
+        loss.backward()
+        assert y.grad is None
+
+    def test_clamp_gradient_zero_outside(self):
+        p = Tensor(np.array([[0.0, 0.2, 1.0, 1e-12, 1.0 - 1e-12]]), requires_grad=True)
+        y = Tensor(np.array([[1.0, 1.0, 0.0, 1.0, 0.0]]))
+        weighted_bce(p, y, 3.0).backward()
+        # gradient only flows where the clamp did not engage
+        np.testing.assert_array_equal(p.grad[0] != 0.0, [False, True, False, False, False])
+        assert abs(p.grad[0, 1] - -3.0 / (0.2 * 5)) < 1e-12

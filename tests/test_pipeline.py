@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from emocomp.corpus import COMPONENTS, load_corpus, split_train_test
+from emocomp.corpus import COMPONENTS, Corpus, load_corpus, split_train_test
 from emocomp.errors import ConfigError, ResourceError
 from emocomp.features import DictionaryLexicon
 from emocomp.maxent import AdvResources, MaxEntConfig
@@ -197,6 +197,9 @@ class TestNeuralPipeline:
         assert len(log.entries) == 2
         report = evaluate_neural(model, small, table)
         assert 0.0 <= report.micro_f1 <= 1.0
+        other = Corpus(small.instances, small.emotion_inventory[::-1], small.mode)
+        with pytest.raises(ConfigError, match="inventories differ"):
+            evaluate_neural(model, other, table)
 
     def test_embeddings_shapes(self, tec):
         table, dim = embeddings_for(tec.subset(tec.instances[:5]), fallback_dim=16)
