@@ -17,8 +17,7 @@ from importlib import resources as importlib_resources
 from emocomp.corpus import COMPONENTS, load_corpus, split_train_test
 from emocomp.features import load_lexicon
 from emocomp.maxent import AdvResources, MaxEntConfig
-from emocomp.pipeline import (evaluate_components_me, evaluate_emotions_me,
-                              train_component_me, train_emotion_me)
+from emocomp.pipeline import evaluate_model, train_component_me, train_emotion_me
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -44,25 +43,25 @@ def main() -> None:
     print(f"{'model':18s}{'macro-F1':>10s}{'micro-F1':>10s}")
 
     cpm_base = train_component_me(train, config)
-    r = evaluate_components_me(cpm_base, test)
+    r = evaluate_model(cpm_base, test)
     print(f"{'cpm-me-base':18s}{r.macro_f1:10.4f}{r.micro_f1:10.4f}")
 
     cpm_adv = train_component_me(train, config, bundled_lexicon_loader,
                                  seed=args.seed)
-    r = evaluate_components_me(cpm_adv, test)
+    r = evaluate_model(cpm_adv, test)
     print(f"{'cpm-me-adv':18s}{r.macro_f1:10.4f}{r.micro_f1:10.4f}")
 
     emo_base = train_emotion_me(train, config)
-    r = evaluate_emotions_me(emo_base, test)
+    r = evaluate_model(emo_base, test)
     print(f"{'emo-me-base':18s}{r.macro_f1:10.4f}{r.micro_f1:10.4f}")
 
     emo_gold = train_emotion_me(train, config, stack_source="gold")
-    r = evaluate_emotions_me(emo_gold, test)
+    r = evaluate_model(emo_gold, test)
     print(f"{'emo-cpm-me-gold':18s}{r.macro_f1:10.4f}{r.micro_f1:10.4f}")
 
     emo_pred = train_emotion_me(train, config, stack_source="predicted",
                                 cpm_artifact=cpm_adv)
-    r = evaluate_emotions_me(emo_pred, test)
+    r = evaluate_model(emo_pred, test)
     print(f"{'emo-cpm-me-pred':18s}{r.macro_f1:10.4f}{r.micro_f1:10.4f}")
 
 

@@ -23,9 +23,9 @@ from .metrics import (CooccurrenceTable, MetricsReport, agreement_degenerate,
 from .nn import (ModelConfig, NeuralModel, build_model, default_config,
                  load_checkpoint, save_checkpoint, train_model)
 from .optim import Adam
-from .pipeline import (ALL_TAGS, ME_TAGS, MeArtifact, evaluate_components_me,
-                       evaluate_emotions_me, evaluate_neural, load_me_artifact,
-                       save_me_artifact, train_component_me, train_emotion_me, train_neural)
+from .pipeline import (ALL_TAGS, ME_TAGS, MeArtifact, evaluate_model, evaluate_neural,
+                       load_me_artifact, load_model, predict, save_me_artifact, save_model,
+                       train_component_me, train_emotion_me, train_neural, train_tag)
 
 __all__ = [
     "Tensor", "Parameter", "Adam", "weighted_bce",
@@ -41,8 +41,9 @@ __all__ = [
     "ModelConfig", "NeuralModel", "build_model", "default_config",
     "train_model", "save_checkpoint", "load_checkpoint",
     "ME_TAGS", "ALL_TAGS", "MeArtifact",
+    "train_tag", "predict", "evaluate_model", "save_model", "load_model",
     "train_emotion_me", "train_component_me", "train_neural", "save_me_artifact",
-    "load_me_artifact", "evaluate_emotions_me", "evaluate_components_me", "evaluate_neural",
+    "load_me_artifact", "evaluate_neural",
     "EmocompError", "ConfigError", "DataError", "CorpusFormatError",
     "ResourceError", "DimensionError", "StateError",
 ]

@@ -5,6 +5,9 @@ Verbs: ``stats``, ``agreement``, ``train``, ``eval``, ``predict``,
 ``EMOCOMP_*`` environment variables > ``--config`` file > per-model
 defaults. All randomness flows from ``--seed``.
 
+The model verbs take one path through :mod:`emocomp.pipeline` for both
+model families.
+
 Exit status: 0 success, 1 usage/config error, 2 data error, 3 runtime
 failure.
 """
@@ -16,20 +19,17 @@ import json
 import os
 import sys
 import time
-from importlib import resources as importlib_resources
 from pathlib import Path
 
 from .corpus import Corpus, COMPONENTS, load_corpus, kfold, split_train_test
 from .errors import ConfigError, DataError, EmocompError
-from .features import load_embedding_file, load_lexicon
-from .maxent import (AdvResources, MaxEntConfig, load_tagged_sidecar,
-                     load_vector_sidecar)
+from .fileio import write_lines, write_text
+from .maxent import FEATURE_FLAGS
 from .metrics import (agreement_degenerate, cohen_kappa, cooccurrence_stats,
                       round_half_up)
-from .nn import (ModelConfig, default_config, load_checkpoint, predict_example,
-                 predicted_components, save_checkpoint)
+from .nn import ModelConfig
 from . import pipeline
-from .pipeline import ALL_TAGS, ME_TAGS
+from .pipeline import ALL_TAGS
 
 ENV_PREFIX = "EMOCOMP_"
 
@@ -37,11 +37,7 @@ ENV_PREFIX = "EMOCOMP_"
 EXTRA_KEYS = ("split_ratio", "dev_ratio", "fallback_dim",
               "me_iterations", "me_learning_rate", "me_l2")
 
-MODEL_CONFIG_KEYS = ("bilstm_units", "cnn_filters", "fc_neurons_cpm",
-                     "fc_neurons_emo", "fc_neurons_combined", "loss_weight_emo",
-                     "loss_weight_cpm", "task_weight_emo", "task_weight_cpm",
-                     "minibatch_size", "kernel_sizes", "dropout_rate",
-                     "learning_rate", "epochs", "per_channel_stitch")
+MODEL_CONFIG_KEYS = tuple(k for k in ModelConfig.__dataclass_fields__ if k != "seed")
 
 
 def _parse_value(key: str, raw: str):
@@ -98,48 +94,10 @@ def gather_settings(args) -> dict:
     return settings
 
 
-def default_lexicons() -> list:
-    lexicons = []
-    base = importlib_resources.files("emocomp") / "lexicons"
-    for comp in COMPONENTS:
-        lexicons.append(load_lexicon(str(base / f"{comp}.txt"), comp))
-    return lexicons
-
-
-def _maxent_config(settings: dict) -> MaxEntConfig:
-    return MaxEntConfig(iterations=settings.get("me_iterations", 300),
-                        learning_rate=settings.get("me_learning_rate", 0.05),
-                        l2=settings.get("me_l2", 1e-4),
-                        seed=settings.get("seed", 0))
-
-
-def _resources_loader(args, settings):
-    """Builds an AdvResources factory from resource flags; None when no
-    auxiliary resource was requested (Cpm-ME-Base behaviour)."""
-    lexicon_dir = getattr(args, "lexicons", None)
-    use_default_lex = getattr(args, "advanced", False)
-    embeddings_path = getattr(args, "embeddings", None)
-    pos_path = getattr(args, "pos_sidecar", None)
-    appraisal_path = getattr(args, "appraisal_sidecar", None)
-    if not any((lexicon_dir, use_default_lex, embeddings_path, pos_path, appraisal_path)):
-        return None
-
-    def loader(tfidf, instance_ids):
-        if lexicon_dir:
-            lexicons = [load_lexicon(Path(lexicon_dir) / f"{c}.txt", c) for c in COMPONENTS]
-        else:
-            lexicons = default_lexicons()
-        res = AdvResources(
-            tfidf, lexicons=lexicons,
-            pos_tags=load_tagged_sidecar(pos_path) if pos_path else None,
-            embeddings=load_embedding_file(embeddings_path) if embeddings_path else None,
-            appraisal=load_vector_sidecar(appraisal_path) if appraisal_path else None,
-        )
-        res.fit_pos_inventory(instance_ids)
-        res.fit_appraisal_dim()
-        return res
-
-    return loader
+def _resources(args) -> dict:
+    """The resource file paths given on the command line, by flag name."""
+    return {k: getattr(args, k, None) for k in ("lexicons", "embeddings", "pos_sidecar",
+                                                "appraisal_sidecar", "token_embeddings")}
 
 
 def _out_dir(args) -> Path:
@@ -152,7 +110,7 @@ def _write_log(path: Path, lines: list[str]) -> None:
     # the timestamp lives only in this header line so every other output
     # file is byte-stable across reruns
     header = f"# run completed {time.strftime('%Y-%m-%dT%H:%M:%S')}"
-    path.write_text("\n".join([header] + lines) + "\n", encoding="utf-8")
+    write_lines(path, [header] + lines)
 
 
 # ---------------------------------------------------------------------------
@@ -185,8 +143,8 @@ def cmd_stats(args) -> int:
         f"{table.component_totals[j]:5d} ({round_half_up(table.total_percentage(j)):3d}%)"
         for j in range(len(COMPONENTS))))
 
-    (out / "stats.tsv").write_text("\n".join(tsv) + "\n", encoding="utf-8")
-    (out / "stats.txt").write_text("\n".join(text) + "\n", encoding="utf-8")
+    write_lines(out / "stats.tsv", tsv)
+    write_lines(out / "stats.txt", text)
     print("\n".join(text))
     return 0
 
@@ -210,7 +168,7 @@ def cmd_agreement(args) -> int:
             rendered = f"{cohen_kappa(a, b):.3f}"
         lines.append(f"{comp}\t{rendered}")
         display.append(f"{comp:<28}{rendered}")
-    (out / "agreement.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(out / "agreement.tsv", lines)
     print("\n".join(display))
     return 0
 
@@ -219,187 +177,64 @@ def cmd_agreement(args) -> int:
 # train / eval / predict
 # ---------------------------------------------------------------------------
 
-def _check_tag_mode(tag: str, corpus: Corpus, args=None) -> None:
+def _check_tag_mode(tag: str, corpus: Corpus, args) -> None:
     if tag not in ALL_TAGS:
         raise ConfigError(f"unknown model tag {tag!r} (expected one of {', '.join(ALL_TAGS)})")
     needs_emotions = not tag.startswith("cpm-")
     if needs_emotions and not corpus.emotion_inventory:
         raise ConfigError(f"model {tag!r} needs an emotion inventory but the corpus declares none")
-    if args is not None:
-        for attr in ("lexicons", "embeddings", "pos_sidecar", "appraisal_sidecar",
-                     "token_embeddings", "config"):
-            path = getattr(args, attr, None)
-            if path and not Path(path).exists():
-                raise ConfigError(f"--{attr.replace('_', '-')} path does not exist: {path}")
-
-
-def _check_model_corpus(model_kind: str, model, corpus: Corpus) -> None:
-    """Refuse to score a model against a corpus with a different task mode
-    or label inventory before any featurization happens."""
-    if model_kind == "me":
-        if model.emotion_model is not None and model.mode != corpus.mode:
-            raise ConfigError(f"model was trained {model.mode} but the corpus is {corpus.mode}")
-        if model.emotion_model is not None and tuple(model.emotion_inventory) != corpus.emotion_inventory:
-            raise ConfigError("model and corpus emotion inventories differ")
-    else:
-        if model.has_emo and tuple(model.emo_labels) != corpus.emotion_inventory:
-            raise ConfigError("checkpoint and corpus emotion inventories differ")
-
-
-def _nn_domain(corpus: Corpus) -> str:
-    domains = {i.domain for i in corpus.instances}
-    return domains.pop() if len(domains) == 1 else "other"
-
-
-def _nn_config(tag: str, corpus: Corpus, settings: dict) -> ModelConfig:
-    overrides = {k: v for k, v in settings.items() if k in MODEL_CONFIG_KEYS}
-    overrides["seed"] = settings.get("seed", 0)
-    return default_config(tag, _nn_domain(corpus), overrides)
-
-
-def _train_me(tag, train_corpus, settings, args):
-    me_config = _maxent_config(settings)
-    seed = settings.get("seed", 0)
-    dev_ratio = settings.get("dev_ratio", 0.1)
-    if tag in ("cpm-me-base", "cpm-me-adv"):
-        loader = _resources_loader(args, settings) if tag == "cpm-me-adv" else None
-        if tag == "cpm-me-adv" and loader is None:
-            # advanced tag without explicit resources: fall back to the
-            # bundled dictionaries so the tag stays runnable out of the box
-            args.advanced = True
-            loader = _resources_loader(args, settings)
-        return pipeline.train_component_me(train_corpus, me_config, loader,
-                                           dev_ratio=dev_ratio, seed=seed)
-    if tag == "emo-me-base":
-        return pipeline.train_emotion_me(train_corpus, me_config)
-    source = "gold" if tag == "emo-cpm-me-gold" else "predicted"
-    stemmed = [pipeline.preprocess(i) for i in train_corpus]   # shared by both models
-    cpm_art = None
-    if source == "predicted":
-        args.advanced = True
-        loader = _resources_loader(args, settings)
-        cpm_art = pipeline.train_component_me(train_corpus, me_config, loader,
-                                              dev_ratio=dev_ratio, seed=seed, stemmed=stemmed)
-    return pipeline.train_emotion_me(train_corpus, me_config, stack_source=source,
-                                     cpm_artifact=cpm_art, stemmed=stemmed)
-
-
-def _embeddings(corpus, settings, store_path):
-    """Token embeddings of every instance in ``corpus``, and their dimension."""
-    return pipeline.embeddings_for(corpus, store_path, settings.get("fallback_dim", 64),
-                                   settings.get("seed", 0))
-
-
-def _train_nn(tag, train_corpus, settings, table, dim):
-    """Train on ``train_corpus``; ``table`` embeds at least its instances."""
-    config = _nn_config(tag, train_corpus, settings)
-    frozen = None
-    if tag == "emo-cpm-nn-pred":
-        sub_cfg = _nn_config("cpm-nn-base", train_corpus, settings)
-        sub, _ = pipeline.train_neural("cpm-nn-base", train_corpus, sub_cfg, table, dim,
-                                       dev_ratio=settings.get("dev_ratio", 0.1))
-        frozen = sub
-    model, log = pipeline.train_neural(tag, train_corpus, config, table, dim,
-                                       dev_ratio=settings.get("dev_ratio", 0.1),
-                                       frozen_cpm=frozen)
-    return model, log
+    for attr, path in {**_resources(args), "config": args.config}.items():
+        if path and not Path(path).exists():
+            raise ConfigError(f"--{attr.replace('_', '-')} path does not exist: {path}")
 
 
 def _write_metrics(out: Path, name: str, report) -> None:
-    (out / f"{name}.tsv").write_text(report.to_tsv(), encoding="utf-8")
-    (out / f"{name}.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n",
-                                      encoding="utf-8")
+    write_text(out / f"{name}.tsv", report.to_tsv())
+    write_text(out / f"{name}.json", json.dumps(report.to_dict(), indent=2) + "\n")
 
 
 def cmd_train(args) -> int:
     settings = gather_settings(args)
     corpus = load_corpus(args.corpus)
     _check_tag_mode(args.model, corpus, args)
-    seed = settings.get("seed", 0)
     train_corpus, test_corpus = split_train_test(
-        corpus, ratio=settings.get("split_ratio", 0.9), seed=seed)
+        corpus, ratio=settings.get("split_ratio", 0.9), seed=settings.get("seed", 0))
     out = _out_dir(args)
-
-    if args.model in ME_TAGS:
-        artifact = _train_me(args.model, train_corpus, settings, args)
-        pipeline.save_me_artifact(artifact, out / "model.json")
-        report = pipeline.evaluate_me(artifact, test_corpus)
-        log_lines = [f"model {args.model}", f"train {len(train_corpus)}",
-                     f"test {len(test_corpus)}"]
-    else:
-        table, dim = _embeddings(corpus, settings, args.token_embeddings)
-        model, log = _train_nn(args.model, train_corpus, settings, table, dim)
-        save_checkpoint(model, out / "checkpoint.json")
-        report = pipeline.evaluate_neural(model, test_corpus, table)
-        log_lines = ([f"model {args.model}", f"train {len(train_corpus)}",
-                      f"test {len(test_corpus)}"] + log.lines())
-
+    resources = _resources(args)
+    embed = pipeline.embedder(corpus, settings, resources)
+    model, log_lines = pipeline.train_tag(args.model, train_corpus, settings, resources, embed)
+    pipeline.save_model(model, out)
+    report = pipeline.evaluate_model(model, test_corpus, embed)
     _write_metrics(out, "metrics_test", report)
-    _write_log(out / "training_log.txt", log_lines)
+    _write_log(out / "training_log.txt", [f"model {args.model}", f"train {len(train_corpus)}",
+                                          f"test {len(test_corpus)}"] + log_lines)
     print(f"macro-F1 {report.macro_f1:.4f}  micro-F1 {report.micro_f1:.4f}")
     return 0
 
 
-def _load_any_model(args):
-    """Parse the model file once; unreadable JSON or a missing key is a data error."""
-    path = args.model_path
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path} is not a JSON model file: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise DataError(f"{path} does not hold a JSON object")
-    try:
-        if "params" in payload:
-            return "nn", load_checkpoint(payload)
-        embeddings = load_embedding_file(args.embeddings) if getattr(args, "embeddings", None) else None
-        pos = load_tagged_sidecar(args.pos_sidecar) if getattr(args, "pos_sidecar", None) else None
-        appraisal = load_vector_sidecar(args.appraisal_sidecar) if getattr(args, "appraisal_sidecar", None) else None
-        return "me", pipeline.load_me_artifact(payload, embeddings=embeddings,
-                                               pos_tags=pos, appraisal=appraisal)
-    except KeyError as exc:
-        raise DataError(f"{path} lacks required key {exc}") from exc
+def _stored_model(args):
+    """The stored model, the corpus and an embedder for it (eval, predict)."""
+    settings, corpus, resources = gather_settings(args), load_corpus(args.corpus), _resources(args)
+    model = pipeline.load_model(args.model_path, resources)
+    return model, corpus, pipeline.embedder(corpus, settings, resources)
 
 
 def cmd_eval(args) -> int:
-    settings = gather_settings(args)
-    corpus = load_corpus(args.corpus)
-    kind, model = _load_any_model(args)
-    _check_model_corpus(kind, model, corpus)
-    out = _out_dir(args)
-    if kind == "nn":
-        table, _ = _embeddings(corpus, settings, args.token_embeddings)
-        report = pipeline.evaluate_neural(model, corpus, table)
-    else:
-        report = pipeline.evaluate_me(model, corpus)
-    _write_metrics(out, "metrics", report)
+    report = pipeline.evaluate_model(*_stored_model(args))
+    _write_metrics(_out_dir(args), "metrics", report)
     print(report.to_tsv(), end="")
     return 0
 
 
 def cmd_predict(args) -> int:
-    settings = gather_settings(args)
-    corpus = load_corpus(args.corpus)
-    kind, model = _load_any_model(args)
+    model, corpus, embed = _stored_model(args)
     out = _out_dir(args)
-    lines = ["id\temotions\tcpm"]
-    if kind == "nn":
-        table, _ = _embeddings(corpus, settings, args.token_embeddings)
-        for ex in pipeline.build_examples(corpus, table):
-            labels, cpm_probs = predict_example(model, ex, corpus.mode)
-            cpm_txt = " ".join(predicted_components(cpm_probs)) if cpm_probs is not None else ""
-            lines.append(f"{ex.id}\t{' '.join(sorted(labels))}\t{cpm_txt}")
-    else:
-        stemmed = [pipeline.preprocess(i) for i in corpus]
-        ids = [i.id for i in corpus]
-        emotions = (model.predict_emotions(corpus.instances, stemmed) if model.emotion_model
-                    else [set()] * len(ids))
-        cpms = ([" ".join(predicted_components(flags))
-                 for flags in model.predict_components(stemmed, ids)]
-                if model.component_models else [""] * len(ids))
-        for inst_id, labels, cpm_txt in zip(ids, emotions, cpms):
-            lines.append(f"{inst_id}\t{' '.join(sorted(labels))}\t{cpm_txt}")
-    (out / "predictions.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    emotions, components = pipeline.predict(model, corpus, embed)
+    no_labels = [set()] * len(corpus)
+    lines = ["id\temotions\tcpm"] + [
+        f"{inst.id}\t{' '.join(sorted(labels))}\t{' '.join(c for c in COMPONENTS if c in comps)}"
+        for inst, labels, comps in zip(corpus, emotions or no_labels, components or no_labels)]
+    write_lines(out / "predictions.tsv", lines)
     print("\n".join(lines[:11]))
     return 0
 
@@ -409,22 +244,16 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_fold(payload):
-    (fold_index, corpus_path, tag, settings, resource_args) = payload
+    (fold_index, corpus_path, tag, settings, resources) = payload
     corpus = load_corpus(corpus_path)
     folds = kfold(corpus, k=settings["_k"], seed=settings.get("seed", 0))
     test_idx = set(folds[fold_index])
     train_corpus = corpus.subset([i for j, i in enumerate(corpus.instances) if j not in test_idx])
     test_corpus = corpus.subset([corpus.instances[j] for j in sorted(test_idx)])
-    fold_settings = dict(settings)
-    fold_settings["seed"] = settings.get("seed", 0) + fold_index
-    if tag in ME_TAGS:
-        report = pipeline.evaluate_me(
-            _train_me(tag, train_corpus, fold_settings, argparse.Namespace(**resource_args)),
-            test_corpus)
-    else:
-        table, dim = _embeddings(corpus, fold_settings, resource_args["token_embeddings"])
-        model, _ = _train_nn(tag, train_corpus, fold_settings, table, dim)
-        report = pipeline.evaluate_neural(model, test_corpus, table)
+    fold_settings = dict(settings, seed=settings.get("seed", 0) + fold_index)
+    embed = pipeline.embedder(corpus, fold_settings, resources)
+    model, _ = pipeline.train_tag(tag, train_corpus, fold_settings, resources, embed)
+    report = pipeline.evaluate_model(model, test_corpus, embed)
     return fold_index, report.macro_f1, report.micro_f1
 
 
@@ -433,10 +262,7 @@ def cmd_crossval(args) -> int:
     corpus = load_corpus(args.corpus)
     _check_tag_mode(args.model, corpus, args)
     settings["_k"] = args.k
-    resource_args = {k: getattr(args, k, None) for k in
-                     ("lexicons", "advanced", "embeddings", "pos_sidecar",
-                      "appraisal_sidecar", "token_embeddings")}
-    payloads = [(i, args.corpus, args.model, settings, resource_args)
+    payloads = [(i, args.corpus, args.model, settings, _resources(args))
                 for i in range(args.k)]
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -451,7 +277,7 @@ def cmd_crossval(args) -> int:
     mean_macro = sum(r[1] for r in results) / len(results)
     mean_micro = sum(r[2] for r in results) / len(results)
     lines.append(f"mean\t{mean_macro:.6f}\t{mean_micro:.6f}")
-    (out / "crossval.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_lines(out / "crossval.tsv", lines)
     print("\n".join(lines))
     return 0
 
@@ -459,33 +285,27 @@ def cmd_crossval(args) -> int:
 def cmd_ablate(args) -> int:
     settings = gather_settings(args)
     corpus = load_corpus(args.corpus)
-    seed = settings.get("seed", 0)
     train_corpus, _ = split_train_test(corpus, ratio=settings.get("split_ratio", 0.9),
-                                       seed=seed)
-    args.advanced = True
-    loader = _resources_loader(args, settings)
-    artifact = pipeline.train_component_me(train_corpus, _maxent_config(settings),
-                                           loader, dev_ratio=settings.get("dev_ratio", 0.1),
-                                           seed=seed)
+                                       seed=settings.get("seed", 0))
+    artifact, _ = pipeline.train_tag("cpm-me-adv", train_corpus, settings, _resources(args))
     out = _out_dir(args)
-    single_lines = ["component\tbase\t" + "\t".join(
-        ("dictionaries", "pos_tags", "word_embeddings", "appraisal_predictions"))]
+    single_lines = ["component\tbase\t" + "\t".join(FEATURE_FLAGS)]
     best_lines = ["component\tbest_combination\tdev_f1"]
     full_lines = ["component\tcombination\tdev_f1"]
     for comp in COMPONENTS:
         result = artifact.search_results[comp]
         base = result.all_results[()]
         row = [f"{base:.4f}"]
-        for flag in ("dictionaries", "pos_tags", "word_embeddings", "appraisal_predictions"):
+        for flag in FEATURE_FLAGS:
             row.append(f"{result.single_feature[flag]:.4f}" if flag in result.single_feature else "--")
         single_lines.append(comp + "\t" + "\t".join(row))
         enabled = "+".join(result.best.enabled()) or "(none)"
         best_lines.append(f"{comp}\t{enabled}\t{result.best_f1:.4f}")
         for subset, f1 in sorted(result.all_results.items()):
             full_lines.append(f"{comp}\t{'+'.join(subset) or '(none)'}\t{f1:.4f}")
-    (out / "ablation_single_feature.tsv").write_text("\n".join(single_lines) + "\n", encoding="utf-8")
-    (out / "ablation_best.tsv").write_text("\n".join(best_lines) + "\n", encoding="utf-8")
-    (out / "ablation_exhaustive.tsv").write_text("\n".join(full_lines) + "\n", encoding="utf-8")
+    write_lines(out / "ablation_single_feature.tsv", single_lines)
+    write_lines(out / "ablation_best.tsv", best_lines)
+    write_lines(out / "ablation_exhaustive.tsv", full_lines)
     print("\n".join(best_lines))
     return 0
 
@@ -503,7 +323,8 @@ def _add_common(p):
 def _add_resources(p):
     p.add_argument("--lexicons", help="directory with <component>.txt files")
     p.add_argument("--advanced", action="store_true",
-                   help="enable the bundled component dictionaries")
+                   help="use the bundled component dictionaries (the default "
+                        "whenever --lexicons is not given)")
     p.add_argument("--embeddings", help="word embedding text file")
     p.add_argument("--pos-sidecar", dest="pos_sidecar", help="id<TAB>tags file")
     p.add_argument("--appraisal-sidecar", dest="appraisal_sidecar",

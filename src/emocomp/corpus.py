@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, CorpusFormatError
+from .fileio import write_text
 
 COMPONENTS = (
     "cognitive_appraisal",
@@ -137,13 +138,11 @@ def load_corpus(path: str | Path) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for inst in corpus:
-            fh.write(json.dumps({
-                "id": inst.id, "text": inst.text,
-                "emotions": sorted(inst.emotions),
-                "cpm": list(inst.cpm), "domain": inst.domain,
-            }) + "\n")
+    write_text(path, "".join(json.dumps({
+        "id": inst.id, "text": inst.text,
+        "emotions": sorted(inst.emotions),
+        "cpm": list(inst.cpm), "domain": inst.domain,
+    }) + "\n" for inst in corpus))
 
 
 def split_indices(n: int, ratio: float = 0.9, seed: int = 0) -> tuple[list[int], list[int]]:

@@ -24,6 +24,7 @@ import numpy as np
 from .autodiff import Parameter, Tensor, concat, dropout
 from .corpus import COMPONENTS
 from .errors import ConfigError, DataError, DimensionError
+from .fileio import write_text
 from .layers import BiLstm, ConvPool, Dense
 from .losses import weighted_bce
 from .metrics import MetricsReport, evaluate
@@ -537,21 +538,26 @@ def predict_example(model: NeuralModel, ex: Example, mode: str,
     return labels, cpm_probs
 
 
-def predicted_components(probs) -> list[str]:
-    """The components whose probability exceeds 0.5, in inventory order."""
-    return [c for c, p in zip(COMPONENTS, probs) if p > 0.5]
+def predict_examples(model: NeuralModel, examples: list[Example],
+                     mode: str) -> tuple[list[set[str]] | None, list[set[str]] | None]:
+    """The emotion label sets and the component label sets of ``examples``
+    under :func:`predict_example`'s decision rule (a component is predicted
+    above 0.5); each list is None when the model has no output for that task."""
+    pairs = [predict_example(model, ex, mode) for ex in examples]
+    emotions = [labels for labels, _ in pairs] if model.has_emo else None
+    components = (None if any(probs is None for _, probs in pairs)
+                  else [{c for c, p in zip(COMPONENTS, probs) if p > 0.5} for _, probs in pairs])
+    return emotions, components
 
 
 def evaluate_examples(model: NeuralModel, examples: list[Example], mode: str) -> MetricsReport:
     """Metrics for the model's primary task: emotions when it has an
     emotion head, components otherwise."""
+    emotions, components = predict_examples(model, examples, mode)
     inventory = model.emo_labels if model.has_emo else COMPONENTS
-    gold, pred = {}, {}
-    for ex in examples:
-        labels, cpm_probs = predict_example(model, ex, mode)
-        targets = ex.y_emo if model.has_emo else ex.y_cpm
-        gold[ex.id] = {l for l, v in zip(inventory, targets) if v}
-        pred[ex.id] = labels if model.has_emo else set(predicted_components(cpm_probs))
+    gold = {ex.id: {l for l, v in zip(inventory, ex.y_emo if model.has_emo else ex.y_cpm) if v}
+            for ex in examples}
+    pred = {ex.id: p for ex, p in zip(examples, emotions if model.has_emo else components)}
     return evaluate(gold, pred, inventory)
 
 
@@ -575,8 +581,10 @@ def train_model(model: NeuralModel, train: list[Example], mode: str,
         n_batches = 0
         for start in range(0, n, cfg.minibatch_size):
             batch = [train[i] for i in order[start:start + cfg.minibatch_size]]
-            loss = _batch_loss(model, batch, training=True, rng=drop_rng)
-            loss.backward()
+            # a diverging step overflows; the check below reports it, not numpy
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = _batch_loss(model, batch, training=True, rng=drop_rng)
+                loss.backward()
             finite = np.isfinite(loss.item()) and all(np.isfinite(p.grad).all() for p in opt.params)
             if not finite:
                 opt.zero_grad()
@@ -614,7 +622,7 @@ def save_checkpoint(model: NeuralModel, path: str | Path) -> None:
     }
     if isinstance(model, CpmPredModel):
         payload["frozen_cpm_config"] = model.frozen_cpm.config.to_dict()
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    write_text(path, json.dumps(payload))
 
 
 def load_checkpoint(source: str | Path | dict) -> NeuralModel:

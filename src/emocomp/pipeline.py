@@ -1,15 +1,20 @@
 """End-to-end plumbing from corpora to trained models and reports.
 
-This is what the CLI calls into; tests use it directly as well. The
-feature-based (maximum entropy) and neural families share the corpus
-splitting and evaluation protocol: 90/10 train/test, with a slice of the
-training split held out as development data where a model needs one.
+This is what the CLI calls into; tests use it directly as well. Both model
+families, feature-based (maximum entropy) and neural, sit behind the same
+functions: :func:`train_tag` (the tag picks the family), :func:`predict`,
+:func:`evaluate_model` (built on :func:`predict`), :func:`save_model` and
+:func:`load_model` (the payload picks the family). They share the protocol:
+90/10 train/test, with a slice of the training split held out as
+development data where a model needs one.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
+from importlib import resources as importlib_resources
 from pathlib import Path
 
 import numpy as np
@@ -17,17 +22,21 @@ import numpy as np
 from .corpus import (COMPONENTS, SINGLE_LABEL, Corpus, Instance,
                      split_indices, split_train_test)
 from .errors import ConfigError, DataError, ResourceError
-from .features import (DictionaryLexicon, TfIdfModel, load_token_embedding_store,
-                       resolve_token_embeddings, tfidf_fit, tfidf_transform)
-from .maxent import (BINARY, MULTINOMIAL, AdvResources, FeatureCombination,
+from .features import (DictionaryLexicon, TfIdfModel, load_embedding_file, load_lexicon,
+                       load_token_embedding_store, resolve_token_embeddings, tfidf_fit,
+                       tfidf_transform)
+from .fileio import write_text
+from .maxent import (BINARY, FEATURE_FLAGS, MULTINOMIAL, AdvResources, FeatureCombination,
                      FeatureSearchResult, MaxEntConfig, MaxEntModel,
                      available_flags, build_cpm_adv_features,
                      combination_columns, feature_combination_search,
-                     feature_dim, label_sets, predict_maxent, split_labels,
-                     stack_component_features, stack_labels, train_maxent)
-from .metrics import evaluate
+                     feature_dim, label_sets, load_tagged_sidecar, load_vector_sidecar,
+                     predict_maxent, split_labels, stack_component_features,
+                     stack_labels, train_maxent)
+from .metrics import MetricsReport, evaluate
 from .nn import (Example, ModelConfig, NeuralModel, SingleTaskModel,
-                 TrainingLog, build_model, evaluate_examples, train_model)
+                 TrainingLog, build_model, default_config, load_checkpoint,
+                 predict_examples, save_checkpoint, train_model)
 from .text import stem_tokens, tokenize
 
 ME_TAGS = ("emo-me-base", "cpm-me-base", "cpm-me-adv",
@@ -66,6 +75,11 @@ class MeArtifact:
     cpm_artifact: "MeArtifact | None" = None  # predictor used for stacking
     search_results: dict[str, FeatureSearchResult] = field(default_factory=dict)
 
+    @property
+    def emo_labels(self) -> tuple[str, ...]:
+        """The emotion labels the model predicts; none for a component model."""
+        return self.emotion_inventory if self.emotion_model is not None else ()
+
     def predict_components(self, stemmed: list[list[str]], inst_ids: list[str]) -> np.ndarray:
         """0/1 flags with one row per document and one column per component."""
         used = {f for combo in self.combinations.values() for f in combo.enabled()}
@@ -102,8 +116,17 @@ def _maxent_to_dict(m: MaxEntModel) -> dict:
             "constant_class": next((c for c, v in m.constant.items() if v), None)}
 
 
+def _names(value, what: str) -> tuple[str, ...]:
+    """A stored list of names; anything else is a data error."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise DataError(f"{what} must be a list of names, got {type(value).__name__}")
+    return tuple(value)
+
+
 def _maxent_from_dict(d: dict) -> MaxEntModel:
-    classes = tuple(d["classes"])
+    classes = _names(d["classes"], "maxent classes")
+    if d["mode"] not in (BINARY, MULTINOMIAL):
+        raise DataError(f"unknown maxent mode {d['mode']!r}")
     try:
         weights, bias = np.array(d["weights"], dtype=float), np.array(d["bias"], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -177,7 +200,7 @@ def save_me_artifact(artifact: MeArtifact, path: str | Path) -> None:
             }
         return d
 
-    Path(path).write_text(json.dumps(artifact_dict(artifact)), encoding="utf-8")
+    write_text(path, json.dumps(artifact_dict(artifact)))
 
 
 def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
@@ -186,25 +209,32 @@ def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
 
     def from_dict(d: dict) -> MeArtifact:
         tfidf = _tfidf_from_dict(d["tfidf"])
-        a = MeArtifact(d["tag"], d["mode"], tuple(d["emotion_inventory"]), tfidf,
-                       d["feature_dim"], stack_source=d["stack_source"])
+        a = MeArtifact(d["tag"], d["mode"], _names(d["emotion_inventory"], "emotion_inventory"),
+                       tfidf, d["feature_dim"], stack_source=d["stack_source"])
         em = d["emotion_model"]
         if em is not None:
             if em["kind"] == "ovr":
                 a.emotion_model = stack_labels([_maxent_from_dict(em["models"][l])
-                                                for l in em["labels"]])
-            else:
+                                                for l in _names(em["labels"], "labels")])
+            elif em["kind"] == "multinomial":
                 a.emotion_model = _maxent_from_dict(em["model"])
+            else:
+                raise DataError(f"unknown emotion_model kind {em['kind']!r}")
         a.component_models = {c: _maxent_from_dict(m) for c, m in d["component_models"].items()}
-        a.combinations = {c: FeatureCombination(**{f: True for f in flags})
-                          for c, flags in d["combinations"].items()}
+        for comp, flags in d["combinations"].items():
+            unknown = set(_names(flags, "combination")) - set(FEATURE_FLAGS)
+            if unknown:
+                raise DataError(f"combination of {comp} names unknown flags {sorted(unknown)}")
+            a.combinations[comp] = FeatureCombination(**{f: True for f in flags})
         res = d.get("resources")
         if res is not None:
-            lexicons = [DictionaryLexicon(c, frozenset(entries))
+            if not isinstance(res["lexicons"], dict):
+                raise DataError("resources.lexicons must map components to term lists")
+            lexicons = [DictionaryLexicon(c, frozenset(_names(entries, "lexicon")))
                         for c, entries in res["lexicons"].items()]
             a.resources = AdvResources(tfidf, lexicons=lexicons,
                                        pos_tags=pos_tags,
-                                       pos_inventory=tuple(res["pos_inventory"]),
+                                       pos_inventory=_names(res["pos_inventory"], "pos_inventory"),
                                        embeddings=embeddings,
                                        appraisal=appraisal,
                                        appraisal_dim=res["appraisal_dim"])
@@ -308,27 +338,6 @@ def train_component_me(corpus: Corpus, config: MaxEntConfig | None = None,
     return artifact
 
 
-def evaluate_components_me(artifact: MeArtifact, corpus: Corpus):
-    gold = {i.id: {c for c, v in zip(COMPONENTS, i.cpm) if v} for i in corpus}
-    flags = artifact.predict_components([preprocess(i) for i in corpus], [i.id for i in corpus])
-    pred = {i.id: labels for i, labels in zip(corpus, label_sets(flags, COMPONENTS))}
-    return evaluate(gold, pred, COMPONENTS)
-
-
-def evaluate_emotions_me(artifact: MeArtifact, corpus: Corpus):
-    gold = {i.id: set(i.emotions) for i in corpus}
-    labels = artifact.predict_emotions(corpus.instances, [preprocess(i) for i in corpus])
-    pred = {i.id: l for i, l in zip(corpus, labels)}
-    return evaluate(gold, pred, corpus.emotion_inventory)
-
-
-def evaluate_me(artifact: MeArtifact, corpus: Corpus):
-    """The component report of a cpm-* artifact, the emotion report otherwise."""
-    if artifact.tag.startswith("cpm-"):
-        return evaluate_components_me(artifact, corpus)
-    return evaluate_emotions_me(artifact, corpus)
-
-
 # ---------------------------------------------------------------------------
 # Neural family
 # ---------------------------------------------------------------------------
@@ -365,8 +374,144 @@ def train_neural(tag: str, train_corpus: Corpus, config: ModelConfig,
 
 
 def evaluate_neural(model: NeuralModel, corpus: Corpus,
-                    embeddings: dict[str, np.ndarray]):
-    """Metrics for the model's primary task over ``corpus``."""
-    if model.has_emo and tuple(model.emo_labels) != corpus.emotion_inventory:
-        raise ConfigError("model and corpus emotion inventories differ")
-    return evaluate_examples(model, build_examples(corpus, embeddings), corpus.mode)
+                    embeddings: dict[str, np.ndarray]) -> MetricsReport:
+    """:func:`evaluate_model` given a token-embedding table covering ``corpus``."""
+    return evaluate_model(model, corpus, lambda: (embeddings, model.input_dim))
+
+
+def _nn_config(tag: str, corpus: Corpus, settings: dict) -> ModelConfig:
+    """The tag's defaults for the corpus domain ("other" when it mixes
+    domains), overridden by the ModelConfig fields in ``settings``."""
+    domains = {i.domain for i in corpus}
+    overrides = {k: v for k, v in settings.items() if k in ModelConfig.__dataclass_fields__}
+    overrides["seed"] = settings.get("seed", 0)
+    return default_config(tag, domains.pop() if len(domains) == 1 else "other", overrides)
+
+
+# ---------------------------------------------------------------------------
+# One surface for both families. ``settings`` holds the CLI's config keys;
+# ``resources`` maps its resource flags (lexicons, pos_sidecar, ...) to paths.
+# ---------------------------------------------------------------------------
+
+def embedder(corpus: Corpus, settings: dict, resources: dict):
+    """A function returning :func:`embeddings_for` of ``corpus``, computed on
+    its first call; only neural models call it."""
+    return functools.cache(functools.partial(
+        embeddings_for, corpus, resources.get("token_embeddings"),
+        settings.get("fallback_dim", 64), settings.get("seed", 0)))
+
+
+def _sidecars(resources: dict) -> tuple:
+    """The word-embedding, POS and appraisal inputs, None where not given."""
+    return tuple(load(resources[key]) if resources.get(key) else None
+                 for key, load in (("embeddings", load_embedding_file),
+                                   ("pos_sidecar", load_tagged_sidecar),
+                                   ("appraisal_sidecar", load_vector_sidecar)))
+
+
+def _adv_loader(resources: dict):
+    """The AdvResources factory of cpm-me-adv; lexicons default to the bundled ones."""
+    def loader(tfidf, instance_ids):
+        base = (Path(resources["lexicons"]) if resources.get("lexicons")
+                else importlib_resources.files("emocomp") / "lexicons")
+        embeddings, pos_tags, appraisal = _sidecars(resources)
+        res = AdvResources(tfidf, lexicons=[load_lexicon(str(base / f"{c}.txt"), c)
+                                            for c in COMPONENTS],
+                           pos_tags=pos_tags, embeddings=embeddings, appraisal=appraisal)
+        res.fit_pos_inventory(instance_ids)
+        res.fit_appraisal_dim()
+        return res
+
+    return loader
+
+
+def train_tag(tag: str, corpus: Corpus, settings: dict, resources: dict, embed=None):
+    """Train model ``tag`` on ``corpus``; the tag picks the family. ``embed``
+    is an :func:`embedder` covering ``corpus``, needed by neural tags only.
+    Returns the model and the lines its training adds to the run log."""
+    seed, dev_ratio = settings.get("seed", 0), settings.get("dev_ratio", 0.1)
+    if tag in ME_TAGS:
+        config = MaxEntConfig(iterations=settings.get("me_iterations", 300),
+                              learning_rate=settings.get("me_learning_rate", 0.05),
+                              l2=settings.get("me_l2", 1e-4), seed=seed)
+        if tag in ("emo-me-base", "emo-cpm-me-gold"):
+            stack = "gold" if tag == "emo-cpm-me-gold" else None
+            return train_emotion_me(corpus, config, stack_source=stack), []
+        if tag == "cpm-me-base":
+            return train_component_me(corpus, config), []
+        stemmed = [preprocess(i) for i in corpus]   # shared by both models of emo-cpm-me-pred
+        cpm = train_component_me(corpus, config, _adv_loader(resources), dev_ratio=dev_ratio,
+                                 seed=seed, stemmed=stemmed)
+        if tag == "cpm-me-adv":
+            return cpm, []
+        return train_emotion_me(corpus, config, stack_source="predicted", cpm_artifact=cpm,
+                                stemmed=stemmed), []
+    table, dim = embed()
+    frozen = None
+    if tag == "emo-cpm-nn-pred":
+        frozen, _ = train_neural("cpm-nn-base", corpus, _nn_config("cpm-nn-base", corpus, settings),
+                                 table, dim, dev_ratio=dev_ratio)
+    model, log = train_neural(tag, corpus, _nn_config(tag, corpus, settings), table, dim,
+                              dev_ratio=dev_ratio, frozen_cpm=frozen)
+    return model, log.lines()
+
+
+def predict(model, corpus: Corpus, embed=None) -> tuple[list[set[str]] | None,
+                                                        list[set[str]] | None]:
+    """The emotion label sets and the component label sets of the instances
+    of ``corpus``; each list is None when the model does not predict that
+    task. ``embed`` is an :func:`embedder` covering ``corpus``."""
+    if isinstance(model, MeArtifact):
+        stemmed = [preprocess(i) for i in corpus]
+        emotions = (model.predict_emotions(corpus.instances, stemmed)
+                    if model.emotion_model is not None else None)
+        components = (label_sets(model.predict_components(stemmed, [i.id for i in corpus]),
+                                 COMPONENTS) if model.component_models else None)
+        return emotions, components
+    table, _ = embed()
+    return predict_examples(model, build_examples(corpus, table), corpus.mode)
+
+
+def evaluate_model(model, corpus: Corpus, embed=None) -> MetricsReport:
+    """Metrics for the model's primary task over ``corpus``: emotions when it
+    predicts them, components otherwise."""
+    if model.emo_labels:
+        if isinstance(model, MeArtifact) and model.mode != corpus.mode:
+            raise ConfigError(f"model was trained {model.mode} but the corpus is {corpus.mode}")
+        if tuple(model.emo_labels) != corpus.emotion_inventory:
+            raise ConfigError("model and corpus emotion inventories differ")
+    emotions, components = predict(model, corpus, embed)
+    if emotions is not None:
+        gold, pred, inventory = [set(i.emotions) for i in corpus], emotions, corpus.emotion_inventory
+    else:
+        gold = [{c for c, v in zip(COMPONENTS, i.cpm) if v} for i in corpus]
+        pred, inventory = components, COMPONENTS
+    ids = [i.id for i in corpus]
+    return evaluate(dict(zip(ids, gold)), dict(zip(ids, pred)), inventory)
+
+
+def save_model(model, out_dir: str | Path) -> None:
+    """Write ``model.json`` (feature-based) or ``checkpoint.json`` (neural)."""
+    if isinstance(model, MeArtifact):
+        return save_me_artifact(model, Path(out_dir) / "model.json")
+    save_checkpoint(model, Path(out_dir) / "checkpoint.json")
+
+
+def load_model(path: str | Path, resources: dict):
+    """Read a model file; a ``params`` key marks a neural checkpoint. A
+    feature-based model gets the sidecar files named in ``resources``.
+    Unreadable JSON or a missing key is a data error."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DataError(f"{path} is not a JSON model file: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"{path} does not hold a JSON object")
+    try:
+        if "params" in payload:
+            return load_checkpoint(payload)
+        embeddings, pos_tags, appraisal = _sidecars(resources)
+        return load_me_artifact(payload, embeddings=embeddings, pos_tags=pos_tags,
+                                appraisal=appraisal)
+    except KeyError as exc:
+        raise DataError(f"{path} lacks required key {exc}") from exc

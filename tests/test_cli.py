@@ -200,6 +200,17 @@ class TestModelFiles:
             0, float("nan")))
         variant("inf_bias", lambda p: p["emotion_model"]["model"]["bias"].__setitem__(
             0, float("inf")))
+        variant("unknown_maxent_mode", lambda p: p["emotion_model"]["model"].update(mode="x"))
+        variant("unknown_emotion_model_kind", lambda p: p["emotion_model"].update(kind="x"))
+        variant("number_classes", lambda p: p["emotion_model"]["model"].update(classes=5))
+        variant("number_emotion_inventory", lambda p: p.update(emotion_inventory=5))
+        assert run(["train", "--model", "cpm-me-adv", "--corpus", tec_path,
+                    "--config", cfg, "--out", tmp_path / "adv"]) == 0
+        adv = json.loads((tmp_path / "adv" / "model.json").read_text())
+        variant("unknown_combination_flag", lambda p: p["combinations"].update(
+            cognitive_appraisal=["mystery"]), adv)
+        variant("lexicons_list", lambda p: p["resources"].update(
+            lexicons=list(p["resources"]["lexicons"])), adv)
         model = build_model("emo-nn-base", ModelConfig(bilstm_units=2, cnn_filters=2,
                                                        kernel_sizes=(2,), fc_neurons_emo=2),
                             4, ("joy", "sadness"))

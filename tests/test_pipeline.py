@@ -7,8 +7,8 @@ from emocomp.corpus import COMPONENTS, Corpus, load_corpus, split_train_test
 from emocomp.errors import ConfigError, ResourceError
 from emocomp.features import DictionaryLexicon
 from emocomp.maxent import AdvResources, MaxEntConfig
-from emocomp.pipeline import (ALL_TAGS, ME_TAGS, embeddings_for,
-                              evaluate_components_me, evaluate_emotions_me,
+from emocomp import pipeline
+from emocomp.pipeline import (ALL_TAGS, ME_TAGS, embeddings_for, evaluate_model,
                               evaluate_neural, load_me_artifact, preprocess,
                               save_me_artifact, train_component_me,
                               train_emotion_me, train_neural)
@@ -41,12 +41,27 @@ def test_tag_inventory():
     assert set(ME_TAGS) < set(ALL_TAGS)
 
 
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_save_load_round_trip_predicts_the_same(tag, tec, tmp_path):
+    settings = {"seed": 0, "epochs": 1, "me_iterations": 20}
+    train, test = split_train_test(tec, seed=0)
+    embed = pipeline.embedder(tec, settings, {})
+    model, _ = pipeline.train_tag(tag, train, settings, {}, embed)
+    before = pipeline.predict(model, test, embed)
+    pipeline.save_model(model, tmp_path)
+    (path,) = tmp_path.iterdir()
+    assert path.name == ("model.json" if tag in ME_TAGS else "checkpoint.json")
+    after = pipeline.predict(pipeline.load_model(path, {}), test, embed)
+    assert after == before
+    assert any(labels is not None for labels in before)
+
+
 class TestEmotionMe:
     def test_base_train_and_eval(self, tec):
         train, test = split_train_test(tec, seed=0)
         art = train_emotion_me(train, FAST)
         assert art.tag == "emo-me-base"
-        report = evaluate_emotions_me(art, test)
+        report = evaluate_model(art, test)
         assert 0.0 <= report.macro_f1 <= 1.0
 
     def test_gold_stacking_changes_feature_dim(self, tec):
@@ -66,7 +81,7 @@ class TestEmotionMe:
         cpm = train_component_me(train, FAST)
         art = train_emotion_me(train, FAST, stack_source="predicted", cpm_artifact=cpm)
         assert art.tag == "emo-cpm-me-pred"
-        report = evaluate_emotions_me(art, test)
+        report = evaluate_model(art, test)
         assert 0.0 <= report.micro_f1 <= 1.0
 
 
@@ -75,7 +90,7 @@ class TestComponentMe:
         train, test = split_train_test(tec, seed=0)
         art = train_component_me(train, FAST)
         assert set(art.component_models) == set(COMPONENTS)
-        report = evaluate_components_me(art, test)
+        report = evaluate_model(art, test)
         assert set(report.per_class) == set(COMPONENTS)
 
     def test_adv_runs_search_per_component(self, tec):
