@@ -24,7 +24,6 @@ class TfIdfModel:
     vocabulary: dict[str, int]
     document_frequency: dict[str, int]
     corpus_size: int
-    ngram_range: tuple[int, int] = (1, 2)
 
     @property
     def dim(self) -> int:

@@ -386,11 +386,9 @@ GOLD = "gold"
 PREDICTED = "predicted"
 
 
-def stack_component_features(base: np.ndarray, cpm, source: str) -> np.ndarray:
+def stack_component_features(base: np.ndarray, cpm) -> np.ndarray:
     """Extend each row of a design matrix by its 5 binary component flags."""
     cpm = np.zeros((0, 5)) if len(base) == 0 else np.asarray(cpm, dtype=float)
     if cpm.shape != (len(base), 5) or not np.isin(cpm, (0.0, 1.0)).all():
         raise DimensionError(f"cpm features must be 5 binary values per row, got shape {cpm.shape}")
-    if source not in (GOLD, PREDICTED):
-        raise ConfigError(f"unknown component source {source!r}")
     return np.hstack([base, cpm])

@@ -5,8 +5,9 @@ multi-kernel CNN with max-over-time pooling, then fully connected layers
 into per-class sigmoid outputs. On top of that trunk:
 
 * single-task emotion / component models,
-* component injection (gold annotations, or predictions from a frozen
-  component model) concatenated into a combining layer,
+* component injection: a 5-flag vector through its own layer,
+  concatenated into a combining layer; the flags are the gold annotations,
+  or (emo-cpm-nn-pred) the predictions of a frozen component model,
 * a multi-head model with one shared trunk and two output heads,
 * a cross-stitch model with two parallel trunks whose pooled vectors are
   mixed by a trainable 2x2 matrix.
@@ -211,10 +212,20 @@ class NeuralModel:
         self.input_dim = input_dim
 
     def params(self) -> list[Parameter]:
-        raise NotImplementedError
+        """The parameters of the model's layers in the order the layers were
+        created, which is also the order of their rng draws."""
+        out = []
+        for value in vars(self).values():
+            if isinstance(value, Parameter):
+                out.append(value)
+            elif hasattr(value, "params"):
+                out.extend(value.params())
+        return out
 
     def forward(self, x: Tensor, training: bool = False, rng=None,
                 cpm=None) -> dict[str, Tensor]:
+        """Outputs per head; ``cpm`` holds the gold component flags, which
+        only the gold-injection model reads."""
         raise NotImplementedError
 
     def loss(self, outputs: dict[str, Tensor], y_emo=None, y_cpm=None) -> Tensor:
@@ -254,7 +265,7 @@ class SingleTaskModel(NeuralModel):
     """Emo-NN-Base / Cpm-NN-Base: one trunk, one FC layer, one sigmoid head."""
 
     def __init__(self, config: ModelConfig, input_dim: int, head: str,
-                 emo_labels: tuple[str, ...] = (), rng=None):
+                 emo_labels: tuple[str, ...] = ()):
         super().__init__(config, input_dim)
         if head not in ("emo", "cpm"):
             raise ConfigError(f"head must be 'emo' or 'cpm', got {head!r}")
@@ -263,7 +274,7 @@ class SingleTaskModel(NeuralModel):
         self.has_cpm = head == "cpm"
         self.tag = "emo-nn-base" if self.has_emo else "cpm-nn-base"
         self.emo_labels = tuple(emo_labels)
-        rng = rng if rng is not None else np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed)
         if self.has_emo:
             units, filters, fc = config.units_emo, config.filters_emo, config.fc_neurons_emo
             n_out = len(self.emo_labels)
@@ -276,9 +287,6 @@ class SingleTaskModel(NeuralModel):
         self.fc = Dense(self.trunk.out_dim, fc, rng, f"{head}.fc", activation="relu")
         self.out = Dense(fc, n_out, rng, f"{head}.out", activation="sigmoid")
 
-    def params(self) -> list[Parameter]:
-        return self.trunk.params() + self.fc.params() + self.out.params()
-
     def forward(self, x: Tensor, training: bool = False, rng=None, cpm=None) -> dict[str, Tensor]:
         rate = self.config.dropout_rate
         pooled = self.trunk(x, rate, training, rng)
@@ -288,16 +296,18 @@ class SingleTaskModel(NeuralModel):
 
 class CpmInjectModel(NeuralModel):
     """Emo-Cpm-NN-Gold: the base emotion path plus a 5-flag component
-    vector through its own FC layer, concatenated into a combining FC."""
+    vector through its own FC layer, concatenated into a combining FC.
+    Given ``frozen_cpm`` it is Emo-Cpm-NN-Pred: that model's predictions
+    replace the gold flags, take no gradient and are output as "cpm"."""
 
     tag = "emo-cpm-nn-gold"
     has_emo = True
 
-    def __init__(self, config: ModelConfig, input_dim: int,
-                 emo_labels: tuple[str, ...], rng=None):
+    def __init__(self, config: ModelConfig, input_dim: int, emo_labels: tuple[str, ...],
+                 frozen_cpm: SingleTaskModel | None = None):
         super().__init__(config, input_dim)
         self.emo_labels = tuple(emo_labels)
-        rng = rng if rng is not None else np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed)
         self.trunk = _Trunk(input_dim, config.units_emo, config.filters_emo,
                             config.kernel_sizes, rng, "emo")
         self.fc = Dense(self.trunk.out_dim, config.fc_neurons_emo, rng, "emo.fc", "relu")
@@ -306,55 +316,32 @@ class CpmInjectModel(NeuralModel):
                               config.fc_neurons_combined, rng, "comb.fc", "relu")
         self.out = Dense(config.fc_neurons_combined, len(self.emo_labels), rng,
                          "emo.out", "sigmoid")
-
-    def params(self) -> list[Parameter]:
-        return (self.trunk.params() + self.fc.params() + self.cpm_branch.params()
-                + self.combiner.params() + self.out.params())
-
-    def _forward_with_cpm(self, x: Tensor, cpm_row: Tensor, training, rng) -> dict[str, Tensor]:
-        rate = self.config.dropout_rate
-        pooled = self.trunk(x, rate, training, rng)
-        pen = dropout(self.fc(pooled), rate, training, rng)
-        branch = dropout(self.cpm_branch(cpm_row), rate, training, rng)
-        combined = dropout(self.combiner(concat([pen, branch], axis=1)), rate, training, rng)
-        return {"emo": self.out(combined)}
+        # last, so its parameters follow this model's own in params()
+        self.frozen_cpm = frozen_cpm
+        if frozen_cpm is not None:
+            if not frozen_cpm.has_cpm:
+                raise ConfigError("the frozen submodel must be a component model")
+            self.tag = "emo-cpm-nn-pred"
+            for p in frozen_cpm.params():
+                p.frozen = True
 
     def forward(self, x: Tensor, training: bool = False, rng=None, cpm=None) -> dict[str, Tensor]:
+        if self.frozen_cpm is not None:
+            cpm = self.frozen_cpm.forward(x)["cpm"].data
         if cpm is None:
             raise DataError("emo-cpm-nn-gold requires a component input vector")
         cpm = np.asarray(cpm, dtype=float).reshape(-1)
         if cpm.shape[0] != N_COMPONENTS:
             raise DimensionError(f"component vector must have 5 entries, got {cpm.shape[0]}")
-        return self._forward_with_cpm(x, Tensor(cpm.reshape(1, -1)), training, rng)
-
-
-class CpmPredModel(NeuralModel):
-    """Emo-Cpm-NN-Pred: like the gold variant, but the component vector
-    comes from a frozen trained component model; no gradient crosses into it."""
-
-    tag = "emo-cpm-nn-pred"
-    has_emo = True
-
-    def __init__(self, config: ModelConfig, input_dim: int,
-                 emo_labels: tuple[str, ...], frozen_cpm: "SingleTaskModel", rng=None):
-        super().__init__(config, input_dim)
-        if not frozen_cpm.has_cpm:
-            raise ConfigError("the frozen submodel must be a component model")
-        self.emo_labels = tuple(emo_labels)
-        rng = rng if rng is not None else np.random.default_rng(config.seed)
-        self.inner = CpmInjectModel(config, input_dim, emo_labels, rng)
-        self.inner.tag = self.tag
-        self.frozen_cpm = frozen_cpm
-        for p in self.frozen_cpm.params():
-            p.frozen = True
-
-    def params(self) -> list[Parameter]:
-        return self.inner.params() + self.frozen_cpm.params()
-
-    def forward(self, x: Tensor, training: bool = False, rng=None, cpm=None) -> dict[str, Tensor]:
-        sub = self.frozen_cpm.forward(x, training=False)["cpm"]
-        out = self.inner._forward_with_cpm(x, sub.detach(), training, rng)
-        out["cpm"] = sub.detach()
+        cpm_row = Tensor(cpm.reshape(1, -1))
+        rate = self.config.dropout_rate
+        pooled = self.trunk(x, rate, training, rng)
+        pen = dropout(self.fc(pooled), rate, training, rng)
+        branch = dropout(self.cpm_branch(cpm_row), rate, training, rng)
+        combined = dropout(self.combiner(concat([pen, branch], axis=1)), rate, training, rng)
+        out = {"emo": self.out(combined)}
+        if self.frozen_cpm is not None:
+            out["cpm"] = cpm_row
         return out
 
 
@@ -365,11 +352,10 @@ class MtlMultiHead(NeuralModel):
     has_emo = True
     has_cpm = True
 
-    def __init__(self, config: ModelConfig, input_dim: int,
-                 emo_labels: tuple[str, ...], rng=None):
+    def __init__(self, config: ModelConfig, input_dim: int, emo_labels: tuple[str, ...]):
         super().__init__(config, input_dim)
         self.emo_labels = tuple(emo_labels)
-        rng = rng if rng is not None else np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed)
         # trunk and emotion head first: with task_weight_cpm == 0 this makes
         # the parameter trajectory match the single-task emotion model
         self.trunk = _Trunk(input_dim, config.units_emo, config.filters_emo,
@@ -378,10 +364,6 @@ class MtlMultiHead(NeuralModel):
         self.out_emo = Dense(config.fc_neurons_emo, len(self.emo_labels), rng, "emo.out", "sigmoid")
         self.fc_cpm = Dense(self.trunk.out_dim, config.fc_neurons_cpm, rng, "cpm.fc", "relu")
         self.out_cpm = Dense(config.fc_neurons_cpm, N_COMPONENTS, rng, "cpm.out", "sigmoid")
-
-    def params(self) -> list[Parameter]:
-        return (self.trunk.params() + self.fc_emo.params() + self.out_emo.params()
-                + self.fc_cpm.params() + self.out_cpm.params())
 
     def forward(self, x: Tensor, training: bool = False, rng=None, cpm=None) -> dict[str, Tensor]:
         rate = self.config.dropout_rate
@@ -404,10 +386,10 @@ class MtlCrossStitch(NeuralModel):
     has_cpm = True
 
     def __init__(self, config: ModelConfig, input_dim: int,
-                 emo_labels: tuple[str, ...], rng=None, freeze_stitch: bool = False):
+                 emo_labels: tuple[str, ...], freeze_stitch: bool = False):
         super().__init__(config, input_dim)
         self.emo_labels = tuple(emo_labels)
-        rng = rng if rng is not None else np.random.default_rng(config.seed)
+        rng = np.random.default_rng(config.seed)
         self.trunk_emo = _Trunk(input_dim, config.units_emo, config.filters_emo,
                                 config.kernel_sizes, rng, "emo")
         self.trunk_cpm = _Trunk(input_dim, config.units_cpm, config.filters_cpm,
@@ -426,14 +408,6 @@ class MtlCrossStitch(NeuralModel):
         self.out_emo = Dense(config.fc_neurons_emo, len(self.emo_labels), rng, "emo.out", "sigmoid")
         self.fc_cpm = Dense(self.width, config.fc_neurons_cpm, rng, "cpm.fc", "relu")
         self.out_cpm = Dense(config.fc_neurons_cpm, N_COMPONENTS, rng, "cpm.out", "sigmoid")
-
-    def params(self) -> list[Parameter]:
-        out = self.trunk_emo.params() + self.trunk_cpm.params()
-        if self.proj_emo is not None:
-            out += self.proj_emo.params() + self.proj_cpm.params()
-        out.append(self.alpha)
-        return (out + self.fc_emo.params() + self.out_emo.params()
-                + self.fc_cpm.params() + self.out_cpm.params())
 
     def set_identity_stitch(self) -> None:
         ident = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -475,7 +449,7 @@ def build_model(tag: str, config: ModelConfig, input_dim: int,
     if tag == "emo-cpm-nn-pred":
         if frozen_cpm is None:
             raise ConfigError("emo-cpm-nn-pred needs a trained component model")
-        return CpmPredModel(config, input_dim, emo_labels, frozen_cpm)
+        return CpmInjectModel(config, input_dim, emo_labels, frozen_cpm)
     if tag == "mtl-mh":
         return MtlMultiHead(config, input_dim, emo_labels)
     if tag == "mtl-xs":
@@ -509,22 +483,16 @@ class TrainingLog:
         return out
 
 
-def _forward(model: NeuralModel, ex: Example, training: bool = False, rng=None) -> dict[str, Tensor]:
-    """Only the gold-injection model reads the example's component flags."""
-    return model.forward(Tensor(ex.x), training=training, rng=rng,
-                         cpm=ex.y_cpm if isinstance(model, CpmInjectModel) else None)
-
-
 def _batch_loss(model: NeuralModel, batch: list[Example], training: bool, rng) -> Tensor:
-    losses = [model.loss(_forward(model, ex, training, rng), ex.y_emo, ex.y_cpm) for ex in batch]
+    losses = [model.loss(model.forward(Tensor(ex.x), training, rng, cpm=ex.y_cpm),
+                         ex.y_emo, ex.y_cpm) for ex in batch]
     return sum(losses[1:], losses[0]) * (1.0 / len(batch))
 
 
-def predict_example(model: NeuralModel, ex: Example, mode: str,
-                    neutral_label: str = "neutral") -> tuple[set[str], np.ndarray | None]:
+def predict_example(model: NeuralModel, ex: Example, mode: str) -> tuple[set[str], np.ndarray | None]:
     """Decision rule: argmax for single-label, threshold 0.5 for multi-label
     (empty sets map to the neutral class when the inventory has one)."""
-    out = _forward(model, ex)
+    out = model.forward(Tensor(ex.x), cpm=ex.y_cpm)
     cpm_probs = out["cpm"].data.reshape(-1) if "cpm" in out else None
     if not model.has_emo:
         return set(), cpm_probs
@@ -533,8 +501,8 @@ def predict_example(model: NeuralModel, ex: Example, mode: str,
         labels = {model.emo_labels[int(np.argmax(probs))]}
     else:
         labels = {l for l, p in zip(model.emo_labels, probs) if p > 0.5}
-        if not labels and neutral_label in model.emo_labels:
-            labels = {neutral_label}
+        if not labels and "neutral" in model.emo_labels:
+            labels = {"neutral"}
     return labels, cpm_probs
 
 
@@ -620,7 +588,7 @@ def save_checkpoint(model: NeuralModel, path: str | Path) -> None:
         "components": N_COMPONENTS,
         "params": {name: arr.tolist() for name, arr in model.state_dict().items()},
     }
-    if isinstance(model, CpmPredModel):
+    if model.tag == "emo-cpm-nn-pred":
         payload["frozen_cpm_config"] = model.frozen_cpm.config.to_dict()
     write_text(path, json.dumps(payload))
 
@@ -636,10 +604,10 @@ def load_checkpoint(source: str | Path | dict) -> NeuralModel:
         raise DataError(f"checkpoint input_dim must be a positive integer, got {input_dim!r}")
     if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
         raise DataError(f"checkpoint emo_labels must be a list of names, got {labels!r}")
-    frozen = None
-    if tag == "emo-cpm-nn-pred":
-        frozen = SingleTaskModel(ModelConfig.from_dict(payload["frozen_cpm_config"]),
-                                 input_dim, "cpm")
+    if tag not in NN_TAGS:
+        raise DataError(f"unknown checkpoint tag {tag!r}")
+    frozen = (None if tag != "emo-cpm-nn-pred" else
+              SingleTaskModel(ModelConfig.from_dict(payload["frozen_cpm_config"]), input_dim, "cpm"))
     model = build_model(tag, config, input_dim, tuple(labels), frozen_cpm=frozen)
     try:
         state = {n: np.array(a, dtype=float) for n, a in payload["params"].items()}

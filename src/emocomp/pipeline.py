@@ -19,15 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (COMPONENTS, SINGLE_LABEL, Corpus, Instance,
+from .corpus import (COMPONENTS, MULTI_LABEL, SINGLE_LABEL, Corpus, Instance,
                      split_indices, split_train_test)
 from .errors import ConfigError, DataError, ResourceError
 from .features import (DictionaryLexicon, TfIdfModel, load_embedding_file, load_lexicon,
                        load_token_embedding_store, resolve_token_embeddings, tfidf_fit,
                        tfidf_transform)
 from .fileio import write_text
-from .maxent import (BINARY, FEATURE_FLAGS, MULTINOMIAL, AdvResources, FeatureCombination,
-                     FeatureSearchResult, MaxEntConfig, MaxEntModel,
+from .maxent import (BINARY, FEATURE_FLAGS, GOLD, MULTINOMIAL, PREDICTED, AdvResources,
+                     FeatureCombination, FeatureSearchResult, MaxEntConfig, MaxEntModel,
                      available_flags, build_cpm_adv_features,
                      combination_columns, feature_combination_search,
                      feature_dim, label_sets, load_tagged_sidecar, load_vector_sidecar,
@@ -41,6 +41,7 @@ from .text import stem_tokens, tokenize
 
 ME_TAGS = ("emo-me-base", "cpm-me-base", "cpm-me-adv",
            "emo-cpm-me-pred", "emo-cpm-me-gold")
+EMOTION_ME_TAGS = {None: "emo-me-base", GOLD: "emo-cpm-me-gold", PREDICTED: "emo-cpm-me-pred"}
 ALL_TAGS = ME_TAGS + ("emo-nn-base", "cpm-nn-base", "emo-cpm-nn-pred",
                       "emo-cpm-nn-gold", "mtl-mh", "mtl-xs")
 
@@ -66,7 +67,6 @@ class MeArtifact:
     mode: str
     emotion_inventory: tuple[str, ...]
     tfidf: TfIdfModel
-    feature_dim: int
     emotion_model: MaxEntModel | None = None   # binary: one-vs-rest, one column per label
     component_models: dict[str, MaxEntModel] = field(default_factory=dict)
     combinations: dict[str, FeatureCombination] = field(default_factory=dict)
@@ -80,6 +80,11 @@ class MeArtifact:
         """The emotion labels the model predicts; none for a component model."""
         return self.emotion_inventory if self.emotion_model is not None else ()
 
+    @property
+    def feature_dim(self) -> int:
+        """Columns of the emotion features: TF-IDF, plus the stacked flags."""
+        return self.tfidf.dim + (len(COMPONENTS) if self.stack_source is not None else 0)
+
     def predict_components(self, stemmed: list[list[str]], inst_ids: list[str]) -> np.ndarray:
         """0/1 flags with one row per document and one column per component."""
         used = {f for combo in self.combinations.values() for f in combo.enabled()}
@@ -92,16 +97,20 @@ class MeArtifact:
             flags[:, j] = predict_maxent(self.component_models[comp], X[:, cols])[0][:, 0]
         return flags
 
+    def emotion_features(self, instances: list[Instance], stemmed: list[list[str]]) -> np.ndarray:
+        """The emotion model's design matrix for ``instances``, given their
+        stemmed tokens: TF-IDF, then the gold or the predicted component
+        flags when the model stacks them."""
+        X = tfidf_transform(self.tfidf, stemmed)
+        if self.stack_source is None:
+            return X
+        cpm = ([i.cpm for i in instances] if self.stack_source == GOLD
+               else self.cpm_artifact.predict_components(stemmed, [i.id for i in instances]))
+        return stack_component_features(X, cpm)
+
     def predict_emotions(self, instances: list[Instance], stemmed: list[list[str]]) -> list[set[str]]:
         """Emotion label sets of ``instances``, given their stemmed tokens."""
-        X = tfidf_transform(self.tfidf, stemmed)
-        if self.stack_source is not None:
-            if self.stack_source == "gold":
-                cpm = [i.cpm for i in instances]
-            else:
-                cpm = self.cpm_artifact.predict_components(stemmed, [i.id for i in instances])
-            X = stack_component_features(X, cpm, self.stack_source)
-        decisions, _ = predict_maxent(self.emotion_model, X)
+        decisions, _ = predict_maxent(self.emotion_model, self.emotion_features(instances, stemmed))
         labels = label_sets(decisions, self.emotion_model.classes)
         if "neutral" in self.emotion_inventory:
             labels = [s or {"neutral"} for s in labels]
@@ -208,9 +217,22 @@ def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
     """Rebuild an artifact from a model file or its parsed JSON payload."""
 
     def from_dict(d: dict) -> MeArtifact:
+        for key, allowed in (("version", (1,)), ("tag", ME_TAGS),
+                             ("mode", (SINGLE_LABEL, MULTI_LABEL)),
+                             ("stack_source", tuple(EMOTION_ME_TAGS))):
+            if d[key] not in allowed:
+                raise DataError(f"model {key} must be one of {allowed}, got {d[key]!r}")
+        for key, kind in (("emotion_model", (dict, type(None))), ("component_models", dict),
+                          ("combinations", dict), ("cpm_artifact", (dict, type(None)))):
+            if not isinstance(d[key], kind):
+                raise DataError(f"model {key} must be an object, got {type(d[key]).__name__}")
+        if d["stack_source"] == PREDICTED and d["cpm_artifact"] is None:
+            raise DataError("a model stacking predicted components needs its cpm_artifact")
         tfidf = _tfidf_from_dict(d["tfidf"])
         a = MeArtifact(d["tag"], d["mode"], _names(d["emotion_inventory"], "emotion_inventory"),
-                       tfidf, d["feature_dim"], stack_source=d["stack_source"])
+                       tfidf, stack_source=d["stack_source"])
+        if d["feature_dim"] != a.feature_dim:
+            raise DataError(f"stored feature_dim {d['feature_dim']!r} is not {a.feature_dim}")
         em = d["emotion_model"]
         if em is not None:
             if em["kind"] == "ovr":
@@ -246,7 +268,7 @@ def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
             if "appraisal_predictions" in used and appraisal is None:
                 raise ResourceError("stored model uses appraisal features; pass an appraisal sidecar")
         check_widths(a)
-        if d["cpm_artifact"]:
+        if d["cpm_artifact"] is not None:
             a.cpm_artifact = from_dict(d["cpm_artifact"])
         return a
 
@@ -258,8 +280,7 @@ def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
             expected.append((comp, m, feature_dim(a.resources, combo) if a.resources
                              else a.tfidf.dim))
         if a.emotion_model is not None:
-            stacked = len(COMPONENTS) if a.stack_source is not None else 0
-            expected.append(("emotion", a.emotion_model, a.tfidf.dim + stacked))
+            expected.append(("emotion", a.emotion_model, a.feature_dim))
         for name, m, width in expected:
             if m.feature_dim != width:
                 raise DataError(f"stored {name} model reads {m.feature_dim} features, "
@@ -273,31 +294,27 @@ def train_emotion_me(corpus: Corpus, config: MaxEntConfig | None = None,
                      stack_source: str | None = None,
                      cpm_artifact: MeArtifact | None = None,
                      stemmed: list[list[str]] | None = None) -> MeArtifact:
-    """Emo-ME-Base, or its component-stacked variants when ``stack_source``
-    is 'gold' or 'predicted' (the latter needs a component artifact).
+    """Emo-ME-Base when ``stack_source`` is None; Emo-Cpm-ME-Gold when it
+    is 'gold', which stacks each instance's gold component flags onto its
+    TF-IDF features; Emo-Cpm-ME-Pred when it is 'predicted', which stacks
+    the flags that ``cpm_artifact``, a trained component model, predicts.
     ``stemmed`` is the corpus's preprocessed tokens, if already at hand."""
+    if stack_source not in EMOTION_ME_TAGS:
+        raise ConfigError(f"unknown component source {stack_source!r}")
+    if stack_source == PREDICTED and cpm_artifact is None:
+        raise ConfigError("predicted component stacking needs a component model")
     stemmed = stemmed or [preprocess(i) for i in corpus]
-    tfidf = tfidf_fit(stemmed)
-    X = tfidf_transform(tfidf, stemmed)
-    if stack_source is not None:
-        if stack_source == "predicted":
-            if cpm_artifact is None:
-                raise ConfigError("predicted component stacking needs a component model")
-            cpm_values = cpm_artifact.predict_components(stemmed, [i.id for i in corpus])
-        else:
-            cpm_values = [i.cpm for i in corpus]
-        X = stack_component_features(X, cpm_values, stack_source)
     inventory = corpus.emotion_inventory
+    artifact = MeArtifact(EMOTION_ME_TAGS[stack_source], corpus.mode, inventory,
+                          tfidf_fit(stemmed), stack_source=stack_source, cpm_artifact=cpm_artifact)
+    X = artifact.emotion_features(corpus.instances, stemmed)
     if corpus.mode == SINGLE_LABEL:
         y = [next(iter(i.emotions)) for i in corpus]
-        model = train_maxent(X, y, inventory, MULTINOMIAL, X.shape[1], config)
+        artifact.emotion_model = train_maxent(X, y, inventory, MULTINOMIAL, X.shape[1], config)
     else:
         Y = np.array([emotion_multi_hot(i, inventory) for i in corpus])
-        model = train_maxent(X, Y, inventory, BINARY, X.shape[1], config)
-    tag = "emo-me-base" if stack_source is None else f"emo-cpm-me-{'gold' if stack_source == 'gold' else 'pred'}"
-    return MeArtifact(tag, corpus.mode, inventory, tfidf, X.shape[1],
-                      emotion_model=model, stack_source=stack_source,
-                      cpm_artifact=cpm_artifact)
+        artifact.emotion_model = train_maxent(X, Y, inventory, BINARY, X.shape[1], config)
+    return artifact
 
 
 def train_component_me(corpus: Corpus, config: MaxEntConfig | None = None,
@@ -310,8 +327,7 @@ def train_component_me(corpus: Corpus, config: MaxEntConfig | None = None,
     ids = [i.id for i in corpus]
     tfidf = tfidf_fit(stemmed)
     Y = np.array([i.cpm for i in corpus], dtype=float)
-    artifact = MeArtifact("cpm-me-base", corpus.mode, corpus.emotion_inventory,
-                          tfidf, tfidf.dim)
+    artifact = MeArtifact("cpm-me-base", corpus.mode, corpus.emotion_inventory, tfidf)
     if resources_loader is None:
         model = train_maxent(tfidf_transform(tfidf, stemmed), Y, COMPONENTS, BINARY,
                              tfidf.dim, config)
@@ -435,7 +451,7 @@ def train_tag(tag: str, corpus: Corpus, settings: dict, resources: dict, embed=N
                               learning_rate=settings.get("me_learning_rate", 0.05),
                               l2=settings.get("me_l2", 1e-4), seed=seed)
         if tag in ("emo-me-base", "emo-cpm-me-gold"):
-            stack = "gold" if tag == "emo-cpm-me-gold" else None
+            stack = GOLD if tag == "emo-cpm-me-gold" else None
             return train_emotion_me(corpus, config, stack_source=stack), []
         if tag == "cpm-me-base":
             return train_component_me(corpus, config), []
@@ -444,7 +460,7 @@ def train_tag(tag: str, corpus: Corpus, settings: dict, resources: dict, embed=N
                                  seed=seed, stemmed=stemmed)
         if tag == "cpm-me-adv":
             return cpm, []
-        return train_emotion_me(corpus, config, stack_source="predicted", cpm_artifact=cpm,
+        return train_emotion_me(corpus, config, stack_source=PREDICTED, cpm_artifact=cpm,
                                 stemmed=stemmed), []
     table, dim = embed()
     frozen = None

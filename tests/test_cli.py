@@ -204,9 +204,22 @@ class TestModelFiles:
         variant("unknown_emotion_model_kind", lambda p: p["emotion_model"].update(kind="x"))
         variant("number_classes", lambda p: p["emotion_model"]["model"].update(classes=5))
         variant("number_emotion_inventory", lambda p: p.update(emotion_inventory=5))
+        variant("combinations_list", lambda p: p.update(combinations=[]))
+        variant("component_models_list", lambda p: p.update(component_models=[]))
+        variant("emotion_model_list", lambda p: p.update(emotion_model=[]))
+        variant("version_2", lambda p: p.update(version=2))
+        variant("number_tag", lambda p: p.update(tag=5))
+        variant("text_feature_dim", lambda p: p.update(feature_dim="x"))
+        variant("unknown_mode", lambda p: p.update(mode="x"))
         assert run(["train", "--model", "cpm-me-adv", "--corpus", tec_path,
                     "--config", cfg, "--out", tmp_path / "adv"]) == 0
         adv = json.loads((tmp_path / "adv" / "model.json").read_text())
+        assert run(["train", "--model", "emo-cpm-me-gold", "--corpus", tec_path,
+                    "--config", cfg, "--out", tmp_path / "gold"]) == 0
+        gold = json.loads((tmp_path / "gold" / "model.json").read_text())
+        variant("unknown_stack_source", lambda p: p.update(stack_source="x"), gold)
+        variant("predicted_without_cpm_artifact", lambda p: p.update(stack_source="predicted"),
+                gold)
         variant("unknown_combination_flag", lambda p: p["combinations"].update(
             cognitive_appraisal=["mystery"]), adv)
         variant("lexicons_list", lambda p: p["resources"].update(
@@ -227,6 +240,7 @@ class TestModelFiles:
         variant("text_input_dim", lambda p: p.update(input_dim="x"), checkpoint)
         variant("text_kernel_sizes", lambda p: p["config"].update(kernel_sizes="ab"), checkpoint)
         variant("number_emo_labels", lambda p: p.update(emo_labels=5), checkpoint)
+        variant("unknown_checkpoint_tag", lambda p: p.update(tag="mystery"), checkpoint)
         variant("nan_param", lambda p: p["params"][name][0].__setitem__(0, float("nan")),
                 checkpoint)
         for bad in bad_files:

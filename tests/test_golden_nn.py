@@ -31,7 +31,7 @@ from pathlib import Path
 import pytest
 
 from emocomp.cli import main
-from emocomp.nn import NN_TAGS
+from emocomp.nn import NN_TAGS, load_checkpoint, save_checkpoint
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -92,6 +92,15 @@ def test_loads_v1_checkpoint(tag, tmp_path, capsys):
                  "--seed", SEED, "--out", str(tmp_path)]) == 0
     assert ((tmp_path / "predictions.tsv").read_bytes()
             == (V1 / tag / "predictions.tsv").read_bytes())
+
+
+@pytest.mark.parametrize("tag", V1_TAGS)
+def test_v1_checkpoint_resaves_byte_identical(tag, tmp_path):
+    # fixes the layout of a saved model: parameter names, their order and
+    # every number, frozen submodel included
+    source = V1 / tag / "checkpoint.json"
+    save_checkpoint(load_checkpoint(source), tmp_path / "checkpoint.json")
+    assert (tmp_path / "checkpoint.json").read_bytes() == source.read_bytes()
 
 
 if __name__ == "__main__":

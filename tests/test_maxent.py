@@ -227,18 +227,16 @@ class TestStacking:
     def test_appends_five_dimensions(self):
         base = np.zeros((2, 10))
         base[0, 1] = 0.5
-        out = stack_component_features(base, [(1, 0, 1, 0, 0), (0, 0, 0, 0, 1)], "gold")
+        out = stack_component_features(base, [(1, 0, 1, 0, 0), (0, 0, 0, 0, 1)])
         assert out.shape == (2, 15)
         assert np.flatnonzero(out[0]).tolist() == [1, 10, 12]
         assert np.flatnonzero(out[1]).tolist() == [14]
 
     def test_rejects_bad_vector(self):
         with pytest.raises(DimensionError):
-            stack_component_features(np.zeros((1, 10)), [(1, 0)], "gold")
+            stack_component_features(np.zeros((1, 10)), [(1, 0)])
         with pytest.raises(DimensionError):
-            stack_component_features(np.zeros((1, 10)), [(2, 0, 0, 0, 0)], "gold")
-        with pytest.raises(ConfigError):
-            stack_component_features(np.zeros((1, 10)), [(1, 0, 0, 0, 0)], "guessed")
+            stack_component_features(np.zeros((1, 10)), [(2, 0, 0, 0, 0)])
 
 
 class TestSidecars:

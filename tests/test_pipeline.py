@@ -76,6 +76,11 @@ class TestEmotionMe:
         with pytest.raises(ConfigError):
             train_emotion_me(train, FAST, stack_source="predicted")
 
+    def test_unknown_stack_source(self, tec):
+        train, _ = split_train_test(tec, seed=0)
+        with pytest.raises(ConfigError):
+            train_emotion_me(train, FAST, stack_source="guessed")
+
     def test_predicted_stacking_end_to_end(self, tec):
         train, test = split_train_test(tec, seed=0)
         cpm = train_component_me(train, FAST)

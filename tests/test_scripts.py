@@ -13,6 +13,19 @@ def load_script(name):
     return module
 
 
+def test_synthetic_corpus_script_reproduces_bundled_data(tmp_path, monkeypatch, capsys):
+    # the goldens and acceptance tests rest on these files
+    script = load_script("make_synthetic_corpus")
+    monkeypatch.setattr(script, "DATA", tmp_path)
+    script.main()
+    data = SCRIPTS.parent / "data"
+    names = sorted(p.name for p in data.iterdir())
+    assert len(names) == 6
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (data / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("tag", ["emo-nn-base", "mtl-xs"])
 def test_overfit_demo_runs(tag, capsys):
     f1 = load_script("overfit_demo").run(tag, epochs=1, seed=0)
