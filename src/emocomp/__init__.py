@@ -15,9 +15,8 @@ from .errors import (ConfigError, CorpusFormatError, DataError,
                      DimensionError, EmocompError, ResourceError, StateError)
 from .gradcheck import GradCheckReport, gradient_check
 from .losses import weighted_bce
-from .maxent import (AdvResources, FeatureCombination, FeatureSearchResult,
-                     MaxEntConfig, MaxEntModel, feature_combination_search,
-                     predict_maxent, train_maxent)
+from .maxent import (AdvResources, FeatureSearchResult, MaxEntConfig, MaxEntModel,
+                     feature_combination_search, predict_maxent, train_maxent)
 from .metrics import (CooccurrenceTable, MetricsReport, agreement_degenerate,
                       cohen_kappa, cooccurrence_stats, evaluate)
 from .nn import (ModelConfig, NeuralModel, build_model, default_config,
@@ -35,8 +34,7 @@ __all__ = [
     "load_corpus", "save_corpus", "split_train_test", "kfold",
     "evaluate", "MetricsReport", "cohen_kappa", "agreement_degenerate",
     "cooccurrence_stats", "CooccurrenceTable",
-    "MaxEntConfig", "MaxEntModel", "AdvResources",
-    "FeatureCombination", "FeatureSearchResult",
+    "MaxEntConfig", "MaxEntModel", "AdvResources", "FeatureSearchResult",
     "train_maxent", "predict_maxent", "feature_combination_search",
     "ModelConfig", "NeuralModel", "build_model", "default_config",
     "train_model", "save_checkpoint", "load_checkpoint",

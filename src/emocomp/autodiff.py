@@ -59,9 +59,6 @@ class Tensor:
         if self.grad is not None:
             self.grad.fill(0.0)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def item(self) -> float:
         return float(self.data)
 
@@ -301,7 +298,7 @@ class Parameter:
 
 
 def xavier_uniform(shape: tuple, rng: np.random.Generator) -> Array:
-    fan_in = shape[0] if len(shape) > 1 else shape[0]
+    fan_in = shape[0]
     fan_out = shape[-1]
     if len(shape) == 3:  # conv kernel k x d x f
         fan_in = shape[0] * shape[1]

@@ -40,21 +40,25 @@ EXTRA_KEYS = ("split_ratio", "dev_ratio", "fallback_dim",
 MODEL_CONFIG_KEYS = tuple(k for k in ModelConfig.__dataclass_fields__ if k != "seed")
 
 
-def _parse_value(key: str, raw: str):
+def _parse_value(key: str, raw: str, where: str):
+    """The typed value of ``key``; ``where`` names the source of ``raw``."""
     raw = raw.strip()
-    if key in ("bilstm_units", "cnn_filters"):
-        if "/" in raw:
-            a, b = raw.split("/")
-            return (int(a), int(b))
-        return int(raw)
-    if key == "kernel_sizes":
-        return tuple(int(v) for v in raw.replace(",", " ").split())
-    if key == "per_channel_stitch":
-        return raw.lower() in ("1", "true", "yes", "on")
-    if key in ("minibatch_size", "epochs", "fc_neurons_cpm", "fc_neurons_emo",
-               "fc_neurons_combined", "fallback_dim", "me_iterations"):
-        return int(raw)
-    return float(raw)
+    try:
+        if key in ("bilstm_units", "cnn_filters"):
+            if "/" in raw:
+                a, b = raw.split("/")
+                return (int(a), int(b))
+            return int(raw)
+        if key == "kernel_sizes":
+            return tuple(int(v) for v in raw.replace(",", " ").split())
+        if key == "per_channel_stitch":
+            return raw.lower() in ("1", "true", "yes", "on")
+        if key in ("seed", "minibatch_size", "epochs", "fc_neurons_cpm", "fc_neurons_emo",
+                   "fc_neurons_combined", "fallback_dim", "me_iterations"):
+            return int(raw)
+        return float(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad value {raw!r} for {key}") from exc
 
 
 def read_config_file(path: str | Path) -> dict:
@@ -74,7 +78,7 @@ def read_config_file(path: str | Path) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = _parse_value(key, raw) if key != "seed" else int(raw)
+        out[key] = _parse_value(key, raw, f"{path}:{lineno}")
     return out
 
 
@@ -85,12 +89,14 @@ def gather_settings(args) -> dict:
     for key in list(MODEL_CONFIG_KEYS) + list(EXTRA_KEYS) + ["seed"]:
         env = os.environ.get(ENV_PREFIX + key.upper())
         if env is not None:
-            settings[key] = _parse_value(key, env) if key != "seed" else int(env)
+            settings[key] = _parse_value(key, env, ENV_PREFIX + key.upper())
     for key in ("seed", "epochs", "minibatch_size", "learning_rate", "dropout_rate",
                 "fallback_dim", "split_ratio", "dev_ratio"):
         val = getattr(args, key, None)
         if val is not None:
             settings[key] = val
+    if settings.get("seed", 0) < 0:
+        raise ConfigError(f"seed must be >= 0, got {settings['seed']}")
     return settings
 
 
@@ -299,8 +305,7 @@ def cmd_ablate(args) -> int:
         for flag in FEATURE_FLAGS:
             row.append(f"{result.single_feature[flag]:.4f}" if flag in result.single_feature else "--")
         single_lines.append(comp + "\t" + "\t".join(row))
-        enabled = "+".join(result.best.enabled()) or "(none)"
-        best_lines.append(f"{comp}\t{enabled}\t{result.best_f1:.4f}")
+        best_lines.append(f"{comp}\t{'+'.join(result.best) or '(none)'}\t{result.best_f1:.4f}")
         for subset, f1 in sorted(result.all_results.items()):
             full_lines.append(f"{comp}\t{'+'.join(subset) or '(none)'}\t{f1:.4f}")
     write_lines(out / "ablation_single_feature.tsv", single_lines)

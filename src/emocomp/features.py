@@ -189,24 +189,18 @@ def hashed_token_embedding(token: str, dimension: int, seed: int) -> np.ndarray:
 
 
 def resolve_token_embeddings(instances, tokenizer, store: TokenEmbeddingStore | None = None,
-                             fallback: bool = True, fallback_dim: int = 64,
-                             seed: int = 0) -> dict[str, np.ndarray]:
-    """Per-instance T x d matrices, from the store or hashed fallback vectors.
+                             fallback_dim: int = 64, seed: int = 0) -> dict[str, np.ndarray]:
+    """Per-instance T x d matrices, from the store or, for an instance the
+    store lacks, hashed vectors of its ``tokenizer`` tokens.
 
     ``instances`` is any iterable of objects with ``id`` and ``text``.
     """
     out: dict[str, np.ndarray] = {}
-    missing = []
     for inst in instances:
         if store is not None and inst.id in store.sequences:
             out[inst.id] = store.sequences[inst.id]
             continue
-        if not fallback:
-            missing.append(inst.id)
-            continue
         dim = store.dimension if store is not None else fallback_dim
         tokens = tokenizer(inst.text) or ["<empty>"]
         out[inst.id] = np.stack([hashed_token_embedding(t, dim, seed) for t in tokens])
-    if missing:
-        raise DataError(f"no token embeddings for instance ids: {', '.join(missing)}")
     return out

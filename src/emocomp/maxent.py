@@ -11,12 +11,15 @@ tape. A binary fit takes one 0/1 target column per label and fits them
 all in one call: the columns share no parameters, so this is one-vs-rest
 with a single design matrix. Prediction scores a whole matrix at once,
 with the same probability function that training uses.
+
+A feature combination is a tuple of names from :data:`FEATURE_FLAGS`, in
+that order; the empty tuple is TF-IDF alone.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -65,6 +68,8 @@ def train_maxent(X: np.ndarray, y, classes: tuple[str, ...],
     zero-weight constant predictor.
     """
     config = config or MaxEntConfig()
+    if config.iterations < 1:
+        raise ConfigError(f"maxent iterations must be >= 1, got {config.iterations}")
     if len(X) == 0:
         raise DataError("empty training set")
     if len(X) != len(y):
@@ -221,26 +226,16 @@ COGNITIVE_COMPONENT = "cognitive_appraisal"
 FEATURE_FLAGS = ("dictionaries", "pos_tags", "word_embeddings", "appraisal_predictions")
 
 
-@dataclass(frozen=True)
-class FeatureCombination:
-    dictionaries: bool = False
-    pos_tags: bool = False
-    word_embeddings: bool = False
-    appraisal_predictions: bool = False
-
-    def enabled(self) -> tuple[str, ...]:
-        return tuple(f for f in FEATURE_FLAGS if getattr(self, f))
-
-    def permits(self, component: str) -> bool:
-        """Appraisal predictions are only permitted for the cognitive-appraisal component."""
-        return not self.appraisal_predictions or component == COGNITIVE_COMPONENT
+def permits(combination: tuple[str, ...], component: str) -> bool:
+    """Appraisal predictions are only permitted for the cognitive-appraisal component."""
+    return "appraisal_predictions" not in combination or component == COGNITIVE_COMPONENT
 
 
 @dataclass
 class AdvResources:
-    """Everything the advanced feature stack can draw on. ``tfidf`` and the
-    POS tag inventory are fit on the training split only."""
-    tfidf: TfIdfModel
+    """The external resources the advanced feature stack can draw on, plus
+    the two values fit on the training split: the POS tag inventory and the
+    width of the appraisal vectors. The TF-IDF model is passed separately."""
     lexicons: list[DictionaryLexicon] = field(default_factory=list)
     pos_tags: dict[str, list[str]] | None = None
     pos_inventory: tuple[str, ...] = ()
@@ -248,15 +243,13 @@ class AdvResources:
     appraisal: dict[str, np.ndarray] | None = None
     appraisal_dim: int = 0
 
-    def fit_pos_inventory(self, instance_ids: list[str]) -> None:
-        if self.pos_tags is None:
-            return
-        tags = sorted({t for i in instance_ids for t in self.pos_tags.get(i, [])})
-        self.pos_inventory = tuple(tags)
-
-    def fit_appraisal_dim(self) -> None:
-        if self.appraisal:
-            self.appraisal_dim = len(next(iter(self.appraisal.values())))
+    def fitted(self, instance_ids: list[str]) -> AdvResources:
+        """A copy with the POS tag inventory of ``instance_ids`` and the
+        width of the appraisal vectors, where those resources are loaded."""
+        pos = (tuple(sorted({t for i in instance_ids for t in self.pos_tags.get(i, [])}))
+               if self.pos_tags is not None else self.pos_inventory)
+        width = len(next(iter(self.appraisal.values()))) if self.appraisal else self.appraisal_dim
+        return replace(self, pos_inventory=pos, appraisal_dim=width)
 
 
 def _block_width(flag: str, resources: AdvResources) -> int:
@@ -269,8 +262,9 @@ def _block_width(flag: str, resources: AdvResources) -> int:
     return resources.appraisal_dim
 
 
-def feature_dim(resources: AdvResources, combination: FeatureCombination) -> int:
-    return resources.tfidf.dim + sum(_block_width(f, resources) for f in combination.enabled())
+def combination_width(resources: AdvResources | None, combination: tuple[str, ...]) -> int:
+    """Columns the blocks of ``combination`` add to the TF-IDF columns."""
+    return sum(_block_width(f, resources) for f in combination)
 
 
 def _block(flag: str, stemmed: list[list[str]], inst_ids: list[str],
@@ -299,16 +293,17 @@ def _block(flag: str, stemmed: list[list[str]], inst_ids: list[str],
 
 
 def build_cpm_adv_features(stemmed: list[list[str]], inst_ids: list[str],
-                           combination: FeatureCombination,
-                           resources: AdvResources) -> tuple[np.ndarray, dict[str, tuple[int, int]]]:
-    """The TF-IDF block and each enabled block, column-stacked with one row
-    per document; also returns each block's (offset, length) span.
+                           combination: tuple[str, ...], tfidf: TfIdfModel,
+                           resources: AdvResources | None) -> tuple[np.ndarray, dict[str, tuple[int, int]]]:
+    """The TF-IDF block and the block of each flag in ``combination``,
+    column-stacked with one row per document; also returns each block's
+    (offset, length) span. ``resources`` may be None for the empty combination.
 
     Every feature depends only on its instance and on resources fit on the
     training split, so the rows of any subset are row selections of this
     matrix and any sub-combination is a column selection of it."""
-    blocks = [("tfidf", tfidf_transform(resources.tfidf, stemmed))]
-    blocks += [(f, _block(f, stemmed, inst_ids, resources)) for f in combination.enabled()]
+    blocks = [("tfidf", tfidf_transform(tfidf, stemmed))]
+    blocks += [(f, _block(f, stemmed, inst_ids, resources)) for f in combination]
     offsets, pos = {}, 0
     for name, block in blocks:
         offsets[name] = (pos, block.shape[1])
@@ -317,11 +312,11 @@ def build_cpm_adv_features(stemmed: list[list[str]], inst_ids: list[str],
 
 
 def combination_columns(offsets: dict[str, tuple[int, int]],
-                        combination: FeatureCombination) -> np.ndarray:
+                        combination: tuple[str, ...]) -> np.ndarray:
     """Column indices of the blocks ``combination`` uses, in a matrix whose
     block spans are ``offsets``."""
     return np.concatenate([np.arange(start, start + length) for start, length in
-                           (offsets[b] for b in ("tfidf",) + combination.enabled())])
+                           (offsets[b] for b in ("tfidf",) + combination)])
 
 
 def available_flags(resources: AdvResources) -> tuple[str, ...]:
@@ -333,18 +328,17 @@ def available_flags(resources: AdvResources) -> tuple[str, ...]:
 
 @dataclass
 class FeatureSearchResult:
-    best: FeatureCombination
+    best: tuple[str, ...]
     best_f1: float
-    all_results: dict[tuple[str, ...], float]        # enabled flags -> dev F1
+    all_results: dict[tuple[str, ...], float]        # combination -> dev F1
     single_feature: dict[str, float]                 # one flag at a time
 
 
 def feature_combination_search(X: np.ndarray, offsets: dict[str, tuple[int, int]],
                                Y: np.ndarray, components: tuple[str, ...],
                                train_rows: list[int], dev_rows: list[int],
-                               resources: AdvResources,
                                config: MaxEntConfig | None = None) -> dict[str, FeatureSearchResult]:
-    """Exhaustive search over all subsets of the available feature flags,
+    """Exhaustive search over all subsets of the feature blocks of ``X``,
     selected per component by dev F1; ties go to fewer features.
 
     ``X`` and ``offsets`` come from :func:`build_cpm_adv_features` with every
@@ -352,29 +346,28 @@ def feature_combination_search(X: np.ndarray, offsets: dict[str, tuple[int, int]
     Each combination is fit once, jointly for every component it permits.
     """
     Y = np.asarray(Y).reshape(len(Y), -1)
-    flags = available_flags(resources)
+    flags = tuple(f for f in FEATURE_FLAGS if f in offsets)
     results: dict[str, dict[tuple[str, ...], float]] = {c: {} for c in components}
     for r in range(len(flags) + 1):
-        for subset in combinations(flags, r):
-            combo = FeatureCombination(**{f: True for f in subset})
-            applies = [j for j, c in enumerate(components) if combo.permits(c)]
+        for combo in combinations(flags, r):
+            applies = [j for j, c in enumerate(components) if permits(combo, c)]
             if not applies:
                 continue
             labels = tuple(components[j] for j in applies)
             cols = combination_columns(offsets, combo)
             model = train_maxent(X[np.ix_(train_rows, cols)], Y[np.ix_(train_rows, applies)],
-                                 labels, BINARY, feature_dim(resources, combo), config)
+                                 labels, BINARY, len(cols), config)
             pred = predict_maxent(model, X[np.ix_(dev_rows, cols)])[0]
             gold = Y[np.ix_(dev_rows, applies)]
             report = evaluate(dict(enumerate(label_sets(gold, labels))),
                               dict(enumerate(label_sets(pred, labels))), labels)
             for c in labels:
-                results[c][subset] = report.per_class[c].f1
+                results[c][combo] = report.per_class[c].f1
     out = {}
     for c, res in results.items():
         best = max(res, key=lambda s: (res[s], -len(s)))
-        out[c] = FeatureSearchResult(FeatureCombination(**{f: True for f in best}), res[best],
-                                     res, {f: res[(f,)] for f in flags if (f,) in res})
+        out[c] = FeatureSearchResult(best, res[best], res,
+                                     {f: res[(f,)] for f in flags if (f,) in res})
     return out
 
 

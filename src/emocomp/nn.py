@@ -81,9 +81,9 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        for u in _pair(self.bilstm_units) + _pair(self.cnn_filters):
+        for u in _pair(self.bilstm_units) + _pair(self.cnn_filters) + self.kernel_sizes:
             if u < 1:
-                raise ConfigError("layer sizes must be >= 1")
+                raise ConfigError("layer and kernel sizes must be >= 1")
 
     @property
     def units_emo(self) -> int:
@@ -606,6 +606,8 @@ def load_checkpoint(source: str | Path | dict) -> NeuralModel:
         raise DataError(f"checkpoint emo_labels must be a list of names, got {labels!r}")
     if tag not in NN_TAGS:
         raise DataError(f"unknown checkpoint tag {tag!r}")
+    if not labels and tag != "cpm-nn-base":
+        raise DataError(f"a checkpoint tagged {tag} needs emo_labels")
     frozen = (None if tag != "emo-cpm-nn-pred" else
               SingleTaskModel(ModelConfig.from_dict(payload["frozen_cpm_config"]), input_dim, "cpm"))
     model = build_model(tag, config, input_dim, tuple(labels), frozen_cpm=frozen)

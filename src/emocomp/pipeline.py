@@ -27,12 +27,11 @@ from .features import (DictionaryLexicon, TfIdfModel, load_embedding_file, load_
                        tfidf_transform)
 from .fileio import write_text
 from .maxent import (BINARY, FEATURE_FLAGS, GOLD, MULTINOMIAL, PREDICTED, AdvResources,
-                     FeatureCombination, FeatureSearchResult, MaxEntConfig, MaxEntModel,
-                     available_flags, build_cpm_adv_features,
-                     combination_columns, feature_combination_search,
-                     feature_dim, label_sets, load_tagged_sidecar, load_vector_sidecar,
-                     predict_maxent, split_labels, stack_component_features,
-                     stack_labels, train_maxent)
+                     FeatureSearchResult, MaxEntConfig, MaxEntModel, available_flags,
+                     build_cpm_adv_features, combination_columns, combination_width,
+                     feature_combination_search, label_sets, load_tagged_sidecar,
+                     load_vector_sidecar, predict_maxent, split_labels,
+                     stack_component_features, stack_labels, train_maxent)
 from .metrics import MetricsReport, evaluate
 from .nn import (Example, ModelConfig, NeuralModel, SingleTaskModel,
                  TrainingLog, build_model, default_config, load_checkpoint,
@@ -69,7 +68,7 @@ class MeArtifact:
     tfidf: TfIdfModel
     emotion_model: MaxEntModel | None = None   # binary: one-vs-rest, one column per label
     component_models: dict[str, MaxEntModel] = field(default_factory=dict)
-    combinations: dict[str, FeatureCombination] = field(default_factory=dict)
+    combinations: dict[str, tuple[str, ...]] = field(default_factory=dict)
     resources: AdvResources | None = None
     stack_source: str | None = None          # gold | predicted for emo-cpm-me-*
     cpm_artifact: "MeArtifact | None" = None  # predictor used for stacking
@@ -87,13 +86,11 @@ class MeArtifact:
 
     def predict_components(self, stemmed: list[list[str]], inst_ids: list[str]) -> np.ndarray:
         """0/1 flags with one row per document and one column per component."""
-        used = {f for combo in self.combinations.values() for f in combo.enabled()}
-        X, offsets = build_cpm_adv_features(stemmed, inst_ids,
-                                            FeatureCombination(**{f: True for f in used}),
-                                            self.resources or AdvResources(self.tfidf))
+        used = tuple(f for f in FEATURE_FLAGS if any(f in c for c in self.combinations.values()))
+        X, offsets = build_cpm_adv_features(stemmed, inst_ids, used, self.tfidf, self.resources)
         flags = np.zeros((len(stemmed), len(COMPONENTS)), dtype=int)
         for j, comp in enumerate(COMPONENTS):
-            cols = combination_columns(offsets, self.combinations.get(comp, FeatureCombination()))
+            cols = combination_columns(offsets, self.combinations.get(comp, ()))
             flags[:, j] = predict_maxent(self.component_models[comp], X[:, cols])[0][:, 0]
         return flags
 
@@ -133,6 +130,8 @@ def _names(value, what: str) -> tuple[str, ...]:
 
 
 def _maxent_from_dict(d: dict) -> MaxEntModel:
+    if not isinstance(d, dict):
+        raise DataError(f"maxent model must be an object, got {type(d).__name__}")
     classes = _names(d["classes"], "maxent classes")
     if d["mode"] not in (BINARY, MULTINOMIAL):
         raise DataError(f"unknown maxent mode {d['mode']!r}")
@@ -145,6 +144,8 @@ def _maxent_from_dict(d: dict) -> MaxEntModel:
                         f"{d['feature_dim']} features x {len(classes)} classes")
     if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
         raise DataError("maxent weights and bias must be finite")
+    if type(d["degenerate"]) is not bool or d["constant_class"] not in (None, *classes):
+        raise DataError("maxent degenerate must be a boolean and constant_class one of its classes")
     constant = {}
     if d["degenerate"]:
         constant = ({d["constant_class"]: True} if d["constant_class"] is not None
@@ -162,6 +163,8 @@ def _tfidf_from_dict(d: dict) -> TfIdfModel:
         raise DataError("tfidf vocabulary and document_frequency must cover the same n-grams")
     if not all(type(v) is int for v in (n, *vocab.values(), *df.values())):
         raise DataError("tfidf indices, document frequencies and corpus_size must be integers")
+    if n < 1 or not all(1 <= v <= n for v in df.values()):
+        raise DataError("tfidf document frequencies must lie in 1..corpus_size, and corpus_size >= 1")
     if sorted(vocab.values()) != list(range(len(vocab))):
         raise DataError(f"tfidf vocabulary must number its {len(vocab)} n-grams 0..{len(vocab) - 1}")
     return TfIdfModel(vocab, df, n)
@@ -196,7 +199,7 @@ def save_me_artifact(artifact: MeArtifact, path: str | Path) -> None:
             "feature_dim": a.feature_dim,
             "emotion_model": emotion_model_dict(a),
             "component_models": {c: _maxent_to_dict(m) for c, m in a.component_models.items()},
-            "combinations": {c: list(combo.enabled()) for c, combo in a.combinations.items()},
+            "combinations": {c: list(combo) for c, combo in a.combinations.items()},
             "stack_source": a.stack_source,
             "cpm_artifact": artifact_dict(a.cpm_artifact) if a.cpm_artifact else None,
         }
@@ -216,8 +219,8 @@ def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
                      appraisal=None) -> MeArtifact:
     """Rebuild an artifact from a model file or its parsed JSON payload."""
 
-    def from_dict(d: dict) -> MeArtifact:
-        for key, allowed in (("version", (1,)), ("tag", ME_TAGS),
+    def from_dict(d: dict, tags: tuple[str, ...] = ME_TAGS) -> MeArtifact:
+        for key, allowed in (("version", (1,)), ("tag", tags),
                              ("mode", (SINGLE_LABEL, MULTI_LABEL)),
                              ("stack_source", tuple(EMOTION_ME_TAGS))):
             if d[key] not in allowed:
@@ -235,53 +238,63 @@ def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
             raise DataError(f"stored feature_dim {d['feature_dim']!r} is not {a.feature_dim}")
         em = d["emotion_model"]
         if em is not None:
-            if em["kind"] == "ovr":
+            if em["kind"] == "ovr" and isinstance(em["models"], dict) and em["labels"]:
                 a.emotion_model = stack_labels([_maxent_from_dict(em["models"][l])
                                                 for l in _names(em["labels"], "labels")])
             elif em["kind"] == "multinomial":
                 a.emotion_model = _maxent_from_dict(em["model"])
             else:
-                raise DataError(f"unknown emotion_model kind {em['kind']!r}")
+                raise DataError(f"emotion_model of kind {em['kind']!r} is not a model set or model")
         a.component_models = {c: _maxent_from_dict(m) for c, m in d["component_models"].items()}
         for comp, flags in d["combinations"].items():
             unknown = set(_names(flags, "combination")) - set(FEATURE_FLAGS)
             if unknown:
                 raise DataError(f"combination of {comp} names unknown flags {sorted(unknown)}")
-            a.combinations[comp] = FeatureCombination(**{f: True for f in flags})
+            a.combinations[comp] = tuple(f for f in FEATURE_FLAGS if f in flags)
+        used = {f for combo in a.combinations.values() for f in combo}
         res = d.get("resources")
+        if res is None and used:
+            raise DataError("stored combinations use feature blocks but the model has no resources")
         if res is not None:
-            if not isinstance(res["lexicons"], dict):
-                raise DataError("resources.lexicons must map components to term lists")
+            if not (isinstance(res, dict) and isinstance(res["lexicons"], dict)
+                    and type(res["appraisal_dim"]) is int and res["appraisal_dim"] >= 0):
+                raise DataError("resources must be an object with a lexicons map of term lists "
+                                "and a non-negative integer appraisal_dim")
             lexicons = [DictionaryLexicon(c, frozenset(_names(entries, "lexicon")))
                         for c, entries in res["lexicons"].items()]
-            a.resources = AdvResources(tfidf, lexicons=lexicons,
+            a.resources = AdvResources(lexicons=lexicons,
                                        pos_tags=pos_tags,
                                        pos_inventory=_names(res["pos_inventory"], "pos_inventory"),
                                        embeddings=embeddings,
                                        appraisal=appraisal,
                                        appraisal_dim=res["appraisal_dim"])
-            used = {f for combo in a.combinations.values() for f in combo.enabled()}
             if "word_embeddings" in used and embeddings is None:
                 raise ResourceError("stored model uses embedding features; pass an embedding file")
             if "pos_tags" in used and pos_tags is None:
                 raise ResourceError("stored model uses POS features; pass a POS sidecar")
             if "appraisal_predictions" in used and appraisal is None:
                 raise ResourceError("stored model uses appraisal features; pass an appraisal sidecar")
-        check_widths(a)
+        check_models(a)
         if d["cpm_artifact"] is not None:
-            a.cpm_artifact = from_dict(d["cpm_artifact"])
+            a.cpm_artifact = from_dict(d["cpm_artifact"], ("cpm-me-base", "cpm-me-adv"))
         return a
 
-    def check_widths(a: MeArtifact) -> None:
-        """Each stored model must read as many columns as its featurizer makes."""
-        expected = []
-        for comp, m in a.component_models.items():
-            combo = a.combinations.get(comp, FeatureCombination())
-            expected.append((comp, m, feature_dim(a.resources, combo) if a.resources
-                             else a.tfidf.dim))
+    def check_models(a: MeArtifact) -> None:
+        """The tag's models must be there, each over its classes and reading
+        as many columns as its featurizer makes."""
+        cpm = a.tag.startswith("cpm-")
+        if (set(a.component_models) != (set(COMPONENTS) if cpm else set())
+                or (a.emotion_model is None) != cpm or not (cpm or a.emotion_inventory)):
+            raise DataError(f"a model tagged {a.tag} needs exactly "
+                            + ("one model per component" if cpm else "an emotion model and labels"))
+        expected = [(comp, m, (comp,),
+                     a.tfidf.dim + combination_width(a.resources, a.combinations.get(comp, ())))
+                    for comp, m in a.component_models.items()]
         if a.emotion_model is not None:
-            expected.append(("emotion", a.emotion_model, a.feature_dim))
-        for name, m, width in expected:
+            expected.append(("emotion", a.emotion_model, a.emotion_inventory, a.feature_dim))
+        for name, m, classes, width in expected:
+            if m.classes != classes:
+                raise DataError(f"stored {name} model predicts {list(m.classes)}, not {list(classes)}")
             if m.feature_dim != width:
                 raise DataError(f"stored {name} model reads {m.feature_dim} features, "
                                 f"but its featurizer makes {width}")
@@ -318,39 +331,39 @@ def train_emotion_me(corpus: Corpus, config: MaxEntConfig | None = None,
 
 
 def train_component_me(corpus: Corpus, config: MaxEntConfig | None = None,
-                       resources_loader=None, dev_ratio: float = 0.1,
+                       resources: AdvResources | None = None, dev_ratio: float = 0.1,
                        seed: int = 0, stemmed: list[list[str]] | None = None) -> MeArtifact:
-    """Cpm-ME-Base (no resources) or Cpm-ME-Adv with an exhaustive feature
-    combination search on a held-out dev slice, per component.
+    """Cpm-ME-Base when ``resources`` is None; otherwise Cpm-ME-Adv, which
+    fits the POS tag inventory and the appraisal width of a copy of
+    ``resources`` on ``corpus`` and picks each component's feature
+    combination by an exhaustive search on a held-out dev slice.
     ``stemmed`` is the corpus's preprocessed tokens, if already at hand."""
     stemmed = stemmed or [preprocess(i) for i in corpus]
     ids = [i.id for i in corpus]
     tfidf = tfidf_fit(stemmed)
     Y = np.array([i.cpm for i in corpus], dtype=float)
     artifact = MeArtifact("cpm-me-base", corpus.mode, corpus.emotion_inventory, tfidf)
-    if resources_loader is None:
+    if resources is None:
         model = train_maxent(tfidf_transform(tfidf, stemmed), Y, COMPONENTS, BINARY,
                              tfidf.dim, config)
         artifact.component_models = split_labels(model)
         return artifact
 
-    resources: AdvResources = resources_loader(tfidf, ids)
+    resources = resources.fitted(ids)
     artifact.tag = "cpm-me-adv"
     artifact.resources = resources
     # features depend only on the instance and on resources fit on this
     # split, so the search's sub-split and dev slice are row selections
-    X, offsets = build_cpm_adv_features(
-        stemmed, ids, FeatureCombination(**{f: True for f in available_flags(resources)}),
-        resources)
+    X, offsets = build_cpm_adv_features(stemmed, ids, available_flags(resources), tfidf, resources)
     sub_rows, dev_rows = split_indices(len(corpus), 1.0 - dev_ratio, seed)
     artifact.search_results = feature_combination_search(
-        X, offsets, Y, COMPONENTS, sub_rows, dev_rows, resources, config)
+        X, offsets, Y, COMPONENTS, sub_rows, dev_rows, config)
     for j, comp in enumerate(COMPONENTS):
         combo = artifact.search_results[comp].best
+        cols = combination_columns(offsets, combo)
         artifact.combinations[comp] = combo
-        artifact.component_models[comp] = train_maxent(
-            X[:, combination_columns(offsets, combo)], Y[:, j], (comp,), BINARY,
-            feature_dim(resources, combo), config)
+        artifact.component_models[comp] = train_maxent(X[:, cols], Y[:, j], (comp,), BINARY,
+                                                       len(cols), config)
     return artifact
 
 
@@ -369,9 +382,11 @@ def build_examples(corpus: Corpus, embeddings: dict[str, np.ndarray]) -> list[Ex
 
 def embeddings_for(corpus: Corpus, store_path: str | None = None,
                    fallback_dim: int = 64, seed: int = 0) -> tuple[dict[str, np.ndarray], int]:
+    if fallback_dim < 1:
+        raise ConfigError(f"fallback_dim must be >= 1, got {fallback_dim}")
     store = load_token_embedding_store(store_path) if store_path else None
     table = resolve_token_embeddings(corpus.instances, tokenize, store=store,
-                                     fallback=True, fallback_dim=fallback_dim, seed=seed)
+                                     fallback_dim=fallback_dim, seed=seed)
     dim = store.dimension if store else fallback_dim
     return table, dim
 
@@ -425,20 +440,13 @@ def _sidecars(resources: dict) -> tuple:
                                    ("appraisal_sidecar", load_vector_sidecar)))
 
 
-def _adv_loader(resources: dict):
-    """The AdvResources factory of cpm-me-adv; lexicons default to the bundled ones."""
-    def loader(tfidf, instance_ids):
-        base = (Path(resources["lexicons"]) if resources.get("lexicons")
-                else importlib_resources.files("emocomp") / "lexicons")
-        embeddings, pos_tags, appraisal = _sidecars(resources)
-        res = AdvResources(tfidf, lexicons=[load_lexicon(str(base / f"{c}.txt"), c)
-                                            for c in COMPONENTS],
-                           pos_tags=pos_tags, embeddings=embeddings, appraisal=appraisal)
-        res.fit_pos_inventory(instance_ids)
-        res.fit_appraisal_dim()
-        return res
-
-    return loader
+def _adv_resources(resources: dict) -> AdvResources:
+    """The resources of cpm-me-adv; lexicons default to the bundled ones."""
+    base = (Path(resources["lexicons"]) if resources.get("lexicons")
+            else importlib_resources.files("emocomp") / "lexicons")
+    embeddings, pos_tags, appraisal = _sidecars(resources)
+    return AdvResources(lexicons=[load_lexicon(str(base / f"{c}.txt"), c) for c in COMPONENTS],
+                        pos_tags=pos_tags, embeddings=embeddings, appraisal=appraisal)
 
 
 def train_tag(tag: str, corpus: Corpus, settings: dict, resources: dict, embed=None):
@@ -456,7 +464,7 @@ def train_tag(tag: str, corpus: Corpus, settings: dict, resources: dict, embed=N
         if tag == "cpm-me-base":
             return train_component_me(corpus, config), []
         stemmed = [preprocess(i) for i in corpus]   # shared by both models of emo-cpm-me-pred
-        cpm = train_component_me(corpus, config, _adv_loader(resources), dev_ratio=dev_ratio,
+        cpm = train_component_me(corpus, config, _adv_resources(resources), dev_ratio=dev_ratio,
                                  seed=seed, stemmed=stemmed)
         if tag == "cpm-me-adv":
             return cpm, []

@@ -82,6 +82,29 @@ class TestExitCodes:
     def test_unknown_verb_is_usage_error(self, capsys):
         assert run(["transmogrify"]) == 1
 
+    @pytest.mark.parametrize("tag,config,env,flags", [
+        ("emo-me-base", "epochs = x", {}, []),
+        ("emo-me-base", "kernel_sizes = a", {}, []),
+        ("emo-me-base", "bilstm_units = 1/2/3", {}, []),
+        ("emo-me-base", "seed = -1", {}, []),
+        ("emo-me-base", "", {"EMOCOMP_EPOCHS": "abc"}, []),
+        ("emo-me-base", "", {}, ["--seed", "-1"]),
+        ("emo-me-base", "me_iterations = -1", {}, []),
+        ("emo-nn-base", "kernel_sizes = 0", {}, []),
+        ("emo-nn-base", "kernel_sizes = -2", {}, []),
+        ("emo-nn-base", "fallback_dim = -3", {}, []),
+        ("emo-nn-base", "fallback_dim = 0", {}, []),
+    ])
+    def test_bad_config_value_is_config_error(self, tag, config, env, flags, tmp_path,
+                                              tec_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"epochs = 1\n{config}\n")
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert run(["train", "--model", tag, "--corpus", tec_path, "--config", cfg,
+                    "--out", tmp_path / "o", *flags]) == 1
+        assert "config error" in capsys.readouterr().err
+
 
 class TestStats:
     def test_matches_precomputed_table(self, tmp_path, tec_path, data_dir, capsys):
@@ -211,12 +234,32 @@ class TestModelFiles:
         variant("number_tag", lambda p: p.update(tag=5))
         variant("text_feature_dim", lambda p: p.update(feature_dim="x"))
         variant("unknown_mode", lambda p: p.update(mode="x"))
+        variant("unknown_constant_class", lambda p: p["emotion_model"]["model"].update(
+            degenerate=True, constant_class="mystery"))
+        for i, value in enumerate(["x", -1, float("nan")]):
+            variant(f"degenerate_not_boolean_{i}",
+                    lambda p, v=value: p["emotion_model"]["model"].update(degenerate=v))
+
+        def set_first_df(value):
+            return lambda p: p["tfidf"]["document_frequency"].update(
+                {next(iter(p["tfidf"]["document_frequency"])): value})
+
+        variant("negative_document_frequency", set_first_df(-1))
+        variant("zero_document_frequency", set_first_df(0))
+        variant("zero_corpus_size", lambda p: p["tfidf"].update(corpus_size=0))
+        variant("emotion_model_model_list", lambda p: p["emotion_model"].update(model=[]))
+        variant("emotion_model_null", lambda p: p.update(emotion_model=None))
+        variant("classes_not_inventory", lambda p: p["emotion_model"]["model"].update(
+            classes=p["emotion_model"]["model"]["classes"][::-1]))
         assert run(["train", "--model", "cpm-me-adv", "--corpus", tec_path,
                     "--config", cfg, "--out", tmp_path / "adv"]) == 0
         adv = json.loads((tmp_path / "adv" / "model.json").read_text())
         assert run(["train", "--model", "emo-cpm-me-gold", "--corpus", tec_path,
                     "--config", cfg, "--out", tmp_path / "gold"]) == 0
         gold = json.loads((tmp_path / "gold" / "model.json").read_text())
+        assert run(["train", "--model", "emo-cpm-me-pred", "--corpus", tec_path,
+                    "--config", cfg, "--out", tmp_path / "pred"]) == 0
+        pred = json.loads((tmp_path / "pred" / "model.json").read_text())
         variant("unknown_stack_source", lambda p: p.update(stack_source="x"), gold)
         variant("predicted_without_cpm_artifact", lambda p: p.update(stack_source="predicted"),
                 gold)
@@ -224,6 +267,19 @@ class TestModelFiles:
             cognitive_appraisal=["mystery"]), adv)
         variant("lexicons_list", lambda p: p["resources"].update(
             lexicons=list(p["resources"]["lexicons"])), adv)
+        variant("resources_list", lambda p: p.update(resources=[]), adv)
+        variant("text_appraisal_dim", lambda p: p["resources"].update(appraisal_dim="x"), adv)
+        variant("component_models_empty", lambda p: p.update(component_models={}), adv)
+        variant("component_model_missing",
+                lambda p: p["component_models"].pop("cognitive_appraisal"), adv)
+        variant("component_model_number",
+                lambda p: p["component_models"].update(cognitive_appraisal=5), adv)
+        variant("stacked_component_model_missing", lambda p: p["cpm_artifact"][
+            "component_models"].pop("cognitive_appraisal"), pred)
+        variant("stacked_component_model_list", lambda p: p["cpm_artifact"][
+            "component_models"].update(cognitive_appraisal=[]), pred)
+        variant("stacked_component_models_empty",
+                lambda p: p["cpm_artifact"].update(component_models={}), pred)
         model = build_model("emo-nn-base", ModelConfig(bilstm_units=2, cnn_filters=2,
                                                        kernel_sizes=(2,), fc_neurons_emo=2),
                             4, ("joy", "sadness"))
@@ -241,6 +297,7 @@ class TestModelFiles:
         variant("text_kernel_sizes", lambda p: p["config"].update(kernel_sizes="ab"), checkpoint)
         variant("number_emo_labels", lambda p: p.update(emo_labels=5), checkpoint)
         variant("unknown_checkpoint_tag", lambda p: p.update(tag="mystery"), checkpoint)
+        variant("empty_emo_labels", lambda p: p.update(emo_labels=[]), checkpoint)
         variant("nan_param", lambda p: p["params"][name][0].__setitem__(0, float("nan")),
                 checkpoint)
         for bad in bad_files:

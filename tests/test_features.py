@@ -184,11 +184,6 @@ class TestHashedEmbeddings:
         np.testing.assert_array_equal(out["a"], [[9.0, 9.0]])
         assert out["b"].shape == (1, 2)
 
-    def test_missing_without_fallback(self):
-        with pytest.raises(DataError, match="b"):
-            resolve_token_embeddings([_Inst("b", "yo")], str.split,
-                                     store=None, fallback=False)
-
     def test_empty_text_gets_placeholder_row(self):
         out = resolve_token_embeddings([_Inst("e", "")], str.split, fallback_dim=4)
         assert out["e"].shape == (1, 4)

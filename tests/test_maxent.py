@@ -9,11 +9,11 @@ from emocomp.errors import ConfigError, DataError, DimensionError, ResourceError
 from emocomp.features import (DictionaryLexicon, EmbeddingTable, tfidf_fit,
                               tfidf_transform)
 from emocomp.maxent import (BINARY, MULTINOMIAL, AdvResources, available_flags,
-                            FeatureCombination, MaxEntConfig, MaxEntModel,
-                            build_cpm_adv_features, combination_columns,
-                            feature_combination_search, feature_dim,
-                            label_sets, load_tagged_sidecar,
-                            load_vector_sidecar, predict_maxent, split_labels,
+                            MaxEntConfig, MaxEntModel, build_cpm_adv_features,
+                            combination_columns, combination_width,
+                            feature_combination_search, label_sets,
+                            load_tagged_sidecar, load_vector_sidecar, permits,
+                            predict_maxent, split_labels,
                             stack_component_features, stack_labels,
                             train_maxent)
 from emocomp.losses import weighted_bce
@@ -258,69 +258,69 @@ class TestSidecars:
             load_vector_sidecar(f)
 
 
-def make_resources(**kwargs):
-    tfidf = tfidf_fit([["alpha", "beta"], ["gamma"]])
-    res = AdvResources(tfidf, **kwargs)
-    return res
+TFIDF = tfidf_fit([["alpha", "beta"], ["gamma"]])
 
 
 class TestAdvFeatures:
     def test_feature_dim_accounting(self):
-        res = make_resources(
+        res = AdvResources(
             lexicons=[DictionaryLexicon("c", frozenset({"alpha"}))],
             pos_tags={"i": ["NN"]},
             embeddings=EmbeddingTable(3, {"alpha": np.ones(3)}),
-            appraisal={"i": np.array([0.5, 0.5])})
-        res.fit_pos_inventory(["i"])
-        res.fit_appraisal_dim()
-        base = res.tfidf.dim
-        combo = FeatureCombination(dictionaries=True, pos_tags=True,
-                                   word_embeddings=True, appraisal_predictions=True)
-        assert feature_dim(res, combo) == base + 2 + 1 + 3 + 2
-        X, offsets = build_cpm_adv_features([["alpha"]], ["i"], combo, res)
+            appraisal={"i": np.array([0.5, 0.5])}).fitted(["i"])
+        base = TFIDF.dim
+        combo = ("dictionaries", "pos_tags", "word_embeddings", "appraisal_predictions")
+        assert combination_width(res, combo) == 2 + 1 + 3 + 2
+        X, offsets = build_cpm_adv_features([["alpha"]], ["i"], combo, TFIDF, res)
         assert offsets["tfidf"] == (0, base)
         assert offsets["dictionaries"][0] == base
-        assert X.shape == (1, feature_dim(res, combo))
+        assert X.shape == (1, base + combination_width(res, combo))
+
+    def test_fitted_copies_and_leaves_the_original(self):
+        res = AdvResources(pos_tags={"i": ["VB", "NN"], "j": ["JJ"]},
+                           appraisal={"i": np.zeros(3)})
+        fitted = res.fitted(["i"])
+        assert (fitted.pos_inventory, fitted.appraisal_dim) == (("NN", "VB"), 3)
+        assert (res.pos_inventory, res.appraisal_dim) == ((), 0)
 
     def test_blocks_follow_offsets(self):
         # each block sits at its offset, and a sub-combination's columns of
         # the full matrix equal the matrix built for it directly
-        res = make_resources(
+        res = AdvResources(
             lexicons=[DictionaryLexicon("c", frozenset({"alpha"}))],
             pos_tags={"i": ["NN", "NN"], "j": ["VB"]},
-            embeddings=EmbeddingTable(2, {"gamma": np.array([3.0, 4.0])}))
-        res.fit_pos_inventory(["i", "j"])
+            embeddings=EmbeddingTable(2, {"gamma": np.array([3.0, 4.0])})).fitted(["i", "j"])
         docs, ids = [["alpha", "beta"], ["gamma"]], ["i", "j"]
-        full = FeatureCombination(dictionaries=True, pos_tags=True, word_embeddings=True)
-        X, offsets = build_cpm_adv_features(docs, ids, full, res)
+        full = ("dictionaries", "pos_tags", "word_embeddings")
+        X, offsets = build_cpm_adv_features(docs, ids, full, TFIDF, res)
         start, length = offsets["pos_tags"]
         np.testing.assert_array_equal(X[:, start:start + length], [[2.0, 0.0], [0.0, 1.0]])
         start, length = offsets["word_embeddings"]
         np.testing.assert_array_equal(X[:, start:start + length], [[0.0, 0.0], [3.0, 4.0]])
-        np.testing.assert_array_equal(X[:, :res.tfidf.dim], tfidf_transform(res.tfidf, docs))
-        sub = FeatureCombination(word_embeddings=True)
+        np.testing.assert_array_equal(X[:, :TFIDF.dim], tfidf_transform(TFIDF, docs))
+        sub = ("word_embeddings",)
         np.testing.assert_array_equal(X[:, combination_columns(offsets, sub)],
-                                      build_cpm_adv_features(docs, ids, sub, res)[0])
+                                      build_cpm_adv_features(docs, ids, sub, TFIDF, res)[0])
+        # the empty combination needs no resources
+        np.testing.assert_array_equal(build_cpm_adv_features(docs, ids, (), TFIDF, None)[0],
+                                      tfidf_transform(TFIDF, docs))
 
     def test_missing_resource_raises(self):
-        res = make_resources()
         with pytest.raises(ResourceError):
-            build_cpm_adv_features([["alpha"]], ["i"],
-                                   FeatureCombination(dictionaries=True), res)
+            build_cpm_adv_features([["alpha"]], ["i"], ("dictionaries",), TFIDF, AdvResources())
 
     def test_appraisal_restricted_to_cognitive(self):
-        combo = FeatureCombination(appraisal_predictions=True)
-        assert combo.permits("cognitive_appraisal")
-        assert not combo.permits("motor_expressions")
-        assert FeatureCombination(pos_tags=True).permits("motor_expressions")
+        assert permits(("appraisal_predictions",), "cognitive_appraisal")
+        assert not permits(("pos_tags", "appraisal_predictions"), "motor_expressions")
+        assert permits(("pos_tags",), "motor_expressions")
 
 
 def search(stemmed, ids, Y, components, res, n_train):
-    every = FeatureCombination(**{f: True for f in available_flags(res)})
-    X, offsets = build_cpm_adv_features(stemmed, ids, every, res)
+    X, offsets = build_cpm_adv_features(stemmed, ids, available_flags(res),
+                                        tfidf_fit(stemmed), res)
     rows = list(range(len(ids)))
     return feature_combination_search(X, offsets, Y, components, rows[:n_train],
-                                      rows[n_train:], res, FAST)
+                                      rows[n_train:], FAST)
 
 
 class TestFeatureSearch:
@@ -331,12 +331,10 @@ class TestFeatureSearch:
         y = [j % 2 for j in range(40)]
         stemmed = [["filler", "words", "here"] for _ in ids]
         pos = {i: (["NN"] if label else ["JJ"]) for i, label in zip(ids, y)}
-        tfidf = tfidf_fit(stemmed)
-        res = AdvResources(tfidf, lexicons=[DictionaryLexicon("c", frozenset({"zzz"}))],
-                           pos_tags=pos)
-        res.fit_pos_inventory(ids)
+        res = AdvResources(lexicons=[DictionaryLexicon("c", frozenset({"zzz"}))],
+                           pos_tags=pos).fitted(ids)
         result = search(stemmed, ids, y, ("motor_expressions",), res, 30)["motor_expressions"]
-        assert "pos_tags" in result.best.enabled()
+        assert "pos_tags" in result.best
         assert result.best_f1 == max(result.all_results.values())
         assert result.best_f1 >= result.all_results[()]
 
@@ -346,10 +344,9 @@ class TestFeatureSearch:
         ids = [f"i{j}" for j in range(20)]
         y = ([0, 1] * 10)
         stemmed = [["aaa"] if label else ["bbb"] for label in y]
-        tfidf = tfidf_fit(stemmed)
-        res = AdvResources(tfidf, lexicons=[DictionaryLexicon("c", frozenset({"zzz"}))])
+        res = AdvResources(lexicons=[DictionaryLexicon("c", frozenset({"zzz"}))])
         result = search(stemmed, ids, y, ("motor_expressions",), res, 14)["motor_expressions"]
-        assert result.best.enabled() == ()
+        assert result.best == ()
 
     def test_joint_search_equals_per_component_search(self):
         # appraisal combinations apply to the cognitive component only; every
@@ -360,10 +357,8 @@ class TestFeatureSearch:
         stemmed = [["tok%d" % rng.integers(5), "filler"] for _ in ids]
         pos = {i: (["NN"] if Y[j, 1] else ["JJ"]) for j, i in enumerate(ids)}
         appraisal = {i: np.array([float(Y[j, 0]), 0.5]) for j, i in enumerate(ids)}
-        res = AdvResources(tfidf_fit(stemmed), lexicons=[DictionaryLexicon("c", frozenset({"tok1"}))],
-                           pos_tags=pos, appraisal=appraisal)
-        res.fit_pos_inventory(ids)
-        res.fit_appraisal_dim()
+        res = AdvResources(lexicons=[DictionaryLexicon("c", frozenset({"tok1"}))],
+                           pos_tags=pos, appraisal=appraisal).fitted(ids)
         comps = ("cognitive_appraisal", "motor_expressions")
         joint = search(stemmed, ids, Y, comps, res, 30)
         assert len(joint["cognitive_appraisal"].all_results) == 8

@@ -99,13 +99,9 @@ class TestComponentMe:
         assert set(report.per_class) == set(COMPONENTS)
 
     def test_adv_runs_search_per_component(self, tec):
-        def loader(tfidf, ids):
-            res = AdvResources(tfidf, lexicons=[
-                DictionaryLexicon("c", frozenset({"furious", "scare"}))])
-            return res
-
+        res = AdvResources(lexicons=[DictionaryLexicon("c", frozenset({"furious", "scare"}))])
         train, _ = split_train_test(tec, seed=0)
-        art = train_component_me(train, FAST, loader, seed=0)
+        art = train_component_me(train, FAST, res, seed=0)
         assert art.tag == "cpm-me-adv"
         assert set(art.search_results) == set(COMPONENTS)
         for comp, result in art.search_results.items():
@@ -124,12 +120,9 @@ class TestMeArtifactPersistence:
                 == again.predict_emotions(test.instances, stemmed))
 
     def test_round_trip_component_adv(self, tec, tmp_path):
-        def loader(tfidf, ids):
-            return AdvResources(tfidf, lexicons=[
-                DictionaryLexicon("c", frozenset({"furious"}))])
-
+        res = AdvResources(lexicons=[DictionaryLexicon("c", frozenset({"furious"}))])
         train, test = split_train_test(tec, seed=0)
-        art = train_component_me(train, FAST, loader, seed=0)
+        art = train_component_me(train, FAST, res, seed=0)
         path = tmp_path / "model.json"
         save_me_artifact(art, path)
         again = load_me_artifact(path)
@@ -140,15 +133,11 @@ class TestMeArtifactPersistence:
     def test_missing_embedding_resource_rejected_at_load(self, tec, tmp_path):
         from emocomp.features import EmbeddingTable
 
-        def loader(tfidf, ids):
-            table = EmbeddingTable(2, {"furious": np.ones(2)})
-            return AdvResources(tfidf, lexicons=[
-                DictionaryLexicon("c", frozenset({"furious"}))], embeddings=table)
-
+        res = AdvResources(lexicons=[DictionaryLexicon("c", frozenset({"furious"}))],
+                           embeddings=EmbeddingTable(2, {"furious": np.ones(2)}))
         train, _ = split_train_test(tec, seed=0)
-        art = train_component_me(train, FAST, loader, seed=0)
-        uses_embeddings = any("word_embeddings" in c.enabled()
-                              for c in art.combinations.values())
+        art = train_component_me(train, FAST, res, seed=0)
+        uses_embeddings = any("word_embeddings" in c for c in art.combinations.values())
         path = tmp_path / "model.json"
         save_me_artifact(art, path)
         if uses_embeddings:
@@ -172,12 +161,9 @@ class TestStemOnce:
         return calls
 
     def test_component_training_with_resources(self, tec, preprocess_calls):
-        def loader(tfidf, ids):
-            return AdvResources(tfidf, lexicons=[
-                DictionaryLexicon("c", frozenset({"furious"}))])
-
+        res = AdvResources(lexicons=[DictionaryLexicon("c", frozenset({"furious"}))])
         train, _ = split_train_test(tec, seed=0)
-        train_component_me(train, MaxEntConfig(iterations=5), loader, seed=0)
+        train_component_me(train, MaxEntConfig(iterations=5), res, seed=0)
         assert sorted(preprocess_calls) == sorted(i.id for i in train)
 
     def test_predicted_stacking_training(self, tec, tmp_path, data_dir, preprocess_calls,

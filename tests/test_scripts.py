@@ -31,3 +31,12 @@ def test_overfit_demo_runs(tag, capsys):
     f1 = load_script("overfit_demo").run(tag, epochs=1, seed=0)
     assert 0.0 <= f1 <= 1.0
     assert "train micro-F1" in capsys.readouterr().out
+
+
+def test_compare_feature_models_prints_every_me_tag(capsys):
+    script = load_script("compare_feature_models")
+    script.main([])
+    rows = capsys.readouterr().out.strip().splitlines()[-len(script.TAGS):]
+    assert [row.split()[0] for row in rows] == list(script.TAGS)
+    for row in rows:
+        assert all(0.0 <= float(v) <= 1.0 for v in row.split()[1:])
