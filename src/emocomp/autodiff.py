@@ -1,14 +1,21 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
 Only the operations the classifiers in this package actually need are
-implemented: broadcasting addition and multiplication, matmul,
-sigmoid/ReLU, slicing, concatenation and sum, plus two fused sequence
-ops with hand-written backward passes: ``lstm`` (one direction over a
-whole sequence) and ``conv_pool`` (multi-kernel convolution, ReLU and
-max-over-time pooling). The loss is one more fused node, in ``losses``.
-Each op is one tape node. Gradients are accumulated into ``Tensor.grad``
-buffers, allocated on first use, by ``Tensor.backward()`` via a
-topological sweep over the recorded tape.
+implemented: broadcasting addition and multiplication, row-wise matmul,
+sigmoid/ReLU, concatenation and sum, plus two fused sequence ops with
+hand-written backward passes: ``lstm`` (one direction over each sequence)
+and ``conv_pool`` (multi-kernel convolution, ReLU and max-over-time
+pooling). The loss is one more fused node, in ``losses``. Each op is one
+tape node. Gradients are accumulated into ``Tensor.grad`` buffers,
+allocated on first use, by ``Tensor.backward()`` via a topological sweep
+over the recorded tape.
+
+A minibatch is one graph. Its sequences travel as a zero-padded
+B x T_max x d array plus the length of each; a 2-D T x d array is a batch
+of one. Every op works example by example in the arithmetic: rows go
+through their own vector-matrix products, and a parameter's gradient adds
+the examples' contributions in example order (``_fold``). So a batch
+computes bitwise what one graph per example, summed in order, computes.
 """
 
 from __future__ import annotations
@@ -26,10 +33,22 @@ def _as_array(x) -> Array:
     return np.asarray(x, dtype=np.float64)
 
 
+def _fold(parts: Array) -> Array:
+    """Sum over the leading axis strictly in order, ((p0 + p1) + p2) + ...:
+    what adding one example's contribution at a time gives. numpy adds
+    along a slow axis one term at a time, but pairs terms up along the fast
+    one, so parts of a single number take the running sum."""
+    parts = np.ascontiguousarray(parts)
+    if parts[0].size > 1:
+        return np.add.reduce(parts, axis=0)
+    return np.add.accumulate(parts, axis=0)[-1]
+
+
 def _unbroadcast(grad: Array, shape: tuple) -> Array:
-    """Sum a broadcast gradient back down to ``shape``."""
+    """Sum a broadcast gradient back down to ``shape``; leading (example)
+    axes are folded in order."""
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = _fold(grad)
     for axis, size in enumerate(shape):
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
@@ -125,27 +144,22 @@ class Tensor:
     __rmul__ = __mul__
 
     def matmul(self, other: "Tensor") -> "Tensor":
+        """Row by row: each row of ``self`` (one example) takes its own
+        vector-matrix product, and ``other``'s gradient adds the rows' outer
+        products in row order. One B-row gemm would round differently."""
         a, b = self, _wrap(other)
         if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
             raise DimensionError(f"matmul shape mismatch: {a.data.shape} x {b.data.shape}")
-        return Tensor(a.data @ b.data, _parents=(a, b),
-                      _backward=lambda g: (g @ b.data.T, a.data.T @ g))
+        return Tensor(_rowwise(a.data, b.data), _parents=(a, b),
+                      _backward=lambda g: (_rowwise(g, b.data.T),
+                                           _fold(a.data[:, :, None] * g[:, None, :])))
 
     __matmul__ = matmul
 
-    def __getitem__(self, key):
-        a = self
-
-        def bwd(g):
-            full = np.zeros_like(a.data)
-            np.add.at(full, key, g)
-            return (full,)
-
-        return Tensor(a.data[key], _parents=(a,), _backward=bwd)
-
     def sum(self):
+        """The sum of all entries, added in order (``_fold``)."""
         a = self
-        return Tensor(a.data.sum(), _parents=(a,),
+        return Tensor(_fold(a.data.reshape(-1)), _parents=(a,),
                       _backward=lambda g: (np.full_like(a.data, float(g)),))
 
     # -- nonlinearities ------------------------------------------------------
@@ -182,91 +196,188 @@ def _sigmoid(z: Array) -> Array:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def lstm(x: Tensor, W: Tensor, U: Tensor, b: Tensor, reverse: bool = False) -> Tensor:
-    """One LSTM direction over a T x d sequence from a zero state: T x units.
+def _rowwise(a: Array, b: Array) -> Array:
+    """``a @ b`` as one vector-matrix product per row of ``a``: bitwise the
+    product of each row on its own."""
+    return np.matmul(a[:, None, :], b)[:, 0]
 
-    W (d x 4u), U (u x 4u) and b (4u) hold the gates in the order i, f, g, o.
-    With ``reverse`` the steps run from the last row to the first; output
-    row t is always the hidden state after reading input row t. The
-    backward pass is backpropagation through time over the cached gates.
+
+def _batch(data: Array, lengths, op: str) -> tuple[Array, Array, bool]:
+    """(B x T x d view, lengths, whether ``data`` was one T x d sequence).
+    Without ``lengths`` every sequence fills the padded length."""
+    single = data.ndim == 2
+    if single:
+        data, lengths = data[None], None
+    if data.ndim != 3:
+        raise DimensionError(f"{op} needs a T x d sequence or a B x T x d batch, got {data.shape}")
+    B, T = data.shape[:2]
+    lengths = np.full(B, T) if lengths is None else np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != (B,) or not ((lengths >= 1) & (lengths <= T)).all():
+        raise DimensionError(f"{op}: sequence lengths {lengths.tolist()} must be 1 to {T} "
+                             f"for a batch of shape {data.shape}")
+    return data, lengths, single
+
+
+def lstm(x: Tensor, W: Tensor, U: Tensor, b: Tensor, reverse: bool = False,
+         lengths=None) -> Tensor:
+    """One LSTM direction over each sequence from a zero state.
+
+    ``x`` is a zero-padded B x T x d batch with ``lengths`` (a T x d
+    sequence is a batch of one); the output has the same layout with
+    ``units`` columns and zeros past each length. W (d x 4u), U (u x 4u) and
+    b (4u) hold the gates in the order i, f, g, o. With ``reverse`` each
+    sequence is read from its own last row to its first; output row t is
+    always the hidden state after reading input row t. The backward pass is
+    backpropagation through time over the cached gates.
+
+    The steps run over a packed layout: step s holds the row that every
+    sequence longer than s reads at step s, longest sequences first, so the
+    live sequences are a prefix and a step is one stacked product for all
+    of them. Per sequence the arithmetic is that of a lone sequence: the
+    recurrent products are per-row vector-matrix products, and the products
+    with W and the weight gradients are taken sequence by sequence (a BLAS
+    picks its kernel, and so its rounding, by matrix size), the latter
+    folded in example order.
     """
-    T, u = x.data.shape[0], U.data.shape[0]
-    if T == 0:
-        raise DimensionError("lstm over an empty sequence")
-    if x.data.shape[1] != W.data.shape[0]:
+    X, lengths, single = _batch(x.data, lengths, "lstm")
+    B, T, d = X.shape
+    u = U.data.shape[0]
+    if d != W.data.shape[0]:
         raise DimensionError(f"lstm shape mismatch: x {x.data.shape} vs W {W.data.shape}")
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    xw = x.data @ W.data + b.data
+    live = np.count_nonzero(lengths[:, None] > np.arange(T), axis=0)   # sequences per step
+    bounds = np.concatenate([[0], np.cumsum(live)])
+    order = np.argsort(-lengths, kind="stable")
+    ex = np.concatenate([order[:n] for n in live])       # sequence of each packed row
+    step = np.repeat(np.arange(T), live)
+    time = lengths[ex] - 1 - step if reverse else step   # its row within the sequence
+    XW = np.empty((B, T, 4 * u))
+    for k, n in enumerate(lengths):
+        XW[k, :n] = X[k, :n] @ W.data
+    xw = XW[ex, time] + b.data
     gates = np.empty_like(xw)          # i, f, g, o after their nonlinearities
-    h_in, c_in = np.zeros((T, u)), np.zeros((T, u))   # state entering each step
-    h_out, tanh_c = np.empty((T, u)), np.empty((T, u))
-    h, c = np.zeros(u), np.zeros(u)
-    for t in steps:
-        h_in[t], c_in[t] = h, c
-        z = xw[t] + h @ U.data
-        i, f, o = _sigmoid(z[:u]), _sigmoid(z[u:2 * u]), _sigmoid(z[3 * u:])
-        g = np.tanh(z[2 * u:3 * u])
+    h_in, c_in = np.empty((len(xw), u)), np.empty((len(xw), u))   # state entering each step
+    h_out, tanh_c = np.empty((len(xw), u)), np.empty((len(xw), u))
+    h, c = np.zeros((B, u)), np.zeros((B, u))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        h, c = h[:hi - lo], c[:hi - lo]
+        h_in[lo:hi], c_in[lo:hi] = h, c
+        z = xw[lo:hi] + _rowwise(h, U.data)
+        gates[lo:hi] = _sigmoid(z)      # the g block is replaced below
+        gates[lo:hi, 2 * u:3 * u] = np.tanh(z[:, 2 * u:3 * u])
+        i, f, g, o = (gates[lo:hi, j * u:(j + 1) * u] for j in range(4))
         c = f * c + i * g
-        tanh_c[t] = np.tanh(c)
-        h = h_out[t] = o * tanh_c[t]
-        gates[t] = np.concatenate([i, f, g, o])
+        tanh_c[lo:hi] = np.tanh(c)
+        h = h_out[lo:hi] = o * tanh_c[lo:hi]
+    out = np.zeros((B, T, u))
+    out[ex, time] = h_out
 
     def bwd(grad):
+        dh_in = grad.reshape(B, T, u)[ex, time]
         dz = np.empty_like(xw)
-        dh, dc = np.zeros(u), np.zeros(u)
-        for t in reversed(steps):
-            i, f, g, o = np.split(gates[t], 4)
-            dh = dh + grad[t]
-            dc = dc + dh * o * (1.0 - tanh_c[t] ** 2)
-            dz[t] = np.concatenate([dc * g * i * (1.0 - i), dc * c_in[t] * f * (1.0 - f),
-                                    dc * i * (1.0 - g ** 2), dh * tanh_c[t] * o * (1.0 - o)])
-            dh, dc = dz[t] @ U.data.T, dc * f
-        return dz @ W.data.T, x.data.T @ dz, h_in.T @ dz, dz.sum(axis=0)
+        # a sequence's rows stay zero until the step that reads its last row
+        dh, dc = np.zeros((B, u)), np.zeros((B, u))
+        for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
+            n = hi - lo
+            i, f, g, o = (gates[lo:hi, j * u:(j + 1) * u] for j in range(4))
+            dh_s = dh[:n] + dh_in[lo:hi]
+            dc_s = dc[:n] + dh_s * o * (1.0 - tanh_c[lo:hi] ** 2)
+            dz[lo:hi] = np.concatenate([dc_s * g * i * (1.0 - i), dc_s * c_in[lo:hi] * f * (1.0 - f),
+                                        dc_s * i * (1.0 - g ** 2),
+                                        dh_s * tanh_c[lo:hi] * o * (1.0 - o)], axis=1)
+            dh[:n], dc[:n] = _rowwise(dz[lo:hi], U.data.T), dc_s * f
+        # back to time order, zero-padded, for the sums over time
+        dZ, H = np.zeros((B, T, 4 * u)), np.zeros((B, T, u))
+        dZ[ex, time], H[ex, time] = dz, h_in
+        dX, dW, dU = np.zeros_like(X), [], []
+        for k, n in enumerate(lengths):
+            dX[k, :n] = dZ[k, :n] @ W.data.T
+            dW.append(X[k, :n].T @ dZ[k, :n])
+            dU.append(H[k, :n].T @ dZ[k, :n])
+        return (dX[0] if single else dX), _fold(np.stack(dW)), _fold(np.stack(dU)), _fold(dZ.sum(axis=1))
 
-    return Tensor(h_out, _parents=(x, W, U, b), _backward=bwd)
+    return Tensor(out[0] if single else out, _parents=(x, W, U, b), _backward=bwd)
 
 
-def conv_pool(x: Tensor, kernels: list[Tensor], biases: list[Tensor]) -> Tensor:
-    """Multi-kernel valid 1-d convolution, ReLU and max over time: 1 x (K*f).
+def conv_pool(x: Tensor, kernels: list[Tensor], biases: list[Tensor], lengths=None) -> Tensor:
+    """Multi-kernel valid 1-d convolution, ReLU and max over time: B x (K*f).
 
-    Each k x d x f kernel slides over the T x d sequence, left-zero-padded
-    to k rows when T < k. The gradient of a pooled value goes to the first
-    maximal timestep of its feature map.
+    ``x`` is a zero-padded B x T x d batch with ``lengths`` (a T x d
+    sequence is a batch of one). Each k x d x f kernel slides over every
+    sequence, left-zero-padded to k rows when it is shorter than k. The
+    gradient of a pooled value goes to the first maximal window of its
+    feature map.
+
+    Per kernel, the valid windows of all sequences are gathered into one
+    block and convolved at once, so no window past a length is computed;
+    the maps are then laid out per sequence, padded with -inf, for the
+    argmax. Backward gathers the rows of the winning windows again, one
+    kernel offset at a time, rather than keeping the windows alive.
     """
-    T, d = x.data.shape
-    if T == 0:
-        raise DimensionError("conv_pool over an empty sequence")
-    pooled, cache = [], []
-    for K, b in zip(kernels, biases):
-        k, f = K.data.shape[0], K.data.shape[2]
+    X, lengths, single = _batch(x.data, lengths, "conv_pool")
+    B, T, d = X.shape
+    for K in kernels:
         if K.data.shape[1] != d:
             raise DimensionError(f"conv_pool channel mismatch: x {x.data.shape} vs kernel {K.data.shape}")
-        xk = np.concatenate([np.zeros((k - T, d)), x.data]) if T < k else x.data
-        win = np.lib.stride_tricks.sliding_window_view(xk, k, axis=0)   # (T'-k+1, d, k)
-        maps = np.einsum("tdk,kdf->tf", win, K.data) + b.data
-        idx = np.argmax(maps, axis=0)   # first occurrence on ties
+    P = max(K.data.shape[0] for K in kernels) - 1
+    Xp = np.zeros((B, P + T, d))       # P zero rows before each sequence: its left padding
+    Xp[:, P:] = X
+    seqs = np.arange(B)[:, None]
+    pooled, starts = [], []
+    for K, b in zip(kernels, biases):
+        k, f = K.data.shape[0], K.data.shape[2]
+        first = np.minimum(lengths, k) - 1    # the row each sequence's first window ends on
+        n = lengths - first                    # windows per sequence
+        ex = np.repeat(seqs[:, 0], n)
+        pos = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        start = first + P - k + 1              # Xp row each sequence's first window starts on
+        win = np.lib.stride_tricks.sliding_window_view(Xp, k, axis=1)[ex, start[ex] + pos]
+        maps = np.full((B, n.max(), f), -np.inf)
+        maps[ex, pos] = np.einsum("tdk,kdf->tf", win, K.data) + b.data
+        idx = np.argmax(maps, axis=1)          # first occurrence on ties
         # ReLU is monotone, so the max of the ReLU'd map is the ReLU of its max
-        pooled.append(np.maximum(maps[idx, np.arange(f)], 0.0))
-        cache.append((idx, win))
-    out = np.concatenate(pooled)
+        pooled.append(np.maximum(np.take_along_axis(maps, idx[:, None], axis=1)[:, 0], 0.0))
+        starts.append(start[:, None] + idx)
+    out = np.concatenate(pooled, axis=1)
 
     def bwd(grad):
-        grads = np.split(grad.reshape(-1) * (out > 0), len(kernels))
-        dx, dks = np.zeros_like(x.data), []
-        for K, g, (idx, win) in zip(kernels, grads, cache):
+        grad = grad.reshape(B, -1) * (out > 0)
+        dXp, dks, dbs = np.zeros_like(Xp), [], []
+        for K, g, start in zip(kernels, np.split(grad, len(kernels), axis=1), starts):
             k, f = K.data.shape[0], K.data.shape[2]
-            dks.append(np.einsum("fdk,f->kdf", win[idx], g))
-            # channel j read (padded) input rows idx[j] .. idx[j] + k - 1
-            spread = np.zeros((f, max(T, k), d))
-            spread[np.arange(f)[:, None], idx[:, None] + np.arange(k)] = (K.data * g).transpose(2, 0, 1)
-            dx += spread.sum(axis=0)[max(k - T, 0):]
-        return (dx, *dks, *grads)
+            dks.append(np.stack([_fold(Xp[seqs, start + o] * g[:, :, None]).T for o in range(k)]))
+            dbs.append(_fold(g))
+            # a sequence's input gradient adds its filters in order, then the kernels
+            spread = np.zeros_like(Xp)
+            for j in range(f):
+                spread[seqs, start[:, j, None] + np.arange(k)] += K.data[:, :, j] * g[:, j, None, None]
+            dXp += spread
+        dX = dXp[:, P:]
+        return (dX[0] if single else dX, *dks, *dbs)
 
-    return Tensor(out.reshape(1, -1), _parents=(x, *kernels, *biases), _backward=bwd)
+    return Tensor(out, _parents=(x, *kernels, *biases), _backward=bwd)
+
+
+def stitch(alpha: Tensor, row: int, a: Tensor, b: Tensor) -> Tensor:
+    """Row ``row`` of a cross-stitch unit, alpha[row, 0] * a + alpha[row, 1] * b,
+    as one node over B x w rows. alpha is 2 x 2 (one weight per pair) or
+    2 x 2 x w (one per channel); its gradient adds the examples in order."""
+    w_a, w_b = alpha.data[row]
+
+    def bwd(g):
+        dalpha = np.zeros_like(alpha.data)
+        for col, x in enumerate((a, b)):
+            per_example = g * x.data
+            dalpha[row, col] = _fold(per_example if alpha.data.ndim == 3 else per_example.sum(axis=1))
+        return dalpha, g * w_a, g * w_b
+
+    return Tensor(w_a * a.data + w_b * b.data, _parents=(alpha, a, b), _backward=bwd)
 
 
 def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: mask and rescale at train time, identity at inference."""
+    """Inverted dropout: mask and rescale at train time, identity at inference.
+
+    ``rng`` is anything with numpy's ``random(shape)``; a model passes one
+    that hands out masks drawn in per-example order (``nn``)."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:

@@ -72,6 +72,10 @@ def _inventory_for_domain(domain: str) -> tuple[str, ...] | None:
     return None
 
 
+def _names(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
 def load_corpus(path: str | Path) -> Corpus:
     instances: list[Instance] = []
     seen_ids: set[str] = set()
@@ -91,12 +95,17 @@ def load_corpus(path: str | Path) -> Corpus:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise CorpusFormatError(f"invalid JSON: {exc}", line=lineno) from exc
+            if not isinstance(record, dict):
+                raise CorpusFormatError(f"a record must be a JSON object, got {record!r}", line=lineno)
             if "id" not in record:
                 if lineno == 1 or not instances:
                     header_mode = record.get("mode")
                     if header_mode not in (None, SINGLE_LABEL, MULTI_LABEL):
                         raise CorpusFormatError(f"unknown mode {header_mode!r}", line=lineno)
                     inv = record.get("inventory")
+                    if inv is not None and not _names(inv):
+                        raise CorpusFormatError(f"inventory must be an array of label names, "
+                                                f"got {inv!r}", line=lineno)
                     header_inventory = tuple(inv) if inv else None
                     continue
                 raise CorpusFormatError("record missing 'id'", line=lineno)
@@ -111,13 +120,20 @@ def load_corpus(path: str | Path) -> Corpus:
                 raise CorpusFormatError(
                     f"mixed domains {domain!r} and {rec_domain!r}", line=lineno)
             cpm = record.get("cpm", [])
-            if len(cpm) != len(COMPONENTS) or any(v not in (0, 1) for v in cpm):
+            if (not isinstance(cpm, list) or len(cpm) != len(COMPONENTS)
+                    or any(v not in (0, 1) for v in cpm)):
                 raise CorpusFormatError(
                     f"cpm must be 5 binary flags, got {cpm!r}", line=lineno)
-            emotions = frozenset(record.get("emotions", []))
+            text, emotions = record.get("text", ""), record.get("emotions", [])
+            if not isinstance(text, str):
+                raise CorpusFormatError(f"text must be a string, got {text!r}", line=lineno)
+            if not _names(emotions):
+                raise CorpusFormatError(f"emotions must be an array of label names, "
+                                        f"got {emotions!r}", line=lineno)
+            emotions = frozenset(emotions)
             if rec_domain == "reman" and not emotions:
                 emotions = frozenset({"neutral"})
-            instances.append(Instance(inst_id, record.get("text", ""), emotions,
+            instances.append(Instance(inst_id, text, emotions,
                                       tuple(int(v) for v in cpm), rec_domain))
 
     domain = domain or "other"

@@ -193,14 +193,19 @@ def resolve_token_embeddings(instances, tokenizer, store: TokenEmbeddingStore | 
     """Per-instance T x d matrices, from the store or, for an instance the
     store lacks, hashed vectors of its ``tokenizer`` tokens.
 
-    ``instances`` is any iterable of objects with ``id`` and ``text``.
+    ``instances`` is any iterable of objects with ``id`` and ``text``. Each
+    distinct token is hashed once per call.
     """
     out: dict[str, np.ndarray] = {}
+    dim = store.dimension if store is not None else fallback_dim
+    hashed: dict[str, np.ndarray] = {}
     for inst in instances:
         if store is not None and inst.id in store.sequences:
             out[inst.id] = store.sequences[inst.id]
             continue
-        dim = store.dimension if store is not None else fallback_dim
         tokens = tokenizer(inst.text) or ["<empty>"]
-        out[inst.id] = np.stack([hashed_token_embedding(t, dim, seed) for t in tokens])
+        for t in tokens:
+            if t not in hashed:
+                hashed[t] = hashed_token_embedding(t, dim, seed)
+        out[inst.id] = np.stack([hashed[t] for t in tokens])
     return out

@@ -3,6 +3,10 @@ and activation nodes), BiLSTM (one fused ``lstm`` node per direction) and
 multi-kernel 1-d CNN with max-over-time pooling (one fused ``conv_pool``
 node).
 
+Each layer takes a minibatch at once. Dense maps B x d_in rows (one row
+per example) to B x d_out. BiLstm and ConvPool take a zero-padded
+B x T_max x d batch of sequences plus the length of each; a T x d sequence
+without lengths is a batch of one, and keeps its 2-D shape through BiLstm.
 Sequences shorter than a kernel are left-zero-padded up to the kernel
 size for that kernel only, so every kernel size stays usable on short
 inputs.
@@ -24,6 +28,10 @@ class Dense:
         self.b = Parameter(Tensor(np.zeros(d_out)), f"{name}.b")
         self.activation = activation
 
+    @property
+    def out_dim(self) -> int:
+        return self.W.data.shape[1]
+
     def params(self) -> list[Parameter]:
         return [self.W, self.b]
 
@@ -39,9 +47,10 @@ class Dense:
 class BiLstm:
     """Forward and backward LSTM passes, concatenated per timestep.
 
-    Input T x d, output T x 2*units; initial hidden and cell state zero.
-    Each direction has its own W (d x 4u), U (u x 4u) and b, gate order
-    i, f, g, o.
+    Input B x T_max x d with lengths (or T x d), output B x T_max x 2*units
+    (or T x 2*units), zero past each length; initial hidden and cell state
+    zero. Each direction has its own W (d x 4u), U (u x 4u) and b, gate
+    order i, f, g, o.
     """
 
     def __init__(self, d_in: int, units: int, rng: np.random.Generator, name: str):
@@ -51,18 +60,24 @@ class BiLstm:
              Parameter(Tensor(np.zeros(4 * units)), f"{name}.{d}.b")]
             for d in ("fwd", "bwd")]
 
+    @property
+    def out_dim(self) -> int:
+        return 2 * self.directions[0][1].data.shape[0]
+
     def params(self) -> list[Parameter]:
         return self.directions[0] + self.directions[1]
 
-    def __call__(self, x: Tensor) -> Tensor:
+    def __call__(self, x: Tensor, lengths=None) -> Tensor:
         fwd, bwd = ([p.tensor for p in ps] for ps in self.directions)
-        return concat([lstm(x, *fwd), lstm(x, *bwd, reverse=True)], axis=1)
+        return concat([lstm(x, *fwd, lengths=lengths),
+                       lstm(x, *bwd, reverse=True, lengths=lengths)], axis=-1)
 
 
 class ConvPool:
     """Multi-kernel valid convolution with ReLU, max-pooled over time.
 
-    Produces a 1 x (len(kernel_sizes) * filters) row vector.
+    Produces one row of len(kernel_sizes) * filters values per sequence:
+    B x out_dim (1 x out_dim for a T x d sequence).
     """
 
     def __init__(self, d_in: int, kernel_sizes: tuple[int, ...], filters: int,
@@ -86,5 +101,6 @@ class ConvPool:
             out.extend([K, b])
         return out
 
-    def __call__(self, x: Tensor) -> Tensor:
-        return conv_pool(x, [K.tensor for K in self.kernels], [b.tensor for b in self.biases])
+    def __call__(self, x: Tensor, lengths=None) -> Tensor:
+        return conv_pool(x, [K.tensor for K in self.kernels], [b.tensor for b in self.biases],
+                         lengths)

@@ -11,6 +11,13 @@ into per-class sigmoid outputs. On top of that trunk:
 * a multi-head model with one shared trunk and two output heads,
 * a cross-stitch model with two parallel trunks whose pooled vectors are
   mixed by a trainable 2x2 matrix.
+
+A forward pass takes a whole minibatch: a zero-padded B x T_max x d
+embedding array and the length of each example, or one T x d example as a
+batch of one. Training builds one graph per minibatch and prediction scores
+``minibatch_size`` examples per pass. The losses, gradients and predictions
+are bitwise those of one graph per example (see ``autodiff``); dropout masks
+are drawn in the order such a per-example loop draws them.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, concat, dropout
+from .autodiff import Parameter, Tensor, concat, dropout, stitch
 from .corpus import COMPONENTS
 from .errors import ConfigError, DataError, DimensionError
 from .fileio import write_text
@@ -180,7 +187,7 @@ def default_config(tag: str, domain: str, overrides: dict | None = None) -> Mode
 
 class _Trunk:
     """BiLSTM -> multi-kernel CNN -> max-over-time pooling, with dropout
-    after the BiLSTM and after the pooled vector."""
+    after the BiLSTM (per token) and after the pooled vector."""
 
     def __init__(self, d_in: int, units: int, filters: int,
                  kernel_sizes: tuple[int, ...], rng, name: str):
@@ -191,12 +198,62 @@ class _Trunk:
     def out_dim(self) -> int:
         return self.convpool.out_dim
 
+    @property
+    def dropout_sites(self) -> list[tuple[int, bool]]:
+        return [(self.bilstm.out_dim, True), (self.out_dim, False)]
+
     def params(self) -> list[Parameter]:
         return self.bilstm.params() + self.convpool.params()
 
-    def __call__(self, x: Tensor, rate: float, training: bool, rng) -> Tensor:
-        h = dropout(self.bilstm(x), rate, training, rng)
-        return dropout(self.convpool(h), rate, training, rng)
+    def __call__(self, x: Tensor, lengths: list[int], drop) -> Tensor:
+        h = drop(self.bilstm(x, lengths))
+        return drop(self.convpool(h, lengths))
+
+
+def _sites(*layers) -> list[tuple[int, bool]]:
+    """(width, per token) of the dropout after each of ``layers`` in forward
+    order; a trunk drops out twice."""
+    out = []
+    for layer in layers:
+        out += layer.dropout_sites if isinstance(layer, _Trunk) else [(layer.out_dim, False)]
+    return out
+
+
+class _ExampleOrderDraws:
+    """The uniforms behind one batched forward pass's dropout masks, drawn
+    from ``rng`` as one forward pass per example would draw them: example by
+    example and, within an example, site by site in forward order.
+    ``dropout`` takes it as its generator and gets the next site's draws,
+    zero past each length, per call."""
+
+    def __init__(self, rng: np.random.Generator, lengths: list[int],
+                 sites: list[tuple[int, bool]]):
+        batch, longest = len(lengths), max(lengths)
+        self._draws = [np.zeros((batch, longest, w) if per_token else (batch, w))
+                       for w, per_token in sites]
+        for k, n in enumerate(lengths):
+            for draws in self._draws:
+                row = draws[k, :n] if draws.ndim == 3 else draws[k]
+                row[...] = rng.random(row.shape)
+        self._next = iter(self._draws)
+
+    def random(self, shape: tuple) -> np.ndarray:
+        draws = next(self._next)
+        if draws.shape != shape:
+            raise DimensionError(f"dropout site of shape {shape}, expected {draws.shape}")
+        return draws
+
+
+def _per_example_bce(p: Tensor, y, pos_weight: float) -> Tensor:
+    return weighted_bce(p, Tensor(np.asarray(y, dtype=float).reshape(p.data.shape)),
+                        pos_weight, per_row=True)
+
+
+def _as_batch(x: Tensor, lengths) -> tuple[Tensor, list[int]]:
+    """A T x d example as a batch of one; a batch without lengths is full."""
+    if x.data.ndim == 2:
+        return Tensor(x.data[None]), [x.data.shape[0]]
+    return x, [x.data.shape[1]] * x.data.shape[0] if lengths is None else list(lengths)
 
 
 class NeuralModel:
@@ -223,27 +280,38 @@ class NeuralModel:
         return out
 
     def forward(self, x: Tensor, training: bool = False, rng=None,
-                cpm=None) -> dict[str, Tensor]:
-        """Outputs per head; ``cpm`` holds the gold component flags, which
-        only the gold-injection model reads."""
+                cpm=None, lengths=None) -> dict[str, Tensor]:
+        """Outputs per head, one row per example. ``x`` is a zero-padded
+        B x T_max x d batch with ``lengths``, or one T x d example (a batch
+        of one); ``cpm`` holds the gold component flags (B x 5, or 5 for
+        one example), which only the gold-injection model reads."""
         raise NotImplementedError
 
+    def _dropout(self, training: bool, rng, lengths: list[int], sites):
+        """The dropout of one forward pass with dropout ``sites``."""
+        rate = self.config.dropout_rate
+        if training and rate > 0.0 and rng is not None:
+            rng = _ExampleOrderDraws(rng, lengths, sites)
+        return lambda t: dropout(t, rate, training, rng)
+
     def loss(self, outputs: dict[str, Tensor], y_emo=None, y_cpm=None) -> Tensor:
+        """Mean loss over the batch: each example's task-weighted losses,
+        added example by example, times 1/B. Targets have one row per
+        example (or are one example's flat vector)."""
         cfg = self.config
         terms = []
         if self.has_emo:
             if y_emo is None:
                 raise DataError("emotion targets required")
-            terms.append(cfg.task_weight_emo * weighted_bce(
-                outputs["emo"], Tensor(np.asarray(y_emo, dtype=float).reshape(1, -1)),
-                cfg.loss_weight_emo))
+            terms.append(cfg.task_weight_emo * _per_example_bce(
+                outputs["emo"], y_emo, cfg.loss_weight_emo))
         if self.has_cpm:
             if y_cpm is None:
                 raise DataError("component targets required")
-            terms.append(cfg.task_weight_cpm * weighted_bce(
-                outputs["cpm"], Tensor(np.asarray(y_cpm, dtype=float).reshape(1, -1)),
-                cfg.loss_weight_cpm))
-        return sum(terms[1:], terms[0])
+            terms.append(cfg.task_weight_cpm * _per_example_bce(
+                outputs["cpm"], y_cpm, cfg.loss_weight_cpm))
+        per_example = sum(terms[1:], terms[0])
+        return per_example.sum() * (1.0 / per_example.data.shape[0])
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {p.name: p.data.copy() for p in self.params()}
@@ -287,10 +355,11 @@ class SingleTaskModel(NeuralModel):
         self.fc = Dense(self.trunk.out_dim, fc, rng, f"{head}.fc", activation="relu")
         self.out = Dense(fc, n_out, rng, f"{head}.out", activation="sigmoid")
 
-    def forward(self, x: Tensor, training: bool = False, rng=None, cpm=None) -> dict[str, Tensor]:
-        rate = self.config.dropout_rate
-        pooled = self.trunk(x, rate, training, rng)
-        hidden = dropout(self.fc(pooled), rate, training, rng)
+    def forward(self, x: Tensor, training: bool = False, rng=None, cpm=None,
+                lengths=None) -> dict[str, Tensor]:
+        x, lengths = _as_batch(x, lengths)
+        drop = self._dropout(training, rng, lengths, _sites(self.trunk, self.fc))
+        hidden = drop(self.fc(self.trunk(x, lengths, drop)))
         return {self.head: self.out(hidden)}
 
 
@@ -325,23 +394,26 @@ class CpmInjectModel(NeuralModel):
             for p in frozen_cpm.params():
                 p.frozen = True
 
-    def forward(self, x: Tensor, training: bool = False, rng=None, cpm=None) -> dict[str, Tensor]:
+    def forward(self, x: Tensor, training: bool = False, rng=None, cpm=None,
+                lengths=None) -> dict[str, Tensor]:
+        x, lengths = _as_batch(x, lengths)
         if self.frozen_cpm is not None:
-            cpm = self.frozen_cpm.forward(x)["cpm"].data
+            cpm = self.frozen_cpm.forward(x, lengths=lengths)["cpm"].data
         if cpm is None:
             raise DataError("emo-cpm-nn-gold requires a component input vector")
-        cpm = np.asarray(cpm, dtype=float).reshape(-1)
-        if cpm.shape[0] != N_COMPONENTS:
-            raise DimensionError(f"component vector must have 5 entries, got {cpm.shape[0]}")
-        cpm_row = Tensor(cpm.reshape(1, -1))
-        rate = self.config.dropout_rate
-        pooled = self.trunk(x, rate, training, rng)
-        pen = dropout(self.fc(pooled), rate, training, rng)
-        branch = dropout(self.cpm_branch(cpm_row), rate, training, rng)
-        combined = dropout(self.combiner(concat([pen, branch], axis=1)), rate, training, rng)
+        cpm = np.asarray(cpm, dtype=float)
+        if cpm.size != len(lengths) * N_COMPONENTS:
+            raise DimensionError(f"component vectors must have 5 entries each, got shape {cpm.shape} "
+                                 f"for {len(lengths)} example(s)")
+        cpm_rows = Tensor(cpm.reshape(len(lengths), N_COMPONENTS))
+        drop = self._dropout(training, rng, lengths,
+                             _sites(self.trunk, self.fc, self.cpm_branch, self.combiner))
+        pen = drop(self.fc(self.trunk(x, lengths, drop)))
+        branch = drop(self.cpm_branch(cpm_rows))
+        combined = drop(self.combiner(concat([pen, branch], axis=1)))
         out = {"emo": self.out(combined)}
         if self.frozen_cpm is not None:
-            out["cpm"] = cpm_row
+            out["cpm"] = cpm_rows
         return out
 
 
@@ -365,11 +437,13 @@ class MtlMultiHead(NeuralModel):
         self.fc_cpm = Dense(self.trunk.out_dim, config.fc_neurons_cpm, rng, "cpm.fc", "relu")
         self.out_cpm = Dense(config.fc_neurons_cpm, N_COMPONENTS, rng, "cpm.out", "sigmoid")
 
-    def forward(self, x: Tensor, training: bool = False, rng=None, cpm=None) -> dict[str, Tensor]:
-        rate = self.config.dropout_rate
-        pooled = self.trunk(x, rate, training, rng)
-        he = dropout(self.fc_emo(pooled), rate, training, rng)
-        hc = dropout(self.fc_cpm(pooled), rate, training, rng)
+    def forward(self, x: Tensor, training: bool = False, rng=None, cpm=None,
+                lengths=None) -> dict[str, Tensor]:
+        x, lengths = _as_batch(x, lengths)
+        drop = self._dropout(training, rng, lengths, _sites(self.trunk, self.fc_emo, self.fc_cpm))
+        pooled = self.trunk(x, lengths, drop)
+        he = drop(self.fc_emo(pooled))
+        hc = drop(self.fc_cpm(pooled))
         return {"emo": self.out_emo(he), "cpm": self.out_cpm(hc)}
 
 
@@ -415,25 +489,19 @@ class MtlCrossStitch(NeuralModel):
             ident = np.repeat(ident[:, :, None], self.width, axis=2)
         self.alpha.data[...] = ident
 
-    def _mix(self, pe: Tensor, pc: Tensor) -> tuple[Tensor, Tensor]:
-        a = self.alpha.tensor
-        if self.config.per_channel_stitch:
-            a00, a01, a10, a11 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
-        else:
-            a00, a01 = a[0:1, 0:1], a[0:1, 1:2]
-            a10, a11 = a[1:2, 0:1], a[1:2, 1:2]
-        return a00 * pe + a01 * pc, a10 * pe + a11 * pc
-
-    def forward(self, x: Tensor, training: bool = False, rng=None, cpm=None) -> dict[str, Tensor]:
-        rate = self.config.dropout_rate
-        pe = self.trunk_emo(x, rate, training, rng)
-        pc = self.trunk_cpm(x, rate, training, rng)
+    def forward(self, x: Tensor, training: bool = False, rng=None, cpm=None,
+                lengths=None) -> dict[str, Tensor]:
+        x, lengths = _as_batch(x, lengths)
+        drop = self._dropout(training, rng, lengths,
+                             _sites(self.trunk_emo, self.trunk_cpm, self.fc_emo, self.fc_cpm))
+        pe = self.trunk_emo(x, lengths, drop)
+        pc = self.trunk_cpm(x, lengths, drop)
         if self.proj_emo is not None:
             pe = self.proj_emo(pe)
             pc = self.proj_cpm(pc)
-        me, mc = self._mix(pe, pc)
-        he = dropout(self.fc_emo(me), rate, training, rng)
-        hc = dropout(self.fc_cpm(mc), rate, training, rng)
+        a = self.alpha.tensor
+        he = drop(self.fc_emo(stitch(a, 0, pe, pc)))
+        hc = drop(self.fc_cpm(stitch(a, 1, pe, pc)))
         return {"emo": self.out_emo(he), "cpm": self.out_cpm(hc)}
 
 
@@ -483,35 +551,62 @@ class TrainingLog:
         return out
 
 
-def _batch_loss(model: NeuralModel, batch: list[Example], training: bool, rng) -> Tensor:
-    losses = [model.loss(model.forward(Tensor(ex.x), training, rng, cpm=ex.y_cpm),
-                         ex.y_emo, ex.y_cpm) for ex in batch]
-    return sum(losses[1:], losses[0]) * (1.0 / len(batch))
+def _pad(batch: list[Example]) -> tuple[Tensor, list[int]]:
+    """The batch's embeddings as a zero-padded B x T_max x d array, and the
+    length of each example."""
+    lengths = [len(ex.x) for ex in batch]
+    x = np.zeros((len(batch), max(lengths), batch[0].x.shape[1]))
+    for row, ex in zip(x, batch):
+        row[:len(ex.x)] = ex.x
+    return Tensor(x), lengths
+
+
+def _stack(batch: list[Example], field_name: str) -> np.ndarray | None:
+    """One row per example of a target field; None when an example lacks it."""
+    values = [getattr(ex, field_name) for ex in batch]
+    return None if any(v is None for v in values) else np.stack(values)
+
+
+def _decide(model: NeuralModel, out: dict[str, Tensor],
+            mode: str) -> list[tuple[set[str], np.ndarray | None]]:
+    """The decision rule for each row of a forward pass's outputs: argmax
+    for single-label, threshold 0.5 for multi-label (empty sets map to the
+    neutral class when the inventory has one), plus the component
+    probabilities when the model outputs them."""
+    rows = []
+    for r in range(len(next(iter(out.values())).data)):
+        cpm_probs = out["cpm"].data[r] if "cpm" in out else None
+        if not model.has_emo:
+            rows.append((set(), cpm_probs))
+            continue
+        probs = out["emo"].data[r]
+        if mode == "single-label":
+            labels = {model.emo_labels[int(np.argmax(probs))]}
+        else:
+            labels = {l for l, p in zip(model.emo_labels, probs) if p > 0.5}
+            if not labels and "neutral" in model.emo_labels:
+                labels = {"neutral"}
+        rows.append((labels, cpm_probs))
+    return rows
 
 
 def predict_example(model: NeuralModel, ex: Example, mode: str) -> tuple[set[str], np.ndarray | None]:
-    """Decision rule: argmax for single-label, threshold 0.5 for multi-label
-    (empty sets map to the neutral class when the inventory has one)."""
-    out = model.forward(Tensor(ex.x), cpm=ex.y_cpm)
-    cpm_probs = out["cpm"].data.reshape(-1) if "cpm" in out else None
-    if not model.has_emo:
-        return set(), cpm_probs
-    probs = out["emo"].data.reshape(-1)
-    if mode == "single-label":
-        labels = {model.emo_labels[int(np.argmax(probs))]}
-    else:
-        labels = {l for l, p in zip(model.emo_labels, probs) if p > 0.5}
-        if not labels and "neutral" in model.emo_labels:
-            labels = {"neutral"}
-    return labels, cpm_probs
+    """One example's labels and component probabilities under ``_decide``'s rule."""
+    return _decide(model, model.forward(Tensor(ex.x), cpm=ex.y_cpm), mode)[0]
 
 
 def predict_examples(model: NeuralModel, examples: list[Example],
                      mode: str) -> tuple[list[set[str]] | None, list[set[str]] | None]:
     """The emotion label sets and the component label sets of ``examples``
-    under :func:`predict_example`'s decision rule (a component is predicted
-    above 0.5); each list is None when the model has no output for that task."""
-    pairs = [predict_example(model, ex, mode) for ex in examples]
+    under ``_decide``'s rule (a component is predicted above 0.5); each list
+    is None when the model has no output for that task. Each forward pass
+    scores ``minibatch_size`` examples, with the same results as one
+    example at a time."""
+    pairs = []
+    for start in range(0, len(examples), model.config.minibatch_size):
+        batch = examples[start:start + model.config.minibatch_size]
+        x, lengths = _pad(batch)
+        pairs += _decide(model, model.forward(x, cpm=_stack(batch, "y_cpm"), lengths=lengths), mode)
     emotions = [labels for labels, _ in pairs] if model.has_emo else None
     components = (None if any(probs is None for _, probs in pairs)
                   else [{c for c, p in zip(COMPONENTS, probs) if p > 0.5} for _, probs in pairs])
@@ -531,9 +626,10 @@ def evaluate_examples(model: NeuralModel, examples: list[Example], mode: str) ->
 
 def train_model(model: NeuralModel, train: list[Example], mode: str,
                 dev: list[Example] | None = None) -> TrainingLog:
-    """Minibatch Adam training; with a dev set, the best-dev-macro-F1
-    parameters are restored at the end. Deterministic under a fixed seed.
-    A non-finite loss or gradient stops training before the update."""
+    """Minibatch Adam training, one graph per minibatch; with a dev set, the
+    best-dev-macro-F1 parameters are restored at the end. Deterministic under
+    a fixed seed. A non-finite loss or gradient stops training before the
+    update."""
     if not train:
         raise DataError("empty training split")
     cfg = model.config
@@ -549,9 +645,11 @@ def train_model(model: NeuralModel, train: list[Example], mode: str,
         n_batches = 0
         for start in range(0, n, cfg.minibatch_size):
             batch = [train[i] for i in order[start:start + cfg.minibatch_size]]
+            x, lengths = _pad(batch)
             # a diverging step overflows; the check below reports it, not numpy
             with np.errstate(over="ignore", invalid="ignore"):
-                loss = _batch_loss(model, batch, training=True, rng=drop_rng)
+                out = model.forward(x, True, drop_rng, cpm=_stack(batch, "y_cpm"), lengths=lengths)
+                loss = model.loss(out, _stack(batch, "y_emo"), _stack(batch, "y_cpm"))
                 loss.backward()
             finite = np.isfinite(loss.item()) and all(np.isfinite(p.grad).all() for p in opt.params)
             if not finite:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emocomp.autodiff import (Parameter, Tensor, concat, conv_pool, dropout,
-                              lstm, xavier_uniform)
+                              lstm, stitch, xavier_uniform)
 from emocomp.errors import ConfigError, DimensionError
 from emocomp.gradcheck import gradient_check
 
@@ -50,10 +50,6 @@ class TestElementwiseGradients:
         with pytest.raises(DimensionError):
             Tensor(np.ones((2, 3))).matmul(Tensor(np.ones((2, 3))))
 
-    def test_getitem(self, rng):
-        x = Tensor(rng.standard_normal((5, 4)))
-        check(lambda: (x[1:3, :2] * x[1:3, :2]).sum(), [x])
-
     def test_shared_node_accumulates(self, rng):
         # y = x used twice: d/dx (x*x + x) = 2x + 1
         x = Tensor(np.array([[2.0]]))
@@ -62,6 +58,15 @@ class TestElementwiseGradients:
     def test_sum(self, rng):
         x = Tensor(rng.standard_normal((3, 7)))
         check(lambda: x.sum() * 0.5 + x.sum() * x.sum(), [x])
+
+    def test_sum_and_bias_gradient_add_in_order(self):
+        # one term at a time, 1 + 1e-16 rounds back to 1; numpy's pairwise
+        # sum adds the small terms up first and lands above 1
+        terms = np.array([1.0] + [1e-16] * 15)
+        assert Tensor(terms).sum().item() == 1.0
+        b = Tensor(np.zeros(1), requires_grad=True)
+        (Tensor(np.zeros((16, 1))) + b).backward(terms[:, None])
+        assert b.grad[0] == 1.0
 
 
 class TestStructuralOps:
@@ -117,6 +122,16 @@ def _tanh(a: Tensor) -> Tensor:
     return Tensor(out, _parents=(a,), _backward=lambda g: (g * (1.0 - out ** 2),))
 
 
+def _part(a: Tensor, key) -> Tensor:
+    """``a.data[key]`` as a test-local tape node, for the composed cell."""
+    def bwd(g):
+        full = np.zeros_like(a.data)
+        full[key] = g
+        return (full,)
+
+    return Tensor(a.data[key], _parents=(a,), _backward=bwd)
+
+
 def lstm_reference(x, W, U, b, reverse=False):
     """The per-timestep LSTM that ``lstm`` replaced: one cell step of Tensor
     ops per row, rows sliced out of x and concatenated back."""
@@ -124,11 +139,11 @@ def lstm_reference(x, W, U, b, reverse=False):
     h = c = Tensor(np.zeros((1, u)))
     rows = [None] * T
     for t in (reversed(range(T)) if reverse else range(T)):
-        z = (x[t:t + 1, :].matmul(W) + b) + h.matmul(U)
-        i = z[:, 0 * u:1 * u].sigmoid()
-        f = z[:, 1 * u:2 * u].sigmoid()
-        g = _tanh(z[:, 2 * u:3 * u])
-        o = z[:, 3 * u:4 * u].sigmoid()
+        z = (_part(x, np.s_[t:t + 1, :]).matmul(W) + b) + h.matmul(U)
+        i = _part(z, np.s_[:, 0 * u:1 * u]).sigmoid()
+        f = _part(z, np.s_[:, 1 * u:2 * u]).sigmoid()
+        g = _tanh(_part(z, np.s_[:, 2 * u:3 * u]))
+        o = _part(z, np.s_[:, 3 * u:4 * u]).sigmoid()
         c = f * c + i * g
         h = o * _tanh(c)
         rows[t] = h
@@ -209,6 +224,117 @@ class TestFusedOps:
     def test_conv_pool_channel_mismatch(self):
         with pytest.raises(DimensionError):
             conv_pool(Tensor(np.ones((3, 2))), [Tensor(np.ones((2, 3, 4)))], [Tensor(np.zeros(4))])
+
+
+def padded(seqs):
+    """Zero-padded B x T_max x d batch of ``seqs``, and their lengths."""
+    lengths = [len(s) for s in seqs]
+    x = np.zeros((len(seqs), max(lengths), seqs[0].shape[1]))
+    for row, s in zip(x, seqs):
+        row[:len(s)] = s
+    return x, lengths
+
+
+def fold(parts):
+    """Sum in order, one part at a time."""
+    total = parts[0]
+    for part in parts[1:]:
+        total = total + part
+    return total
+
+
+def one_at_a_time(op, seqs, params, grads_out):
+    """Output, input gradient and parameter gradients of ``op`` on each
+    sequence alone."""
+    results = []
+    for seq, g in zip(seqs, grads_out):
+        x = Tensor(seq, requires_grad=True)
+        for p in params:
+            p.grad = None
+        out = op(x)
+        out.backward(g)
+        results.append((out.data, x.grad, [p.grad for p in params]))
+    return results
+
+
+# lengths of ragged batches; with kernels of 4 and 2 rows, 1 is shorter
+# than both, 3 pads the first kernel only and 7 is longer than both
+RAGGED = [(1, 3, 7), (4, 4, 4), (7, 1)]
+
+
+class TestBatchedOps:
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("lengths", RAGGED, ids=str)
+    def test_lstm_gradient(self, lengths, reverse, rng):
+        x, lengths = padded([rng.standard_normal((n, 3)) for n in lengths])
+        x = Tensor(x)
+        W, U, b = lstm_params(rng)
+        w = rng.standard_normal(x.shape[:2] + (2,))
+        check(lambda: (lstm(x, W, U, b, reverse, lengths) * w).sum(), [x, W, U, b])
+
+    @pytest.mark.parametrize("lengths", RAGGED, ids=str)
+    def test_conv_pool_gradient(self, lengths, rng):
+        x, lengths = padded([rng.standard_normal((n, 3)) for n in lengths])
+        x = Tensor(x)
+        kernels = [Tensor(rng.standard_normal((k, 3, 2))) for k in (4, 2)]
+        biases = [Tensor(rng.standard_normal(2) + 1.0) for _ in kernels]
+        w = rng.standard_normal((len(lengths), 4))
+        check(lambda: (conv_pool(x, kernels, biases, lengths) * w).sum(), [x, *kernels, *biases])
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+    def test_lstm_batch_is_bitwise_one_at_a_time(self, reverse, rng):
+        # the emo-nn-base sizes: 64-dimensional embeddings, 24 units
+        seqs = [rng.standard_normal((n, 64)) for n in (1, 30, 7, 40, 2, 7)]
+        params = [Tensor(rng.standard_normal(shape) * 0.3, requires_grad=True)
+                  for shape in ((64, 96), (24, 96), (96,))]
+        grads_out = [rng.standard_normal((len(s), 24)) for s in seqs]
+        alone = one_at_a_time(lambda x: lstm(x, *params, reverse), seqs, params, grads_out)
+        x, lengths = padded(seqs)
+        x = Tensor(x, requires_grad=True)
+        for p in params:
+            p.grad = None
+        out = lstm(x, *params, reverse, lengths)
+        out.backward(padded(grads_out)[0])
+        for k, (n, (want_out, want_dx, _)) in enumerate(zip(lengths, alone)):
+            assert np.array_equal(out.data[k, :n], want_out) and not out.data[k, n:].any()
+            assert np.array_equal(x.grad[k, :n], want_dx) and not x.grad[k, n:].any()
+        for j, p in enumerate(params):
+            assert np.array_equal(p.grad, fold([grads[j] for _, _, grads in alone]))
+
+    def test_conv_pool_batch_is_bitwise_one_at_a_time(self, rng):
+        seqs = [rng.standard_normal((n, 48)) for n in (1, 30, 7, 40, 2, 25, 24)]
+        kernels = [Tensor(rng.standard_normal((k, 48, 10)), requires_grad=True)
+                   for k in (2, 3, 5, 7, 13, 25)]
+        biases = [Tensor(rng.standard_normal(10), requires_grad=True) for _ in kernels]
+        params = kernels + biases
+        grads_out = [rng.standard_normal((1, 60)) for _ in seqs]
+        alone = one_at_a_time(lambda x: conv_pool(x, kernels, biases), seqs, params, grads_out)
+        x, lengths = padded(seqs)
+        x = Tensor(x, requires_grad=True)
+        for p in params:
+            p.grad = None
+        out = conv_pool(x, kernels, biases, lengths)
+        out.backward(np.concatenate(grads_out))
+        assert np.array_equal(out.data, np.concatenate([want for want, _, _ in alone]))
+        for k, (n, (_, want_dx, _)) in enumerate(zip(lengths, alone)):
+            assert np.array_equal(x.grad[k, :n], want_dx) and not x.grad[k, n:].any()
+        for j, p in enumerate(params):
+            assert np.array_equal(p.grad, fold([grads[j] for _, _, grads in alone]))
+
+    @pytest.mark.parametrize("alpha_shape", [(2, 2), (2, 2, 4)], ids=["pair", "channel"])
+    def test_stitch_gradient(self, alpha_shape, rng):
+        alpha = Tensor(rng.standard_normal(alpha_shape))
+        a, b = Tensor(rng.standard_normal((3, 4))), Tensor(rng.standard_normal((3, 4)))
+        w = rng.standard_normal((2, 3, 4))
+        check(lambda: (stitch(alpha, 0, a, b) * w[0] + stitch(alpha, 1, a, b) * w[1]).sum(),
+              [alpha, a, b])
+
+    def test_lengths_must_fit(self, rng):
+        W, U, b = lstm_params(rng)
+        x = Tensor(np.zeros((2, 3, 3)))
+        for lengths in ([3, 4], [0, 2], [3]):
+            with pytest.raises(DimensionError):
+                lstm(x, W, U, b, lengths=lengths)
 
 
 class TestDropout:

@@ -79,6 +79,31 @@ class TestExitCodes:
         bad.write_text('{"id": "x", "text": "t", "emotions": ["joy"], "cpm": [9], "domain": "tec"}\n')
         assert run(["stats", bad, "--out", tmp_path]) == 2
 
+    @pytest.mark.parametrize("field,value,line", [
+        ("text", 5, 1),
+        ("emotions", 3, 1),
+        ("emotions", None, 1),
+        ("emotions", [["joy"]], 1),
+        ("cpm", None, 1),
+        ("header", {"inventory": 6}, 1),
+        ("header", ["mode", "single-label"], 1),
+    ], ids=["text-number", "emotions-number", "emotions-null", "emotions-nested",
+            "cpm-null", "header-inventory-number", "header-array"])
+    def test_malformed_record_is_data_error(self, field, value, line, tmp_path, tec_path,
+                                            capsys):
+        # the first record of the bundled corpus edited, or a header put before it
+        lines = tec_path.read_text(encoding="utf-8").splitlines()
+        if field == "header":
+            lines.insert(0, json.dumps(value))
+        else:
+            record = json.loads(lines[0])
+            record[field] = value
+            lines[0] = json.dumps(record)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(["stats", bad, "--out", tmp_path]) == 2
+        assert f"line {line}:" in capsys.readouterr().err
+
     def test_unknown_verb_is_usage_error(self, capsys):
         assert run(["transmogrify"]) == 1
 

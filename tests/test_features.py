@@ -187,3 +187,17 @@ class TestHashedEmbeddings:
     def test_empty_text_gets_placeholder_row(self):
         out = resolve_token_embeddings([_Inst("e", "")], str.split, fallback_dim=4)
         assert out["e"].shape == (1, 4)
+
+    def test_resolve_hashes_each_distinct_token_once(self, monkeypatch):
+        import emocomp.features as features
+        calls = []
+        original = features.hashed_token_embedding
+        monkeypatch.setattr(features, "hashed_token_embedding",
+                            lambda t, d, s: calls.append(t) or original(t, d, s))
+        texts = {"a": "the cat saw the dog", "b": "the dog", "c": ""}
+        out = resolve_token_embeddings([_Inst(i, t) for i, t in texts.items()], str.split,
+                                       fallback_dim=4, seed=3)
+        assert sorted(calls) == ["<empty>", "cat", "dog", "saw", "the"]
+        for inst_id, text in texts.items():
+            want = [original(t, 4, 3) for t in text.split() or ["<empty>"]]
+            np.testing.assert_array_equal(out[inst_id], np.stack(want))

@@ -5,6 +5,11 @@ The files under ``tests/golden/nn/`` hold the outputs of the CLI calls in
 epochs with seed 4, on the bundled TEC-style corpus and on the first 300
 records of the bundled REMAN-style corpus. A refactor of the autodiff
 engine, the layers or the training loop must reproduce them byte for byte.
+``TRAINED`` pins the trained parameters and the loss curve of each case as
+well: the sha256 of its ``checkpoint.json``, and of its ``training_log.txt``
+without the timestamp line. Both were recorded with the per-example training
+loop, before minibatches ran as one padded batch, so they also prove that
+batching changed no bit of training.
 
 ``v1/`` holds two version-1 checkpoints written once from ``v1/corpus.jsonl``
 with ``v1/nn.cfg`` (small layers, 8-dimensional hashed embeddings):
@@ -24,6 +29,7 @@ Regenerate the rest (only when a behaviour change is intended, and say why):
 
 from __future__ import annotations
 
+import hashlib
 import sys
 import tempfile
 from pathlib import Path
@@ -43,6 +49,34 @@ OUTPUTS = ("metrics_test.json", "predictions.tsv")
 SEED = "4"
 
 CASES = [f"{corpus}/{tag}" for corpus in ("tec", "reman") for tag in NN_TAGS]
+
+# sha256 of checkpoint.json and of training_log.txt without its timestamp line
+TRAINED = {
+    "tec/emo-nn-base": ("22978f6fc1aa6fbcde4fba139bf8f3910b5d66e04251f5b6236af63e18bad553",
+                       "3951b6f9033026dbc86570f934250633b481762baac224b8d6774c24efec3af9"),
+    "tec/cpm-nn-base": ("5d5d4556e8bcd0fd37c65afa2a2bbb0881b786de45320404431e865c780d8de7",
+                       "a923eb20625839ea9111ed8e5d0d1cd5a872b4a292b334b26ba20b359c97677c"),
+    "tec/emo-cpm-nn-gold": ("f54cbe2362cdf8158a49e0387848a5f43d5ec340bdfda0aa7a8a8d906c3b16b2",
+                           "91ec71abea75857939ec55bbf250730c1728f03eebb6510a1fb6b1d3c1692de8"),
+    "tec/emo-cpm-nn-pred": ("f57c39e38860fb554723ce88a056dd5222f5bd90b93b1e4bce2e85643e7ec2db",
+                           "bc757dbd8e4bea27fd7ec032a36bbeca96b70ea1e8a5c9c7c89eab15244b53a8"),
+    "tec/mtl-mh": ("4bb0d11d83eae20c9e22bbdaa433a97624aba17b60ac938f5fb3fc3b3519d09f",
+                  "51ff1b5c1f5441391de32db43459c6e6cfee110ef48572078647ae4ea7743b79"),
+    "tec/mtl-xs": ("fc361aeb023e63bdb79cd75aaa1cb9640067902b9fcc6cdcbc4e93cdcf2de6c0",
+                  "83ba32224b33d23c3b530a5c74d847b182ade95dedea6b6934250bd53345ea13"),
+    "reman/emo-nn-base": ("a5bd98656a79d8a3c5363673657fd7822d3440b62ff3a6c7f4cc25e84c1f599e",
+                         "305305995f23ef4995ce21a31dcd0aeb60a0b879db827e2a4edd2a6034a36164"),
+    "reman/cpm-nn-base": ("d76bb989a5f688497784bf0c5bbdfa4f7abe5f4d8bb0bff07057b2780a6a7fef",
+                         "d3500677fc1eb4e601de7967b95c12f3e57e70f3f6bda35ac9a31f134140a09d"),
+    "reman/emo-cpm-nn-gold": ("52757ffcd954712bfd50ad8395f14083383ec5b8d309a28ffd36e4166d7f9524",
+                             "7a238c194f9a1b7dd1331b49f2c722fd6901dbdb31f6f2f22d50bf6bce2de838"),
+    "reman/emo-cpm-nn-pred": ("57aa29f084adc37bd88ebcd375fe396b9eea36921f0d07ae15421762b2070152",
+                             "784133532dade52e83612266db51e7b4623d3651744e74d2302d56d1c8bf429e"),
+    "reman/mtl-mh": ("175fc67cd3c1b07831a750f20ca190275224fda237d6e2f9ac66b32664b93581",
+                    "569911b5803aaecd745a05b3def4590b1289d427e69f3ea07d452675fa47e3df"),
+    "reman/mtl-xs": ("700fa11593642d6421eb1179fdef6ce91a733e6a49bec18b09a4d35bdf1bcc84",
+                    "5b9a17ac80340f9180c72e7fc61e829b7b5baec347949ed54aa95e3216cc3f89"),
+}
 
 
 def corpus_path(corpus: str, corpora: Path) -> Path:
@@ -83,6 +117,11 @@ def test_matches_golden(name, corpora, tmp_path, capsys):
         got = (tmp_path / name / fname).read_bytes()
         want = (GOLDEN / name / fname).read_bytes()
         assert got == want, f"{name}/{fname} differs from the golden snapshot"
+    log = (tmp_path / name / "training_log.txt").read_text(encoding="utf-8").splitlines(keepends=True)
+    untimed = "".join(line for line in log if not line.startswith("# run completed "))
+    digests = (hashlib.sha256((tmp_path / name / "checkpoint.json").read_bytes()).hexdigest(),
+               hashlib.sha256(untimed.encode("utf-8")).hexdigest())
+    assert digests == TRAINED[name], f"{name}: trained parameters or training log changed"
 
 
 @pytest.mark.parametrize("tag", V1_TAGS)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from emocomp.autodiff import Tensor
+from emocomp.corpus import COMPONENTS
 from emocomp.errors import ConfigError, DataError, DimensionError
 from emocomp.gradcheck import gradient_check
-from emocomp.nn import (CONFIG_DEFAULTS, Example, ModelConfig, MtlCrossStitch,
+from emocomp.nn import (CONFIG_DEFAULTS, NN_TAGS, Example, ModelConfig, MtlCrossStitch,
                         MtlMultiHead, SingleTaskModel, build_model,
                         default_config, load_checkpoint, predict_example,
-                        save_checkpoint, train_model)
+                        predict_examples, save_checkpoint, train_model)
 
 LABELS = ("joy", "anger", "fear")
 
@@ -146,6 +147,80 @@ class TestGradients:
         tensors = [p.tensor for p in model.params()]
         report = gradient_check(lambda: model_loss(model, ex), tensors)
         assert report.max_rel_error < 1e-4, report
+
+
+def ragged_examples(rng, lengths=(1, 4, 2, 7, 3, 9, 5, 1, 8, 6), d=4):
+    """Examples of the given lengths; with kernels of 2 and 3 rows a length
+    of 1 or 2 is padded, the others fit both. Ten of them, so that a sum
+    over the examples that numpy pairs up (it does from eight terms) shows."""
+    out = toy_examples(len(lengths), rng, d=d)
+    return [Example(ex.id, rng.standard_normal((n, d)), ex.y_emo, ex.y_cpm)
+            for ex, n in zip(out, lengths)]
+
+
+def padded_batch(examples):
+    """Zero-padded B x T_max x d embeddings, lengths and stacked targets."""
+    lengths = [len(ex.x) for ex in examples]
+    x = np.zeros((len(examples), max(lengths), examples[0].x.shape[1]))
+    for row, ex in zip(x, examples):
+        row[:len(ex.x)] = ex.x
+    return (Tensor(x), lengths, np.stack([ex.y_emo for ex in examples]),
+            np.stack([ex.y_cpm for ex in examples]))
+
+
+class TestBatchedEqualsOneAtATime:
+    """One graph over a ragged minibatch computes bitwise what one graph per
+    example computes, with dropout drawn in the same order."""
+
+    @pytest.mark.parametrize("tag", NN_TAGS)
+    def test_loss_and_gradients(self, tag, rng):
+        model = build(tag, toy_config(dropout_rate=0.5))
+        params = model.params()
+        examples = ragged_examples(rng)
+        scale = 1.0 / len(examples)
+        x, lengths, y_emo, y_cpm = padded_batch(examples)
+        for p in params:
+            p.tensor.zero_grad()
+        out = model.forward(x, True, np.random.default_rng(3), cpm=y_cpm, lengths=lengths)
+        loss = model.loss(out, y_emo, y_cpm)
+        loss.backward()
+        batched = [p.grad.copy() for p in params]
+        # a per-example loop: the same generator, each loss scaled by 1/B,
+        # the gradients added in example order
+        drop_rng, total, summed = np.random.default_rng(3), None, None
+        for ex in examples:
+            for p in params:
+                p.tensor.zero_grad()
+            one = model.loss(model.forward(Tensor(ex.x), True, drop_rng, cpm=ex.y_cpm),
+                             ex.y_emo, ex.y_cpm)
+            (one * scale).backward()
+            total = one.data if total is None else total + one.data
+            grads = [p.grad.copy() for p in params]
+            summed = grads if summed is None else [s + g for s, g in zip(summed, grads)]
+        assert np.array_equal(loss.data, total * scale)
+        for p, got, want in zip(params, batched, summed):
+            assert np.array_equal(got, want), p.name
+        assert any(g.any() for g in batched)
+
+    @pytest.mark.parametrize("tag", NN_TAGS)
+    def test_predictions(self, tag, rng):
+        model = build(tag, toy_config(dropout_rate=0.5))
+        examples = ragged_examples(rng)
+        x, lengths, _, y_cpm = padded_batch(examples)
+        out = model.forward(x, cpm=y_cpm, lengths=lengths)
+        for k, ex in enumerate(examples):
+            alone = model.forward(Tensor(ex.x), cpm=ex.y_cpm)
+            assert set(alone) == set(out)
+            for head, t in alone.items():
+                assert np.array_equal(out[head].data[k:k + 1], t.data), (ex.id, head)
+        # minibatch_size 4 scores the ten examples in three passes
+        emotions, components = predict_examples(model, examples, "multi-label")
+        alone = [predict_example(model, ex, "multi-label") for ex in examples]
+        if model.has_emo:
+            assert emotions == [labels for labels, _ in alone]
+        if components is not None:
+            assert components == [{c for c, p in zip(COMPONENTS, probs) if p > 0.5}
+                                  for _, probs in alone]
 
 
 class TestCrossStitchReduction:
