@@ -20,6 +20,7 @@ computes bitwise what one graph per example, summed in order, computes.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,22 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 
 Array = np.ndarray
+
+_recording = True
+
+
+@contextlib.contextmanager
+def no_tape():
+    """Record no tape inside: each op's result keeps no parents and no
+    backward pass, so what an op caches for backpropagation is freed as soon
+    as the op returns. For inference, whose batch graph would otherwise
+    hold every op's cache until the outputs are read."""
+    global _recording
+    saved, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = saved
 
 
 def _as_array(x) -> Array:
@@ -62,8 +79,8 @@ class Tensor:
         self.data = _as_array(data)
         self.requires_grad = requires_grad
         self.grad = None
-        self._parents = _parents
-        self._backward = _backward
+        self._parents = _parents if _recording else ()
+        self._backward = _backward if _recording else None
 
     # -- plumbing -----------------------------------------------------------
 
@@ -250,18 +267,20 @@ def lstm(x: Tensor, W: Tensor, U: Tensor, b: Tensor, reverse: bool = False,
     ex = np.concatenate([order[:n] for n in live])       # sequence of each packed row
     step = np.repeat(np.arange(T), live)
     time = lengths[ex] - 1 - step if reverse else step   # its row within the sequence
-    XW = np.empty((B, T, 4 * u))
+    packed = np.empty((B, T), dtype=np.int64)           # packed row of each sequence row
+    packed[ex, time] = np.arange(len(ex))
+    # x @ W + b, then step by step i, f, g, o after their nonlinearities
+    gates = np.empty((len(ex), 4 * u))
     for k, n in enumerate(lengths):
-        XW[k, :n] = X[k, :n] @ W.data
-    xw = XW[ex, time] + b.data
-    gates = np.empty_like(xw)          # i, f, g, o after their nonlinearities
-    h_in, c_in = np.empty((len(xw), u)), np.empty((len(xw), u))   # state entering each step
-    h_out, tanh_c = np.empty((len(xw), u)), np.empty((len(xw), u))
+        gates[packed[k, :n]] = X[k, :n] @ W.data
+    gates += b.data
+    h_in, c_in = np.empty((len(ex), u)), np.empty((len(ex), u))   # state entering each step
+    h_out, tanh_c = np.empty((len(ex), u)), np.empty((len(ex), u))
     h, c = np.zeros((B, u)), np.zeros((B, u))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         h, c = h[:hi - lo], c[:hi - lo]
         h_in[lo:hi], c_in[lo:hi] = h, c
-        z = xw[lo:hi] + _rowwise(h, U.data)
+        z = gates[lo:hi] + _rowwise(h, U.data)
         gates[lo:hi] = _sigmoid(z)      # the g block is replaced below
         gates[lo:hi, 2 * u:3 * u] = np.tanh(z[:, 2 * u:3 * u])
         i, f, g, o = (gates[lo:hi, j * u:(j + 1) * u] for j in range(4))
@@ -273,7 +292,7 @@ def lstm(x: Tensor, W: Tensor, U: Tensor, b: Tensor, reverse: bool = False,
 
     def bwd(grad):
         dh_in = grad.reshape(B, T, u)[ex, time]
-        dz = np.empty_like(xw)
+        dz = np.empty_like(gates)
         # a sequence's rows stay zero until the step that reads its last row
         dh, dc = np.zeros((B, u)), np.zeros((B, u))
         for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
@@ -285,15 +304,15 @@ def lstm(x: Tensor, W: Tensor, U: Tensor, b: Tensor, reverse: bool = False,
                                         dc_s * i * (1.0 - g ** 2),
                                         dh_s * tanh_c[lo:hi] * o * (1.0 - o)], axis=1)
             dh[:n], dc[:n] = _rowwise(dz[lo:hi], U.data.T), dc_s * f
-        # back to time order, zero-padded, for the sums over time
-        dZ, H = np.zeros((B, T, 4 * u)), np.zeros((B, T, u))
-        dZ[ex, time], H[ex, time] = dz, h_in
-        dX, dW, dU = np.zeros_like(X), [], []
+        dX, dW, dU, db = np.zeros_like(X), [], [], []
         for k, n in enumerate(lengths):
-            dX[k, :n] = dZ[k, :n] @ W.data.T
-            dW.append(X[k, :n].T @ dZ[k, :n])
-            dU.append(H[k, :n].T @ dZ[k, :n])
-        return (dX[0] if single else dX), _fold(np.stack(dW)), _fold(np.stack(dU)), _fold(dZ.sum(axis=1))
+            rows = packed[k, :n]            # the sequence's rows in time order
+            dz_k = dz[rows]
+            dX[k, :n] = dz_k @ W.data.T
+            dW.append(X[k, :n].T @ dz_k)
+            dU.append(h_in[rows].T @ dz_k)
+            db.append(dz_k.sum(axis=0))
+        return (dX[0] if single else dX), _fold(np.stack(dW)), _fold(np.stack(dU)), _fold(np.stack(db))
 
     return Tensor(out[0] if single else out, _parents=(x, W, U, b), _backward=bwd)
 
@@ -318,32 +337,35 @@ def conv_pool(x: Tensor, kernels: list[Tensor], biases: list[Tensor], lengths=No
     for K in kernels:
         if K.data.shape[1] != d:
             raise DimensionError(f"conv_pool channel mismatch: x {x.data.shape} vs kernel {K.data.shape}")
-    P = max(K.data.shape[0] for K in kernels) - 1
-    Xp = np.zeros((B, P + T, d))       # P zero rows before each sequence: its left padding
-    Xp[:, P:] = X
     seqs = np.arange(B)[:, None]
-    pooled, starts = [], []
+    pooled, ends = [], []
     for K, b in zip(kernels, biases):
         k, f = K.data.shape[0], K.data.shape[2]
         first = np.minimum(lengths, k) - 1    # the row each sequence's first window ends on
         n = lengths - first                    # windows per sequence
         ex = np.repeat(seqs[:, 0], n)
         pos = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        start = first + P - k + 1              # Xp row each sequence's first window starts on
-        win = np.lib.stride_tricks.sliding_window_view(Xp, k, axis=1)[ex, start[ex] + pos]
+        rows = (first[ex] + pos)[:, None] + np.arange(1 - k, 1)   # below 0: left padding
+        windows = X[ex[:, None], np.maximum(rows, 0)]
+        windows[rows < 0] = 0.0
         maps = np.full((B, n.max(), f), -np.inf)
-        maps[ex, pos] = np.einsum("tdk,kdf->tf", win, K.data) + b.data
+        maps[ex, pos] = np.einsum("tkd,kdf->tf", windows, K.data) + b.data
+        del windows   # before the next kernel gathers its own
         idx = np.argmax(maps, axis=1)          # first occurrence on ties
         # ReLU is monotone, so the max of the ReLU'd map is the ReLU of its max
         pooled.append(np.maximum(np.take_along_axis(maps, idx[:, None], axis=1)[:, 0], 0.0))
-        starts.append(start[:, None] + idx)
+        ends.append(first[:, None] + idx)
     out = np.concatenate(pooled, axis=1)
 
     def bwd(grad):
         grad = grad.reshape(B, -1) * (out > 0)
+        P = max(K.data.shape[0] for K in kernels) - 1
+        Xp = np.zeros((B, P + T, d))   # P zero rows before each sequence: its left padding
+        Xp[:, P:] = X
         dXp, dks, dbs = np.zeros_like(Xp), [], []
-        for K, g, start in zip(kernels, np.split(grad, len(kernels), axis=1), starts):
+        for K, g, end in zip(kernels, np.split(grad, len(kernels), axis=1), ends):
             k, f = K.data.shape[0], K.data.shape[2]
+            start = end + P - k + 1    # Xp row each winning window starts on
             dks.append(np.stack([_fold(Xp[seqs, start + o] * g[:, :, None]).T for o in range(k)]))
             dbs.append(_fold(g))
             # a sequence's input gradient adds its filters in order, then the kernels

@@ -59,10 +59,7 @@ class BiLstm:
              Parameter(Tensor(xavier_uniform((units, 4 * units), rng)), f"{name}.{d}.U"),
              Parameter(Tensor(np.zeros(4 * units)), f"{name}.{d}.b")]
             for d in ("fwd", "bwd")]
-
-    @property
-    def out_dim(self) -> int:
-        return 2 * self.directions[0][1].data.shape[0]
+        self.out_dim = 2 * units
 
     def params(self) -> list[Parameter]:
         return self.directions[0] + self.directions[1]

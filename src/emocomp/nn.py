@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, concat, dropout, stitch
+from .autodiff import Parameter, Tensor, concat, dropout, no_tape, stitch
 from .corpus import COMPONENTS
 from .errors import ConfigError, DataError, DimensionError
 from .fileio import write_text
@@ -398,7 +398,8 @@ class CpmInjectModel(NeuralModel):
                 lengths=None) -> dict[str, Tensor]:
         x, lengths = _as_batch(x, lengths)
         if self.frozen_cpm is not None:
-            cpm = self.frozen_cpm.forward(x, lengths=lengths)["cpm"].data
+            with no_tape():
+                cpm = self.frozen_cpm.forward(x, lengths=lengths)["cpm"].data
         if cpm is None:
             raise DataError("emo-cpm-nn-gold requires a component input vector")
         cpm = np.asarray(cpm, dtype=float)
@@ -592,7 +593,8 @@ def _decide(model: NeuralModel, out: dict[str, Tensor],
 
 def predict_example(model: NeuralModel, ex: Example, mode: str) -> tuple[set[str], np.ndarray | None]:
     """One example's labels and component probabilities under ``_decide``'s rule."""
-    return _decide(model, model.forward(Tensor(ex.x), cpm=ex.y_cpm), mode)[0]
+    with no_tape():
+        return _decide(model, model.forward(Tensor(ex.x), cpm=ex.y_cpm), mode)[0]
 
 
 def predict_examples(model: NeuralModel, examples: list[Example],
@@ -606,7 +608,9 @@ def predict_examples(model: NeuralModel, examples: list[Example],
     for start in range(0, len(examples), model.config.minibatch_size):
         batch = examples[start:start + model.config.minibatch_size]
         x, lengths = _pad(batch)
-        pairs += _decide(model, model.forward(x, cpm=_stack(batch, "y_cpm"), lengths=lengths), mode)
+        with no_tape():
+            out = model.forward(x, cpm=_stack(batch, "y_cpm"), lengths=lengths)
+        pairs += _decide(model, out, mode)
     emotions = [labels for labels, _ in pairs] if model.has_emo else None
     components = (None if any(probs is None for _, probs in pairs)
                   else [{c for c, p in zip(COMPONENTS, probs) if p > 0.5} for _, probs in pairs])
