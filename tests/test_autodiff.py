@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emocomp.autodiff import (Parameter, Tensor, concat, conv_pool, dropout,
-                              lstm, stitch, xavier_uniform)
+                              lstm, no_tape, stitch, xavier_uniform)
 from emocomp.errors import ConfigError, DimensionError
 from emocomp.gradcheck import gradient_check
 
@@ -370,6 +370,18 @@ class TestParameter:
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(DimensionError):
             (x * 2.0).backward()
+
+    def test_no_tape_records_nothing(self, rng):
+        x = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        with no_tape():
+            y = (x * 2.0).sum()
+        assert y._parents == () and y._backward is None
+        assert y.item() == (x * 2.0).sum().item()
+        # recording resumes after the block, also when it raised
+        with pytest.raises(ValueError), no_tape():
+            raise ValueError
+        (x * 2.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, np.full((2, 3), 2.0))
 
     def test_xavier_shapes(self, rng):
         assert xavier_uniform((3, 5), rng).shape == (3, 5)

@@ -22,7 +22,8 @@ Each was made by
 
 and is not regenerated; current code must load them and predict the same.
 
-Regenerate the rest (only when a behaviour change is intended, and say why):
+Regenerate the rest (only when a behaviour change is intended, and say why;
+then record ``TRAINED`` anew as well):
 
     PYTHONPATH=src python tests/test_golden_nn.py tests/golden/nn
 """

@@ -172,9 +172,12 @@ class TestBatchedEqualsOneAtATime:
     """One graph over a ragged minibatch computes bitwise what one graph per
     example computes, with dropout drawn in the same order."""
 
-    @pytest.mark.parametrize("tag", NN_TAGS)
-    def test_loss_and_gradients(self, tag, rng):
-        model = build(tag, toy_config(dropout_rate=0.5))
+    @pytest.mark.parametrize("tag,overrides", [(tag, {}) for tag in NN_TAGS] + [
+        ("mtl-xs", {"per_channel_stitch": True}),
+        ("mtl-xs", {"bilstm_units": (3, 2), "cnn_filters": (2, 3)}),   # stitch projections
+    ], ids=list(NN_TAGS) + ["mtl-xs-per-channel", "mtl-xs-projected"])
+    def test_loss_and_gradients(self, tag, overrides, rng):
+        model = build(tag, toy_config(dropout_rate=0.5, **overrides))
         params = model.params()
         examples = ragged_examples(rng)
         scale = 1.0 / len(examples)
