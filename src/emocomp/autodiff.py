@@ -245,7 +245,9 @@ def lstm(x: Tensor, W: Tensor, U: Tensor, b: Tensor, reverse: bool = False,
     b (4u) hold the gates in the order i, f, g, o. With ``reverse`` each
     sequence is read from its own last row to its first; output row t is
     always the hidden state after reading input row t. The backward pass is
-    backpropagation through time over the cached gates.
+    backpropagation through time over the cached gates; it skips the
+    gradient of an ``x`` that is a leaf without ``requires_grad``, such as
+    a batch of embeddings.
 
     The steps run over a packed layout: step s holds the row that every
     sequence longer than s reads at step s, longest sequences first, so the
@@ -304,15 +306,19 @@ def lstm(x: Tensor, W: Tensor, U: Tensor, b: Tensor, reverse: bool = False,
                                         dc_s * i * (1.0 - g ** 2),
                                         dh_s * tanh_c[lo:hi] * o * (1.0 - o)], axis=1)
             dh[:n], dc[:n] = _rowwise(dz[lo:hi], U.data.T), dc_s * f
-        dX, dW, dU, db = np.zeros_like(X), [], [], []
+        needs_dx = x.requires_grad or x._backward is not None
+        dX = np.zeros_like(X) if needs_dx else None
+        dW, dU, db = [], [], []
         for k, n in enumerate(lengths):
             rows = packed[k, :n]            # the sequence's rows in time order
             dz_k = dz[rows]
-            dX[k, :n] = dz_k @ W.data.T
+            if needs_dx:
+                dX[k, :n] = dz_k @ W.data.T
             dW.append(X[k, :n].T @ dz_k)
             dU.append(h_in[rows].T @ dz_k)
             db.append(dz_k.sum(axis=0))
-        return (dX[0] if single else dX), _fold(np.stack(dW)), _fold(np.stack(dU)), _fold(np.stack(db))
+        return ((dX[0] if single and needs_dx else dX),
+                _fold(np.stack(dW)), _fold(np.stack(dU)), _fold(np.stack(db)))
 
     return Tensor(out[0] if single else out, _parents=(x, W, U, b), _backward=bwd)
 
@@ -407,7 +413,7 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     if rng is None:
         raise ConfigError("dropout in training mode needs a seeded generator")
     mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return x * Tensor(mask)
+    return Tensor(x.data * mask, _parents=(x,), _backward=lambda g: (g * mask,))
 
 
 @dataclass

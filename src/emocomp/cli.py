@@ -9,7 +9,9 @@ The model verbs take one path through :mod:`emocomp.pipeline` for both
 model families.
 
 Exit status: 0 success, 1 usage/config error, 2 data error, 3 runtime
-failure.
+failure. An input or output path that is missing, a directory or not
+permitted is a config error, but a corpus path is a data error; input that
+is not UTF-8 is a data error.
 """
 
 from __future__ import annotations
@@ -39,6 +41,13 @@ EXTRA_KEYS = ("split_ratio", "dev_ratio", "fallback_dim",
 
 MODEL_CONFIG_KEYS = tuple(k for k in ModelConfig.__dataclass_fields__ if k != "seed")
 
+BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+            "0": False, "false": False, "no": False, "off": False}
+
+# OS errors that name a bad path given on the command line
+PATH_ERRORS = (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirectoryError,
+               PermissionError)
+
 
 def _parse_value(key: str, raw: str, where: str):
     """The typed value of ``key``; ``where`` names the source of ``raw``."""
@@ -52,12 +61,12 @@ def _parse_value(key: str, raw: str, where: str):
         if key == "kernel_sizes":
             return tuple(int(v) for v in raw.replace(",", " ").split())
         if key == "per_channel_stitch":
-            return raw.lower() in ("1", "true", "yes", "on")
+            return BOOLEANS[raw.lower()]
         if key in ("seed", "minibatch_size", "epochs", "fc_neurons_cpm", "fc_neurons_emo",
                    "fc_neurons_combined", "fallback_dim", "me_iterations"):
             return int(raw)
         return float(raw)
-    except ValueError as exc:
+    except (ValueError, KeyError) as exc:
         raise ConfigError(f"{where}: bad value {raw!r} for {key}") from exc
 
 
@@ -417,10 +426,14 @@ def main(argv=None) -> int:
     except EmocompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        # remaining missing-file cases are resource paths: a config problem
+    except PATH_ERRORS as exc:
+        # corpus paths are data errors already (load_corpus); the rest are
+        # config, resource, model and output paths: a config problem
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    except UnicodeDecodeError as exc:
+        print(f"data error: an input file is not UTF-8 text: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         print(f"unexpected failure: {exc}", file=sys.stderr)
         return 3

@@ -85,8 +85,8 @@ def load_corpus(path: str | Path) -> Corpus:
 
     try:
         fh = open(path, encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise CorpusFormatError(f"corpus file not found: {path}") from exc
+    except OSError as exc:
+        raise CorpusFormatError(f"cannot open corpus file {path}: {exc}") from exc
     with fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():

@@ -150,7 +150,8 @@ class TokenEmbeddingStore:
 
 
 def load_token_embedding_store(path: str | Path) -> TokenEmbeddingStore:
-    """Line-oriented records: instance id, then T, then T rows of d decimals."""
+    """Line-oriented records: instance id, then T >= 1, then T rows of
+    d >= 1 decimals."""
     sequences: dict[str, np.ndarray] = {}
     dimension = None
     lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -162,10 +163,12 @@ def load_token_embedding_store(path: str | Path) -> TokenEmbeddingStore:
         inst_id = lines[i].strip()
         try:
             T = int(lines[i + 1])
-            rows = [[float(v) for v in lines[i + 2 + t].split()] for t in range(T)]
+            # ragged rows make np.array raise ValueError
+            mat = np.array([[float(v) for v in lines[i + 2 + t].split()] for t in range(T)])
+            if mat.ndim != 2 or 0 in mat.shape:
+                raise ValueError(f"a matrix of shape {mat.shape}")
         except (IndexError, ValueError) as exc:
             raise DataError(f"{path}: malformed record for id {inst_id!r}") from exc
-        mat = np.array(rows)
         if not np.isfinite(mat).all():
             raise DataError(f"{path}: record {inst_id!r} holds a non-finite value")
         if dimension is None:

@@ -44,6 +44,15 @@ class MaxEntConfig:
     l2: float = 1e-4
     seed: int = 0
 
+    def __post_init__(self):
+        if self.iterations < 1:
+            raise ConfigError(f"maxent iterations must be >= 1, got {self.iterations}")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ConfigError(f"maxent learning_rate must be finite and > 0, "
+                              f"got {self.learning_rate}")
+        if not (np.isfinite(self.l2) and self.l2 >= 0):
+            raise ConfigError(f"maxent l2 must be finite and >= 0, got {self.l2}")
+
 
 @dataclass
 class MaxEntModel:
@@ -68,8 +77,6 @@ def train_maxent(X: np.ndarray, y, classes: tuple[str, ...],
     zero-weight constant predictor.
     """
     config = config or MaxEntConfig()
-    if config.iterations < 1:
-        raise ConfigError(f"maxent iterations must be >= 1, got {config.iterations}")
     if len(X) == 0:
         raise DataError("empty training set")
     if len(X) != len(y):
@@ -121,16 +128,21 @@ def _fit(X: np.ndarray, Y: np.ndarray, mode: str,
     """Full-batch Adam from zero weights on an N x K one-hot or 0/1 target.
     Loss: mean negative log-likelihood per row plus ``l2 * ||W||^2``; a binary
     row sums its K columns, so each column steps as in its own fit. The
-    gradient at the logits is ``(P - Y) / N`` in both modes."""
+    gradient at the logits is ``(P - Y) / N`` in both modes. Weights that
+    turn non-finite stop the fit."""
     n, k = Y.shape
     W = Parameter(Tensor(np.zeros((X.shape[1], k))), "maxent.W")
     b = Parameter(Tensor(np.zeros(k)), "maxent.b")
     opt = Adam([W, b], lr=config.learning_rate)
-    for _ in range(config.iterations):
-        G = (_probabilities(X, W.data, b.data, mode) - Y) / n
-        W.grad[...] = X.T @ G + 2.0 * config.l2 * W.data
-        b.grad[...] = G.sum(axis=0)
-        opt.step()
+    # a diverging fit overflows; the check below reports it, not numpy
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(config.iterations):
+            G = (_probabilities(X, W.data, b.data, mode) - Y) / n
+            W.grad[...] = X.T @ G + 2.0 * config.l2 * W.data
+            b.grad[...] = G.sum(axis=0)
+            opt.step()
+    if not (np.isfinite(W.data).all() and np.isfinite(b.data).all()):
+        raise ConfigError("maxent weights turned non-finite; lower the maxent learning rate")
     return W.data.copy(), b.data.copy()
 
 

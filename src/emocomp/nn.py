@@ -14,7 +14,9 @@ into per-class sigmoid outputs. On top of that trunk:
 
 A forward pass takes a whole minibatch: a zero-padded B x T_max x d
 embedding array and the length of each example, or one T x d example as a
-batch of one. Training builds one graph per minibatch and prediction scores
+batch of one. ``NeuralModel.forward`` serves every architecture; each
+declares the layers followed by dropout (``_dropped``) and its wiring
+(``_forward``). Training builds one graph per minibatch and prediction scores
 ``minibatch_size`` examples per pass. The losses, gradients and predictions
 are bitwise those of one graph per example (see ``autodiff``); dropout masks
 are drawn in the order such a per-example loop draws them.
@@ -57,6 +59,7 @@ def _pair(value) -> tuple[int, int]:
 
 @dataclass
 class ModelConfig:
+    # one size for both tasks or an (emo, cpm) pair, held as the pair
     bilstm_units: int | tuple[int, int] = 24
     cnn_filters: int | tuple[int, int] = 10
     fc_neurons_cpm: int = 128
@@ -75,6 +78,8 @@ class ModelConfig:
     per_channel_stitch: bool = False
 
     def __post_init__(self):
+        self.bilstm_units = _pair(self.bilstm_units)
+        self.cnn_filters = _pair(self.cnn_filters)
         self.kernel_sizes = tuple(int(k) for k in self.kernel_sizes)
         if not self.kernel_sizes:
             raise ConfigError("kernel_sizes must be non-empty")
@@ -88,50 +93,39 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        for u in _pair(self.bilstm_units) + _pair(self.cnn_filters) + self.kernel_sizes:
+        for u in self.bilstm_units + self.cnn_filters + self.kernel_sizes:
             if u < 1:
                 raise ConfigError("layer and kernel sizes must be >= 1")
 
     @property
     def units_emo(self) -> int:
-        return _pair(self.bilstm_units)[0]
+        return self.bilstm_units[0]
 
     @property
     def units_cpm(self) -> int:
-        return _pair(self.bilstm_units)[1]
+        return self.bilstm_units[1]
 
     @property
     def filters_emo(self) -> int:
-        return _pair(self.cnn_filters)[0]
+        return self.cnn_filters[0]
 
     @property
     def filters_cpm(self) -> int:
-        return _pair(self.cnn_filters)[1]
+        return self.cnn_filters[1]
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["bilstm_units"] = list(_pair(self.bilstm_units))
-        d["cnn_filters"] = list(_pair(self.cnn_filters))
-        d["kernel_sizes"] = list(self.kernel_sizes)
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         """Rebuild a stored config; unknown keys or mistyped values are data errors."""
         if not isinstance(d, dict):
             raise DataError(f"model config must be an object, got {type(d).__name__}")
-        d = dict(d)
         try:
-            for key in ("bilstm_units", "cnn_filters"):
-                v = d.get(key)
-                if isinstance(v, list):
-                    d[key] = int(v[0]) if v[0] == v[1] else (int(v[0]), int(v[1]))
-            if "kernel_sizes" in d:
-                if not isinstance(d["kernel_sizes"], list):
-                    raise TypeError("kernel_sizes must be a list")
-                d["kernel_sizes"] = tuple(d["kernel_sizes"])
+            if not isinstance(d.get("kernel_sizes", []), (list, tuple)):
+                raise TypeError("kernel_sizes must be a list")
             return cls(**d)
-        except (TypeError, ValueError, IndexError, ConfigError) as exc:
+        except (TypeError, ValueError, ConfigError) as exc:
             raise DataError(f"stored model config is invalid: {exc}") from exc
 
 
@@ -249,13 +243,6 @@ def _per_example_bce(p: Tensor, y, pos_weight: float) -> Tensor:
                         pos_weight, per_row=True)
 
 
-def _as_batch(x: Tensor, lengths) -> tuple[Tensor, list[int]]:
-    """A T x d example as a batch of one; a batch without lengths is full."""
-    if x.data.ndim == 2:
-        return Tensor(x.data[None]), [x.data.shape[0]]
-    return x, [x.data.shape[1]] * x.data.shape[0] if lengths is None else list(lengths)
-
-
 class NeuralModel:
     """Common surface of all architectures."""
 
@@ -263,6 +250,8 @@ class NeuralModel:
     emo_labels: tuple[str, ...] = ()
     has_emo = False
     has_cpm = False
+    # the attributes of the layers followed by dropout, in forward order
+    _dropped: tuple[str, ...] = ()
 
     def __init__(self, config: ModelConfig, input_dim: int):
         self.config = config
@@ -282,17 +271,26 @@ class NeuralModel:
     def forward(self, x: Tensor, training: bool = False, rng=None,
                 cpm=None, lengths=None) -> dict[str, Tensor]:
         """Outputs per head, one row per example. ``x`` is a zero-padded
-        B x T_max x d batch with ``lengths``, or one T x d example (a batch
-        of one); ``cpm`` holds the gold component flags (B x 5, or 5 for
-        one example), which only the gold-injection model reads."""
-        raise NotImplementedError
-
-    def _dropout(self, training: bool, rng, lengths: list[int], sites):
-        """The dropout of one forward pass with dropout ``sites``."""
+        B x T_max x d batch with ``lengths`` (all of T_max without them),
+        or one T x d example, a batch of one; ``cpm`` holds the gold
+        component flags (B x 5, or 5 for one example), which only the
+        gold-injection model reads. In training, with ``rng``, the dropout
+        after each layer in ``_dropped`` draws its masks from ``rng``
+        example by example (``_ExampleOrderDraws``)."""
+        if x.data.ndim == 2:
+            x, lengths = Tensor(x.data[None]), [x.data.shape[0]]
+        else:
+            lengths = [x.data.shape[1]] * x.data.shape[0] if lengths is None else list(lengths)
         rate = self.config.dropout_rate
         if training and rate > 0.0 and rng is not None:
-            rng = _ExampleOrderDraws(rng, lengths, sites)
-        return lambda t: dropout(t, rate, training, rng)
+            layers = (getattr(self, name) for name in self._dropped)
+            rng = _ExampleOrderDraws(rng, lengths, _sites(*layers))
+        return self._forward(x, lengths, lambda t: dropout(t, rate, training, rng), cpm)
+
+    def _forward(self, x: Tensor, lengths: list[int], drop, cpm) -> dict[str, Tensor]:
+        """The architecture's wiring over a batch; ``drop`` is the dropout
+        to apply after each layer in ``_dropped``."""
+        raise NotImplementedError
 
     def loss(self, outputs: dict[str, Tensor], y_emo=None, y_cpm=None) -> Tensor:
         """Mean loss over the batch: each example's task-weighted losses,
@@ -355,10 +353,9 @@ class SingleTaskModel(NeuralModel):
         self.fc = Dense(self.trunk.out_dim, fc, rng, f"{head}.fc", activation="relu")
         self.out = Dense(fc, n_out, rng, f"{head}.out", activation="sigmoid")
 
-    def forward(self, x: Tensor, training: bool = False, rng=None, cpm=None,
-                lengths=None) -> dict[str, Tensor]:
-        x, lengths = _as_batch(x, lengths)
-        drop = self._dropout(training, rng, lengths, _sites(self.trunk, self.fc))
+    _dropped = ("trunk", "fc")
+
+    def _forward(self, x, lengths, drop, cpm):
         hidden = drop(self.fc(self.trunk(x, lengths, drop)))
         return {self.head: self.out(hidden)}
 
@@ -394,9 +391,9 @@ class CpmInjectModel(NeuralModel):
             for p in frozen_cpm.params():
                 p.frozen = True
 
-    def forward(self, x: Tensor, training: bool = False, rng=None, cpm=None,
-                lengths=None) -> dict[str, Tensor]:
-        x, lengths = _as_batch(x, lengths)
+    _dropped = ("trunk", "fc", "cpm_branch", "combiner")
+
+    def _forward(self, x, lengths, drop, cpm):
         if self.frozen_cpm is not None:
             with no_tape():
                 cpm = self.frozen_cpm.forward(x, lengths=lengths)["cpm"].data
@@ -407,8 +404,6 @@ class CpmInjectModel(NeuralModel):
             raise DimensionError(f"component vectors must have 5 entries each, got shape {cpm.shape} "
                                  f"for {len(lengths)} example(s)")
         cpm_rows = Tensor(cpm.reshape(len(lengths), N_COMPONENTS))
-        drop = self._dropout(training, rng, lengths,
-                             _sites(self.trunk, self.fc, self.cpm_branch, self.combiner))
         pen = drop(self.fc(self.trunk(x, lengths, drop)))
         branch = drop(self.cpm_branch(cpm_rows))
         combined = drop(self.combiner(concat([pen, branch], axis=1)))
@@ -438,10 +433,9 @@ class MtlMultiHead(NeuralModel):
         self.fc_cpm = Dense(self.trunk.out_dim, config.fc_neurons_cpm, rng, "cpm.fc", "relu")
         self.out_cpm = Dense(config.fc_neurons_cpm, N_COMPONENTS, rng, "cpm.out", "sigmoid")
 
-    def forward(self, x: Tensor, training: bool = False, rng=None, cpm=None,
-                lengths=None) -> dict[str, Tensor]:
-        x, lengths = _as_batch(x, lengths)
-        drop = self._dropout(training, rng, lengths, _sites(self.trunk, self.fc_emo, self.fc_cpm))
+    _dropped = ("trunk", "fc_emo", "fc_cpm")
+
+    def _forward(self, x, lengths, drop, cpm):
         pooled = self.trunk(x, lengths, drop)
         he = drop(self.fc_emo(pooled))
         hc = drop(self.fc_cpm(pooled))
@@ -490,11 +484,9 @@ class MtlCrossStitch(NeuralModel):
             ident = np.repeat(ident[:, :, None], self.width, axis=2)
         self.alpha.data[...] = ident
 
-    def forward(self, x: Tensor, training: bool = False, rng=None, cpm=None,
-                lengths=None) -> dict[str, Tensor]:
-        x, lengths = _as_batch(x, lengths)
-        drop = self._dropout(training, rng, lengths,
-                             _sites(self.trunk_emo, self.trunk_cpm, self.fc_emo, self.fc_cpm))
+    _dropped = ("trunk_emo", "trunk_cpm", "fc_emo", "fc_cpm")
+
+    def _forward(self, x, lengths, drop, cpm):
         pe = self.trunk_emo(x, lengths, drop)
         pc = self.trunk_cpm(x, lengths, drop)
         if self.proj_emo is not None:

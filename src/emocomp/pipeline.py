@@ -484,7 +484,8 @@ def predict(model, corpus: Corpus, embed=None) -> tuple[list[set[str]] | None,
                                                         list[set[str]] | None]:
     """The emotion label sets and the component label sets of the instances
     of ``corpus``; each list is None when the model does not predict that
-    task. ``embed`` is an :func:`embedder` covering ``corpus``."""
+    task. ``embed`` is an :func:`embedder` covering ``corpus``; a neural
+    model needs embeddings as wide as it was trained on."""
     if isinstance(model, MeArtifact):
         stemmed = [preprocess(i) for i in corpus]
         emotions = (model.predict_emotions(corpus.instances, stemmed)
@@ -492,7 +493,10 @@ def predict(model, corpus: Corpus, embed=None) -> tuple[list[set[str]] | None,
         components = (label_sets(model.predict_components(stemmed, [i.id for i in corpus]),
                                  COMPONENTS) if model.component_models else None)
         return emotions, components
-    table, _ = embed()
+    table, dim = embed()
+    if dim != model.input_dim:
+        raise ConfigError(f"the token embeddings are {dim} wide but the model was trained on "
+                          f"{model.input_dim}; pass the same --token-embeddings or --fallback-dim")
     return predict_examples(model, build_examples(corpus, table), corpus.mode)
 
 

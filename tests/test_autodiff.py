@@ -329,6 +329,14 @@ class TestBatchedOps:
         check(lambda: (stitch(alpha, 0, a, b) * w[0] + stitch(alpha, 1, a, b) * w[1]).sum(),
               [alpha, a, b])
 
+    def test_lstm_skips_the_gradient_of_a_constant_input(self, rng):
+        W, U, b = lstm_params(rng)
+        x = Tensor(rng.standard_normal((2, 4, 3)))
+        out = lstm(x, W, U, b, lengths=[4, 2])
+        assert out._backward(np.ones(out.data.shape))[0] is None
+        x.requires_grad = True
+        assert out._backward(np.ones(out.data.shape))[0].shape == x.data.shape
+
     def test_lengths_must_fit(self, rng):
         W, U, b = lstm_params(rng)
         x = Tensor(np.zeros((2, 3, 3)))
@@ -350,6 +358,13 @@ class TestDropout:
         kept = out.data != 0.0
         np.testing.assert_allclose(out.data[kept], 1.0 / 0.6)
         assert abs(out.data.mean() - 1.0) < 0.02
+
+    def test_one_node_whose_gradient_reaches_its_input_only(self, rng):
+        x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+        out = dropout(x, 0.5, True, np.random.default_rng(2))
+        assert out._parents == (x,)
+        out.backward(np.ones((3, 4)))
+        np.testing.assert_array_equal(x.grad, out.data / x.data)
 
     def test_needs_rng_in_training(self):
         with pytest.raises(ConfigError):

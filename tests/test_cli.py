@@ -119,6 +119,11 @@ class TestExitCodes:
         ("emo-nn-base", "kernel_sizes = -2", {}, []),
         ("emo-nn-base", "fallback_dim = -3", {}, []),
         ("emo-nn-base", "fallback_dim = 0", {}, []),
+        ("emo-me-base", "per_channel_stitch = maybe", {}, []),
+        ("emo-me-base", "me_learning_rate = nan", {}, []),
+        ("emo-me-base", "me_l2 = nan", {}, []),
+        ("emo-me-base", "me_l2 = -1", {}, []),
+        ("emo-me-base", "me_learning_rate = 1e300", {}, []),
     ])
     def test_bad_config_value_is_config_error(self, tag, config, env, flags, tmp_path,
                                               tec_path, monkeypatch, capsys):
@@ -325,10 +330,50 @@ class TestModelFiles:
         variant("empty_emo_labels", lambda p: p.update(emo_labels=[]), checkpoint)
         variant("nan_param", lambda p: p["params"][name][0].__setitem__(0, float("nan")),
                 checkpoint)
+        variant("three_bilstm_units", lambda p: p["config"]["bilstm_units"].append(9), checkpoint)
         for bad in bad_files:
             assert run([verb, "--model-path", bad, "--corpus", tec_path,
                         "--out", tmp_path / "o"]) == 2
             assert "data error" in capsys.readouterr().err
+
+
+class TestInputFiles:
+    STORE = "train --model emo-nn-base --corpus TEC --epochs 1 --token-embeddings FILE"
+
+    @pytest.mark.parametrize("argv,content,code", [
+        (STORE, b"tec0000\n0\n", 2),
+        (STORE, b"tec0000\n-3\n", 2),
+        (STORE, b"tec0000\n2\n0.1 0.2\n0.3\n", 2),
+        ("stats DIR", None, 2),
+        ("train --model emo-me-base --corpus TEC --config DIR", None, 1),
+        ("predict --model-path DIR --corpus TEC", None, 1),
+        ("train --model cpm-me-adv --corpus TEC --pos-sidecar DIR", None, 1),
+        ("stats TEC --out FILE", b"", 1),
+        ("stats FILE", b'{"id": "\xff"}\n', 2),
+        ("train --model emo-me-base --corpus TEC --config FILE", b"epochs = 1  # \xff\n", 2),
+        ("train --model cpm-me-adv --corpus TEC --pos-sidecar FILE", b"tec0000\tNN \xff\n", 2),
+        # a checkpoint of 8-wide embeddings scored with the default 64-wide ones
+        ("eval --model-path V1/mtl-xs/checkpoint.json --corpus V1/corpus.jsonl", None, 1),
+        ("predict --model-path V1/mtl-xs/checkpoint.json --corpus V1/corpus.jsonl", None, 1),
+    ], ids=["store-zero-rows", "store-negative-rows", "store-ragged", "corpus-directory",
+            "config-directory", "model-path-directory", "pos-sidecar-directory", "out-file",
+            "corpus-not-utf8", "config-not-utf8", "pos-sidecar-not-utf8", "eval-width",
+            "predict-width"])
+    def test_unusable_input_is_config_or_data_error(self, argv, content, code, tmp_path,
+                                                     tec_path, capsys):
+        (tmp_path / "dir").mkdir()
+        if content is not None:
+            (tmp_path / "file").write_bytes(content)
+        paths = {"TEC": tec_path, "DIR": tmp_path / "dir", "FILE": tmp_path / "file",
+                 "V1": Path(__file__).resolve().parent / "golden" / "nn" / "v1"}
+        args = []
+        for token in argv.split():
+            head, _, rest = token.partition("/")
+            args.append(paths[head] / rest if head in paths else token)
+        if "--out" not in args:
+            args += ["--out", tmp_path / "o"]
+        assert run(args) == code
+        assert ("config error", "data error")[code - 1] in capsys.readouterr().err
 
 
 class TestCrossval:

@@ -51,6 +51,7 @@ class TestConfig:
         cfg = ModelConfig(bilstm_units=(32, 24), cnn_filters=10)
         assert (cfg.units_emo, cfg.units_cpm) == (32, 24)
         assert (cfg.filters_emo, cfg.filters_cpm) == (10, 10)
+        assert ModelConfig(bilstm_units=24) == ModelConfig(bilstm_units=(24, 24))
 
     def test_round_trip(self):
         cfg = toy_config(bilstm_units=(5, 3), per_channel_stitch=True)
