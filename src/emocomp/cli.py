@@ -272,16 +272,25 @@ def _run_fold(payload):
     return fold_index, report.macro_f1, report.micro_f1
 
 
+def fold_workers(jobs: int, k: int) -> int:
+    """Worker processes for ``crossval``: ``--jobs``, at most one per fold."""
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {jobs}")
+    return min(jobs, k)
+
+
 def cmd_crossval(args) -> int:
     settings = gather_settings(args)
     corpus = load_corpus(args.corpus)
     _check_tag_mode(args.model, corpus, args)
+    kfold(corpus, k=args.k)   # a bad --k fails here, before any fold runs
     settings["_k"] = args.k
     payloads = [(i, args.corpus, args.model, settings, _resources(args))
                 for i in range(args.k)]
-    if args.jobs > 1:
+    workers = fold_workers(args.jobs, args.k)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = sorted(pool.map(_run_fold, payloads))
     else:
         results = [_run_fold(p) for p in payloads]
@@ -302,13 +311,13 @@ def cmd_ablate(args) -> int:
     corpus = load_corpus(args.corpus)
     train_corpus, _ = split_train_test(corpus, ratio=settings.get("split_ratio", 0.9),
                                        seed=settings.get("seed", 0))
-    artifact, _ = pipeline.train_tag("cpm-me-adv", train_corpus, settings, _resources(args))
+    results = pipeline.search_features(train_corpus, settings, _resources(args))
     out = _out_dir(args)
     single_lines = ["component\tbase\t" + "\t".join(FEATURE_FLAGS)]
     best_lines = ["component\tbest_combination\tdev_f1"]
     full_lines = ["component\tcombination\tdev_f1"]
     for comp in COMPONENTS:
-        result = artifact.search_results[comp]
+        result = results[comp]
         base = result.all_results[()]
         row = [f"{base:.4f}"]
         for flag in FEATURE_FLAGS:

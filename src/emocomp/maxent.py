@@ -13,7 +13,9 @@ with a single design matrix. Prediction scores a whole matrix at once,
 with the same probability function that training uses.
 
 A feature combination is a tuple of names from :data:`FEATURE_FLAGS`, in
-that order; the empty tuple is TF-IDF alone.
+that order; the empty tuple is TF-IDF alone. The exhaustive search fits all
+combinations jointly, in one binary fit whose weight columns are masked to
+their combination's blocks, and keeps only their dev decisions.
 """
 
 from __future__ import annotations
@@ -67,7 +69,8 @@ class MaxEntModel:
 
 def train_maxent(X: np.ndarray, y, classes: tuple[str, ...],
                  mode: str, feature_dim: int,
-                 config: MaxEntConfig | None = None) -> MaxEntModel:
+                 config: MaxEntConfig | None = None,
+                 mask: np.ndarray | None = None) -> MaxEntModel:
     """Fit a logistic model on the N x ``feature_dim`` design matrix ``X``.
 
     Multinomial: ``y`` holds one label per row. Binary: ``y`` is an N x L
@@ -75,6 +78,10 @@ def train_maxent(X: np.ndarray, y, classes: tuple[str, ...],
     columns are independent one-vs-rest problems fit in one call. A binary
     column, or a multinomial target, with a single class present becomes a
     zero-weight constant predictor.
+
+    ``mask`` (the feature search's, not a user option), ``feature_dim`` x
+    classes and boolean, confines each class to its True features: it fits
+    as if ``X`` held only those, and its other weights stay exactly 0.
     """
     config = config or MaxEntConfig()
     if len(X) == 0:
@@ -110,7 +117,8 @@ def train_maxent(X: np.ndarray, y, classes: tuple[str, ...],
     weights = np.zeros((feature_dim, len(classes)))
     bias = np.zeros(len(classes))
     if live:
-        weights[:, live], bias[live] = _fit(X, Y[:, live], mode, config)
+        weights[:, live], bias[live] = _fit(X, Y[:, live], mode, config,
+                                            None if mask is None else mask[:, live])
     return MaxEntModel(classes, mode, weights, bias, feature_dim, constant)
 
 
@@ -123,27 +131,33 @@ def _probabilities(X: np.ndarray, W: np.ndarray, b: np.ndarray, mode: str) -> np
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def _fit(X: np.ndarray, Y: np.ndarray, mode: str,
-         config: MaxEntConfig) -> tuple[np.ndarray, np.ndarray]:
+def _fit(X: np.ndarray, Y: np.ndarray, mode: str, config: MaxEntConfig,
+         mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Full-batch Adam from zero weights on an N x K one-hot or 0/1 target.
     Loss: mean negative log-likelihood per row plus ``l2 * ||W||^2``; a binary
     row sums its K columns, so each column steps as in its own fit. The
-    gradient at the logits is ``(P - Y) / N`` in both modes. Weights that
-    turn non-finite stop the fit."""
+    gradient at the logits is ``(P - Y) / N`` in both modes. A masked-out
+    weight gets a zero gradient, and Adam from zero moments steps it by 0.
+    Weights that turn non-finite stop the fit."""
     n, k = Y.shape
     W = Parameter(Tensor(np.zeros((X.shape[1], k))), "maxent.W")
     b = Parameter(Tensor(np.zeros(k)), "maxent.b")
     opt = Adam([W, b], lr=config.learning_rate)
+    # X.T @ G as (G.T @ X).T: the same values from a faster gemm
+    dW, grad_t = W.grad, np.empty((k, X.shape[1]))
     # a diverging fit overflows; the check below reports it, not numpy
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.iterations):
             G = (_probabilities(X, W.data, b.data, mode) - Y) / n
-            W.grad[...] = X.T @ G + 2.0 * config.l2 * W.data
+            np.multiply(W.data, 2.0 * config.l2, out=dW)
+            dW += np.matmul(G.T, X, out=grad_t).T
+            if mask is not None:
+                dW *= mask
             b.grad[...] = G.sum(axis=0)
             opt.step()
     if not (np.isfinite(W.data).all() and np.isfinite(b.data).all()):
         raise ConfigError("maxent weights turned non-finite; lower the maxent learning rate")
-    return W.data.copy(), b.data.copy()
+    return W.data, b.data
 
 
 def predict_maxent(model: MaxEntModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -348,33 +362,36 @@ class FeatureSearchResult:
 
 def feature_combination_search(X: np.ndarray, offsets: dict[str, tuple[int, int]],
                                Y: np.ndarray, components: tuple[str, ...],
-                               train_rows: list[int], dev_rows: list[int],
+                               train_rows: list[int] | slice, dev_rows: list[int] | slice,
                                config: MaxEntConfig | None = None) -> dict[str, FeatureSearchResult]:
     """Exhaustive search over all subsets of the feature blocks of ``X``,
     selected per component by dev F1; ties go to fewer features.
 
     ``X`` and ``offsets`` come from :func:`build_cpm_adv_features` with every
     available flag; ``Y`` holds one 0/1 column per entry of ``components``.
-    Each combination is fit once, jointly for every component it permits.
+    The training and dev rows are index lists or slices (which copy nothing).
+    Every combination is fit in one binary fit over all of ``X``, with one
+    weight column per combination and component it permits, masked to the
+    combination's blocks: each column is that combination's own fit, up to
+    gemm rounding. Only the dev decisions are kept, never the weights.
     """
     Y = np.asarray(Y).reshape(len(Y), -1)
     flags = tuple(f for f in FEATURE_FLAGS if f in offsets)
+    fits = [(combo, j) for r in range(len(flags) + 1) for combo in combinations(flags, r)
+            for j, c in enumerate(components) if permits(combo, c)]
+    names = tuple(f"{components[j]} ({'+'.join(combo) or 'tfidf'})" for combo, j in fits)
+    mask = np.zeros((X.shape[1], len(fits)), dtype=bool)
+    for k, (combo, _) in enumerate(fits):
+        mask[combination_columns(offsets, combo), k] = True
+    targets = Y[:, [j for _, j in fits]]
+    model = train_maxent(X[train_rows], targets[train_rows], names, BINARY, X.shape[1],
+                         config, mask)
+    pred = predict_maxent(model, X[dev_rows])[0]
+    report = evaluate(dict(enumerate(label_sets(targets[dev_rows], names))),
+                      dict(enumerate(label_sets(pred, names))), names)
     results: dict[str, dict[tuple[str, ...], float]] = {c: {} for c in components}
-    for r in range(len(flags) + 1):
-        for combo in combinations(flags, r):
-            applies = [j for j, c in enumerate(components) if permits(combo, c)]
-            if not applies:
-                continue
-            labels = tuple(components[j] for j in applies)
-            cols = combination_columns(offsets, combo)
-            model = train_maxent(X[np.ix_(train_rows, cols)], Y[np.ix_(train_rows, applies)],
-                                 labels, BINARY, len(cols), config)
-            pred = predict_maxent(model, X[np.ix_(dev_rows, cols)])[0]
-            gold = Y[np.ix_(dev_rows, applies)]
-            report = evaluate(dict(enumerate(label_sets(gold, labels))),
-                              dict(enumerate(label_sets(pred, labels))), labels)
-            for c in labels:
-                results[c][combo] = report.per_class[c].f1
+    for (combo, j), name in zip(fits, names):
+        results[components[j]][combo] = report.per_class[name].f1
     out = {}
     for c, res in results.items():
         best = max(res, key=lambda s: (res[s], -len(s)))

@@ -690,8 +690,9 @@ def save_checkpoint(model: NeuralModel, path: str | Path) -> None:
 def load_checkpoint(source: str | Path | dict) -> NeuralModel:
     """Rebuild a model from a checkpoint file or its parsed JSON payload."""
     payload = source if isinstance(source, dict) else json.loads(Path(source).read_text(encoding="utf-8"))
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {payload.get('version')!r}")
+    version = payload.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise DataError(f"unsupported checkpoint version {version!r}")
     config = ModelConfig.from_dict(payload["config"])
     tag, input_dim, labels = payload["tag"], payload["input_dim"], payload["emo_labels"]
     if type(input_dim) is not int or input_dim < 1:

@@ -21,24 +21,33 @@ class Adam:
         self.params = list(params)
         self.lr = lr
         self.t = 0
-        self._m = {p.name: np.zeros_like(p.data) for p in self.params if not p.frozen}
-        self._v = {p.name: np.zeros_like(p.data) for p in self.params if not p.frozen}
+        live = [p for p in self.params if not p.frozen]
+        self._m = {p.name: np.zeros_like(p.data) for p in live}
+        self._v = {p.name: np.zeros_like(p.data) for p in live}
+        # one buffer, as large as the largest parameter, for every step's temporaries
+        self._scratch = np.empty(max((p.data.size for p in live), default=0))
 
     def step(self):
+        """``w -= lr (m / bc1) / (sqrt(v / bc2) + eps)`` after the moment
+        updates, in place: the scratch holds temporaries, the spent gradient the step."""
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
         for p in self.params:
             if p.frozen:
                 continue
-            g = p.grad
-            m = self._m[p.name]
-            v = self._v[p.name]
+            g, m, v = p.grad, self._m[p.name], self._v[p.name]
+            s = self._scratch[:g.size].reshape(g.shape)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += np.multiply(g, 1.0 - BETA1, out=s)
             v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            p.tensor.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+            np.multiply(g, 1.0 - BETA2, out=s)
+            v += np.multiply(s, g, out=s)
+            np.sqrt(np.divide(v, bc2, out=s), out=s)
+            s += EPS
+            np.divide(m, bc1, out=g)
+            g *= self.lr
+            p.tensor.data -= np.divide(g, s, out=g)
         self.zero_grad()
 
     def zero_grad(self):

@@ -45,9 +45,17 @@ ALL_TAGS = ME_TAGS + ("emo-nn-base", "cpm-nn-base", "emo-cpm-nn-pred",
                       "emo-cpm-nn-gold", "mtl-mh", "mtl-xs")
 
 
-def preprocess(instance: Instance) -> list[str]:
-    """Lowercased, tokenized, Porter-stemmed tokens."""
-    return stem_tokens(tokenize(instance.text))
+def preprocess(instance: Instance, stems: dict[str, str] | None = None) -> list[str]:
+    """Lowercased, tokenized, Porter-stemmed tokens; ``stems`` memoizes the
+    stemmer across calls."""
+    return stem_tokens(tokenize(instance.text), stems)
+
+
+def preprocess_corpus(instances) -> list[list[str]]:
+    """:func:`preprocess` of each instance, stemming each distinct word once
+    per call."""
+    stems: dict[str, str] = {}
+    return [preprocess(i, stems) for i in instances]
 
 
 def emotion_multi_hot(instance: Instance, inventory: tuple[str, ...]) -> np.ndarray:
@@ -223,7 +231,7 @@ def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
         for key, allowed in (("version", (1,)), ("tag", tags),
                              ("mode", (SINGLE_LABEL, MULTI_LABEL)),
                              ("stack_source", tuple(EMOTION_ME_TAGS))):
-            if d[key] not in allowed:
+            if not any(type(d[key]) is type(a) and d[key] == a for a in allowed):
                 raise DataError(f"model {key} must be one of {allowed}, got {d[key]!r}")
         for key, kind in (("emotion_model", (dict, type(None))), ("component_models", dict),
                           ("combinations", dict), ("cpm_artifact", (dict, type(None)))):
@@ -316,7 +324,7 @@ def train_emotion_me(corpus: Corpus, config: MaxEntConfig | None = None,
         raise ConfigError(f"unknown component source {stack_source!r}")
     if stack_source == PREDICTED and cpm_artifact is None:
         raise ConfigError("predicted component stacking needs a component model")
-    stemmed = stemmed or [preprocess(i) for i in corpus]
+    stemmed = stemmed or preprocess_corpus(corpus)
     inventory = corpus.emotion_inventory
     artifact = MeArtifact(EMOTION_ME_TAGS[stack_source], corpus.mode, inventory,
                           tfidf_fit(stemmed), stack_source=stack_source, cpm_artifact=cpm_artifact)
@@ -338,8 +346,7 @@ def train_component_me(corpus: Corpus, config: MaxEntConfig | None = None,
     ``resources`` on ``corpus`` and picks each component's feature
     combination by an exhaustive search on a held-out dev slice.
     ``stemmed`` is the corpus's preprocessed tokens, if already at hand."""
-    stemmed = stemmed or [preprocess(i) for i in corpus]
-    ids = [i.id for i in corpus]
+    stemmed = stemmed or preprocess_corpus(corpus)
     tfidf = tfidf_fit(stemmed)
     Y = np.array([i.cpm for i in corpus], dtype=float)
     artifact = MeArtifact("cpm-me-base", corpus.mode, corpus.emotion_inventory, tfidf)
@@ -349,15 +356,9 @@ def train_component_me(corpus: Corpus, config: MaxEntConfig | None = None,
         artifact.component_models = split_labels(model)
         return artifact
 
-    resources = resources.fitted(ids)
     artifact.tag = "cpm-me-adv"
-    artifact.resources = resources
-    # features depend only on the instance and on resources fit on this
-    # split, so the search's sub-split and dev slice are row selections
-    X, offsets = build_cpm_adv_features(stemmed, ids, available_flags(resources), tfidf, resources)
-    sub_rows, dev_rows = split_indices(len(corpus), 1.0 - dev_ratio, seed)
-    artifact.search_results = feature_combination_search(
-        X, offsets, Y, COMPONENTS, sub_rows, dev_rows, config)
+    artifact.resources, X, offsets, artifact.search_results = _adv_search(
+        corpus, stemmed, tfidf, config, resources, dev_ratio, seed)
     for j, comp in enumerate(COMPONENTS):
         combo = artifact.search_results[comp].best
         cols = combination_columns(offsets, combo)
@@ -365,6 +366,28 @@ def train_component_me(corpus: Corpus, config: MaxEntConfig | None = None,
         artifact.component_models[comp] = train_maxent(X[:, cols], Y[:, j], (comp,), BINARY,
                                                        len(cols), config)
     return artifact
+
+
+def _adv_search(corpus: Corpus, stemmed: list[list[str]], tfidf: TfIdfModel,
+                config: MaxEntConfig | None, resources: AdvResources, dev_ratio: float,
+                seed: int) -> tuple:
+    """Cpm-ME-Adv's feature search on ``corpus``: the copy of ``resources``
+    fit on it, the design matrix of every available block with the blocks'
+    spans, and each component's result."""
+    ids = [i.id for i in corpus]
+    resources = resources.fitted(ids)
+    sub_rows, dev_rows = split_indices(len(corpus), 1.0 - dev_ratio, seed)
+    order = sub_rows + dev_rows
+    # features depend only on the instance and on resources fit on this
+    # split, so a matrix built in search order holds the sub-split and the
+    # dev slice as views, and reordered it is the corpus's own
+    X, offsets = build_cpm_adv_features([stemmed[r] for r in order], [ids[r] for r in order],
+                                        available_flags(resources), tfidf, resources)
+    n = len(sub_rows)
+    Y = np.array([corpus.instances[r].cpm for r in order], dtype=float)
+    results = feature_combination_search(X, offsets, Y, COMPONENTS, slice(0, n),
+                                         slice(n, None), config)
+    return resources, X[np.argsort(order)], offsets, results
 
 
 # ---------------------------------------------------------------------------
@@ -449,21 +472,35 @@ def _adv_resources(resources: dict) -> AdvResources:
                         pos_tags=pos_tags, embeddings=embeddings, appraisal=appraisal)
 
 
+def _me_config(settings: dict) -> MaxEntConfig:
+    return MaxEntConfig(iterations=settings.get("me_iterations", 300),
+                        learning_rate=settings.get("me_learning_rate", 0.05),
+                        l2=settings.get("me_l2", 1e-4), seed=settings.get("seed", 0))
+
+
+def search_features(corpus: Corpus, settings: dict,
+                    resources: dict) -> dict[str, FeatureSearchResult]:
+    """Each component's result of cpm-me-adv's feature search on ``corpus``,
+    without the component fits that training adds after it."""
+    stemmed = preprocess_corpus(corpus)
+    return _adv_search(corpus, stemmed, tfidf_fit(stemmed), _me_config(settings),
+                       _adv_resources(resources), settings.get("dev_ratio", 0.1),
+                       settings.get("seed", 0))[3]
+
+
 def train_tag(tag: str, corpus: Corpus, settings: dict, resources: dict, embed=None):
     """Train model ``tag`` on ``corpus``; the tag picks the family. ``embed``
     is an :func:`embedder` covering ``corpus``, needed by neural tags only.
     Returns the model and the lines its training adds to the run log."""
     seed, dev_ratio = settings.get("seed", 0), settings.get("dev_ratio", 0.1)
     if tag in ME_TAGS:
-        config = MaxEntConfig(iterations=settings.get("me_iterations", 300),
-                              learning_rate=settings.get("me_learning_rate", 0.05),
-                              l2=settings.get("me_l2", 1e-4), seed=seed)
+        config = _me_config(settings)
         if tag in ("emo-me-base", "emo-cpm-me-gold"):
             stack = GOLD if tag == "emo-cpm-me-gold" else None
             return train_emotion_me(corpus, config, stack_source=stack), []
         if tag == "cpm-me-base":
             return train_component_me(corpus, config), []
-        stemmed = [preprocess(i) for i in corpus]   # shared by both models of emo-cpm-me-pred
+        stemmed = preprocess_corpus(corpus)   # shared by both models of emo-cpm-me-pred
         cpm = train_component_me(corpus, config, _adv_resources(resources), dev_ratio=dev_ratio,
                                  seed=seed, stemmed=stemmed)
         if tag == "cpm-me-adv":
@@ -487,7 +524,7 @@ def predict(model, corpus: Corpus, embed=None) -> tuple[list[set[str]] | None,
     task. ``embed`` is an :func:`embedder` covering ``corpus``; a neural
     model needs embeddings as wide as it was trained on."""
     if isinstance(model, MeArtifact):
-        stemmed = [preprocess(i) for i in corpus]
+        stemmed = preprocess_corpus(corpus)
         emotions = (model.predict_emotions(corpus.instances, stemmed)
                     if model.emotion_model is not None else None)
         components = (label_sets(model.predict_components(stemmed, [i.id for i in corpus]),

@@ -181,5 +181,10 @@ def porter_stem(word: str) -> str:
     return w
 
 
-def stem_tokens(tokens: list[str]) -> list[str]:
-    return [porter_stem(t) for t in tokens]
+def stem_tokens(tokens: list[str], stems: dict[str, str] | None = None) -> list[str]:
+    """Porter stems of ``tokens``; ``stems`` memoizes them across calls."""
+    stems = {} if stems is None else stems
+    for t in tokens:
+        if t not in stems:
+            stems[t] = porter_stem(t)
+    return [stems[t] for t in tokens]

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from emocomp import pipeline
-from emocomp.cli import main, read_config_file
+from emocomp.cli import fold_workers, main, read_config_file
 from emocomp.errors import ConfigError
 from emocomp.nn import ModelConfig, build_model, save_checkpoint
 
@@ -261,6 +261,7 @@ class TestModelFiles:
         variant("component_models_list", lambda p: p.update(component_models=[]))
         variant("emotion_model_list", lambda p: p.update(emotion_model=[]))
         variant("version_2", lambda p: p.update(version=2))
+        variant("version_true", lambda p: p.update(version=True))
         variant("number_tag", lambda p: p.update(tag=5))
         variant("text_feature_dim", lambda p: p.update(feature_dim="x"))
         variant("unknown_mode", lambda p: p.update(mode="x"))
@@ -310,6 +311,7 @@ class TestModelFiles:
             "component_models"].update(cognitive_appraisal=[]), pred)
         variant("stacked_component_models_empty",
                 lambda p: p["cpm_artifact"].update(component_models={}), pred)
+        variant("stacked_version_true", lambda p: p["cpm_artifact"].update(version=True), pred)
         model = build_model("emo-nn-base", ModelConfig(bilstm_units=2, cnn_filters=2,
                                                        kernel_sizes=(2,), fc_neurons_emo=2),
                             4, ("joy", "sadness"))
@@ -322,6 +324,7 @@ class TestModelFiles:
         variant("short_param", lambda p: p["params"].update({name: p["params"][name][1:]}),
                 checkpoint)
         variant("params_list", lambda p: p.update(params=[]), checkpoint)
+        variant("checkpoint_version_true", lambda p: p.update(version=True), checkpoint)
         variant("unknown_config_key", lambda p: p["config"].update(mystery=1), checkpoint)
         variant("text_input_dim", lambda p: p.update(input_dim="x"), checkpoint)
         variant("text_kernel_sizes", lambda p: p["config"].update(kernel_sizes="ab"), checkpoint)
@@ -394,6 +397,19 @@ class TestCrossval:
         assert ((tmp_path / "1" / "crossval.tsv").read_bytes()
                 == (tmp_path / "2" / "crossval.tsv").read_bytes())
 
+    def test_workers_capped_at_folds(self):
+        assert fold_workers(1, 10) == 1
+        assert fold_workers(4, 10) == 4
+        assert fold_workers(10**9, 3) == 3
+
+    @pytest.mark.parametrize("flags", [["--jobs", "0"], ["--jobs", "-2"], ["--k", "0"],
+                                       ["--k", "1"]])
+    def test_bad_jobs_or_k_is_config_error(self, flags, tmp_path, tec_path, capsys):
+        assert run(["crossval", "--model", "emo-me-base", "--corpus", tec_path,
+                    "--k", "3", *flags, "--out", tmp_path]) == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "crossval.tsv").exists()
+
 
 class TestEmbeddings:
     def test_non_finite_token_embedding_is_data_error(self, tmp_path, tec_path, capsys):
@@ -438,3 +454,22 @@ class TestAblate:
             assert "pos_tags" in line.split("\t")[1]
         single = (tmp_path / "ablation_single_feature.tsv").read_text()
         assert single.splitlines()[0].startswith("component\tbase")
+
+    def test_runs_the_search_only(self, tmp_path, data_dir, monkeypatch, capsys):
+        # the search is one joint fit, and ablate fits no component model after it
+        from emocomp import maxent
+        calls = []
+        train = maxent.train_maxent
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(maxent, "train_maxent", counting)
+        monkeypatch.setattr(pipeline, "train_maxent", counting)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("me_iterations = 5\n")
+        assert run(["ablate", "--corpus", data_dir / "ablation_corpus.jsonl",
+                    "--pos-sidecar", data_dir / "ablation_pos.tsv",
+                    "--config", cfg, "--out", tmp_path]) == 0
+        assert len(calls) == 1

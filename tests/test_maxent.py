@@ -1,4 +1,6 @@
 import math
+import warnings
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -8,15 +10,16 @@ from emocomp.corpus import REMAN_EMOTIONS
 from emocomp.errors import ConfigError, DataError, DimensionError, ResourceError
 from emocomp.features import (DictionaryLexicon, EmbeddingTable, tfidf_fit,
                               tfidf_transform)
-from emocomp.maxent import (BINARY, MULTINOMIAL, AdvResources, available_flags,
-                            MaxEntConfig, MaxEntModel, build_cpm_adv_features,
-                            combination_columns, combination_width,
+from emocomp.maxent import (BINARY, FEATURE_FLAGS, MULTINOMIAL, AdvResources,
+                            FeatureSearchResult, available_flags, MaxEntConfig,
+                            MaxEntModel, build_cpm_adv_features, combination_columns, combination_width,
                             feature_combination_search, label_sets,
                             load_tagged_sidecar, load_vector_sidecar, permits,
                             predict_maxent, split_labels,
                             stack_component_features, stack_labels,
                             train_maxent)
 from emocomp.losses import weighted_bce
+from emocomp.metrics import evaluate
 from emocomp.optim import Adam
 
 FAST = MaxEntConfig(iterations=150, learning_rate=0.1)
@@ -368,3 +371,98 @@ class TestFeatureSearch:
             alone = search(stemmed, ids, Y[:, j], (comp,), res, 30)[comp]
             assert alone.all_results == joint[comp].all_results
             assert alone.best == joint[comp].best
+
+
+def per_combination_search(X, offsets, Y, components, train_rows, dev_rows, config):
+    """The search as it was before the joint fit: one fit per combination,
+    over that combination's columns only, for every component it permits."""
+    Y = np.asarray(Y).reshape(len(Y), -1)
+    flags = tuple(f for f in FEATURE_FLAGS if f in offsets)
+    results = {c: {} for c in components}
+    for r in range(len(flags) + 1):
+        for combo in combinations(flags, r):
+            applies = [j for j, c in enumerate(components) if permits(combo, c)]
+            if not applies:
+                continue
+            labels = tuple(components[j] for j in applies)
+            cols = combination_columns(offsets, combo)
+            model = train_maxent(X[np.ix_(train_rows, cols)], Y[np.ix_(train_rows, applies)],
+                                 labels, BINARY, len(cols), config)
+            pred = predict_maxent(model, X[np.ix_(dev_rows, cols)])[0]
+            gold = Y[np.ix_(dev_rows, applies)]
+            report = evaluate(dict(enumerate(label_sets(gold, labels))),
+                              dict(enumerate(label_sets(pred, labels))), labels)
+            for c in labels:
+                results[c][combo] = report.per_class[c].f1
+    out = {}
+    for c, res in results.items():
+        best = max(res, key=lambda s: (res[s], -len(s)))
+        out[c] = FeatureSearchResult(best, res[best], res,
+                                     {f: res[(f,)] for f in flags if (f,) in res})
+    return out
+
+
+class TestJointSearch:
+    CONFIG = MaxEntConfig(iterations=120, learning_rate=0.1, l2=1e-2)
+    WIDTHS = {"tfidf": 7, "dictionaries": 4, "pos_tags": 3, "word_embeddings": 5,
+              "appraisal_predictions": 2}
+    COMPONENTS = ("cognitive_appraisal", "motor_expressions", "subjective_feelings")
+
+    def design(self):
+        """A random sparse design of a TF-IDF block and four feature blocks;
+        the third component holds a single class."""
+        rng = np.random.default_rng(11)
+        n, d = 60, sum(self.WIDTHS.values())
+        X = rng.random((n, d)) * (rng.random((n, d)) < 0.4)
+        offsets, pos = {}, 0
+        for name, width in self.WIDTHS.items():
+            offsets[name] = (pos, width)
+            pos += width
+        Y = (X[:, [8, 12, 16]] + 0.3 * rng.standard_normal((n, 3)) > 0.2).astype(float)
+        Y[:, 2] = 1.0
+        return X, offsets, Y
+
+    def test_equals_per_combination_search(self):
+        X, offsets, Y = self.design()
+        rows = list(range(len(X)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)   # the single-class column
+            joint = feature_combination_search(X, offsets, Y, self.COMPONENTS, rows[:45],
+                                               rows[45:], self.CONFIG)
+            alone = per_combination_search(X, offsets, Y, self.COMPONENTS, rows[:45],
+                                           rows[45:], self.CONFIG)
+        assert len(joint["cognitive_appraisal"].all_results) == 16
+        assert len(joint["motor_expressions"].all_results) == 8
+        for comp in self.COMPONENTS:
+            assert joint[comp].all_results == alone[comp].all_results
+            assert joint[comp].best == alone[comp].best
+            assert joint[comp].best_f1 == alone[comp].best_f1
+            assert joint[comp].single_feature == alone[comp].single_feature
+        assert len(set(joint["cognitive_appraisal"].all_results.values())) > 1
+
+    def test_single_class_warned_once(self):
+        X, offsets, Y = self.design()
+        rows = list(range(len(X)))
+        with pytest.warns(UserWarning, match="single class") as record:
+            feature_combination_search(X, offsets, Y, self.COMPONENTS, rows[:45], rows[45:],
+                                       MaxEntConfig(iterations=2))
+        assert len(record) == 1
+
+    def test_masked_columns_equal_their_own_fits(self):
+        X, offsets, Y = self.design()
+        combos = [c for r in range(len(FEATURE_FLAGS) + 1)
+                  for c in combinations(FEATURE_FLAGS, r)]
+        mask = np.zeros((X.shape[1], 2 * len(combos)), dtype=bool)
+        for k, combo in enumerate(combos):
+            mask[np.ix_(combination_columns(offsets, combo), [2 * k, 2 * k + 1])] = True
+        names = tuple(f"{c}{k}" for k in range(len(combos)) for c in "ab")
+        joint = train_maxent(X, np.tile(Y[:, :2], len(combos)), names, BINARY, X.shape[1],
+                             self.CONFIG, mask)
+        for k, combo in enumerate(combos):
+            cols = combination_columns(offsets, combo)
+            own = train_maxent(X[:, cols], Y[:, :2], ("a", "b"), BINARY, len(cols), self.CONFIG)
+            fitted = joint.weights[:, [2 * k, 2 * k + 1]]
+            np.testing.assert_allclose(fitted[cols], own.weights, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(joint.bias[[2 * k, 2 * k + 1]], own.bias, rtol=0,
+                                       atol=1e-12)
+            assert not fitted[~mask[:, 2 * k]].any()

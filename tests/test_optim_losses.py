@@ -9,7 +9,7 @@ from emocomp.autodiff import Parameter, Tensor
 from emocomp.errors import ConfigError
 from emocomp.gradcheck import gradient_check
 from emocomp.losses import PROB_EPS, weighted_bce
-from emocomp.optim import Adam
+from emocomp.optim import BETA1, BETA2, EPS, Adam
 
 
 class TestAdam:
@@ -51,6 +51,44 @@ class TestAdam:
     def test_invalid_lr(self):
         with pytest.raises(ConfigError):
             Adam([], lr=0.0)
+
+    def test_in_place_step_equals_the_expression(self):
+        # the step as one expression, with its temporaries; the in-place step
+        # must give the same bits for every parameter after every step
+        def reference_step(params, moments, t, lr):
+            bc1, bc2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
+            for p in params:
+                if p.frozen:
+                    continue
+                g, (m, v) = p.grad, moments[p.name]
+                m *= BETA1
+                m += (1.0 - BETA1) * g
+                v *= BETA2
+                v += (1.0 - BETA2) * g * g
+                p.tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+                p.tensor.zero_grad()
+
+        rng = np.random.default_rng(7)
+        shapes = [(3,), (4, 5), (2, 3, 4), (1,)]
+
+        def make():
+            return [Parameter(Tensor(np.random.default_rng(i).standard_normal(shape)),
+                              f"p{i}", frozen=(i == 3)) for i, shape in enumerate(shapes)]
+
+        ours, ref = make(), make()
+        opt = Adam(ours, lr=0.03)
+        moments = {p.name: (np.zeros_like(p.data), np.zeros_like(p.data)) for p in ref}
+        for t in range(1, 26):
+            for a, b in zip(ours, ref):
+                g = rng.standard_normal(a.data.shape) * 10.0 ** rng.integers(-6, 3)
+                g[rng.random(g.shape) < 0.2] = 0.0
+                a.grad[...] = g
+                b.grad[...] = g
+            opt.step()
+            reference_step(ref, moments, t, 0.03)
+            for a, b in zip(ours, ref):
+                assert np.array_equal(a.data, b.data), (t, a.name)
+                assert not a.grad.any()
 
     def test_quadratic_convergence(self):
         p = Parameter(Tensor(np.array([5.0])), "p")

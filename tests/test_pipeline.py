@@ -150,15 +150,34 @@ class TestMeArtifactPersistence:
 class TestStemOnce:
     @pytest.fixture
     def preprocess_calls(self, monkeypatch):
+        # every corpus pass goes through preprocess_corpus
         from emocomp import pipeline
         calls = []
+        preprocess_corpus = pipeline.preprocess_corpus
 
-        def counting(instance):
-            calls.append(instance.id)
-            return preprocess(instance)
+        def counting(instances):
+            instances = list(instances)
+            calls.extend(i.id for i in instances)
+            return preprocess_corpus(instances)
 
-        monkeypatch.setattr(pipeline, "preprocess", counting)
+        monkeypatch.setattr(pipeline, "preprocess_corpus", counting)
         return calls
+
+    def test_each_distinct_word_stemmed_once_per_pass(self, tec, monkeypatch):
+        from emocomp import text
+        from emocomp.pipeline import preprocess_corpus
+        stemmed, porter_stem = [], text.porter_stem
+
+        def counting(word):
+            stemmed.append(word)
+            return porter_stem(word)
+
+        monkeypatch.setattr(text, "porter_stem", counting)
+        one_by_one = [preprocess(i) for i in tec]
+        for _ in range(2):   # no memo outlives its pass
+            stemmed.clear()
+            assert preprocess_corpus(tec) == one_by_one
+            assert len(stemmed) == len(set(stemmed)) > 0
 
     def test_component_training_with_resources(self, tec, preprocess_calls):
         res = AdvResources(lexicons=[DictionaryLexicon("c", frozenset({"furious"}))])
