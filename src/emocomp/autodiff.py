@@ -8,7 +8,8 @@ and ``conv_pool`` (multi-kernel convolution, ReLU and max-over-time
 pooling). The loss is one more fused node, in ``losses``. Each op is one
 tape node. Gradients are accumulated into ``Tensor.grad`` buffers,
 allocated on first use, by ``Tensor.backward()`` via a topological sweep
-over the recorded tape.
+over the recorded tape. The sweep frees the tape as it goes, so a recorded
+graph can be backpropagated once; build it again for another pass.
 
 A minibatch is one graph. Its sequences travel as a zero-padded
 B x T_max x d array plus the length of each; a 2-D T x d array is a batch
@@ -30,6 +31,7 @@ from .errors import ConfigError, DimensionError
 Array = np.ndarray
 
 _recording = True
+_allocating = True
 
 
 @contextlib.contextmanager
@@ -44,6 +46,21 @@ def no_tape():
         yield
     finally:
         _recording = saved
+
+
+@contextlib.contextmanager
+def shapes_only():
+    """Build parameters with their shapes but not their values: inside,
+    ``xavier_uniform`` and ``filled`` return read-only zero-stride arrays
+    and a ``Parameter`` gets no gradient buffer, so a model of any stated
+    size is built without allocating it. For checking the shapes of a
+    stored model before building it."""
+    global _allocating
+    saved, _allocating = _allocating, False
+    try:
+        yield
+    finally:
+        _allocating = saved
 
 
 def _as_array(x) -> Array:
@@ -104,6 +121,10 @@ class Tensor:
         self.grad += g
 
     def backward(self, grad=None):
+        """Add the gradient of this node (``grad``, or 1 for a scalar) with
+        respect to every ``requires_grad`` node of its graph into their
+        ``grad`` buffers. The graph is used up: every node of it is left
+        without parents and backward."""
         if grad is None:
             if self.data.size != 1:
                 raise DimensionError(
@@ -126,15 +147,21 @@ class Tensor:
                 if id(p) not in seen:
                     stack.append((p, False))
         grads: dict[int, Array] = {id(self): _as_array(grad)}
-        for node in reversed(topo):
+        while topo:
+            # consumers first; a node is cut from the graph as it is reached,
+            # so its backward, and the forward caches it holds, are freed as
+            # soon as its parents' gradients exist
+            node = topo.pop()
+            parents, backward = node._parents, node._backward
+            node._parents, node._backward = (), None
             g = grads.pop(id(node), None)
             if g is None:
                 continue
             if node.requires_grad:
                 node._accumulate(g)
-            if node._backward is None:
+            if backward is None:
                 continue
-            for parent, pg in zip(node._parents, node._backward(g)):
+            for parent, pg in zip(parents, backward(g)):
                 if pg is None:
                     continue
                 if id(parent) in grads:
@@ -308,17 +335,21 @@ def lstm(x: Tensor, W: Tensor, U: Tensor, b: Tensor, reverse: bool = False,
             dh[:n], dc[:n] = _rowwise(dz[lo:hi], U.data.T), dc_s * f
         needs_dx = x.requires_grad or x._backward is not None
         dX = np.zeros_like(X) if needs_dx else None
-        dW, dU, db = [], [], []
+        # the weight gradients add the sequences in order, one at a time:
+        # bitwise what _fold gives over the stacked per-sequence terms
+        sums = None
         for k, n in enumerate(lengths):
             rows = packed[k, :n]            # the sequence's rows in time order
             dz_k = dz[rows]
             if needs_dx:
                 dX[k, :n] = dz_k @ W.data.T
-            dW.append(X[k, :n].T @ dz_k)
-            dU.append(h_in[rows].T @ dz_k)
-            db.append(dz_k.sum(axis=0))
-        return ((dX[0] if single and needs_dx else dX),
-                _fold(np.stack(dW)), _fold(np.stack(dU)), _fold(np.stack(db)))
+            terms = (X[k, :n].T @ dz_k, h_in[rows].T @ dz_k, dz_k.sum(axis=0))
+            if sums is None:
+                sums = terms
+            else:
+                for total, term in zip(sums, terms):
+                    total += term
+        return ((dX[0] if single and needs_dx else dX), *sums)
 
     return Tensor(out[0] if single else out, _parents=(x, W, U, b), _backward=bwd)
 
@@ -424,7 +455,7 @@ class Parameter:
 
     def __post_init__(self):
         self.tensor.requires_grad = True
-        if self.tensor.grad is None:
+        if self.tensor.grad is None and _allocating:
             self.tensor.grad = np.zeros_like(self.tensor.data)
 
     @property
@@ -436,7 +467,16 @@ class Parameter:
         return self.tensor.grad
 
 
+def filled(shape: tuple, value) -> Array:
+    """A new ``shape`` array filled with ``value`` (broadcast to it)."""
+    if not _allocating:
+        return np.broadcast_to(value, shape)
+    return np.full(shape, value, dtype=np.float64)
+
+
 def xavier_uniform(shape: tuple, rng: np.random.Generator) -> Array:
+    if not _allocating:
+        return filled(shape, 0.0)
     fan_in = shape[0]
     fan_out = shape[-1]
     if len(shape) == 3:  # conv kernel k x d x f

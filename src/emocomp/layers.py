@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, concat, conv_pool, lstm, xavier_uniform
+from .autodiff import Parameter, Tensor, concat, conv_pool, filled, lstm, xavier_uniform
 
 
 class Dense:
@@ -25,7 +25,7 @@ class Dense:
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
                  name: str, activation: str | None = "relu"):
         self.W = Parameter(Tensor(xavier_uniform((d_in, d_out), rng)), f"{name}.W")
-        self.b = Parameter(Tensor(np.zeros(d_out)), f"{name}.b")
+        self.b = Parameter(Tensor(filled(d_out, 0.0)), f"{name}.b")
         self.activation = activation
 
     @property
@@ -57,7 +57,7 @@ class BiLstm:
         self.directions = [
             [Parameter(Tensor(xavier_uniform((d_in, 4 * units), rng)), f"{name}.{d}.W"),
              Parameter(Tensor(xavier_uniform((units, 4 * units), rng)), f"{name}.{d}.U"),
-             Parameter(Tensor(np.zeros(4 * units)), f"{name}.{d}.b")]
+             Parameter(Tensor(filled(4 * units, 0.0)), f"{name}.{d}.b")]
             for d in ("fwd", "bwd")]
         self.out_dim = 2 * units
 
@@ -86,7 +86,7 @@ class ConvPool:
         for k in self.kernel_sizes:
             self.kernels.append(Parameter(Tensor(xavier_uniform((k, d_in, filters), rng)),
                                           f"{name}.k{k}.kernel"))
-            self.biases.append(Parameter(Tensor(np.zeros(filters)), f"{name}.k{k}.bias"))
+            self.biases.append(Parameter(Tensor(filled(filters, 0.0)), f"{name}.k{k}.bias"))
 
     @property
     def out_dim(self) -> int:

@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, concat, dropout, no_tape, stitch
+from .autodiff import Parameter, Tensor, concat, dropout, filled, no_tape, shapes_only, stitch
 from .corpus import COMPONENTS
 from .errors import ConfigError, DataError, DimensionError
 from .fileio import write_text
@@ -48,13 +48,20 @@ NN_TAGS = ("emo-nn-base", "cpm-nn-base", "emo-cpm-nn-gold", "emo-cpm-nn-pred",
 N_COMPONENTS = 5
 
 
-def _pair(value) -> tuple[int, int]:
+def _integer(name: str, value) -> int:
+    """``value`` if it is an int; a bool, a float or a string is refused."""
+    if type(value) is not int:
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _pair(name: str, value) -> tuple[int, int]:
     """Accept a single size or an (emotion, cpm) pair."""
     if isinstance(value, (tuple, list)):
         if len(value) != 2:
             raise ConfigError(f"expected one size or an (emo, cpm) pair, got {value!r}")
-        return int(value[0]), int(value[1])
-    return int(value), int(value)
+        return _integer(name, value[0]), _integer(name, value[1])
+    return _integer(name, value), _integer(name, value)
 
 
 @dataclass
@@ -78,15 +85,17 @@ class ModelConfig:
     per_channel_stitch: bool = False
 
     def __post_init__(self):
-        self.bilstm_units = _pair(self.bilstm_units)
-        self.cnn_filters = _pair(self.cnn_filters)
-        self.kernel_sizes = tuple(int(k) for k in self.kernel_sizes)
+        self.bilstm_units = _pair("bilstm_units", self.bilstm_units)
+        self.cnn_filters = _pair("cnn_filters", self.cnn_filters)
+        self.kernel_sizes = tuple(_integer("kernel_sizes", k) for k in self.kernel_sizes)
         if not self.kernel_sizes:
             raise ConfigError("kernel_sizes must be non-empty")
         for name in ("fc_neurons_cpm", "fc_neurons_emo", "fc_neurons_combined",
                      "minibatch_size", "epochs"):
-            if getattr(self, name) < 1:
+            if _integer(name, getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if _integer("seed", self.seed) < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for name in ("loss_weight_emo", "loss_weight_cpm",
                      "task_weight_emo", "task_weight_cpm"):
             if getattr(self, name) < 0:
@@ -471,7 +480,7 @@ class MtlCrossStitch(NeuralModel):
             self.proj_cpm = Dense(wc, self.width, rng, "stitch.proj_cpm", activation=None)
         alpha_init = np.array([[0.9, 0.1], [0.1, 0.9]])
         if config.per_channel_stitch:
-            alpha_init = np.repeat(alpha_init[:, :, None], self.width, axis=2)
+            alpha_init = filled((2, 2, self.width), alpha_init[:, :, None])
         self.alpha = Parameter(Tensor(alpha_init), "stitch.alpha", frozen=freeze_stitch)
         self.fc_emo = Dense(self.width, config.fc_neurons_emo, rng, "emo.fc", "relu")
         self.out_emo = Dense(config.fc_neurons_emo, len(self.emo_labels), rng, "emo.out", "sigmoid")
@@ -673,18 +682,29 @@ def train_model(model: NeuralModel, train: list[Example], mode: str,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(model: NeuralModel, path: str | Path) -> None:
-    payload = {
+    write_text(path, _checkpoint_pieces(model))
+
+
+def _checkpoint_pieces(model: NeuralModel):
+    """The v1 checkpoint, ``json.dumps`` of {version, tag, input_dim, config,
+    emo_labels, components, params by name[, frozen_cpm_config]} byte for
+    byte, one parameter at a time, so only one parameter's text exists at
+    once."""
+    head = json.dumps({
         "version": CHECKPOINT_VERSION,
         "tag": model.tag,
         "input_dim": model.input_dim,
         "config": model.config.to_dict(),
         "emo_labels": list(model.emo_labels),
         "components": N_COMPONENTS,
-        "params": {name: arr.tolist() for name, arr in model.state_dict().items()},
-    }
+    })
+    yield head[:-1] + ', "params": {'
+    for i, p in enumerate(model.params()):
+        yield f'{", " if i else ""}{json.dumps(p.name)}: {json.dumps(p.data.tolist())}'
+    yield "}"
     if model.tag == "emo-cpm-nn-pred":
-        payload["frozen_cpm_config"] = model.frozen_cpm.config.to_dict()
-    write_text(path, json.dumps(payload))
+        yield f', "frozen_cpm_config": {json.dumps(model.frozen_cpm.config.to_dict())}'
+    yield "}"
 
 
 def load_checkpoint(source: str | Path | dict) -> NeuralModel:
@@ -703,15 +723,29 @@ def load_checkpoint(source: str | Path | dict) -> NeuralModel:
         raise DataError(f"unknown checkpoint tag {tag!r}")
     if not labels and tag != "cpm-nn-base":
         raise DataError(f"a checkpoint tagged {tag} needs emo_labels")
-    frozen = (None if tag != "emo-cpm-nn-pred" else
-              SingleTaskModel(ModelConfig.from_dict(payload["frozen_cpm_config"]), input_dim, "cpm"))
-    model = build_model(tag, config, input_dim, tuple(labels), frozen_cpm=frozen)
+    frozen_config = (None if tag != "emo-cpm-nn-pred" else
+                     ModelConfig.from_dict(payload["frozen_cpm_config"]))
+
+    def build() -> NeuralModel:
+        frozen = None if frozen_config is None else SingleTaskModel(frozen_config, input_dim, "cpm")
+        return build_model(tag, config, input_dim, tuple(labels), frozen_cpm=frozen)
+
     try:
         state = {n: np.array(a, dtype=float) for n, a in payload["params"].items()}
-        model.load_state(state)
-    except (AttributeError, TypeError, ValueError, DimensionError) as exc:
-        raise DataError(f"checkpoint parameter is not a numeric array of its shape: {exc}") from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint parameter is not a numeric array: {exc}") from exc
+    try:
+        with shapes_only():   # the config's shapes, before anything is allocated
+            shapes = {p.name: p.data.shape for p in build().params()}
+    except ValueError as exc:   # a parameter larger than any array can be
+        raise DataError(f"stored model config is invalid: {exc}") from exc
+    stored = {n: a.shape for n, a in state.items()}
+    if stored != shapes:
+        wrong = sorted(n for n in stored.keys() | shapes.keys() if stored.get(n) != shapes.get(n))
+        raise DataError(f"checkpoint parameters do not match the stored config: {', '.join(wrong[:4])}")
     bad = [n for n, a in state.items() if not np.isfinite(a).all()]
     if bad:
         raise DataError(f"checkpoint parameters hold non-finite values: {', '.join(bad[:4])}")
+    model = build()
+    model.load_state(state)
     return model

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emocomp.autodiff import (Parameter, Tensor, concat, conv_pool, dropout,
+from emocomp.autodiff import (Parameter, Tensor, _fold, concat, conv_pool, dropout,
                               lstm, no_tape, stitch, xavier_uniform)
 from emocomp.errors import ConfigError, DimensionError
 from emocomp.gradcheck import gradient_check
@@ -300,6 +300,24 @@ class TestBatchedOps:
             assert np.array_equal(x.grad[k, :n], want_dx) and not x.grad[k, n:].any()
         for j, p in enumerate(params):
             assert np.array_equal(p.grad, fold([grads[j] for _, _, grads in alone]))
+
+    @pytest.mark.parametrize("trial", range(12))
+    def test_lstm_weight_gradients_add_sequences_in_order(self, trial):
+        # the running sum over the sequences equals _fold over their stacked terms
+        rng = np.random.default_rng(trial)
+        d, u = rng.integers(1, 40), rng.integers(1, 12)
+        seqs = [rng.standard_normal((n, d)) for n in rng.integers(1, 30, size=rng.integers(1, 13))]
+        params = [Tensor(rng.standard_normal(shape) * 0.3, requires_grad=True)
+                  for shape in ((d, 4 * u), (u, 4 * u), (4 * u,))]
+        reverse = bool(trial % 2)
+        grads_out = [rng.standard_normal((len(s), u)) for s in seqs]
+        alone = one_at_a_time(lambda x: lstm(x, *params, reverse), seqs, params, grads_out)
+        x, lengths = padded(seqs)
+        for p in params:
+            p.grad = None
+        lstm(Tensor(x), *params, reverse, lengths).backward(padded(grads_out)[0])
+        for j, p in enumerate(params):
+            assert np.array_equal(p.grad, _fold(np.stack([grads[j] for _, _, grads in alone])))
 
     def test_conv_pool_batch_is_bitwise_one_at_a_time(self, rng):
         seqs = [rng.standard_normal((n, 48)) for n in (1, 30, 7, 40, 2, 25, 24)]

@@ -334,6 +334,22 @@ class TestModelFiles:
         variant("nan_param", lambda p: p["params"][name][0].__setitem__(0, float("nan")),
                 checkpoint)
         variant("three_bilstm_units", lambda p: p["config"]["bilstm_units"].append(9), checkpoint)
+        # sizes, counts and the seed are integers; the stored shapes are
+        # checked before a model of the stored sizes is allocated
+        for key, value in [("minibatch_size", 1.5), ("fc_neurons_emo", True), ("seed", "x"),
+                           ("seed", -1), ("fc_neurons_emo", 10**9), ("cnn_filters", 10**9),
+                           ("kernel_sizes", [10**9])]:
+            variant(f"config_{key}_{value}", lambda p, k=key, v=value: p["config"].update({k: v}),
+                    checkpoint)
+        for value in (10**9, 10**18):   # too large to allocate, too large for any array
+            variant(f"input_dim_{value}", lambda p, v=value: p.update(input_dim=v), checkpoint)
+        stitched = build_model("mtl-xs", ModelConfig(bilstm_units=2, cnn_filters=2, kernel_sizes=(2,),
+                                                     fc_neurons_emo=2, fc_neurons_cpm=2,
+                                                     per_channel_stitch=True),
+                               4, ("joy", "sadness"))
+        save_checkpoint(stitched, tmp_path / "stitched.json")
+        variant("huge_per_channel_stitch", lambda p: p["config"].update(cnn_filters=10**9),
+                json.loads((tmp_path / "stitched.json").read_text()))
         for bad in bad_files:
             assert run([verb, "--model-path", bad, "--corpus", tec_path,
                         "--out", tmp_path / "o"]) == 2

@@ -28,6 +28,21 @@ def test_failed_replace_keeps_old_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def test_pieces_written_in_order_or_not_at_all(tmp_path):
+    path = tmp_path / "out.txt"
+    write_text(path, (piece for piece in ["a", "b", "c\n"]))
+    assert path.read_text(encoding="utf-8") == "abc\n"
+
+    def failing():
+        yield "partial"
+        raise ValueError("stopped")
+
+    with pytest.raises(ValueError):
+        write_text(path, failing())
+    assert path.read_text(encoding="utf-8") == "abc\n"
+    assert os.listdir(tmp_path) == ["out.txt"]
+
+
 def test_cli_outputs_survive_a_failed_rewrite(tmp_path, data_dir, monkeypatch, capsys):
     corpus = data_dir / "synthetic_tec.jsonl"
     assert main(["stats", str(corpus), "--out", str(tmp_path)]) == 0

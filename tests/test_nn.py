@@ -1,7 +1,11 @@
+import dataclasses
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from emocomp.autodiff import Tensor
+from emocomp.autodiff import Tensor, shapes_only
 from emocomp.corpus import COMPONENTS
 from emocomp.errors import ConfigError, DataError, DimensionError
 from emocomp.gradcheck import gradient_check
@@ -64,6 +68,17 @@ class TestConfig:
             ModelConfig(kernel_sizes=())
         with pytest.raises(ConfigError):
             ModelConfig(task_weight_cpm=-0.1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("minibatch_size", 1.5), ("fc_neurons_emo", True), ("epochs", 2.0), ("seed", "x"),
+        ("seed", -1), ("seed", 1.0), ("bilstm_units", (2, 1.5)), ("cnn_filters", True),
+        ("kernel_sizes", (2, True)), ("kernel_sizes", (2.0,)),
+    ])
+    def test_sizes_counts_and_seed_are_integers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ModelConfig(**{field: value})
+        with pytest.raises(DataError, match=field):
+            ModelConfig.from_dict({**ModelConfig().to_dict(), field: value})
 
     def test_published_defaults_present(self):
         for tag in ("emo-nn-base", "cpm-nn-base", "emo-cpm-nn-gold",
@@ -227,6 +242,76 @@ class TestBatchedEqualsOneAtATime:
                                   for _, probs in alone]
 
 
+def graph_nodes(root):
+    """Every node of ``root``'s recorded graph, ``root`` included."""
+    nodes, seen, stack = [], set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def backward_keeping_tape(root):
+    """The backward sweep as it was before it freed the graph: the
+    reference for the one that detaches each node it reaches."""
+    topo, seen, stack = [], set(), [(root, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            topo.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    grads = {id(root): np.ones_like(root.data)}
+    for node in reversed(topo):
+        g = grads.pop(id(node), None)
+        if g is None:
+            continue
+        if node.requires_grad:
+            node._accumulate(g)
+        if node._backward is None:
+            continue
+        for parent, pg in zip(node._parents, node._backward(g)):
+            if pg is None:
+                continue
+            if id(parent) in grads:
+                grads[id(parent)] += pg
+            else:
+                grads[id(parent)] = pg
+
+
+class TestTapeIsFreed:
+    def test_backward_detaches_every_node_and_keeps_the_gradients(self, rng):
+        model = build("mtl-xs", toy_config(dropout_rate=0.5, per_channel_stitch=True))
+        params = model.params()
+        x, lengths, y_emo, y_cpm = padded_batch(ragged_examples(rng))
+
+        def minibatch_loss():
+            for p in params:
+                p.tensor.zero_grad()
+            out = model.forward(x, True, np.random.default_rng(3), lengths=lengths)
+            return model.loss(out, y_emo, y_cpm)
+
+        kept = minibatch_loss()
+        backward_keeping_tape(kept)
+        want = [p.grad.copy() for p in params]
+        loss = minibatch_loss()
+        nodes = graph_nodes(loss)
+        inner = [n for n in nodes if n._parents]
+        assert len(inner) > 20 and all(n._backward is not None for n in inner)
+        loss.backward()
+        assert all(n._parents == () and n._backward is None for n in nodes)
+        for p, w in zip(params, want):
+            assert np.array_equal(p.grad, w), p.name
+        assert kept._parents   # the reference kept its tape
+
+
 class TestCrossStitchReduction:
     def test_identity_alpha_equals_two_single_task_models(self, rng):
         cfg = toy_config()
@@ -362,6 +447,59 @@ class TestCheckpoints:
         save_checkpoint(model, path)
         with pytest.raises(DataError, match="non-finite.*emo.out.b"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("tag", NN_TAGS)
+    def test_streamed_file_is_the_json_payload(self, tag, tmp_path):
+        model = build(tag, toy_config(per_channel_stitch=True))
+        # the payload as one dict, in the v1 key order
+        payload = {"version": 1, "tag": model.tag, "input_dim": model.input_dim,
+                   "config": dataclasses.asdict(model.config),
+                   "emo_labels": list(model.emo_labels), "components": 5,
+                   "params": {p.name: p.data.tolist() for p in model.params()}}
+        if tag == "emo-cpm-nn-pred":
+            payload["frozen_cpm_config"] = dataclasses.asdict(model.frozen_cpm.config)
+        save_checkpoint(model, tmp_path / "ckpt.json")
+        assert (tmp_path / "ckpt.json").read_bytes() == json.dumps(payload).encode("utf-8")
+
+    def test_save_holds_one_parameter_at_a_time(self, tmp_path):
+        # mtl-xs at its REMAN-style sizes: 141k parameters, whose JSON text
+        # is about 7 times that of the largest one
+        model = build_model("mtl-xs", default_config("mtl-xs", "reman"), 64, LABELS)
+        largest = max(len(json.dumps(p.data.tolist())) for p in model.params())
+        tracemalloc.start()
+        try:
+            save_checkpoint(model, tmp_path / "ckpt.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * largest, (peak, largest)
+
+    @pytest.mark.parametrize("where,key", [("config", "fc_neurons_emo"), ("config", "cnn_filters"),
+                                           ("config", "kernel_sizes"), ("payload", "input_dim")])
+    def test_shapes_checked_before_the_model_is_built(self, where, key, tmp_path):
+        model = build("mtl-xs", toy_config(per_channel_stitch=True))
+        save_checkpoint(model, tmp_path / "ckpt.json")
+        payload = json.loads((tmp_path / "ckpt.json").read_text())
+        huge = [10**9] if key == "kernel_sizes" else 10**9
+        (payload["config"] if where == "config" else payload)[key] = huge
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError, match="do not match the stored config"):
+                load_checkpoint(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**6
+
+    def test_shapes_only_allocates_nothing(self):
+        with shapes_only():
+            model = build_model("mtl-xs", toy_config(fc_neurons_emo=10**9, cnn_filters=10**8,
+                                                     per_channel_stitch=True), 10**9, LABELS)
+        shapes = {p.name: p.data.shape for p in model.params()}
+        assert shapes["emo.fc.W"] == (2 * 10**8, 10**9)
+        assert shapes["stitch.alpha"] == (2, 2, 2 * 10**8)
+        assert all(p.grad is None and not p.data.flags.writeable for p in model.params())
+        assert build("mtl-xs").fc_emo.W.grad is not None
 
     def test_mismatched_state_rejected(self):
         a = build("emo-nn-base")
