@@ -53,8 +53,8 @@ def shapes_only():
     """Build parameters with their shapes but not their values: inside,
     ``xavier_uniform`` and ``filled`` return read-only zero-stride arrays
     and a ``Parameter`` gets no gradient buffer, so a model of any stated
-    size is built without allocating it. For checking the shapes of a
-    stored model before building it."""
+    size is built without allocating it. For loading a stored model, whose
+    parameters are then set to their checked stored arrays."""
     global _allocating
     saved, _allocating = _allocating, False
     try:

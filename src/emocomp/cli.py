@@ -29,17 +29,10 @@ from .fileio import write_lines, write_text
 from .maxent import FEATURE_FLAGS
 from .metrics import (agreement_degenerate, cohen_kappa, cooccurrence_stats,
                       round_half_up)
-from .nn import ModelConfig
 from . import pipeline
-from .pipeline import ALL_TAGS
+from .pipeline import ALL_TAGS, SETTINGS, setting
 
 ENV_PREFIX = "EMOCOMP_"
-
-# keys the flat config file understands beyond ModelConfig fields
-EXTRA_KEYS = ("split_ratio", "dev_ratio", "fallback_dim",
-              "me_iterations", "me_learning_rate", "me_l2")
-
-MODEL_CONFIG_KEYS = tuple(k for k in ModelConfig.__dataclass_fields__ if k != "seed")
 
 BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
             "0": False, "false": False, "no": False, "off": False}
@@ -50,22 +43,20 @@ PATH_ERRORS = (FileNotFoundError, FileExistsError, IsADirectoryError, NotADirect
 
 
 def _parse_value(key: str, raw: str, where: str):
-    """The typed value of ``key``; ``where`` names the source of ``raw``."""
-    raw = raw.strip()
+    """The value of ``key`` as its default's type; ``where`` names the source
+    of ``raw``. A size pair is ``a/b`` or one size, kernel sizes a list."""
+    default, raw = SETTINGS[key], raw.strip()
     try:
-        if key in ("bilstm_units", "cnn_filters"):
-            if "/" in raw:
-                a, b = raw.split("/")
-                return (int(a), int(b))
-            return int(raw)
-        if key == "kernel_sizes":
-            return tuple(int(v) for v in raw.replace(",", " ").split())
-        if key == "per_channel_stitch":
+        if type(default) is bool:
             return BOOLEANS[raw.lower()]
-        if key in ("seed", "minibatch_size", "epochs", "fc_neurons_cpm", "fc_neurons_emo",
-                   "fc_neurons_combined", "fallback_dim", "me_iterations"):
+        if type(default) is not tuple:
+            return type(default)(raw)
+        if len(default) != 2:
+            return tuple(int(v) for v in raw.replace(",", " ").split())
+        if "/" not in raw:
             return int(raw)
-        return float(raw)
+        a, b = raw.split("/")
+        return (int(a), int(b))
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"{where}: bad value {raw!r} for {key}") from exc
 
@@ -73,7 +64,6 @@ def _parse_value(key: str, raw: str, where: str):
 def read_config_file(path: str | Path) -> dict:
     """Flat ``key = value`` text format, '#' comments."""
     out = {}
-    known = set(MODEL_CONFIG_KEYS) | set(EXTRA_KEYS) | {"seed"}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
@@ -85,7 +75,7 @@ def read_config_file(path: str | Path) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         out[key] = _parse_value(key, raw, f"{path}:{lineno}")
     return out
@@ -95,16 +85,13 @@ def gather_settings(args) -> dict:
     settings: dict = {}
     if getattr(args, "config", None):
         settings.update(read_config_file(args.config))
-    for key in list(MODEL_CONFIG_KEYS) + list(EXTRA_KEYS) + ["seed"]:
-        env = os.environ.get(ENV_PREFIX + key.upper())
+    for key in SETTINGS:
+        env, flag = os.environ.get(ENV_PREFIX + key.upper()), getattr(args, key, None)
         if env is not None:
             settings[key] = _parse_value(key, env, ENV_PREFIX + key.upper())
-    for key in ("seed", "epochs", "minibatch_size", "learning_rate", "dropout_rate",
-                "fallback_dim", "split_ratio", "dev_ratio"):
-        val = getattr(args, key, None)
-        if val is not None:
-            settings[key] = val
-    if settings.get("seed", 0) < 0:
+        if flag is not None:   # a flag is named as its key
+            settings[key] = flag
+    if setting(settings, "seed") < 0:
         raise ConfigError(f"seed must be >= 0, got {settings['seed']}")
     return settings
 
@@ -213,7 +200,7 @@ def cmd_train(args) -> int:
     corpus = load_corpus(args.corpus)
     _check_tag_mode(args.model, corpus, args)
     train_corpus, test_corpus = split_train_test(
-        corpus, ratio=settings.get("split_ratio", 0.9), seed=settings.get("seed", 0))
+        corpus, ratio=setting(settings, "split_ratio"), seed=setting(settings, "seed"))
     out = _out_dir(args)
     resources = _resources(args)
     embed = pipeline.embedder(corpus, settings, resources)
@@ -259,13 +246,13 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_fold(payload):
-    (fold_index, corpus_path, tag, settings, resources) = payload
+    (fold_index, k, corpus_path, tag, settings, resources) = payload
     corpus = load_corpus(corpus_path)
-    folds = kfold(corpus, k=settings["_k"], seed=settings.get("seed", 0))
+    folds = kfold(corpus, k=k, seed=setting(settings, "seed"))
     test_idx = set(folds[fold_index])
     train_corpus = corpus.subset([i for j, i in enumerate(corpus.instances) if j not in test_idx])
     test_corpus = corpus.subset([corpus.instances[j] for j in sorted(test_idx)])
-    fold_settings = dict(settings, seed=settings.get("seed", 0) + fold_index)
+    fold_settings = dict(settings, seed=setting(settings, "seed") + fold_index)
     embed = pipeline.embedder(corpus, fold_settings, resources)
     model, _ = pipeline.train_tag(tag, train_corpus, fold_settings, resources, embed)
     report = pipeline.evaluate_model(model, test_corpus, embed)
@@ -284,8 +271,7 @@ def cmd_crossval(args) -> int:
     corpus = load_corpus(args.corpus)
     _check_tag_mode(args.model, corpus, args)
     kfold(corpus, k=args.k)   # a bad --k fails here, before any fold runs
-    settings["_k"] = args.k
-    payloads = [(i, args.corpus, args.model, settings, _resources(args))
+    payloads = [(i, args.k, args.corpus, args.model, settings, _resources(args))
                 for i in range(args.k)]
     workers = fold_workers(args.jobs, args.k)
     if workers > 1:
@@ -309,8 +295,8 @@ def cmd_crossval(args) -> int:
 def cmd_ablate(args) -> int:
     settings = gather_settings(args)
     corpus = load_corpus(args.corpus)
-    train_corpus, _ = split_train_test(corpus, ratio=settings.get("split_ratio", 0.9),
-                                       seed=settings.get("seed", 0))
+    train_corpus, _ = split_train_test(corpus, ratio=setting(settings, "split_ratio"),
+                                       seed=setting(settings, "seed"))
     results = pipeline.search_features(train_corpus, settings, _resources(args))
     out = _out_dir(args)
     single_lines = ["component\tbase\t" + "\t".join(FEATURE_FLAGS)]

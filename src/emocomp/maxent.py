@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Parameter, Tensor
-from .errors import ConfigError, DataError, DimensionError, ResourceError
+from .errors import ConfigError, DataError, DimensionError, ResourceError, check_fields
 from .features import (DictionaryLexicon, EmbeddingTable, TfIdfModel,
                        dictionary_features,
                        pooled_embedding_features, tfidf_transform)
@@ -47,13 +47,13 @@ class MaxEntConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self, "maxent ")
         if self.iterations < 1:
             raise ConfigError(f"maxent iterations must be >= 1, got {self.iterations}")
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ConfigError(f"maxent learning_rate must be finite and > 0, "
-                              f"got {self.learning_rate}")
-        if not (np.isfinite(self.l2) and self.l2 >= 0):
-            raise ConfigError(f"maxent l2 must be finite and >= 0, got {self.l2}")
+        if self.learning_rate <= 0:
+            raise ConfigError(f"maxent learning_rate must be > 0, got {self.learning_rate}")
+        if self.l2 < 0:
+            raise ConfigError(f"maxent l2 must be >= 0, got {self.l2}")
 
 
 @dataclass

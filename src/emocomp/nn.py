@@ -33,7 +33,7 @@ import numpy as np
 
 from .autodiff import Parameter, Tensor, concat, dropout, filled, no_tape, shapes_only, stitch
 from .corpus import COMPONENTS
-from .errors import ConfigError, DataError, DimensionError
+from .errors import ConfigError, DataError, DimensionError, check_fields, stored_names
 from .fileio import write_text
 from .layers import BiLstm, ConvPool, Dense
 from .losses import weighted_bce
@@ -48,27 +48,11 @@ NN_TAGS = ("emo-nn-base", "cpm-nn-base", "emo-cpm-nn-gold", "emo-cpm-nn-pred",
 N_COMPONENTS = 5
 
 
-def _integer(name: str, value) -> int:
-    """``value`` if it is an int; a bool, a float or a string is refused."""
-    if type(value) is not int:
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _pair(name: str, value) -> tuple[int, int]:
-    """Accept a single size or an (emotion, cpm) pair."""
-    if isinstance(value, (tuple, list)):
-        if len(value) != 2:
-            raise ConfigError(f"expected one size or an (emo, cpm) pair, got {value!r}")
-        return _integer(name, value[0]), _integer(name, value[1])
-    return _integer(name, value), _integer(name, value)
-
-
 @dataclass
 class ModelConfig:
     # one size for both tasks or an (emo, cpm) pair, held as the pair
-    bilstm_units: int | tuple[int, int] = 24
-    cnn_filters: int | tuple[int, int] = 10
+    bilstm_units: tuple[int, int] = (24, 24)
+    cnn_filters: tuple[int, int] = (10, 10)
     fc_neurons_cpm: int = 128
     fc_neurons_emo: int = 128
     fc_neurons_combined: int = 128
@@ -85,26 +69,28 @@ class ModelConfig:
     per_channel_stitch: bool = False
 
     def __post_init__(self):
-        self.bilstm_units = _pair("bilstm_units", self.bilstm_units)
-        self.cnn_filters = _pair("cnn_filters", self.cnn_filters)
-        self.kernel_sizes = tuple(_integer("kernel_sizes", k) for k in self.kernel_sizes)
+        for name in ("bilstm_units", "cnn_filters"):   # one size, or an (emo, cpm) pair
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)):
+                value = (value, value)
+            if len(value) != 2:
+                raise ConfigError(f"{name} must be one size or an (emo, cpm) pair, got {value!r}")
+            setattr(self, name, tuple(value))
+        if isinstance(self.kernel_sizes, list):
+            self.kernel_sizes = tuple(self.kernel_sizes)
+        check_fields(self)
         if not self.kernel_sizes:
             raise ConfigError("kernel_sizes must be non-empty")
-        for name in ("fc_neurons_cpm", "fc_neurons_emo", "fc_neurons_combined",
-                     "minibatch_size", "epochs"):
-            if _integer(name, getattr(self, name)) < 1:
+        for name in ("bilstm_units", "cnn_filters", "kernel_sizes", "fc_neurons_cpm",
+                     "fc_neurons_emo", "fc_neurons_combined", "minibatch_size", "epochs"):
+            if np.min(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if _integer("seed", self.seed) < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        for name in ("loss_weight_emo", "loss_weight_cpm",
+        for name in ("seed", "loss_weight_emo", "loss_weight_cpm",
                      "task_weight_emo", "task_weight_cpm"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        for u in self.bilstm_units + self.cnn_filters + self.kernel_sizes:
-            if u < 1:
-                raise ConfigError("layer and kernel sizes must be >= 1")
 
     @property
     def units_emo(self) -> int:
@@ -128,13 +114,9 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         """Rebuild a stored config; unknown keys or mistyped values are data errors."""
-        if not isinstance(d, dict):
-            raise DataError(f"model config must be an object, got {type(d).__name__}")
         try:
-            if not isinstance(d.get("kernel_sizes", []), (list, tuple)):
-                raise TypeError("kernel_sizes must be a list")
             return cls(**d)
-        except (TypeError, ValueError, ConfigError) as exc:
+        except (TypeError, ConfigError) as exc:
             raise DataError(f"stored model config is invalid: {exc}") from exc
 
 
@@ -323,17 +305,27 @@ class NeuralModel:
     def state_dict(self) -> dict[str, np.ndarray]:
         return {p.name: p.data.copy() for p in self.params()}
 
-    def load_state(self, state: dict[str, np.ndarray]) -> None:
-        own = {p.name: p for p in self.params()}
-        if set(own) != set(state):
-            raise DataError(f"checkpoint parameters do not match architecture "
-                            f"(missing {sorted(set(own) ^ set(state))[:4]})")
-        for name, arr in state.items():
-            arr = np.asarray(arr, dtype=np.float64)
-            if own[name].data.shape != arr.shape:
-                raise DimensionError(f"parameter {name}: shape {arr.shape} does not "
-                                     f"match {own[name].data.shape}")
-            own[name].data[...] = arr
+    def load_state(self, state: dict) -> None:
+        """Set each parameter to a new array of its value in ``state``, with
+        a zero gradient buffer. ``state`` must map exactly the parameters'
+        names to finite numeric arrays of their shapes; otherwise a
+        DataError, and no parameter is set."""
+        params = self.params()
+        try:
+            arrays = {n: np.array(a, dtype=np.float64) for n, a in state.items()}
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+            raise DataError(f"checkpoint parameters must be numeric arrays by name: {exc}") from exc
+        shapes = {p.name: p.data.shape for p in params}
+        wrong = sorted(n for n in arrays.keys() | shapes.keys()
+                       if n not in arrays or arrays[n].shape != shapes.get(n))
+        if wrong:
+            raise DataError(f"checkpoint parameters do not match the stored config: "
+                            f"{', '.join(wrong[:4])}")
+        bad = [n for n, a in arrays.items() if not np.isfinite(a).all()]
+        if bad:
+            raise DataError(f"checkpoint parameters hold non-finite values: {', '.join(bad[:4])}")
+        for p in params:
+            p.tensor.data, p.tensor.grad = arrays[p.name], np.zeros_like(arrays[p.name])
 
 
 class SingleTaskModel(NeuralModel):
@@ -710,42 +702,25 @@ def _checkpoint_pieces(model: NeuralModel):
 def load_checkpoint(source: str | Path | dict) -> NeuralModel:
     """Rebuild a model from a checkpoint file or its parsed JSON payload."""
     payload = source if isinstance(source, dict) else json.loads(Path(source).read_text(encoding="utf-8"))
-    version = payload.get("version")
-    if type(version) is not int or version != CHECKPOINT_VERSION:
-        raise DataError(f"unsupported checkpoint version {version!r}")
+    for key, value in (("version", CHECKPOINT_VERSION), ("components", N_COMPONENTS)):
+        if type(payload.get(key)) is not int or payload[key] != value:
+            raise DataError(f"unsupported checkpoint {key} {payload.get(key)!r} (expected {value})")
     config = ModelConfig.from_dict(payload["config"])
-    tag, input_dim, labels = payload["tag"], payload["input_dim"], payload["emo_labels"]
+    tag, input_dim = payload["tag"], payload["input_dim"]
+    labels = stored_names(payload["emo_labels"], "checkpoint emo_labels")
     if type(input_dim) is not int or input_dim < 1:
         raise DataError(f"checkpoint input_dim must be a positive integer, got {input_dim!r}")
-    if not isinstance(labels, list) or not all(isinstance(l, str) for l in labels):
-        raise DataError(f"checkpoint emo_labels must be a list of names, got {labels!r}")
     if tag not in NN_TAGS:
         raise DataError(f"unknown checkpoint tag {tag!r}")
     if not labels and tag != "cpm-nn-base":
         raise DataError(f"a checkpoint tagged {tag} needs emo_labels")
-    frozen_config = (None if tag != "emo-cpm-nn-pred" else
-                     ModelConfig.from_dict(payload["frozen_cpm_config"]))
-
-    def build() -> NeuralModel:
-        frozen = None if frozen_config is None else SingleTaskModel(frozen_config, input_dim, "cpm")
-        return build_model(tag, config, input_dim, tuple(labels), frozen_cpm=frozen)
-
     try:
-        state = {n: np.array(a, dtype=float) for n, a in payload["params"].items()}
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise DataError(f"checkpoint parameter is not a numeric array: {exc}") from exc
-    try:
-        with shapes_only():   # the config's shapes, before anything is allocated
-            shapes = {p.name: p.data.shape for p in build().params()}
+        # the stored config's shapes, allocated only as load_state sets them
+        with shapes_only():
+            frozen = (None if tag != "emo-cpm-nn-pred" else SingleTaskModel(
+                ModelConfig.from_dict(payload["frozen_cpm_config"]), input_dim, "cpm"))
+            model = build_model(tag, config, input_dim, labels, frozen_cpm=frozen)
     except ValueError as exc:   # a parameter larger than any array can be
         raise DataError(f"stored model config is invalid: {exc}") from exc
-    stored = {n: a.shape for n, a in state.items()}
-    if stored != shapes:
-        wrong = sorted(n for n in stored.keys() | shapes.keys() if stored.get(n) != shapes.get(n))
-        raise DataError(f"checkpoint parameters do not match the stored config: {', '.join(wrong[:4])}")
-    bad = [n for n, a in state.items() if not np.isfinite(a).all()]
-    if bad:
-        raise DataError(f"checkpoint parameters hold non-finite values: {', '.join(bad[:4])}")
-    model = build()
-    model.load_state(state)
+    model.load_state(payload["params"])
     return model

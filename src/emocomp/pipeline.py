@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources as importlib_resources
 from pathlib import Path
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import (COMPONENTS, MULTI_LABEL, SINGLE_LABEL, Corpus, Instance,
                      split_indices, split_train_test)
-from .errors import ConfigError, DataError, ResourceError
+from .errors import ConfigError, DataError, ResourceError, stored_names
 from .features import (DictionaryLexicon, TfIdfModel, load_embedding_file, load_lexicon,
                        load_token_embedding_store, resolve_token_embeddings, tfidf_fit,
                        tfidf_transform)
@@ -43,6 +43,17 @@ ME_TAGS = ("emo-me-base", "cpm-me-base", "cpm-me-adv",
 EMOTION_ME_TAGS = {None: "emo-me-base", GOLD: "emo-cpm-me-gold", PREDICTED: "emo-cpm-me-pred"}
 ALL_TAGS = ME_TAGS + ("emo-nn-base", "cpm-nn-base", "emo-cpm-nn-pred",
                       "emo-cpm-nn-gold", "mtl-mh", "mtl-xs")
+
+# Each run setting and its default (a value parses as the default's type): the
+# ModelConfig fields, MaxEntConfig's as me_* but its seed, and three run keys.
+SETTINGS = {**{f.name: f.default for f in fields(ModelConfig)},
+            **{f"me_{f.name}": f.default for f in fields(MaxEntConfig) if f.name != "seed"},
+            "split_ratio": 0.9, "dev_ratio": 0.1, "fallback_dim": 64}
+
+
+def setting(settings: dict, key: str):
+    """The value of ``key`` in ``settings``, or its default."""
+    return settings.get(key, SETTINGS[key])
 
 
 def preprocess(instance: Instance, stems: dict[str, str] | None = None) -> list[str]:
@@ -130,17 +141,10 @@ def _maxent_to_dict(m: MaxEntModel) -> dict:
             "constant_class": next((c for c, v in m.constant.items() if v), None)}
 
 
-def _names(value, what: str) -> tuple[str, ...]:
-    """A stored list of names; anything else is a data error."""
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-        raise DataError(f"{what} must be a list of names, got {type(value).__name__}")
-    return tuple(value)
-
-
 def _maxent_from_dict(d: dict) -> MaxEntModel:
     if not isinstance(d, dict):
         raise DataError(f"maxent model must be an object, got {type(d).__name__}")
-    classes = _names(d["classes"], "maxent classes")
+    classes = stored_names(d["classes"], "maxent classes")
     if d["mode"] not in (BINARY, MULTINOMIAL):
         raise DataError(f"unknown maxent mode {d['mode']!r}")
     try:
@@ -240,7 +244,7 @@ def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
         if d["stack_source"] == PREDICTED and d["cpm_artifact"] is None:
             raise DataError("a model stacking predicted components needs its cpm_artifact")
         tfidf = _tfidf_from_dict(d["tfidf"])
-        a = MeArtifact(d["tag"], d["mode"], _names(d["emotion_inventory"], "emotion_inventory"),
+        a = MeArtifact(d["tag"], d["mode"], stored_names(d["emotion_inventory"], "emotion_inventory"),
                        tfidf, stack_source=d["stack_source"])
         if d["feature_dim"] != a.feature_dim:
             raise DataError(f"stored feature_dim {d['feature_dim']!r} is not {a.feature_dim}")
@@ -248,14 +252,14 @@ def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
         if em is not None:
             if em["kind"] == "ovr" and isinstance(em["models"], dict) and em["labels"]:
                 a.emotion_model = stack_labels([_maxent_from_dict(em["models"][l])
-                                                for l in _names(em["labels"], "labels")])
+                                                for l in stored_names(em["labels"], "labels")])
             elif em["kind"] == "multinomial":
                 a.emotion_model = _maxent_from_dict(em["model"])
             else:
                 raise DataError(f"emotion_model of kind {em['kind']!r} is not a model set or model")
         a.component_models = {c: _maxent_from_dict(m) for c, m in d["component_models"].items()}
         for comp, flags in d["combinations"].items():
-            unknown = set(_names(flags, "combination")) - set(FEATURE_FLAGS)
+            unknown = set(stored_names(flags, "combination")) - set(FEATURE_FLAGS)
             if unknown:
                 raise DataError(f"combination of {comp} names unknown flags {sorted(unknown)}")
             a.combinations[comp] = tuple(f for f in FEATURE_FLAGS if f in flags)
@@ -268,11 +272,11 @@ def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
                     and type(res["appraisal_dim"]) is int and res["appraisal_dim"] >= 0):
                 raise DataError("resources must be an object with a lexicons map of term lists "
                                 "and a non-negative integer appraisal_dim")
-            lexicons = [DictionaryLexicon(c, frozenset(_names(entries, "lexicon")))
+            lexicons = [DictionaryLexicon(c, frozenset(stored_names(entries, "lexicon")))
                         for c, entries in res["lexicons"].items()]
             a.resources = AdvResources(lexicons=lexicons,
                                        pos_tags=pos_tags,
-                                       pos_inventory=_names(res["pos_inventory"], "pos_inventory"),
+                                       pos_inventory=stored_names(res["pos_inventory"], "pos_inventory"),
                                        embeddings=embeddings,
                                        appraisal=appraisal,
                                        appraisal_dim=res["appraisal_dim"])
@@ -438,12 +442,12 @@ def _nn_config(tag: str, corpus: Corpus, settings: dict) -> ModelConfig:
     domains), overridden by the ModelConfig fields in ``settings``."""
     domains = {i.domain for i in corpus}
     overrides = {k: v for k, v in settings.items() if k in ModelConfig.__dataclass_fields__}
-    overrides["seed"] = settings.get("seed", 0)
+    overrides["seed"] = setting(settings, "seed")
     return default_config(tag, domains.pop() if len(domains) == 1 else "other", overrides)
 
 
 # ---------------------------------------------------------------------------
-# One surface for both families. ``settings`` holds the CLI's config keys;
+# One surface for both families. ``settings`` maps keys of SETTINGS to values;
 # ``resources`` maps its resource flags (lexicons, pos_sidecar, ...) to paths.
 # ---------------------------------------------------------------------------
 
@@ -452,7 +456,7 @@ def embedder(corpus: Corpus, settings: dict, resources: dict):
     its first call; only neural models call it."""
     return functools.cache(functools.partial(
         embeddings_for, corpus, resources.get("token_embeddings"),
-        settings.get("fallback_dim", 64), settings.get("seed", 0)))
+        setting(settings, "fallback_dim"), setting(settings, "seed")))
 
 
 def _sidecars(resources: dict) -> tuple:
@@ -473,9 +477,8 @@ def _adv_resources(resources: dict) -> AdvResources:
 
 
 def _me_config(settings: dict) -> MaxEntConfig:
-    return MaxEntConfig(iterations=settings.get("me_iterations", 300),
-                        learning_rate=settings.get("me_learning_rate", 0.05),
-                        l2=settings.get("me_l2", 1e-4), seed=settings.get("seed", 0))
+    return MaxEntConfig(seed=setting(settings, "seed"),
+                        **{k[3:]: v for k, v in settings.items() if k.startswith("me_")})
 
 
 def search_features(corpus: Corpus, settings: dict,
@@ -484,15 +487,15 @@ def search_features(corpus: Corpus, settings: dict,
     without the component fits that training adds after it."""
     stemmed = preprocess_corpus(corpus)
     return _adv_search(corpus, stemmed, tfidf_fit(stemmed), _me_config(settings),
-                       _adv_resources(resources), settings.get("dev_ratio", 0.1),
-                       settings.get("seed", 0))[3]
+                       _adv_resources(resources), setting(settings, "dev_ratio"),
+                       setting(settings, "seed"))[3]
 
 
 def train_tag(tag: str, corpus: Corpus, settings: dict, resources: dict, embed=None):
     """Train model ``tag`` on ``corpus``; the tag picks the family. ``embed``
     is an :func:`embedder` covering ``corpus``, needed by neural tags only.
     Returns the model and the lines its training adds to the run log."""
-    seed, dev_ratio = settings.get("seed", 0), settings.get("dev_ratio", 0.1)
+    seed, dev_ratio = setting(settings, "seed"), setting(settings, "dev_ratio")
     if tag in ME_TAGS:
         config = _me_config(settings)
         if tag in ("emo-me-base", "emo-cpm-me-gold"):
@@ -517,6 +520,7 @@ def train_tag(tag: str, corpus: Corpus, settings: dict, resources: dict, embed=N
     return model, log.lines()
 
 
+@np.errstate(over="ignore")   # a saturated sigmoid's exp overflows to its limit
 def predict(model, corpus: Corpus, embed=None) -> tuple[list[set[str]] | None,
                                                         list[set[str]] | None]:
     """The emotion label sets and the component label sets of the instances

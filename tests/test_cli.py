@@ -35,6 +35,21 @@ class TestConfigFile:
         assert cfg == {"epochs": 5, "bilstm_units": (8, 6),
                        "kernel_sizes": (2, 3, 5), "dropout_rate": 0.25, "seed": 7}
 
+    def test_every_default_parses_back(self, tmp_path):
+        # the text form of each setting's default, as a config file gives it
+        def text(value):
+            if isinstance(value, bool):
+                return str(value).lower()
+            if isinstance(value, tuple):
+                return "/".join(map(str, value)) if len(value) == 2 else ", ".join(map(str, value))
+            return str(value)
+
+        f = tmp_path / "cfg.txt"
+        f.write_text("".join(f"{key} = {text(value)}\n" for key, value in pipeline.SETTINGS.items()))
+        parsed = read_config_file(f)
+        assert parsed == pipeline.SETTINGS and len(pipeline.SETTINGS) == 22
+        assert all(type(parsed[key]) is type(value) for key, value in pipeline.SETTINGS.items())
+
     def test_unknown_key_rejected(self, tmp_path):
         f = tmp_path / "cfg.txt"
         f.write_text("mystery = 1\n")
@@ -282,6 +297,12 @@ class TestModelFiles:
         variant("emotion_model_null", lambda p: p.update(emotion_model=None))
         variant("classes_not_inventory", lambda p: p["emotion_model"]["model"].update(
             classes=p["emotion_model"]["model"]["classes"][::-1]))
+
+        def repeat_first_emotion(p):   # the last name replaced by the first
+            for names in (p["emotion_inventory"], p["emotion_model"]["model"]["classes"]):
+                names[-1] = names[0]
+
+        variant("emotion_repeated", repeat_first_emotion)
         assert run(["train", "--model", "cpm-me-adv", "--corpus", tec_path,
                     "--config", cfg, "--out", tmp_path / "adv"]) == 0
         adv = json.loads((tmp_path / "adv" / "model.json").read_text())
@@ -341,6 +362,16 @@ class TestModelFiles:
                            ("kernel_sizes", [10**9])]:
             variant(f"config_{key}_{value}", lambda p, k=key, v=value: p["config"].update({k: v}),
                     checkpoint)
+        # each stored config value has its field default's type, and the
+        # labels and the component count are checked too
+        for key, value in [("learning_rate", True), ("loss_weight_emo", float("nan")),
+                           ("per_channel_stitch", "yes")]:
+            variant(f"config_{key}_{value}", lambda p, k=key, v=value: p["config"].update({k: v}),
+                    checkpoint)
+        variant("components_7", lambda p: p.update(components=7), checkpoint)
+        variant("components_text", lambda p: p.update(components="5"), checkpoint)
+        variant("emo_labels_repeated", lambda p: p["emo_labels"].__setitem__(
+            -1, p["emo_labels"][0]), checkpoint)
         for value in (10**9, 10**18):   # too large to allocate, too large for any array
             variant(f"input_dim_{value}", lambda p, v=value: p.update(input_dim=v), checkpoint)
         stitched = build_model("mtl-xs", ModelConfig(bilstm_units=2, cnn_filters=2, kernel_sizes=(2,),

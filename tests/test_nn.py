@@ -73,6 +73,9 @@ class TestConfig:
         ("minibatch_size", 1.5), ("fc_neurons_emo", True), ("epochs", 2.0), ("seed", "x"),
         ("seed", -1), ("seed", 1.0), ("bilstm_units", (2, 1.5)), ("cnn_filters", True),
         ("kernel_sizes", (2, True)), ("kernel_sizes", (2.0,)),
+        # every other field holds its default's type too
+        ("learning_rate", True), ("loss_weight_emo", float("nan")),
+        ("per_channel_stitch", "yes"), ("dropout_rate", "0.5"),
     ])
     def test_sizes_counts_and_seed_are_integers(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -506,3 +509,55 @@ class TestCheckpoints:
         b = build("cpm-nn-base")
         with pytest.raises(DataError):
             a.load_state(b.state_dict())
+
+    @pytest.mark.parametrize("tag", NN_TAGS)
+    def test_loaded_model_trains(self, tag, tmp_path, rng):
+        save_checkpoint(build(tag, toy_config(per_channel_stitch=True, epochs=1)),
+                        tmp_path / "ckpt.json")
+        model = load_checkpoint(tmp_path / "ckpt.json")
+        for p in model.params():
+            assert p.data.flags.writeable and p.data.flags.owndata
+            assert p.grad.shape == p.data.shape and not p.grad.any()
+        before = model.state_dict()
+        train_model(model, toy_examples(4, rng), "single-label")
+        moved = {n for n, a in model.state_dict().items() if not np.array_equal(a, before[n])}
+        assert moved == {p.name for p in model.params() if not p.frozen}
+
+    def test_load_holds_one_copy_of_the_parameters(self, tmp_path):
+        # mtl-xs at its REMAN-style sizes: the parameters and their gradient
+        # buffers, and no second model built only to be overwritten
+        model = build_model("mtl-xs", default_config("mtl-xs", "reman"), 64, LABELS)
+        save_checkpoint(model, tmp_path / "ckpt.json")
+        payload = json.loads((tmp_path / "ckpt.json").read_text())
+        size = sum(p.data.nbytes for p in model.params())
+        tracemalloc.start()
+        try:
+            load_checkpoint(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * size, (peak, size)
+
+    @pytest.mark.parametrize("edit", ["drop_name", "extra_name", "text", "ragged", "shape",
+                                      "nan", "inf"])
+    def test_bad_state_sets_nothing(self, edit):
+        model = build("mtl-xs")
+        before = model.state_dict()
+        state = {n: a + 1.0 for n, a in before.items()}
+        last = model.params()[-1].name
+        if edit == "drop_name":
+            del state[last]
+        elif edit == "extra_name":
+            state["mystery"] = np.zeros(1)
+        elif edit == "text":
+            state[last] = "x"
+        elif edit == "ragged":
+            state[last] = [[1.0], [1.0, 2.0]]
+        elif edit == "shape":
+            state[last] = state[last][1:]
+        else:
+            state[last].flat[0] = float(edit)
+        with pytest.raises(DataError):
+            model.load_state(state)
+        for name, a in model.state_dict().items():
+            np.testing.assert_array_equal(a, before[name])
