@@ -17,6 +17,7 @@ is not UTF-8 is a data error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -343,6 +344,7 @@ def _add_resources(p):
     p.add_argument("--fallback-dim", dest="fallback_dim", type=int, default=None)
 
 
+@functools.cache   # parsing leaves the parser as it was, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="emocomp")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -93,7 +93,7 @@ def load_corpus(path: str | Path) -> Corpus:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deep
                 raise CorpusFormatError(f"invalid JSON: {exc}", line=lineno) from exc
             if not isinstance(record, dict):
                 raise CorpusFormatError(f"a record must be a JSON object, got {record!r}", line=lineno)

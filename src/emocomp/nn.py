@@ -306,13 +306,14 @@ class NeuralModel:
         return {p.name: p.data.copy() for p in self.params()}
 
     def load_state(self, state: dict) -> None:
-        """Set each parameter to a new array of its value in ``state``, with
-        a zero gradient buffer. ``state`` must map exactly the parameters'
-        names to finite numeric arrays of their shapes; otherwise a
-        DataError, and no parameter is set."""
+        """Set each parameter to its value in ``state``, with a zero
+        gradient buffer. ``state`` must map exactly the parameters' names to
+        finite numeric arrays of their shapes; otherwise a DataError, and no
+        parameter is set. A writeable float64 array that owns its data is
+        taken as it is; any other value is converted to a new one."""
         params = self.params()
         try:
-            arrays = {n: np.array(a, dtype=np.float64) for n, a in state.items()}
+            arrays = {n: np.require(a, np.float64, "OW") for n, a in state.items()}
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"checkpoint parameters must be numeric arrays by name: {exc}") from exc
         shapes = {p.name: p.data.shape for p in params}
@@ -699,9 +700,76 @@ def _checkpoint_pieces(model: NeuralModel):
     yield "}"
 
 
+_decode = json.JSONDecoder().raw_decode
+_space = json.decoder.WHITESPACE.match
+
+
+def _object(text: str, i: int, member) -> tuple[dict, int]:
+    """The JSON object whose '{' is at ``text[i]`` and the index after it,
+    decoded and checked as ``json.loads`` does; ``member(key, j)`` decodes
+    the value at ``text[j]`` to (value, index after it)."""
+    obj = {}
+    i = _space(text, i + 1).end()
+    if text[i:i + 1] == "}":
+        return obj, i + 1
+    while True:
+        if text[i:i + 1] != '"':
+            raise json.JSONDecodeError("Expecting property name enclosed in double quotes", text, i)
+        key, i = json.decoder.scanstring(text, i + 1)
+        i = _space(text, i).end()
+        if text[i:i + 1] != ":":
+            raise json.JSONDecodeError("Expecting ':' delimiter", text, i)
+        obj[key], i = member(key, _space(text, i + 1).end())
+        i = _space(text, i).end()
+        if text[i:i + 1] == "}":
+            return obj, i + 1
+        if text[i:i + 1] != ",":
+            raise json.JSONDecodeError("Expecting ',' delimiter", text, i)
+        i = _space(text, i + 1).end()
+
+
+def read_model_text(text: str) -> object:
+    """``json.loads(text)``, except that each member of a top-level
+    ``params`` object that converts to a float64 array becomes that array as
+    soon as it is decoded, so only one parameter's list exists at a time.
+    A parameter whose text holds ``true``, ``false`` or a string is a
+    DataError, raised once the whole text has decoded."""
+    start = _space(text, 0).end()
+    if text[start:start + 1] != "{":
+        return json.loads(text)
+    not_numbers = set()   # names of the last params object's members that hold other words
+
+    def param(name, i):
+        value, end = _decode(text, i)
+        if any(text.find(word, i, end) >= 0 for word in ("true", "false", '"')):
+            not_numbers.add(name)
+        else:
+            not_numbers.discard(name)   # a later duplicate wins
+        try:
+            return np.array(value, dtype=np.float64), end
+        except (TypeError, ValueError, OverflowError):
+            return value, end   # load_state names what is wrong
+
+    def member(key, i):
+        if key != "params":
+            return _decode(text, i)
+        not_numbers.clear()
+        return _object(text, i, param) if text[i:i + 1] == "{" else _decode(text, i)
+
+    payload, end = _object(text, start, member)
+    end = _space(text, end).end()
+    if end != len(text):
+        raise json.JSONDecodeError("Extra data", text, end)
+    if not_numbers:
+        raise DataError("checkpoint parameters must hold numbers, not true, false or text: "
+                        + ", ".join(sorted(not_numbers)[:4]))
+    return payload
+
+
 def load_checkpoint(source: str | Path | dict) -> NeuralModel:
     """Rebuild a model from a checkpoint file or its parsed JSON payload."""
-    payload = source if isinstance(source, dict) else json.loads(Path(source).read_text(encoding="utf-8"))
+    payload = (source if isinstance(source, dict)
+               else read_model_text(Path(source).read_text(encoding="utf-8")))
     for key, value in (("version", CHECKPOINT_VERSION), ("components", N_COMPONENTS)):
         if type(payload.get(key)) is not int or payload[key] != value:
             raise DataError(f"unsupported checkpoint {key} {payload.get(key)!r} (expected {value})")

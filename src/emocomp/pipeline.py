@@ -35,7 +35,7 @@ from .maxent import (BINARY, FEATURE_FLAGS, GOLD, MULTINOMIAL, PREDICTED, AdvRes
 from .metrics import MetricsReport, evaluate
 from .nn import (Example, ModelConfig, NeuralModel, SingleTaskModel,
                  TrainingLog, build_model, default_config, load_checkpoint,
-                 predict_examples, save_checkpoint, train_model)
+                 predict_examples, read_model_text, save_checkpoint, train_model)
 from .text import stem_tokens, tokenize
 
 ME_TAGS = ("emo-me-base", "cpm-me-base", "cpm-me-adv",
@@ -569,10 +569,11 @@ def save_model(model, out_dir: str | Path) -> None:
 def load_model(path: str | Path, resources: dict):
     """Read a model file; a ``params`` key marks a neural checkpoint. A
     feature-based model gets the sidecar files named in ``resources``.
-    Unreadable JSON or a missing key is a data error."""
+    Unreadable JSON, JSON nested too deep to decode or a missing key is a
+    data error."""
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        payload = read_model_text(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataError(f"{path} is not a JSON model file: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"{path} does not hold a JSON object")

@@ -354,6 +354,13 @@ class TestModelFiles:
         variant("empty_emo_labels", lambda p: p.update(emo_labels=[]), checkpoint)
         variant("nan_param", lambda p: p["params"][name][0].__setitem__(0, float("nan")),
                 checkpoint)
+        variant("boolean_param", lambda p: p["params"][name][0].__setitem__(0, True), checkpoint)
+        variant("text_number_param", lambda p: p["params"][name][0].__setitem__(0, "0.5"),
+                checkpoint)
+        deep = tmp_path / "deep_param.json"   # deeper than json can decode
+        deep.write_text(json.dumps(checkpoint).replace(
+            f'"{name}": ', f'"{name}": {"[" * 100000}{"]" * 100000}, "mystery": ', 1))
+        bad_files.append(deep)
         variant("three_bilstm_units", lambda p: p["config"]["bilstm_units"].append(9), checkpoint)
         # sizes, counts and the seed are integers; the stored shapes are
         # checked before a model of the stored sizes is allocated
@@ -388,6 +395,8 @@ class TestModelFiles:
 
 
 class TestInputFiles:
+    DEEP = b"[" * 100000 + b"]" * 100000
+    DEEP_LINE = b'{"id": "t0", "emotions": ' + DEEP + b"}\n"
     STORE = "train --model emo-nn-base --corpus TEC --epochs 1 --token-embeddings FILE"
 
     @pytest.mark.parametrize("argv,content,code", [
@@ -405,10 +414,15 @@ class TestInputFiles:
         # a checkpoint of 8-wide embeddings scored with the default 64-wide ones
         ("eval --model-path V1/mtl-xs/checkpoint.json --corpus V1/corpus.jsonl", None, 1),
         ("predict --model-path V1/mtl-xs/checkpoint.json --corpus V1/corpus.jsonl", None, 1),
+        # JSON nested deeper than json can decode
+        ("predict --model-path FILE --corpus TEC", DEEP, 2),
+        ("stats FILE", DEEP_LINE, 2),
+        ("train --model emo-me-base --corpus FILE", DEEP_LINE, 2),
     ], ids=["store-zero-rows", "store-negative-rows", "store-ragged", "corpus-directory",
             "config-directory", "model-path-directory", "pos-sidecar-directory", "out-file",
             "corpus-not-utf8", "config-not-utf8", "pos-sidecar-not-utf8", "eval-width",
-            "predict-width"])
+            "predict-width", "model-nested-deep", "stats-corpus-nested-deep",
+            "train-corpus-nested-deep"])
     def test_unusable_input_is_config_or_data_error(self, argv, content, code, tmp_path,
                                                      tec_path, capsys):
         (tmp_path / "dir").mkdir()

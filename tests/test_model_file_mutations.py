@@ -1,10 +1,13 @@
 """Property test: a mutated model file makes ``predict`` exit 0 or 2.
 
-Each example takes one tiny stored model, walks from its root to a node
-(each step picks a child; a container may also be the node), and drops the
-node or replaces it with one of the values below. ``predict`` must then
-succeed (the file is still a usable model) or report a data error: never a
-config error (1) or a crash (3).
+Each example takes one tiny stored model and mutates either its document or
+its text. A document mutation walks from the root to a node (each step
+picks a child; a container may also be the node), and drops the node or
+replaces it with one of the values below. A text mutation truncates the
+text, or deletes or inserts one JSON delimiter, at a random offset; the
+model reader must then fail where ``json.loads`` fails, with its message.
+``predict`` must succeed (the file is still a usable model) or report a
+data error: never a config error (1) or a crash (3).
 """
 
 import json
@@ -16,10 +19,12 @@ from hypothesis import strategies as st
 
 from emocomp.cli import main
 from emocomp.corpus import load_corpus
-from emocomp.nn import ModelConfig, SingleTaskModel, build_model, save_checkpoint
+from emocomp.nn import ModelConfig, SingleTaskModel, build_model, read_model_text, save_checkpoint
 
+TAGS = ["emo-cpm-nn-pred", "mtl-xs", "emo-cpm-me-pred"]
 DROP = object()
 MUTATIONS = [DROP, None, "x", [], {}, -1, 1.5, float("nan"), True, 10**9]
+DELIMITERS = '{}[],:"'
 
 
 @pytest.fixture(scope="module")
@@ -69,18 +74,55 @@ def mutated(draw, doc):
     return doc
 
 
-@pytest.mark.parametrize("tag", ["emo-cpm-nn-pred", "mtl-xs", "emo-cpm-me-pred"])
+@st.composite
+def mutated_text(draw, text):
+    """``text`` cut at an offset, or with one delimiter deleted (the first
+    at or after the offset) or inserted there."""
+    at = draw(st.integers(0, len(text)))
+    edit = draw(st.sampled_from(["cut", "delete", "insert"]))
+    char = draw(st.sampled_from(DELIMITERS))
+    if edit == "cut":
+        return text[:at]
+    if edit == "insert":
+        return text[:at] + char + text[at:]
+    at = text.find(char, at) if text.find(char, at) >= 0 else text.find(char)
+    return text[:at] + text[at + 1:]
+
+
+def predicts_or_data_error(root, corpus, text):
+    path = root / "mutated.json"
+    path.write_text(text)
+    code = main(["predict", "--model-path", str(path), "--corpus", str(corpus),
+                 "--fallback-dim", "8", "--out", str(root / "out")])
+    assert code in (0, 2)
+
+
+@pytest.mark.parametrize("tag", TAGS)
 def test_mutated_model_file_is_usable_or_data_error(tag, files):
     root, corpus, docs = files
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(mutated(docs[tag]))
     def check(doc):
-        path = root / "mutated.json"
-        path.write_text(json.dumps(doc))
-        code = main(["predict", "--model-path", str(path), "--corpus", str(corpus),
-                     "--fallback-dim", "8", "--out", str(root / "out")])
-        assert code in (0, 2)
+        predicts_or_data_error(root, corpus, json.dumps(doc))
+
+    check()
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_mutated_model_text_is_usable_or_data_error(tag, files):
+    root, corpus, docs = files
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(mutated_text(json.dumps(docs[tag])))
+    def check(text):
+        try:
+            json.loads(text)
+        except json.JSONDecodeError as exc:
+            with pytest.raises(json.JSONDecodeError) as got:
+                read_model_text(text)
+            assert (got.value.msg, got.value.pos) == (exc.msg, exc.pos)
+        predicts_or_data_error(root, corpus, text)
 
     check()
 

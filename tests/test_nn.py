@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from emocomp.autodiff import Tensor, shapes_only
-from emocomp.corpus import COMPONENTS
+from emocomp.cli import main
+from emocomp.corpus import COMPONENTS, load_corpus
 from emocomp.errors import ConfigError, DataError, DimensionError
 from emocomp.gradcheck import gradient_check
 from emocomp.nn import (CONFIG_DEFAULTS, NN_TAGS, Example, ModelConfig, MtlCrossStitch,
                         MtlMultiHead, SingleTaskModel, build_model,
                         default_config, load_checkpoint, predict_example,
-                        predict_examples, save_checkpoint, train_model)
+                        predict_examples, read_model_text, save_checkpoint, train_model)
 
 LABELS = ("joy", "anger", "fear")
 
@@ -41,6 +42,18 @@ def build(tag, config=None, frozen=None):
     if tag == "emo-cpm-nn-pred" and frozen is None:
         frozen = SingleTaskModel(toy_config(seed=9), 4, "cpm")
     return build_model(tag, config, 4, LABELS, frozen_cpm=frozen)
+
+
+def redumped(text):
+    """The checkpoint ``text`` laid out three other ways that ``json.loads``
+    reads as the same payload: indented, with sorted keys, and with a
+    duplicated top-level, ``params`` and parameter key whose last value wins."""
+    payload = json.loads(text)
+    first = next(iter(payload["params"]))
+    duplicated = ('{"tag": "mystery", "params": {"x": [true]}, '
+                  + text[1:].replace('"params": {', f'"params": {{"{first}": [[0.5]], ', 1))
+    return {"indent": json.dumps(payload, indent=2),
+            "sort_keys": json.dumps(payload, sort_keys=True), "duplicated": duplicated}
 
 
 def model_loss(model, ex):
@@ -476,6 +489,62 @@ class TestCheckpoints:
         finally:
             tracemalloc.stop()
         assert peak < 10 * largest, (peak, largest)
+
+    @pytest.mark.parametrize("tag", NN_TAGS)
+    def test_reader_matches_json_loads(self, tag, tmp_path, data_dir):
+        corpus = data_dir / "overfit_tec.jsonl"
+        labels = load_corpus(corpus).emotion_inventory
+        frozen = SingleTaskModel(toy_config(seed=9), 8, "cpm") if tag == "emo-cpm-nn-pred" else None
+        save_checkpoint(build_model(tag, toy_config(per_channel_stitch=True), 8, labels,
+                                    frozen_cpm=frozen), tmp_path / "original.json")
+        text = (tmp_path / "original.json").read_text()
+        layouts = {"original": text, **redumped(text)}
+        for name, layout in layouts.items():
+            expected, got = json.loads(layout), read_model_text(layout)
+            assert list(got) == list(expected)
+            assert ({k: v for k, v in got.items() if k != "params"}
+                    == {k: v for k, v in expected.items() if k != "params"})
+            assert list(got["params"]) == list(expected["params"])
+            for param, value in expected["params"].items():
+                assert got["params"][param].dtype == np.float64
+                assert np.array_equal(got["params"][param], value), (name, param)
+            (tmp_path / f"{name}.json").write_text(layout)
+            assert main(["predict", "--model-path", str(tmp_path / f"{name}.json"),
+                         "--corpus", str(corpus), "--fallback-dim", "8",
+                         "--out", str(tmp_path / name)]) == 0
+        predictions = {(tmp_path / name / "predictions.tsv").read_bytes() for name in layouts}
+        assert len(predictions) == 1
+
+    def test_read_holds_one_parameter_list_at_a_time(self, tmp_path):
+        # mtl-xs at its REMAN-style sizes; json.loads holds a Python float,
+        # ~4 times an array entry, for every stored number at once
+        model = build_model("mtl-xs", default_config("mtl-xs", "reman"), 64, LABELS)
+        save_checkpoint(model, tmp_path / "ckpt.json")
+        text = (tmp_path / "ckpt.json").read_text()
+        peaks = []
+        for read in (json.loads, read_model_text):
+            tracemalloc.start()
+            try:
+                read(text)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] / 2, peaks
+
+    @pytest.mark.parametrize("value", ["true", "false", '"0.5"', '[true]'])
+    def test_parameter_of_other_words_rejected(self, value, tmp_path):
+        save_checkpoint(build("emo-nn-base"), tmp_path / "ckpt.json")
+        text = (tmp_path / "ckpt.json").read_text()
+        bad = text.replace('"emo.out.b": [', f'"emo.out.b": [{value}, ', 1)
+        with pytest.raises(DataError, match="numbers.*emo.out.b"):
+            read_model_text(bad)
+        # a later duplicate wins, and malformed text is a JSON error first
+        fixed = bad.replace(f"[{value}, ", f"[{value}], \"emo.out.b\": [", 1)
+        assert np.array_equal(read_model_text(fixed)["params"]["emo.out.b"],
+                              json.loads(text)["params"]["emo.out.b"])
+        assert read_model_text(bad[:-1] + ', "params": []}')["params"] == []
+        with pytest.raises(json.JSONDecodeError):
+            read_model_text(bad[:-1])
 
     @pytest.mark.parametrize("where,key", [("config", "fc_neurons_emo"), ("config", "cnn_filters"),
                                            ("config", "kernel_sizes"), ("payload", "input_dim")])
