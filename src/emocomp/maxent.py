@@ -131,6 +131,16 @@ def _probabilities(X: np.ndarray, W: np.ndarray, b: np.ndarray, mode: str) -> np
     return 1.0 / (1.0 + np.exp(-z))
 
 
+def _distinct_columns(X: np.ndarray, mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The first column of each group of equal columns of ``X`` (with equal
+    ``mask`` rows too), in order, and each column's group number."""
+    firsts: dict[bytes, int] = {}
+    first_of = np.array([firsts.setdefault(X[:, j].tobytes() + (b"" if mask is None
+                                                               else mask[j].tobytes()), j)
+                         for j in range(X.shape[1])], dtype=np.intp)
+    return np.unique(first_of, return_inverse=True)
+
+
 def _fit(X: np.ndarray, Y: np.ndarray, mode: str, config: MaxEntConfig,
          mask: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Full-batch Adam from zero weights on an N x K one-hot or 0/1 target.
@@ -138,26 +148,36 @@ def _fit(X: np.ndarray, Y: np.ndarray, mode: str, config: MaxEntConfig,
     row sums its K columns, so each column steps as in its own fit. The
     gradient at the logits is ``(P - Y) / N`` in both modes. A masked-out
     weight gets a zero gradient, and Adam from zero moments steps it by 0.
-    Weights that turn non-finite stop the fit."""
+    Weights that turn non-finite stop the fit.
+
+    Equal columns (under equal mask rows) get equal gradients at every step,
+    so they follow one Adam path: one weight row is fit per distinct column,
+    counted once per copy in the logits, and is copied back to each."""
     n, k = Y.shape
-    W = Parameter(Tensor(np.zeros((X.shape[1], k))), "maxent.W")
+    first, group = _distinct_columns(X, mask)
+    # one row-major copy serves both products: a second, count-scaled copy
+    # of X_u measured ~10% slower on a 900 x 782 design (cache)
+    X_u = np.ascontiguousarray(X[:, first])
+    counts = np.bincount(group)[:, None]
+    mask_u = None if mask is None else mask[first]
+    W = Parameter(Tensor(np.zeros((len(first), k))), "maxent.W")
     b = Parameter(Tensor(np.zeros(k)), "maxent.b")
     opt = Adam([W, b], lr=config.learning_rate)
     # X.T @ G as (G.T @ X).T: the same values from a faster gemm
-    dW, grad_t = W.grad, np.empty((k, X.shape[1]))
+    dW, grad_t = W.grad, np.empty((k, len(first)))
     # a diverging fit overflows; the check below reports it, not numpy
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(config.iterations):
-            G = (_probabilities(X, W.data, b.data, mode) - Y) / n
+            G = (_probabilities(X_u, W.data * counts, b.data, mode) - Y) / n
             np.multiply(W.data, 2.0 * config.l2, out=dW)
-            dW += np.matmul(G.T, X, out=grad_t).T
-            if mask is not None:
-                dW *= mask
+            dW += np.matmul(G.T, X_u, out=grad_t).T
+            if mask_u is not None:
+                dW *= mask_u
             b.grad[...] = G.sum(axis=0)
             opt.step()
     if not (np.isfinite(W.data).all() and np.isfinite(b.data).all()):
         raise ConfigError("maxent weights turned non-finite; lower the maxent learning rate")
-    return W.data, b.data
+    return W.data[group], b.data
 
 
 def predict_maxent(model: MaxEntModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,7 @@ development data where a model needs one.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field, fields
 from importlib import resources as importlib_resources
@@ -147,13 +148,19 @@ def _maxent_from_dict(d: dict) -> MaxEntModel:
     classes = stored_names(d["classes"], "maxent classes")
     if d["mode"] not in (BINARY, MULTINOMIAL):
         raise DataError(f"unknown maxent mode {d['mode']!r}")
+    if type(d["feature_dim"]) is not int:
+        raise DataError(f"maxent feature_dim must be an integer, got {d['feature_dim']!r}")
     try:
         weights, bias = np.array(d["weights"], dtype=float), np.array(d["bias"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"maxent weights and bias must be numeric arrays: {exc}") from exc
     if weights.shape != (d["feature_dim"], len(classes)) or bias.shape != (len(classes),):
         raise DataError(f"maxent weights {weights.shape} / bias {bias.shape} do not fit "
                         f"{d['feature_dim']} features x {len(classes)} classes")
+    # numpy parses "0.5" and reads true as 1.0; the shapes matched, so these are the leaves
+    leaves = itertools.chain(itertools.chain.from_iterable(d["weights"]), d["bias"])
+    if not set(map(type, leaves)) <= {int, float}:
+        raise DataError("maxent weights and bias must be numbers, not strings or booleans")
     if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
         raise DataError("maxent weights and bias must be finite")
     if type(d["degenerate"]) is not bool or d["constant_class"] not in (None, *classes):
@@ -246,7 +253,7 @@ def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
         tfidf = _tfidf_from_dict(d["tfidf"])
         a = MeArtifact(d["tag"], d["mode"], stored_names(d["emotion_inventory"], "emotion_inventory"),
                        tfidf, stack_source=d["stack_source"])
-        if d["feature_dim"] != a.feature_dim:
+        if type(d["feature_dim"]) is not int or d["feature_dim"] != a.feature_dim:
             raise DataError(f"stored feature_dim {d['feature_dim']!r} is not {a.feature_dim}")
         em = d["emotion_model"]
         if em is not None:

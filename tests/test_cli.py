@@ -268,6 +268,18 @@ class TestModelFiles:
             0, float("nan")))
         variant("inf_bias", lambda p: p["emotion_model"]["model"]["bias"].__setitem__(
             0, float("inf")))
+        # numpy would parse a string and read a boolean as 1.0
+        variant("text_number_weight", lambda p: p["emotion_model"]["model"]["weights"][0]
+                .__setitem__(0, "0.5"))
+        variant("boolean_weight", lambda p: p["emotion_model"]["model"]["weights"][0]
+                .__setitem__(0, True))
+        variant("boolean_bias", lambda p: p["emotion_model"]["model"]["bias"].__setitem__(
+            0, False))
+        variant("huge_integer_weight", lambda p: p["emotion_model"]["model"]["weights"][0]
+                .__setitem__(0, 10**400))
+        variant("float_feature_dim", lambda p: p.update(feature_dim=float(p["feature_dim"])))
+        variant("float_model_feature_dim", lambda p: p["emotion_model"]["model"].update(
+            feature_dim=float(p["emotion_model"]["model"]["feature_dim"])))
         variant("unknown_maxent_mode", lambda p: p["emotion_model"]["model"].update(mode="x"))
         variant("unknown_emotion_model_kind", lambda p: p["emotion_model"].update(kind="x"))
         variant("number_classes", lambda p: p["emotion_model"]["model"].update(classes=5))

@@ -159,6 +159,93 @@ class TestClosedFormGradient:
         np.testing.assert_allclose(model.bias, b, rtol=0, atol=1e-12)
 
 
+def full_width_fit(X, Y, mode, config, mask=None):
+    """The closed-form fit with one weight row per design column, as it was
+    before equal columns were fit once."""
+    n, k = Y.shape
+    W = Parameter(Tensor(np.zeros((X.shape[1], k))), "maxent.W")
+    b = Parameter(Tensor(np.zeros(k)), "maxent.b")
+    opt = Adam([W, b], lr=config.learning_rate)
+    for _ in range(config.iterations):
+        z = X @ W.data + b.data
+        if mode == MULTINOMIAL:
+            e = np.exp(z - z.max(axis=1, keepdims=True))
+            P = e / e.sum(axis=1, keepdims=True)
+        else:
+            P = 1.0 / (1.0 + np.exp(-z))
+        G = (P - Y) / n
+        W.grad[...] = 2.0 * config.l2 * W.data + (G.T @ X).T
+        if mask is not None:
+            W.grad[...] *= mask
+        b.grad[...] = G.sum(axis=0)
+        opt.step()
+    return W.data, b.data
+
+
+class TestDistinctColumns:
+    """Equal design columns (with equal mask rows) are fit as one."""
+    CONFIG = MaxEntConfig(iterations=150, learning_rate=0.1, l2=1e-2)
+
+    def design(self, seed=5, n=30):
+        """Six sparse random columns, each repeated up to three times, two
+        all-zero columns, and a constant column and its copy, shuffled."""
+        rng = np.random.default_rng(seed)
+        base = rng.random((n, 6)) * (rng.random((n, 6)) < 0.5)
+        cols = [0, 0, 1, 2, 2, 2, 3, 4, 5, 5]
+        X = np.hstack([base[:, cols], np.zeros((n, 2)), np.full((n, 2), 0.7)])
+        X = X[:, rng.permutation(X.shape[1])]
+        score = base @ rng.standard_normal((6, 3)) + 0.3 * rng.standard_normal((n, 3))
+        return X, score
+
+    def fit_both(self, X, Y, mode, labels=None, mask=None):
+        classes = tuple("abcdef"[:Y.shape[1]])
+        model = train_maxent(X, Y if labels is None else labels, classes, mode, X.shape[1],
+                             self.CONFIG, mask)
+        W, b = full_width_fit(X, Y, mode, self.CONFIG, mask)
+        np.testing.assert_allclose(model.weights, W, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.bias, b, rtol=0, atol=1e-12)
+        return model
+
+    def assert_groups_bitwise_equal(self, X, weights, mask=None):
+        for i, j in combinations(range(X.shape[1]), 2):
+            if (X[:, i] == X[:, j]).all() and (mask is None or (mask[i] == mask[j]).all()):
+                np.testing.assert_array_equal(weights[i], weights[j])
+
+    def test_binary_with_duplicate_zero_and_constant_columns(self):
+        X, score = self.design()
+        Y = (score > np.median(score, axis=0)).astype(float)
+        model = self.fit_both(X, Y, BINARY)
+        self.assert_groups_bitwise_equal(X, model.weights)
+        assert model.weights.any(axis=1).sum() == X.shape[1] - 2   # the zero columns stay 0
+
+    def test_multinomial_with_duplicate_zero_and_constant_columns(self):
+        X, score = self.design(seed=6)
+        idx = np.argmax(score, axis=1)
+        model = self.fit_both(X, np.eye(3)[idx], MULTINOMIAL, ["abc"[i] for i in idx])
+        self.assert_groups_bitwise_equal(X, model.weights)
+
+    def test_mask_splits_equal_columns(self):
+        # columns 0 and 1 are equal but masked to different classes; 2 and 3
+        # are equal under equal mask rows
+        rng = np.random.default_rng(7)
+        base = rng.random((30, 3))
+        X = base[:, [0, 0, 1, 1, 2]]
+        Y = (base[:, :2] + 0.2 * rng.standard_normal((30, 2)) > 0.5).astype(float)
+        mask = np.array([[True, False], [False, True], [True, True], [True, True],
+                         [False, True]])
+        model = self.fit_both(X, Y, BINARY, mask=mask)
+        assert not model.weights[~mask].any()
+        assert model.weights[0, 0] != 0 and model.weights[1, 1] != 0
+        self.assert_groups_bitwise_equal(X, model.weights, mask)
+
+    def test_no_columns(self):
+        X, score = self.design()
+        Y = (score > np.median(score, axis=0)).astype(float)
+        model = self.fit_both(X[:, :0], Y, BINARY)
+        assert model.weights.shape == (0, 3)
+        assert model.bias.any()
+
+
 class TestPrediction:
     def test_hand_set_weights_probability(self):
         # w.x = ln 3 -> sigmoid = 0.75

@@ -1,4 +1,5 @@
-"""Property test: a mutated model file makes ``predict`` exit 0 or 2.
+"""Property tests: a mutated model file makes ``predict`` exit 0 or 2, and a
+mutated corpus makes ``stats`` and ``train`` exit 0 or 2.
 
 Each example takes one tiny stored model and mutates either its document or
 its text. A document mutation walks from the root to a node (each step
@@ -7,7 +8,9 @@ replaces it with one of the values below. A text mutation truncates the
 text, or deletes or inserts one JSON delimiter, at a random offset; the
 model reader must then fail where ``json.loads`` fails, with its message.
 ``predict`` must succeed (the file is still a usable model) or report a
-data error: never a config error (1) or a crash (3).
+data error: never a config error (1) or a crash (3). A corpus mutation
+applies the same node mutations to one record of the corpus, or drops its
+line.
 """
 
 import json
@@ -140,3 +143,29 @@ def test_saturated_sigmoid_predicts(tag, edit, files):
     (root / "saturated.json").write_text(json.dumps(doc))
     assert main(["predict", "--model-path", str(root / "saturated.json"), "--corpus", str(corpus),
                  "--fallback-dim", "8", "--out", str(root / "out")]) == 0
+
+
+@st.composite
+def mutated_corpus(draw, lines):
+    """``lines`` with one record mutated as :func:`mutated` mutates a model
+    document, or with its line dropped."""
+    at = draw(st.integers(0, len(lines) - 1))
+    if draw(st.integers(0, len(MUTATIONS))) == 0:   # one choice in eleven
+        return lines[:at] + lines[at + 1:]
+    return lines[:at] + [json.dumps(draw(mutated(json.loads(lines[at])))) + "\n"] + lines[at + 1:]
+
+
+def test_mutated_corpus_is_usable_or_data_error(files):
+    root, corpus, _ = files
+    path = root / "mutated_corpus.jsonl"
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(mutated_corpus(corpus.read_text(encoding="utf-8").splitlines(True)))
+    def check(lines):
+        path.write_text("".join(lines), encoding="utf-8")
+        assert main(["stats", str(path), "--out", str(root / "corpus_stats")]) in (0, 2)
+        assert main(["train", "--model", "emo-me-base", "--corpus", str(path),
+                     "--config", str(root / "short.txt"), "--out", str(root / "corpus_run")]) in (0, 2)
+
+    (root / "short.txt").write_text("me_iterations = 3\n")
+    check()
