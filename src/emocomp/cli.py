@@ -94,6 +94,9 @@ def gather_settings(args) -> dict:
             settings[key] = flag
     if setting(settings, "seed") < 0:
         raise ConfigError(f"seed must be >= 0, got {settings['seed']}")
+    for key in ("split_ratio", "dev_ratio"):
+        if not 0.0 < setting(settings, key) < 1.0:
+            raise ConfigError(f"{key} must be in (0, 1), got {settings[key]}")
     return settings
 
 
@@ -200,8 +203,10 @@ def cmd_train(args) -> int:
     settings = gather_settings(args)
     corpus = load_corpus(args.corpus)
     _check_tag_mode(args.model, corpus, args)
-    train_corpus, test_corpus = split_train_test(
-        corpus, ratio=setting(settings, "split_ratio"), seed=setting(settings, "seed"))
+    ratio = setting(settings, "split_ratio")
+    train_corpus, test_corpus = split_train_test(corpus, ratio=ratio, seed=setting(settings, "seed"))
+    if not len(test_corpus):
+        raise ConfigError(f"split_ratio {ratio} leaves no test instances among {len(corpus)}")
     out = _out_dir(args)
     resources = _resources(args)
     embed = pipeline.embedder(corpus, settings, resources)

@@ -13,9 +13,11 @@ with a single design matrix. Prediction scores a whole matrix at once,
 with the same probability function that training uses.
 
 A feature combination is a tuple of names from :data:`FEATURE_FLAGS`, in
-that order; the empty tuple is TF-IDF alone. The exhaustive search fits all
-combinations jointly, in one binary fit whose weight columns are masked to
-their combination's blocks, and keeps only their dev decisions.
+that order; the empty tuple is TF-IDF alone. A masked binary fit confines
+each weight column to its combination's blocks (:func:`combination_mask`).
+The exhaustive search fits all combinations jointly in one such fit and
+keeps only their dev decisions; the final component models come from one
+such fit too, one column per component, each at its chosen combination.
 """
 
 from __future__ import annotations
@@ -79,9 +81,10 @@ def train_maxent(X: np.ndarray, y, classes: tuple[str, ...],
     column, or a multinomial target, with a single class present becomes a
     zero-weight constant predictor.
 
-    ``mask`` (the feature search's, not a user option), ``feature_dim`` x
-    classes and boolean, confines each class to its True features: it fits
-    as if ``X`` held only those, and its other weights stay exactly 0.
+    ``mask`` (the feature search's and the component fit's, not a user
+    option), ``feature_dim`` x classes and boolean, confines each class to
+    its True features: it fits as if ``X`` held only those, and its other
+    weights stay exactly 0.
     """
     config = config or MaxEntConfig()
     if len(X) == 0:
@@ -206,12 +209,15 @@ def label_sets(decisions: np.ndarray, classes: tuple[str, ...]) -> list[set[str]
     return [{c for c, chosen in zip(classes, row) if chosen} for row in decisions]
 
 
-def split_labels(model: MaxEntModel) -> dict[str, MaxEntModel]:
-    """One single-class binary model per class of a binary model."""
-    return {c: MaxEntModel((c,), BINARY, model.weights[:, [j]], model.bias[[j]],
-                           model.feature_dim,
-                           {c: model.constant[c]} if c in model.constant else {})
-            for j, c in enumerate(model.classes)}
+def split_labels(model: MaxEntModel, mask: np.ndarray | None = None) -> dict[str, MaxEntModel]:
+    """One single-class binary model per class of a binary model; with the
+    ``mask`` it was fit under, each reads only its class's True features."""
+    out = {}
+    for j, c in enumerate(model.classes):
+        weights = model.weights[slice(None) if mask is None else mask[:, j], j:j + 1]
+        out[c] = MaxEntModel((c,), BINARY, weights, model.bias[[j]], len(weights),
+                             {c: model.constant[c]} if c in model.constant else {})
+    return out
 
 
 def stack_labels(models: list[MaxEntModel]) -> MaxEntModel:
@@ -227,32 +233,38 @@ def stack_labels(models: list[MaxEntModel]) -> MaxEntModel:
 # Sidecar files
 # ---------------------------------------------------------------------------
 
-def load_tagged_sidecar(path: str | Path) -> dict[str, list[str]]:
-    """``id<TAB>tag tag ...`` per line."""
-    out: dict[str, list[str]] = {}
+def _sidecar_entries(path: str | Path, holds: str):
+    """Line number, id and the rest of each non-blank ``id<TAB>rest`` line,
+    where ``holds`` names what the rest holds; an id may not repeat."""
+    seen = set()
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
-        try:
-            inst_id, rest = line.split("\t", 1)
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: expected id<TAB>values") from exc
-        out[inst_id] = rest.split()
-    return out
+        inst_id, tab, rest = line.partition("\t")
+        if not tab:
+            raise DataError(f"{path}:{lineno}: expected id<TAB>{holds}")
+        if inst_id in seen:
+            raise DataError(f"{path}:{lineno}: duplicate id {inst_id!r}")
+        seen.add(inst_id)
+        yield lineno, inst_id, rest
+
+
+def load_tagged_sidecar(path: str | Path) -> dict[str, list[str]]:
+    """``id<TAB>tag tag ...`` per line."""
+    return {inst_id: rest.split() for _, inst_id, rest in _sidecar_entries(path, "values")}
 
 
 def load_vector_sidecar(path: str | Path) -> dict[str, np.ndarray]:
-    """``id<TAB>v1 v2 ...`` per line, fixed dimension."""
+    """``id<TAB>v1 v2 ...`` per line, fixed dimension of at least one."""
     out: dict[str, np.ndarray] = {}
     dim = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
+    for lineno, inst_id, rest in _sidecar_entries(path, "decimals"):
         try:
-            inst_id, rest = line.split("\t", 1)
             vec = np.array([float(v) for v in rest.split()])
         except ValueError as exc:
             raise DataError(f"{path}:{lineno}: expected id<TAB>decimals") from exc
+        if not len(vec):
+            raise DataError(f"{path}:{lineno}: entry has no values")
         if not np.isfinite(vec).all():
             raise DataError(f"{path}:{lineno}: non-finite value")
         if dim is None:
@@ -365,6 +377,17 @@ def combination_columns(offsets: dict[str, tuple[int, int]],
                            (offsets[b] for b in ("tfidf",) + combination)])
 
 
+def combination_mask(offsets: dict[str, tuple[int, int]],
+                     combos: list[tuple[str, ...]]) -> np.ndarray:
+    """The binary fit mask with one column per entry of ``combos``: True at
+    the columns of that combination's blocks, in a matrix whose block spans
+    are ``offsets``."""
+    mask = np.zeros((sum(length for _, length in offsets.values()), len(combos)), dtype=bool)
+    for k, combo in enumerate(combos):
+        mask[combination_columns(offsets, combo), k] = True
+    return mask
+
+
 def available_flags(resources: AdvResources) -> tuple[str, ...]:
     """The feature flags whose resources are loaded."""
     loaded = (bool(resources.lexicons), resources.pos_tags is not None,
@@ -400,9 +423,7 @@ def feature_combination_search(X: np.ndarray, offsets: dict[str, tuple[int, int]
     fits = [(combo, j) for r in range(len(flags) + 1) for combo in combinations(flags, r)
             for j, c in enumerate(components) if permits(combo, c)]
     names = tuple(f"{components[j]} ({'+'.join(combo) or 'tfidf'})" for combo, j in fits)
-    mask = np.zeros((X.shape[1], len(fits)), dtype=bool)
-    for k, (combo, _) in enumerate(fits):
-        mask[combination_columns(offsets, combo), k] = True
+    mask = combination_mask(offsets, [combo for combo, _ in fits])
     targets = Y[:, [j for _, j in fits]]
     model = train_maxent(X[train_rows], targets[train_rows], names, BINARY, X.shape[1],
                          config, mask)

@@ -29,9 +29,9 @@ from .features import (DictionaryLexicon, TfIdfModel, load_embedding_file, load_
 from .fileio import write_text
 from .maxent import (BINARY, FEATURE_FLAGS, GOLD, MULTINOMIAL, PREDICTED, AdvResources,
                      FeatureSearchResult, MaxEntConfig, MaxEntModel, available_flags,
-                     build_cpm_adv_features, combination_columns, combination_width,
-                     feature_combination_search, label_sets, load_tagged_sidecar,
-                     load_vector_sidecar, predict_maxent, split_labels,
+                     build_cpm_adv_features, combination_columns, combination_mask,
+                     combination_width, feature_combination_search, label_sets,
+                     load_tagged_sidecar, load_vector_sidecar, predict_maxent, split_labels,
                      stack_component_features, stack_labels, train_maxent)
 from .metrics import MetricsReport, evaluate
 from .nn import (Example, ModelConfig, NeuralModel, SingleTaskModel,
@@ -356,26 +356,24 @@ def train_component_me(corpus: Corpus, config: MaxEntConfig | None = None,
     fits the POS tag inventory and the appraisal width of a copy of
     ``resources`` on ``corpus`` and picks each component's feature
     combination by an exhaustive search on a held-out dev slice.
+    Both fit the five components in one binary fit, each masked to its
+    combination's columns (TF-IDF alone for Cpm-ME-Base), and store each
+    component's column over those columns only.
     ``stemmed`` is the corpus's preprocessed tokens, if already at hand."""
     stemmed = stemmed or preprocess_corpus(corpus)
     tfidf = tfidf_fit(stemmed)
     Y = np.array([i.cpm for i in corpus], dtype=float)
     artifact = MeArtifact("cpm-me-base", corpus.mode, corpus.emotion_inventory, tfidf)
     if resources is None:
-        model = train_maxent(tfidf_transform(tfidf, stemmed), Y, COMPONENTS, BINARY,
-                             tfidf.dim, config)
-        artifact.component_models = split_labels(model)
-        return artifact
-
-    artifact.tag = "cpm-me-adv"
-    artifact.resources, X, offsets, artifact.search_results = _adv_search(
-        corpus, stemmed, tfidf, config, resources, dev_ratio, seed)
-    for j, comp in enumerate(COMPONENTS):
-        combo = artifact.search_results[comp].best
-        cols = combination_columns(offsets, combo)
-        artifact.combinations[comp] = combo
-        artifact.component_models[comp] = train_maxent(X[:, cols], Y[:, j], (comp,), BINARY,
-                                                       len(cols), config)
+        X, offsets = build_cpm_adv_features(stemmed, [i.id for i in corpus], (), tfidf, None)
+    else:
+        artifact.tag = "cpm-me-adv"
+        artifact.resources, X, offsets, artifact.search_results = _adv_search(
+            corpus, stemmed, tfidf, config, resources, dev_ratio, seed)
+        artifact.combinations = {c: r.best for c, r in artifact.search_results.items()}
+    mask = combination_mask(offsets, [artifact.combinations.get(c, ()) for c in COMPONENTS])
+    model = train_maxent(X, Y, COMPONENTS, BINARY, X.shape[1], config, mask)
+    artifact.component_models = split_labels(model, mask)
     return artifact
 
 
@@ -388,6 +386,8 @@ def _adv_search(corpus: Corpus, stemmed: list[list[str]], tfidf: TfIdfModel,
     ids = [i.id for i in corpus]
     resources = resources.fitted(ids)
     sub_rows, dev_rows = split_indices(len(corpus), 1.0 - dev_ratio, seed)
+    if not dev_rows:
+        raise ConfigError(f"dev_ratio {dev_ratio} leaves no dev instances among {len(corpus)}")
     order = sub_rows + dev_rows
     # features depend only on the instance and on resources fit on this
     # split, so a matrix built in search order holds the sub-split and the

@@ -151,6 +151,40 @@ class TestExitCodes:
         assert "config error" in capsys.readouterr().err
 
 
+class TestRatios:
+    """A split or dev ratio outside (0, 1), or one that leaves a split empty
+    where a model needs it, is a config error naming the setting."""
+
+    @pytest.mark.parametrize("tag,flags", [
+        ("emo-me-base", ["--dev-ratio", "0"]),
+        ("emo-nn-base", ["--dev-ratio", "0"]),
+        ("emo-me-base", ["--dev-ratio", "1"]),
+        ("emo-me-base", ["--split-ratio", "0"]),
+        ("emo-me-base", ["--split-ratio", "1.5"]),
+        ("emo-me-base", ["--split-ratio", "nan"]),
+        ("cpm-me-adv", ["--dev-ratio", "0.001"]),
+        ("emo-cpm-me-pred", ["--dev-ratio", "0.001"]),
+        ("emo-me-base", ["--split-ratio", "0.999"]),
+    ], ids=["dev-0-me", "dev-0-nn", "dev-1", "split-0", "split-1.5", "split-nan",
+            "empty-dev-slice-adv", "empty-dev-slice-pred", "empty-test-split"])
+    def test_train_rejects(self, tag, flags, tmp_path, tec_path, capsys):
+        assert run(["train", "--model", tag, "--corpus", tec_path, "--epochs", "1",
+                    "--out", tmp_path, *flags]) == 1
+        key = flags[0][2:].replace("-", "_")
+        assert f"config error: {key} " in capsys.readouterr().err
+
+    def test_ablate_rejects_an_empty_dev_slice(self, tmp_path, data_dir, monkeypatch, capsys):
+        monkeypatch.setenv("EMOCOMP_DEV_RATIO", "0.001")
+        assert run(["ablate", "--corpus", data_dir / "ablation_corpus.jsonl",
+                    "--pos-sidecar", data_dir / "ablation_pos.tsv", "--out", tmp_path]) == 1
+        assert "config error: dev_ratio 0.001 leaves no dev instances" in capsys.readouterr().err
+        assert not (tmp_path / "ablation_best.tsv").exists()
+
+    def test_neural_training_allows_an_empty_dev_slice(self, tmp_path, overfit_path, capsys):
+        assert run(["train", "--model", "emo-nn-base", "--corpus", overfit_path, "--epochs", "1",
+                    "--fallback-dim", "8", "--dev-ratio", "0.001", "--out", tmp_path]) == 0
+
+
 class TestStats:
     def test_matches_precomputed_table(self, tmp_path, tec_path, data_dir, capsys):
         assert run(["stats", tec_path, "--out", tmp_path]) == 0

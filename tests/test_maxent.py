@@ -347,6 +347,31 @@ class TestSidecars:
         with pytest.raises(DataError, match=r"ap\.tsv:2: non-finite"):
             load_vector_sidecar(f)
 
+    @pytest.mark.parametrize("text", ["id1\t\nid2\t\n", "id1\t  \n"])
+    def test_vector_sidecar_entry_without_values_reports_line(self, text, tmp_path):
+        f = tmp_path / "ap.tsv"
+        f.write_text(text)
+        with pytest.raises(DataError, match=r"ap\.tsv:1: entry has no values"):
+            load_vector_sidecar(f)
+
+    @pytest.mark.parametrize("load,text", [
+        (load_tagged_sidecar, "id1\tNN\nid2\tJJ\n\nid1\tVB\n"),
+        (load_vector_sidecar, "id1\t0.1\nid2\t0.2\n\nid1\t0.3\n"),
+    ], ids=["tagged", "vector"])
+    def test_sidecar_duplicate_id_reports_line(self, load, text, tmp_path):
+        f = tmp_path / "side.tsv"
+        f.write_text(text)
+        with pytest.raises(DataError, match=r"side\.tsv:4: duplicate id 'id1'"):
+            load(f)
+
+    @pytest.mark.parametrize("load", [load_tagged_sidecar, load_vector_sidecar],
+                             ids=["tagged", "vector"])
+    def test_sidecar_line_without_tab_reports_line(self, load, tmp_path):
+        f = tmp_path / "side.tsv"
+        f.write_text("id1\t1\nid2 1\n")
+        with pytest.raises(DataError, match=r"side\.tsv:2: expected id<TAB>"):
+            load(f)
+
 
 TFIDF = tfidf_fit([["alpha", "beta"], ["gamma"]])
 

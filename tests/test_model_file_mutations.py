@@ -1,5 +1,6 @@
-"""Property tests: a mutated model file makes ``predict`` exit 0 or 2, and a
-mutated corpus makes ``stats`` and ``train`` exit 0 or 2.
+"""Property tests: a mutated model file makes ``predict`` exit 0 or 2, a
+mutated corpus makes ``stats`` and ``train`` exit 0 or 2, and a mutated POS
+or appraisal sidecar makes ``train --model cpm-me-adv`` exit 0 or 2.
 
 Each example takes one tiny stored model and mutates either its document or
 its text. A document mutation walks from the root to a node (each step
@@ -9,8 +10,9 @@ text, or deletes or inserts one JSON delimiter, at a random offset; the
 model reader must then fail where ``json.loads`` fails, with its message.
 ``predict`` must succeed (the file is still a usable model) or report a
 data error: never a config error (1) or a crash (3). A corpus mutation
-applies the same node mutations to one record of the corpus, or drops its
-line.
+applies the same node mutations to one record of the corpus, or drops or
+duplicates its line. A sidecar mutation cuts one line, replaces one of its
+values with a bad one or with nothing, or drops or duplicates the line.
 """
 
 import json
@@ -146,13 +148,34 @@ def test_saturated_sigmoid_predicts(tag, edit, files):
 
 
 @st.composite
-def mutated_corpus(draw, lines):
-    """``lines`` with one record mutated as :func:`mutated` mutates a model
-    document, or with its line dropped."""
+def mutated_lines(draw, lines, mutate_line):
+    """``lines`` with one line dropped or duplicated (one choice in twelve
+    each), or replaced by a draw from ``mutate_line`` of it."""
     at = draw(st.integers(0, len(lines) - 1))
-    if draw(st.integers(0, len(MUTATIONS))) == 0:   # one choice in eleven
+    edit = draw(st.integers(0, 11))
+    if edit == 0:
         return lines[:at] + lines[at + 1:]
-    return lines[:at] + [json.dumps(draw(mutated(json.loads(lines[at])))) + "\n"] + lines[at + 1:]
+    if edit == 1:
+        return lines[:at + 1] + lines[at:]
+    return lines[:at] + [draw(mutate_line(lines[at]))] + lines[at + 1:]
+
+
+def mutated_record(line):
+    """A corpus record mutated as :func:`mutated` mutates a model document."""
+    return mutated(json.loads(line)).map(lambda doc: json.dumps(doc) + "\n")
+
+
+@st.composite
+def mutated_sidecar_line(draw, line):
+    """An ``id<TAB>values`` line cut at an offset, or with one value
+    replaced by a bad one or by nothing."""
+    text = line.rstrip("\n")
+    if draw(st.booleans()):
+        return text[:draw(st.integers(0, len(text)))] + "\n"
+    inst_id, _, rest = text.partition("\t")
+    values = rest.split()
+    values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(["x", "nan", "1e400", ""]))
+    return f"{inst_id}\t{' '.join(values)}\n"
 
 
 def test_mutated_corpus_is_usable_or_data_error(files):
@@ -160,7 +183,7 @@ def test_mutated_corpus_is_usable_or_data_error(files):
     path = root / "mutated_corpus.jsonl"
 
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(mutated_corpus(corpus.read_text(encoding="utf-8").splitlines(True)))
+    @given(mutated_lines(corpus.read_text(encoding="utf-8").splitlines(True), mutated_record))
     def check(lines):
         path.write_text("".join(lines), encoding="utf-8")
         assert main(["stats", str(path), "--out", str(root / "corpus_stats")]) in (0, 2)
@@ -168,4 +191,33 @@ def test_mutated_corpus_is_usable_or_data_error(files):
                      "--config", str(root / "short.txt"), "--out", str(root / "corpus_run")]) in (0, 2)
 
     (root / "short.txt").write_text("me_iterations = 3\n")
+    check()
+
+
+@pytest.mark.parametrize("sidecar", ["pos_sidecar", "appraisal_sidecar"])
+def test_mutated_sidecar_is_usable_or_data_error(sidecar, files):
+    root, corpus, _ = files
+    instances = load_corpus(corpus).instances
+    sidecars = {
+        "pos_sidecar": [f"{i.id}\t{' '.join('NN' if len(w) > 4 else 'VB' for w in i.text.split())}\n"
+                        for i in instances],
+        "appraisal_sidecar": [f"{i.id}\t{' '.join(f'{0.1 * (k + v):.1f}' for k, v in enumerate(i.cpm[:3]))}\n"
+                              for i in instances],
+    }
+    paths = {name: root / f"{name}.tsv" for name in sidecars}
+    for name, lines in sidecars.items():
+        paths[name].write_text("".join(lines), encoding="utf-8")
+    (root / "short.txt").write_text("me_iterations = 3\n")
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(mutated_lines(sidecars[sidecar], mutated_sidecar_line))
+    def check(lines):
+        mutated_path = root / f"mutated_{sidecar}.tsv"
+        mutated_path.write_text("".join(lines), encoding="utf-8")
+        flags = {name: mutated_path if name == sidecar else path for name, path in paths.items()}
+        assert main(["train", "--model", "cpm-me-adv", "--corpus", str(corpus),
+                     "--pos-sidecar", str(flags["pos_sidecar"]),
+                     "--appraisal-sidecar", str(flags["appraisal_sidecar"]),
+                     "--config", str(root / "short.txt"), "--out", str(root / "sidecar_run")]) in (0, 2)
+
     check()

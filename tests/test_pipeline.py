@@ -1,3 +1,5 @@
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -5,8 +7,10 @@ import pytest
 
 from emocomp.corpus import COMPONENTS, Corpus, load_corpus, split_train_test
 from emocomp.errors import ConfigError, ResourceError
-from emocomp.features import DictionaryLexicon
-from emocomp.maxent import AdvResources, MaxEntConfig
+from emocomp.features import DictionaryLexicon, tfidf_transform
+from emocomp.maxent import (BINARY, AdvResources, MaxEntConfig, available_flags,
+                            build_cpm_adv_features, combination_columns, combination_width,
+                            predict_maxent, split_labels, train_maxent)
 from emocomp import pipeline
 from emocomp.pipeline import (ALL_TAGS, ME_TAGS, embeddings_for, evaluate_model,
                               evaluate_neural, load_me_artifact, preprocess,
@@ -106,6 +110,90 @@ class TestComponentMe:
         assert set(art.search_results) == set(COMPONENTS)
         for comp, result in art.search_results.items():
             assert result.best_f1 >= result.all_results[()]
+
+
+class TestComponentFit:
+    """Both component tags fit the five components in one masked binary fit."""
+
+    @pytest.fixture(scope="class")
+    def ablation(self):
+        # a corpus whose POS block is informative, so the search picks it
+        data = Path(__file__).resolve().parent.parent / "data"
+        corpus = load_corpus(data / "ablation_corpus.jsonl")
+        res = pipeline._adv_resources({"pos_sidecar": data / "ablation_pos.tsv"})
+        return split_train_test(corpus, seed=0)[0], res
+
+    # On the ablation corpus every TF-IDF column is noise and the labels follow
+    # the POS block alone, and Adam amplifies gemm rounding there: permuting
+    # the columns of one per-component fit moves its weights by 2e-11 too.
+    @pytest.mark.parametrize("name,atol", [("tec", 1e-12), ("ablation", 1e-10)])
+    def test_adv_matches_a_fit_per_component(self, name, atol, tec, ablation):
+        corpus, res = ((split_train_test(tec, seed=0)[0], pipeline._adv_resources({}))
+                       if name == "tec" else ablation)
+        art = train_component_me(corpus, FAST, res, seed=0)
+        assert any(art.combinations.values())
+        X, offsets = build_cpm_adv_features(pipeline.preprocess_corpus(corpus),
+                                            [i.id for i in corpus], available_flags(art.resources),
+                                            art.tfidf, art.resources)
+        Y = np.array([i.cpm for i in corpus], dtype=float)
+        for j, comp in enumerate(COMPONENTS):
+            # the per-component fit that the joint fit replaces
+            cols = combination_columns(offsets, art.combinations[comp])
+            want = train_maxent(X[:, cols], Y[:, j], (comp,), BINARY, len(cols), FAST)
+            got = art.component_models[comp]
+            assert (got.classes, got.feature_dim, got.constant) == (
+                want.classes, want.feature_dim, want.constant)
+            np.testing.assert_allclose(got.weights, want.weights, rtol=0, atol=atol)
+            np.testing.assert_allclose(got.bias, want.bias, rtol=0, atol=atol)
+            np.testing.assert_array_equal(predict_maxent(got, X[:, cols])[0],
+                                          predict_maxent(want, X[:, cols])[0])
+
+    def test_base_is_the_unmasked_joint_fit(self, tec):
+        train, _ = split_train_test(tec, seed=0)
+        art = train_component_me(train, FAST)
+        X = tfidf_transform(art.tfidf, pipeline.preprocess_corpus(train))
+        Y = np.array([i.cpm for i in train], dtype=float)
+        want = split_labels(train_maxent(X, Y, COMPONENTS, BINARY, art.tfidf.dim, FAST))
+        assert art.combinations == {}
+        for comp in COMPONENTS:
+            got = art.component_models[comp]
+            assert (got.classes, got.feature_dim, got.constant) == (
+                want[comp].classes, want[comp].feature_dim, want[comp].constant)
+            np.testing.assert_array_equal(got.weights, want[comp].weights)
+            np.testing.assert_array_equal(got.bias, want[comp].bias)
+
+    @pytest.mark.parametrize("adv", [False, True], ids=["cpm-me-base", "cpm-me-adv"])
+    def test_one_fit_over_all_components(self, adv, ablation, monkeypatch):
+        corpus, res = ablation
+        calls, train = [], pipeline.train_maxent
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "train_maxent", counting)
+        train_component_me(corpus, MaxEntConfig(iterations=5), res if adv else None, seed=0)
+        assert calls == [COMPONENTS]
+
+    def test_never_set_component_is_stored_degenerate(self, ablation, tmp_path):
+        corpus, res = ablation
+        never = COMPONENTS.index("action_tendencies")
+        corpus = corpus.subset([replace(i, cpm=tuple(0 if j == never else v
+                                                     for j, v in enumerate(i.cpm)))
+                                for i in corpus])
+        with pytest.warns(UserWarning, match="action_tendencies"):
+            art = train_component_me(corpus, FAST, res, seed=0)
+        combo = art.combinations["action_tendencies"]
+        model = art.component_models["action_tendencies"]
+        assert model.constant == {"action_tendencies": False}
+        assert model.feature_dim == art.tfidf.dim + combination_width(art.resources, combo)
+        assert not model.weights.any() and model.weights.shape == (model.feature_dim, 1)
+        assert all(not art.component_models[c].constant for c in COMPONENTS if c != "action_tendencies")
+        save_me_artifact(art, tmp_path / "model.json")
+        stored = json.loads((tmp_path / "model.json").read_text())
+        assert stored["component_models"]["action_tendencies"]["degenerate"] is True
+        again = load_me_artifact(tmp_path / "model.json", pos_tags=res.pos_tags)
+        assert again.component_models["action_tendencies"].constant == model.constant
 
 
 class TestMeArtifactPersistence:
