@@ -63,7 +63,7 @@ def _parse_value(key: str, raw: str, where: str):
 
 
 def read_config_file(path: str | Path) -> dict:
-    """Flat ``key = value`` text format, '#' comments."""
+    """Flat ``key = value`` text format, each key once, '#' comments."""
     out = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -78,6 +78,8 @@ def read_config_file(path: str | Path) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} repeats")
         out[key] = _parse_value(key, raw, f"{path}:{lineno}")
     return out
 

@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the checks that
-raise them for config dataclasses and stored name lists.
+raise them for config dataclasses, stored name lists and stored numbers.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 anything else -> 3.
@@ -7,6 +7,8 @@ anything else -> 3.
 
 import dataclasses
 import sys
+
+import numpy as np
 
 
 class EmocompError(Exception):
@@ -67,3 +69,15 @@ def stored_names(value, what: str) -> tuple[str, ...]:
     if len(set(value)) < len(value):
         raise DataError(f"{what} repeats a name")
     return tuple(value)
+
+
+def stored_numbers(value) -> np.ndarray | None:
+    """A number, or lists of ints and floats nested alike, as a new float64 array; None for a
+    boolean, string, null, object, ragged or too deep lists, or an int too large for a float."""
+    cells = np.array(value, dtype=object)   # lists too ragged or deep for numpy stay cells
+    if not set(map(type, cells.ravel())) <= {int, float}:   # float arrays read true as 1.0
+        return None
+    try:
+        return cells.astype(np.float64)
+    except OverflowError:   # an int too large for a float
+        return None

@@ -107,7 +107,7 @@ class EmbeddingTable:
 
 
 def load_embedding_file(path: str | Path) -> EmbeddingTable:
-    """Text format: one entry per line, token then whitespace-separated decimals."""
+    """Text format: one entry per line, a distinct token then whitespace-separated decimals."""
     vectors: dict[str, np.ndarray] = {}
     dimension = None
     with open(path, encoding="utf-8") as fh:
@@ -129,6 +129,8 @@ def load_embedding_file(path: str | Path) -> EmbeddingTable:
             elif len(vec) != dimension:
                 raise DataError(
                     f"{path}:{lineno}: expected {dimension} values, got {len(vec)}")
+            if token in vectors:
+                raise DataError(f"{path}:{lineno}: token {token!r} repeats")
             vectors[token] = vec
     if dimension is None:
         raise DataError(f"embedding file {path} is empty")

@@ -33,7 +33,7 @@ import numpy as np
 
 from .autodiff import Parameter, Tensor, concat, dropout, filled, no_tape, shapes_only, stitch
 from .corpus import COMPONENTS
-from .errors import ConfigError, DataError, DimensionError, check_fields, stored_names
+from .errors import ConfigError, DataError, DimensionError, check_fields, stored_names, stored_numbers
 from .fileio import write_text
 from .layers import BiLstm, ConvPool, Dense
 from .losses import weighted_bce
@@ -308,14 +308,17 @@ class NeuralModel:
     def load_state(self, state: dict) -> None:
         """Set each parameter to its value in ``state``, with a zero
         gradient buffer. ``state`` must map exactly the parameters' names to
-        finite numeric arrays of their shapes; otherwise a DataError, and no
-        parameter is set. A writeable float64 array that owns its data is
-        taken as it is; any other value is converted to a new one."""
+        finite arrays, or what ``errors.stored_numbers`` converts, of their
+        shapes; otherwise a DataError, and no parameter is set. A writeable
+        float64 array that owns its data is taken as it is."""
+        if not isinstance(state, dict):
+            raise DataError(f"checkpoint params must be an object, not {type(state).__name__}")
+        arrays = {n: np.require(a, np.float64, "OW") if isinstance(a, np.ndarray)
+                  else stored_numbers(a) for n, a in state.items()}
+        not_numbers = sorted(n for n, a in arrays.items() if a is None)
+        if not_numbers:
+            raise DataError(f"checkpoint parameters must hold numbers: {', '.join(not_numbers[:4])}")
         params = self.params()
-        try:
-            arrays = {n: np.require(a, np.float64, "OW") for n, a in state.items()}
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-            raise DataError(f"checkpoint parameters must be numeric arrays by name: {exc}") from exc
         shapes = {p.name: p.data.shape for p in params}
         wrong = sorted(n for n in arrays.keys() | shapes.keys()
                        if n not in arrays or arrays[n].shape != shapes.get(n))
@@ -730,46 +733,33 @@ def _object(text: str, i: int, member) -> tuple[dict, int]:
 
 def read_model_text(text: str) -> object:
     """``json.loads(text)``, except that each member of a top-level
-    ``params`` object that converts to a float64 array becomes that array as
-    soon as it is decoded, so only one parameter's list exists at a time.
-    A parameter whose text holds ``true``, ``false`` or a string is a
-    DataError, raised once the whole text has decoded."""
+    ``params`` object that ``errors.stored_numbers`` converts becomes that
+    float64 array as soon as it is decoded, so only one parameter's list
+    exists at a time; any other keeps its decoded value for ``load_state``
+    to reject. The reader raises only what ``json.loads`` raises."""
     start = _space(text, 0).end()
     if text[start:start + 1] != "{":
         return json.loads(text)
-    not_numbers = set()   # names of the last params object's members that hold other words
 
     def param(name, i):
         value, end = _decode(text, i)
-        if any(text.find(word, i, end) >= 0 for word in ("true", "false", '"')):
-            not_numbers.add(name)
-        else:
-            not_numbers.discard(name)   # a later duplicate wins
-        try:
-            return np.array(value, dtype=np.float64), end
-        except (TypeError, ValueError, OverflowError):
-            return value, end   # load_state names what is wrong
+        array = stored_numbers(value)
+        return (value if array is None else array), end
 
     def member(key, i):
-        if key != "params":
-            return _decode(text, i)
-        not_numbers.clear()
-        return _object(text, i, param) if text[i:i + 1] == "{" else _decode(text, i)
+        if key == "params" and text[i:i + 1] == "{":
+            return _object(text, i, param)
+        return _decode(text, i)
 
     payload, end = _object(text, start, member)
     end = _space(text, end).end()
     if end != len(text):
         raise json.JSONDecodeError("Extra data", text, end)
-    if not_numbers:
-        raise DataError("checkpoint parameters must hold numbers, not true, false or text: "
-                        + ", ".join(sorted(not_numbers)[:4]))
     return payload
 
 
-def load_checkpoint(source: str | Path | dict) -> NeuralModel:
-    """Rebuild a model from a checkpoint file or its parsed JSON payload."""
-    payload = (source if isinstance(source, dict)
-               else read_model_text(Path(source).read_text(encoding="utf-8")))
+def load_checkpoint(payload: dict) -> NeuralModel:
+    """Rebuild a model from a decoded checkpoint (``pipeline.load_model`` opens the file)."""
     for key, value in (("version", CHECKPOINT_VERSION), ("components", N_COMPONENTS)):
         if type(payload.get(key)) is not int or payload[key] != value:
             raise DataError(f"unsupported checkpoint {key} {payload.get(key)!r} (expected {value})")

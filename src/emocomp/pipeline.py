@@ -12,7 +12,6 @@ development data where a model needs one.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from dataclasses import dataclass, field, fields
 from importlib import resources as importlib_resources
@@ -22,7 +21,7 @@ import numpy as np
 
 from .corpus import (COMPONENTS, MULTI_LABEL, SINGLE_LABEL, Corpus, Instance,
                      split_indices, split_train_test)
-from .errors import ConfigError, DataError, ResourceError, stored_names
+from .errors import ConfigError, DataError, ResourceError, stored_names, stored_numbers
 from .features import (DictionaryLexicon, TfIdfModel, load_embedding_file, load_lexicon,
                        load_token_embedding_store, resolve_token_embeddings, tfidf_fit,
                        tfidf_transform)
@@ -150,17 +149,12 @@ def _maxent_from_dict(d: dict) -> MaxEntModel:
         raise DataError(f"unknown maxent mode {d['mode']!r}")
     if type(d["feature_dim"]) is not int:
         raise DataError(f"maxent feature_dim must be an integer, got {d['feature_dim']!r}")
-    try:
-        weights, bias = np.array(d["weights"], dtype=float), np.array(d["bias"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"maxent weights and bias must be numeric arrays: {exc}") from exc
+    weights, bias = stored_numbers(d["weights"]), stored_numbers(d["bias"])
+    if weights is None or bias is None:
+        raise DataError("maxent weights and bias must hold arrays of numbers")
     if weights.shape != (d["feature_dim"], len(classes)) or bias.shape != (len(classes),):
         raise DataError(f"maxent weights {weights.shape} / bias {bias.shape} do not fit "
                         f"{d['feature_dim']} features x {len(classes)} classes")
-    # numpy parses "0.5" and reads true as 1.0; the shapes matched, so these are the leaves
-    leaves = itertools.chain(itertools.chain.from_iterable(d["weights"]), d["bias"])
-    if not set(map(type, leaves)) <= {int, float}:
-        raise DataError("maxent weights and bias must be numbers, not strings or booleans")
     if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
         raise DataError("maxent weights and bias must be finite")
     if type(d["degenerate"]) is not bool or d["constant_class"] not in (None, *classes):
@@ -234,9 +228,9 @@ def save_me_artifact(artifact: MeArtifact, path: str | Path) -> None:
     write_text(path, json.dumps(artifact_dict(artifact)))
 
 
-def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
+def load_me_artifact(payload: dict, embeddings=None, pos_tags=None,
                      appraisal=None) -> MeArtifact:
-    """Rebuild an artifact from a model file or its parsed JSON payload."""
+    """Rebuild an artifact from a decoded ``model.json`` (``load_model`` opens the file)."""
 
     def from_dict(d: dict, tags: tuple[str, ...] = ME_TAGS) -> MeArtifact:
         for key, allowed in (("version", (1,)), ("tag", tags),
@@ -318,8 +312,7 @@ def load_me_artifact(source: str | Path | dict, embeddings=None, pos_tags=None,
                 raise DataError(f"stored {name} model reads {m.feature_dim} features, "
                                 f"but its featurizer makes {width}")
 
-    return from_dict(source if isinstance(source, dict)
-                     else json.loads(Path(source).read_text(encoding="utf-8")))
+    return from_dict(payload)
 
 
 def train_emotion_me(corpus: Corpus, config: MaxEntConfig | None = None,
@@ -574,10 +567,10 @@ def save_model(model, out_dir: str | Path) -> None:
 
 
 def load_model(path: str | Path, resources: dict):
-    """Read a model file; a ``params`` key marks a neural checkpoint. A
-    feature-based model gets the sidecar files named in ``resources``.
-    Unreadable JSON, JSON nested too deep to decode or a missing key is a
-    data error."""
+    """Open and decode a model file, the one place that does; a ``params``
+    key marks a neural checkpoint. A feature-based model gets the sidecar
+    files named in ``resources``. Unreadable JSON, JSON nested too deep to
+    decode or a missing key is a data error."""
     try:
         payload = read_model_text(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -587,8 +580,6 @@ def load_model(path: str | Path, resources: dict):
     try:
         if "params" in payload:
             return load_checkpoint(payload)
-        embeddings, pos_tags, appraisal = _sidecars(resources)
-        return load_me_artifact(payload, embeddings=embeddings, pos_tags=pos_tags,
-                                appraisal=appraisal)
+        return load_me_artifact(payload, *_sidecars(resources))
     except KeyError as exc:
         raise DataError(f"{path} lacks required key {exc}") from exc

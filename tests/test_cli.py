@@ -56,6 +56,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError, match="mystery"):
             read_config_file(f)
 
+    def test_repeated_key_reports_line(self, tmp_path):
+        f = tmp_path / "cfg.txt"
+        f.write_text("epochs = 1\nseed = 3\nepochs = 2\n")
+        with pytest.raises(ConfigError, match=r"cfg\.txt:3: config key 'epochs' repeats"):
+            read_config_file(f)
+
     def test_malformed_line_rejected(self, tmp_path):
         f = tmp_path / "cfg.txt"
         f.write_text("epochs 5\n")
@@ -456,6 +462,8 @@ class TestInputFiles:
         ("stats TEC --out FILE", b"", 1),
         ("stats FILE", b'{"id": "\xff"}\n', 2),
         ("train --model emo-me-base --corpus TEC --config FILE", b"epochs = 1  # \xff\n", 2),
+        ("train --model emo-me-base --corpus TEC --config FILE", b"epochs = 1\nepochs = 2\n", 1),
+        ("train --model cpm-me-adv --corpus TEC --embeddings FILE", b"happy 1 2\nhappy 3 4\n", 2),
         ("train --model cpm-me-adv --corpus TEC --pos-sidecar FILE", b"tec0000\tNN \xff\n", 2),
         # a checkpoint of 8-wide embeddings scored with the default 64-wide ones
         ("eval --model-path V1/mtl-xs/checkpoint.json --corpus V1/corpus.jsonl", None, 1),
@@ -466,7 +474,8 @@ class TestInputFiles:
         ("train --model emo-me-base --corpus FILE", DEEP_LINE, 2),
     ], ids=["store-zero-rows", "store-negative-rows", "store-ragged", "corpus-directory",
             "config-directory", "model-path-directory", "pos-sidecar-directory", "out-file",
-            "corpus-not-utf8", "config-not-utf8", "pos-sidecar-not-utf8", "eval-width",
+            "corpus-not-utf8", "config-not-utf8", "config-key-repeated",
+            "embeddings-token-repeated", "pos-sidecar-not-utf8", "eval-width",
             "predict-width", "model-nested-deep", "stats-corpus-nested-deep",
             "train-corpus-nested-deep"])
     def test_unusable_input_is_config_or_data_error(self, argv, content, code, tmp_path,

@@ -130,6 +130,12 @@ class TestEmbeddingFiles:
         with pytest.raises(DataError, match=r"emb\.txt:2: non-finite"):
             load_embedding_file(f)
 
+    def test_repeated_token_reports_line(self, tmp_path):
+        f = tmp_path / "emb.txt"
+        f.write_text("happy 1.0 2.0\ncat 0.1 0.2\nhappy 3.0 4.0\n")
+        with pytest.raises(DataError, match=r"emb\.txt:3: token 'happy' repeats"):
+            load_embedding_file(f)
+
 
 class TestTokenEmbeddingStore:
     def test_round_trip(self, tmp_path):

@@ -27,7 +27,7 @@ from pathlib import Path
 import pytest
 
 from emocomp.cli import main
-from emocomp.pipeline import load_me_artifact, save_me_artifact
+from emocomp.pipeline import load_model, save_me_artifact
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -83,7 +83,7 @@ def test_reads_and_writes_v1_model_file(tmp_path, capsys):
     assert main(["predict", "--model-path", str(v1 / "model.json"),
                  "--corpus", str(v1 / "corpus.jsonl"), "--out", str(tmp_path)]) == 0
     assert (tmp_path / "predictions.tsv").read_bytes() == (v1 / "predictions.tsv").read_bytes()
-    save_me_artifact(load_me_artifact(v1 / "model.json"), tmp_path / "model.json")
+    save_me_artifact(load_model(v1 / "model.json", {}), tmp_path / "model.json")
     assert (json.loads((tmp_path / "model.json").read_text())
             == json.loads((v1 / "model.json").read_text()))
 

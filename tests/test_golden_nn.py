@@ -57,7 +57,8 @@ import numpy as np
 import pytest
 
 from emocomp.cli import main
-from emocomp.nn import NN_TAGS, load_checkpoint, save_checkpoint
+from emocomp.nn import NN_TAGS, save_checkpoint
+from emocomp.pipeline import load_model
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "data"
@@ -226,7 +227,7 @@ def test_v1_checkpoint_resaves_byte_identical(tag, tmp_path):
     # fixes the layout of a saved model: parameter names, their order and
     # every number, frozen submodel included
     source = V1 / tag / "checkpoint.json"
-    save_checkpoint(load_checkpoint(source), tmp_path / "checkpoint.json")
+    save_checkpoint(load_model(source, {}), tmp_path / "checkpoint.json")
     assert (tmp_path / "checkpoint.json").read_bytes() == source.read_bytes()
 
 

@@ -1,6 +1,7 @@
 """Property tests: a mutated model file makes ``predict`` exit 0 or 2, a
-mutated corpus makes ``stats`` and ``train`` exit 0 or 2, and a mutated POS
-or appraisal sidecar makes ``train --model cpm-me-adv`` exit 0 or 2.
+mutated corpus makes ``stats`` and ``train`` exit 0 or 2, a mutated POS or
+appraisal sidecar, embeddings file or token-embedding store makes ``train``
+exit 0 or 2, and a mutated ``--config`` file makes it exit 0 or 1.
 
 Each example takes one tiny stored model and mutates either its document or
 its text. A document mutation walks from the root to a node (each step
@@ -11,11 +12,17 @@ model reader must then fail where ``json.loads`` fails, with its message.
 ``predict`` must succeed (the file is still a usable model) or report a
 data error: never a config error (1) or a crash (3). A corpus mutation
 applies the same node mutations to one record of the corpus, or drops or
-duplicates its line. A sidecar mutation cuts one line, replaces one of its
-values with a bad one or with nothing, or drops or duplicates the line.
+duplicates its line. A mutation of a line-oriented text file cuts one line,
+replaces one of its whitespace-separated fields with a bad one or with
+nothing, or drops or duplicates the line.
+
+Each stored number of both model families passes one rule
+(``errors.stored_numbers``): a table of values in a checkpoint parameter and
+in a maxent bias must predict or exit 2 as listed.
 """
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -30,6 +37,7 @@ TAGS = ["emo-cpm-nn-pred", "mtl-xs", "emo-cpm-me-pred"]
 DROP = object()
 MUTATIONS = [DROP, None, "x", [], {}, -1, 1.5, float("nan"), True, 10**9]
 DELIMITERS = '{}[],:"'
+BAD_FIELDS = ["x", "nan", "1e400", "-1", ""]
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +117,7 @@ def test_mutated_model_file_is_usable_or_data_error(tag, files):
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(mutated(docs[tag]))
     def check(doc):
+        read_model_text(json.dumps(doc))   # well-formed text: no error from the reader
         predicts_or_data_error(root, corpus, json.dumps(doc))
 
     check()
@@ -147,6 +156,44 @@ def test_saturated_sigmoid_predicts(tag, edit, files):
                  "--fallback-dim", "8", "--out", str(root / "out")]) == 0
 
 
+def nested(depth):
+    value = 0.5
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# where each family stores a number list: a parent and its key
+STORED = {
+    "mtl-xs": lambda d: (d["params"], "emo.out.b"),
+    "emo-cpm-me-pred": lambda d: (d["cpm_artifact"]["component_models"]["cognitive_appraisal"],
+                                  "bias"),
+}
+ENTRIES = {"true": True, "false": False, "text": "0.5", "null": None, "object": {},
+           "huge-int": 10**400, "nan": float("nan")}   # each replaces the list's first entry
+VALUES = {"ragged": [[0.5], [0.5, 0.5]], "scalar": 0.5,
+          "nested-33": nested(33), "nested-70": nested(70)}   # each replaces the list
+
+
+@pytest.mark.parametrize("case", [*ENTRIES, *VALUES, "integers"])
+@pytest.mark.parametrize("tag", STORED)
+def test_stored_numbers_rule(tag, case, files):
+    root, corpus, docs = files
+    doc = json.loads(json.dumps(docs[tag]))
+    parent, key = STORED[tag](doc)
+    if case in ENTRIES:
+        parent[key][0] = ENTRIES[case]
+    elif case in VALUES:
+        parent[key] = VALUES[case]
+    else:
+        parent[key] = [round(v) for v in parent[key]]
+    text = json.dumps(doc)
+    assert read_model_text(text)["version"] == 1   # the reader only decodes
+    (root / "stored.json").write_text(text)
+    assert main(["predict", "--model-path", str(root / "stored.json"), "--corpus", str(corpus),
+                 "--fallback-dim", "8", "--out", str(root / "out")]) == (0 if case == "integers" else 2)
+
+
 @st.composite
 def mutated_lines(draw, lines, mutate_line):
     """``lines`` with one line dropped or duplicated (one choice in twelve
@@ -166,16 +213,15 @@ def mutated_record(line):
 
 
 @st.composite
-def mutated_sidecar_line(draw, line):
-    """An ``id<TAB>values`` line cut at an offset, or with one value
-    replaced by a bad one or by nothing."""
+def mutated_fields(draw, line):
+    """``line`` cut at an offset, or with one of its whitespace-separated
+    fields replaced by a bad one or by nothing, its separators kept."""
     text = line.rstrip("\n")
     if draw(st.booleans()):
         return text[:draw(st.integers(0, len(text)))] + "\n"
-    inst_id, _, rest = text.partition("\t")
-    values = rest.split()
-    values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(["x", "nan", "1e400", ""]))
-    return f"{inst_id}\t{' '.join(values)}\n"
+    parts = re.split(r"(\s+)", text)   # the fields at even indices
+    parts[2 * draw(st.integers(0, len(parts) // 2))] = draw(st.sampled_from(BAD_FIELDS))
+    return "".join(parts) + "\n"
 
 
 def test_mutated_corpus_is_usable_or_data_error(files):
@@ -210,7 +256,7 @@ def test_mutated_sidecar_is_usable_or_data_error(sidecar, files):
     (root / "short.txt").write_text("me_iterations = 3\n")
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(mutated_lines(sidecars[sidecar], mutated_sidecar_line))
+    @given(mutated_lines(sidecars[sidecar], mutated_fields))
     def check(lines):
         mutated_path = root / f"mutated_{sidecar}.tsv"
         mutated_path.write_text("".join(lines), encoding="utf-8")
@@ -219,5 +265,73 @@ def test_mutated_sidecar_is_usable_or_data_error(sidecar, files):
                      "--pos-sidecar", str(flags["pos_sidecar"]),
                      "--appraisal-sidecar", str(flags["appraisal_sidecar"]),
                      "--config", str(root / "short.txt"), "--out", str(root / "sidecar_run")]) in (0, 2)
+
+    check()
+
+
+def test_mutated_embeddings_file_is_usable_or_data_error(files):
+    root, corpus, _ = files
+    tokens = sorted({w for i in load_corpus(corpus).instances for w in i.text.lower().split()})[:12]
+    lines = [f"{t} {' '.join(f'{0.1 * (k + j):.1f}' for j in range(3))}\n"
+             for k, t in enumerate(tokens)]
+    path = root / "mutated_embeddings.txt"
+    (root / "short.txt").write_text("me_iterations = 3\n")
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(mutated_lines(lines, mutated_fields))
+    def check(mutated_file):
+        path.write_text("".join(mutated_file), encoding="utf-8")
+        assert main(["train", "--model", "cpm-me-adv", "--corpus", str(corpus),
+                     "--embeddings", str(path), "--config", str(root / "short.txt"),
+                     "--out", str(root / "embeddings_run")]) in (0, 2)
+
+    check()
+
+
+TINY_NN_CONFIG = """# a tiny neural run
+bilstm_units = 2/3
+cnn_filters = 2
+kernel_sizes = 2, 3
+fc_neurons_emo = 2
+minibatch_size = 8
+dropout_rate = 0.5
+learning_rate = 0.01
+split_ratio = 0.8
+seed = 1
+"""
+
+
+def test_mutated_token_store_is_usable_or_data_error(files):
+    root, corpus, _ = files
+    lines = []
+    for k, inst in enumerate(load_corpus(corpus).instances[:8]):
+        rows = 1 + k % 3
+        lines += [f"{inst.id}\n", f"{rows}\n"]
+        lines += [f"{' '.join(f'{0.1 * (k - t + j):.1f}' for j in range(3))}\n" for t in range(rows)]
+    path = root / "mutated_store.txt"
+    (root / "tiny_nn.txt").write_text(TINY_NN_CONFIG)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(mutated_lines(lines, mutated_fields))
+    def check(mutated_file):
+        path.write_text("".join(mutated_file), encoding="utf-8")
+        assert main(["train", "--model", "emo-nn-base", "--corpus", str(corpus), "--epochs", "1",
+                     "--token-embeddings", str(path), "--config", str(root / "tiny_nn.txt"),
+                     "--out", str(root / "store_run")]) in (0, 2)
+
+    check()
+
+
+def test_mutated_config_file_is_usable_or_config_error(files):
+    root, corpus, _ = files
+    path = root / "mutated_config.txt"
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(mutated_lines(TINY_NN_CONFIG.splitlines(True), mutated_fields))
+    def check(mutated_file):
+        path.write_text("".join(mutated_file), encoding="utf-8")
+        assert main(["train", "--model", "emo-nn-base", "--corpus", str(corpus), "--epochs", "1",
+                     "--fallback-dim", "8", "--config", str(path),
+                     "--out", str(root / "config_run")]) in (0, 1)
 
     check()

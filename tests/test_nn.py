@@ -14,6 +14,7 @@ from emocomp.nn import (CONFIG_DEFAULTS, NN_TAGS, Example, ModelConfig, MtlCross
                         MtlMultiHead, SingleTaskModel, build_model,
                         default_config, load_checkpoint, predict_example,
                         predict_examples, read_model_text, save_checkpoint, train_model)
+from emocomp.pipeline import load_model
 
 LABELS = ("joy", "anger", "fear")
 
@@ -439,7 +440,7 @@ class TestCheckpoints:
         model = build(tag)
         path = tmp_path / "ckpt.json"
         save_checkpoint(model, path)
-        again = load_checkpoint(path)
+        again = load_model(path, {})
         ex = toy_examples(1, rng)[0]
         cpm = ex.y_cpm if tag == "emo-cpm-nn-gold" else None
         a = model.forward(Tensor(ex.x), cpm=cpm)
@@ -454,7 +455,7 @@ class TestCheckpoints:
         bad = path.read_text().replace('"version": 1', '"version": 99', 1)
         path.write_text(bad)
         with pytest.raises(DataError, match="version"):
-            load_checkpoint(path)
+            load_model(path, {})
 
     def test_non_finite_parameter_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
@@ -462,7 +463,7 @@ class TestCheckpoints:
         model.out.b.data[0] = np.inf
         save_checkpoint(model, path)
         with pytest.raises(DataError, match="non-finite.*emo.out.b"):
-            load_checkpoint(path)
+            load_model(path, {})
 
     @pytest.mark.parametrize("tag", NN_TAGS)
     def test_streamed_file_is_the_json_payload(self, tag, tmp_path):
@@ -537,7 +538,7 @@ class TestCheckpoints:
         text = (tmp_path / "ckpt.json").read_text()
         bad = text.replace('"emo.out.b": [', f'"emo.out.b": [{value}, ', 1)
         with pytest.raises(DataError, match="numbers.*emo.out.b"):
-            read_model_text(bad)
+            load_checkpoint(read_model_text(bad))
         # a later duplicate wins, and malformed text is a JSON error first
         fixed = bad.replace(f"[{value}, ", f"[{value}], \"emo.out.b\": [", 1)
         assert np.array_equal(read_model_text(fixed)["params"]["emo.out.b"],
@@ -583,7 +584,7 @@ class TestCheckpoints:
     def test_loaded_model_trains(self, tag, tmp_path, rng):
         save_checkpoint(build(tag, toy_config(per_channel_stitch=True, epochs=1)),
                         tmp_path / "ckpt.json")
-        model = load_checkpoint(tmp_path / "ckpt.json")
+        model = load_model(tmp_path / "ckpt.json", {})
         for p in model.params():
             assert p.data.flags.writeable and p.data.flags.owndata
             assert p.grad.shape == p.data.shape and not p.grad.any()

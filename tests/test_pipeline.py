@@ -13,7 +13,7 @@ from emocomp.maxent import (BINARY, AdvResources, MaxEntConfig, available_flags,
                             predict_maxent, split_labels, train_maxent)
 from emocomp import pipeline
 from emocomp.pipeline import (ALL_TAGS, ME_TAGS, embeddings_for, evaluate_model,
-                              evaluate_neural, load_me_artifact, preprocess,
+                              evaluate_neural, load_me_artifact, load_model, preprocess,
                               save_me_artifact, train_component_me,
                               train_emotion_me, train_neural)
 from emocomp.nn import ModelConfig
@@ -192,7 +192,7 @@ class TestComponentFit:
         save_me_artifact(art, tmp_path / "model.json")
         stored = json.loads((tmp_path / "model.json").read_text())
         assert stored["component_models"]["action_tendencies"]["degenerate"] is True
-        again = load_me_artifact(tmp_path / "model.json", pos_tags=res.pos_tags)
+        again = load_me_artifact(stored, pos_tags=res.pos_tags)
         assert again.component_models["action_tendencies"].constant == model.constant
 
 
@@ -202,7 +202,7 @@ class TestMeArtifactPersistence:
         art = train_emotion_me(train, FAST)
         path = tmp_path / "model.json"
         save_me_artifact(art, path)
-        again = load_me_artifact(path)
+        again = load_model(path, {})
         stemmed = [preprocess(i) for i in test]
         assert (art.predict_emotions(test.instances, stemmed)
                 == again.predict_emotions(test.instances, stemmed))
@@ -213,7 +213,7 @@ class TestMeArtifactPersistence:
         art = train_component_me(train, FAST, res, seed=0)
         path = tmp_path / "model.json"
         save_me_artifact(art, path)
-        again = load_me_artifact(path)
+        again = load_model(path, {})
         stemmed, ids = [preprocess(i) for i in test], [i.id for i in test]
         np.testing.assert_array_equal(art.predict_components(stemmed, ids),
                                       again.predict_components(stemmed, ids))
@@ -230,9 +230,9 @@ class TestMeArtifactPersistence:
         save_me_artifact(art, path)
         if uses_embeddings:
             with pytest.raises(ResourceError):
-                load_me_artifact(path)
+                load_model(path, {})
         else:
-            load_me_artifact(path)
+            load_model(path, {})
 
 
 class TestStemOnce:
