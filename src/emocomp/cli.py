@@ -186,8 +186,6 @@ def cmd_agreement(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _check_tag_mode(tag: str, corpus: Corpus, args) -> None:
-    if tag not in ALL_TAGS:
-        raise ConfigError(f"unknown model tag {tag!r} (expected one of {', '.join(ALL_TAGS)})")
     needs_emotions = not tag.startswith("cpm-")
     if needs_emotions and not corpus.emotion_inventory:
         raise ConfigError(f"model {tag!r} needs an emotion inventory but the corpus declares none")

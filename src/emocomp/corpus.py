@@ -142,7 +142,7 @@ def load_corpus(path: str | Path) -> Corpus:
         inventory = tuple(sorted(set().union(*(i.emotions for i in instances)) if instances else set()))
     mode = header_mode or _mode_for_domain(domain)
 
-    for lineno_like, inst in enumerate(instances, start=1):
+    for inst in instances:
         unknown = inst.emotions - set(inventory)
         if unknown:
             raise CorpusFormatError(

@@ -1,5 +1,14 @@
 """TF-IDF, component dictionaries and embedding features for the
 feature-based classifiers; token-embedding ingestion for the neural ones.
+
+This module reads every resource file: lexicons, the embeddings file, the
+POS and appraisal sidecars and the token-embedding store. The line-oriented
+files share two rules. A keyed line is ``key<sep>rest``, where the
+separator is a tab in a sidecar and whitespace in the embeddings file;
+blank lines are skipped, and a key may not repeat. A row of decimals (an
+embedding, an appraisal vector, a row of a store record) holds at least
+one number, each finite, and is as wide as the file's first row. Every
+error in these files names its ``path:line``.
 """
 
 from __future__ import annotations
@@ -67,6 +76,67 @@ def tfidf_transform(model: TfIdfModel | None, documents: list[list[str]]) -> np.
 
 
 # ---------------------------------------------------------------------------
+# Line-oriented resource files: one line rule and one row rule
+# ---------------------------------------------------------------------------
+
+def _keyed_lines(path: str | Path, key: str, sep: str | None = None):
+    """Line number, key and rest of each non-blank ``key<sep>rest`` line of
+    ``path``, where ``key`` names what the keys are. A None ``sep`` is the
+    first whitespace, and a line that is only a key has an empty rest. A
+    line without ``sep`` or a key that repeats is a data error naming
+    ``path:line``."""
+    seen = set()
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.isspace():
+                continue
+            name, *rest = line.split(sep, 1)
+            if sep is not None and not rest:
+                raise DataError(f"{path}:{lineno}: expected {key}<TAB>values")
+            if name in seen:
+                raise DataError(f"{path}:{lineno}: {key} {name!r} repeats")
+            seen.add(name)
+            yield lineno, name, rest[0] if rest else ""
+
+
+def _decimals(text: str, width: int | None, path: str | Path, lineno: int) -> np.ndarray:
+    """The whitespace-separated decimals of ``text``, line ``lineno`` of
+    ``path``: at least one, each finite, and ``width`` of them unless
+    ``width`` is None. Anything else is a data error naming ``path:line``."""
+    try:
+        row = np.array([float(v) for v in text.split()])
+    except ValueError as exc:
+        raise DataError(f"{path}:{lineno}: non-numeric value") from exc
+    if not len(row):
+        raise DataError(f"{path}:{lineno}: entry has no values")
+    if not np.isfinite(row).all():
+        raise DataError(f"{path}:{lineno}: non-finite value")
+    if width is not None and len(row) != width:
+        raise DataError(f"{path}:{lineno}: expected {width} values, got {len(row)}")
+    return row
+
+
+def _keyed_rows(path: str | Path, key: str, sep: str | None = None) -> dict[str, np.ndarray]:
+    """The row of decimals after each key of ``path``, each as wide as the first."""
+    rows: dict[str, np.ndarray] = {}
+    width = None
+    for lineno, name, rest in _keyed_lines(path, key, sep):
+        rows[name] = _decimals(rest, width, path, lineno)
+        width = len(rows[name])
+    return rows
+
+
+def load_tagged_sidecar(path: str | Path) -> dict[str, list[str]]:
+    """``id<TAB>tag tag ...`` per line."""
+    return {inst_id: rest.split() for _, inst_id, rest in _keyed_lines(path, "id", "\t")}
+
+
+def load_vector_sidecar(path: str | Path) -> dict[str, np.ndarray]:
+    """``id<TAB>v1 v2 ...`` per line."""
+    return _keyed_rows(path, "id", "\t")
+
+
+# ---------------------------------------------------------------------------
 # Component dictionaries
 # ---------------------------------------------------------------------------
 
@@ -108,33 +178,10 @@ class EmbeddingTable:
 
 def load_embedding_file(path: str | Path) -> EmbeddingTable:
     """Text format: one entry per line, a distinct token then whitespace-separated decimals."""
-    vectors: dict[str, np.ndarray] = {}
-    dimension = None
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            token, *vals = parts
-            try:
-                vec = np.array([float(v) for v in vals])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric embedding value") from exc
-            if not np.isfinite(vec).all():
-                raise DataError(f"{path}:{lineno}: non-finite embedding value")
-            if dimension is None:
-                dimension = len(vec)
-                if dimension == 0:
-                    raise DataError(f"{path}:{lineno}: entry has no values")
-            elif len(vec) != dimension:
-                raise DataError(
-                    f"{path}:{lineno}: expected {dimension} values, got {len(vec)}")
-            if token in vectors:
-                raise DataError(f"{path}:{lineno}: token {token!r} repeats")
-            vectors[token] = vec
-    if dimension is None:
+    vectors = _keyed_rows(path, "token")
+    if not vectors:
         raise DataError(f"embedding file {path} is empty")
-    return EmbeddingTable(dimension, vectors)
+    return EmbeddingTable(len(next(iter(vectors.values()))), vectors)
 
 
 def pooled_embedding_features(tokens: list[str], table: EmbeddingTable) -> np.ndarray:
@@ -152,38 +199,35 @@ class TokenEmbeddingStore:
 
 
 def load_token_embedding_store(path: str | Path) -> TokenEmbeddingStore:
-    """Line-oriented records: instance id, then T >= 1, then T rows of
-    d >= 1 decimals."""
+    """Line-oriented records: a distinct instance id, then T >= 1, then T
+    rows of decimals."""
     sequences: dict[str, np.ndarray] = {}
-    dimension = None
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    i = 0
-    while i < len(lines):
-        if not lines[i].strip():
-            i += 1
-            continue
-        inst_id = lines[i].strip()
-        try:
-            T = int(lines[i + 1])
-            # ragged rows make np.array raise ValueError
-            mat = np.array([[float(v) for v in lines[i + 2 + t].split()] for t in range(T)])
-            if mat.ndim != 2 or 0 in mat.shape:
-                raise ValueError(f"a matrix of shape {mat.shape}")
-        except (IndexError, ValueError) as exc:
-            raise DataError(f"{path}: malformed record for id {inst_id!r}") from exc
-        if not np.isfinite(mat).all():
-            raise DataError(f"{path}: record {inst_id!r} holds a non-finite value")
-        if dimension is None:
-            dimension = mat.shape[1]
-        elif mat.shape[1] != dimension:
-            raise DataError(f"{path}: record {inst_id!r} has dimension {mat.shape[1]}, expected {dimension}")
-        if inst_id in sequences:
-            raise DataError(f"{path}: duplicate record for id {inst_id!r}")
-        sequences[inst_id] = mat
-        i += 2 + T
-    if dimension is None:
+    width = None
+    with open(path, encoding="utf-8") as fh:
+        lines = enumerate(fh, start=1)
+        for lineno, line in lines:
+            inst_id = line.strip()
+            if not inst_id:
+                continue
+            if inst_id in sequences:
+                raise DataError(f"{path}:{lineno}: id {inst_id!r} repeats")
+            # past the end of the file, a line reads as empty
+            lineno, line = next(lines, (lineno + 1, ""))
+            try:
+                count = int(line)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: expected the row count of {inst_id!r}") from exc
+            if count < 1:
+                raise DataError(f"{path}:{lineno}: record {inst_id!r} needs at least one row")
+            rows = []
+            while len(rows) < count:
+                lineno, line = next(lines, (lineno + 1, ""))
+                rows.append(_decimals(line, width, path, lineno))
+                width = len(rows[-1])
+            sequences[inst_id] = np.array(rows)
+    if width is None:
         raise DataError(f"token embedding store {path} is empty")
-    return TokenEmbeddingStore(dimension, sequences)
+    return TokenEmbeddingStore(width, sequences)
 
 
 def hashed_token_embedding(token: str, dimension: int, seed: int) -> np.ndarray:

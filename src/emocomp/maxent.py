@@ -25,7 +25,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field, replace
 from itertools import combinations
-from pathlib import Path
 
 import numpy as np
 
@@ -230,52 +229,6 @@ def stack_labels(models: list[MaxEntModel]) -> MaxEntModel:
 
 
 # ---------------------------------------------------------------------------
-# Sidecar files
-# ---------------------------------------------------------------------------
-
-def _sidecar_entries(path: str | Path, holds: str):
-    """Line number, id and the rest of each non-blank ``id<TAB>rest`` line,
-    where ``holds`` names what the rest holds; an id may not repeat."""
-    seen = set()
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        inst_id, tab, rest = line.partition("\t")
-        if not tab:
-            raise DataError(f"{path}:{lineno}: expected id<TAB>{holds}")
-        if inst_id in seen:
-            raise DataError(f"{path}:{lineno}: duplicate id {inst_id!r}")
-        seen.add(inst_id)
-        yield lineno, inst_id, rest
-
-
-def load_tagged_sidecar(path: str | Path) -> dict[str, list[str]]:
-    """``id<TAB>tag tag ...`` per line."""
-    return {inst_id: rest.split() for _, inst_id, rest in _sidecar_entries(path, "values")}
-
-
-def load_vector_sidecar(path: str | Path) -> dict[str, np.ndarray]:
-    """``id<TAB>v1 v2 ...`` per line, fixed dimension of at least one."""
-    out: dict[str, np.ndarray] = {}
-    dim = None
-    for lineno, inst_id, rest in _sidecar_entries(path, "decimals"):
-        try:
-            vec = np.array([float(v) for v in rest.split()])
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: expected id<TAB>decimals") from exc
-        if not len(vec):
-            raise DataError(f"{path}:{lineno}: entry has no values")
-        if not np.isfinite(vec).all():
-            raise DataError(f"{path}:{lineno}: non-finite value")
-        if dim is None:
-            dim = len(vec)
-        elif len(vec) != dim:
-            raise DataError(f"{path}:{lineno}: expected {dim} values, got {len(vec)}")
-        out[inst_id] = vec
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Advanced component features
 # ---------------------------------------------------------------------------
 
@@ -328,21 +281,13 @@ def combination_width(resources: AdvResources | None, combination: tuple[str, ..
 def _block(flag: str, stemmed: list[list[str]], inst_ids: list[str],
            resources: AdvResources) -> np.ndarray:
     if flag == "dictionaries":
-        if not resources.lexicons:
-            raise ResourceError("dictionaries flag enabled but no lexicons loaded")
         rows = [dictionary_features(s, resources.lexicons) for s in stemmed]
     elif flag == "pos_tags":
-        if resources.pos_tags is None:
-            raise ResourceError("pos_tags flag enabled but no POS sidecar loaded")
         tags = [resources.pos_tags.get(i, []) for i in inst_ids]
         rows = [[float(t.count(tag)) for tag in resources.pos_inventory] for t in tags]
     elif flag == "word_embeddings":
-        if resources.embeddings is None:
-            raise ResourceError("word_embeddings flag enabled but no embedding table loaded")
         rows = [pooled_embedding_features(s, resources.embeddings) for s in stemmed]
     else:
-        if resources.appraisal is None:
-            raise ResourceError("appraisal_predictions flag enabled but no appraisal sidecar loaded")
         missing = [i for i in inst_ids if i not in resources.appraisal]
         if missing:
             raise ResourceError(f"no appraisal predictions for instance {missing[0]!r}")
@@ -355,11 +300,17 @@ def build_cpm_adv_features(stemmed: list[list[str]], inst_ids: list[str],
                            resources: AdvResources | None) -> tuple[np.ndarray, dict[str, tuple[int, int]]]:
     """The TF-IDF block and the block of each flag in ``combination``,
     column-stacked with one row per document; also returns each block's
-    (offset, length) span. ``resources`` may be None for the empty combination.
+    (offset, length) span. ``resources`` may be None for the empty combination;
+    a flag not among their :func:`available_flags` is a resource error.
 
     Every feature depends only on its instance and on resources fit on the
     training split, so the rows of any subset are row selections of this
     matrix and any sub-combination is a column selection of it."""
+    loaded = available_flags(resources)
+    missing = [f for f in combination if f not in loaded]
+    if missing:
+        raise ResourceError(f"feature flags {', '.join(missing)} enabled but their "
+                            "resources are not loaded")
     blocks = [("tfidf", tfidf_transform(tfidf, stemmed))]
     blocks += [(f, _block(f, stemmed, inst_ids, resources)) for f in combination]
     offsets, pos = {}, 0
@@ -388,8 +339,10 @@ def combination_mask(offsets: dict[str, tuple[int, int]],
     return mask
 
 
-def available_flags(resources: AdvResources) -> tuple[str, ...]:
-    """The feature flags whose resources are loaded."""
+def available_flags(resources: AdvResources | None) -> tuple[str, ...]:
+    """The feature flags whose resources are loaded; none without resources."""
+    if resources is None:
+        return ()
     loaded = (bool(resources.lexicons), resources.pos_tags is not None,
               resources.embeddings is not None, resources.appraisal is not None)
     return tuple(f for f, ok in zip(FEATURE_FLAGS, loaded) if ok)

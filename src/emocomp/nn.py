@@ -42,7 +42,7 @@ from .optim import Adam
 
 CHECKPOINT_VERSION = 1
 
-NN_TAGS = ("emo-nn-base", "cpm-nn-base", "emo-cpm-nn-gold", "emo-cpm-nn-pred",
+NN_TAGS = ("emo-nn-base", "cpm-nn-base", "emo-cpm-nn-pred", "emo-cpm-nn-gold",
            "mtl-mh", "mtl-xs")
 
 N_COMPONENTS = 5

@@ -23,17 +23,17 @@ from .corpus import (COMPONENTS, MULTI_LABEL, SINGLE_LABEL, Corpus, Instance,
                      split_indices, split_train_test)
 from .errors import ConfigError, DataError, ResourceError, stored_names, stored_numbers
 from .features import (DictionaryLexicon, TfIdfModel, load_embedding_file, load_lexicon,
-                       load_token_embedding_store, resolve_token_embeddings, tfidf_fit,
-                       tfidf_transform)
+                       load_tagged_sidecar, load_token_embedding_store, load_vector_sidecar,
+                       resolve_token_embeddings, tfidf_fit, tfidf_transform)
 from .fileio import write_text
 from .maxent import (BINARY, FEATURE_FLAGS, GOLD, MULTINOMIAL, PREDICTED, AdvResources,
                      FeatureSearchResult, MaxEntConfig, MaxEntModel, available_flags,
                      build_cpm_adv_features, combination_columns, combination_mask,
                      combination_width, feature_combination_search, label_sets,
-                     load_tagged_sidecar, load_vector_sidecar, predict_maxent, split_labels,
-                     stack_component_features, stack_labels, train_maxent)
+                     predict_maxent, split_labels, stack_component_features, stack_labels,
+                     train_maxent)
 from .metrics import MetricsReport, evaluate
-from .nn import (Example, ModelConfig, NeuralModel, SingleTaskModel,
+from .nn import (NN_TAGS, Example, ModelConfig, NeuralModel, SingleTaskModel,
                  TrainingLog, build_model, default_config, load_checkpoint,
                  predict_examples, read_model_text, save_checkpoint, train_model)
 from .text import stem_tokens, tokenize
@@ -41,8 +41,7 @@ from .text import stem_tokens, tokenize
 ME_TAGS = ("emo-me-base", "cpm-me-base", "cpm-me-adv",
            "emo-cpm-me-pred", "emo-cpm-me-gold")
 EMOTION_ME_TAGS = {None: "emo-me-base", GOLD: "emo-cpm-me-gold", PREDICTED: "emo-cpm-me-pred"}
-ALL_TAGS = ME_TAGS + ("emo-nn-base", "cpm-nn-base", "emo-cpm-nn-pred",
-                      "emo-cpm-nn-gold", "mtl-mh", "mtl-xs")
+ALL_TAGS = ME_TAGS + NN_TAGS
 
 # Each run setting and its default (a value parses as the default's type): the
 # ModelConfig fields, MaxEntConfig's as me_* but its seed, and three run keys.
@@ -159,6 +158,8 @@ def _maxent_from_dict(d: dict) -> MaxEntModel:
         raise DataError("maxent weights and bias must be finite")
     if type(d["degenerate"]) is not bool or d["constant_class"] not in (None, *classes):
         raise DataError("maxent degenerate must be a boolean and constant_class one of its classes")
+    if d["degenerate"] and (weights.any() or bias.any()):   # a constant class is never fit
+        raise DataError("a degenerate maxent model must store zero weights and bias")
     constant = {}
     if d["degenerate"]:
         constant = ({d["constant_class"]: True} if d["constant_class"] is not None
@@ -266,13 +267,14 @@ def load_me_artifact(payload: dict, embeddings=None, pos_tags=None,
             a.combinations[comp] = tuple(f for f in FEATURE_FLAGS if f in flags)
         used = {f for combo in a.combinations.values() for f in combo}
         res = d.get("resources")
-        if res is None and used:
-            raise DataError("stored combinations use feature blocks but the model has no resources")
         if res is not None:
             if not (isinstance(res, dict) and isinstance(res["lexicons"], dict)
-                    and type(res["appraisal_dim"]) is int and res["appraisal_dim"] >= 0):
-                raise DataError("resources must be an object with a lexicons map of term lists "
-                                "and a non-negative integer appraisal_dim")
+                    and type(res["appraisal_dim"]) is int and res["appraisal_dim"] >= 0
+                    and (res["embedding_dim"] is None
+                         or type(res["embedding_dim"]) is int and res["embedding_dim"] >= 1)):
+                raise DataError("resources must be an object with a lexicons map of term lists, "
+                                "a non-negative integer appraisal_dim and an embedding_dim "
+                                "that is a positive integer or null")
             lexicons = [DictionaryLexicon(c, frozenset(stored_names(entries, "lexicon")))
                         for c, entries in res["lexicons"].items()]
             a.resources = AdvResources(lexicons=lexicons,
@@ -281,12 +283,13 @@ def load_me_artifact(payload: dict, embeddings=None, pos_tags=None,
                                        embeddings=embeddings,
                                        appraisal=appraisal,
                                        appraisal_dim=res["appraisal_dim"])
-            if "word_embeddings" in used and embeddings is None:
-                raise ResourceError("stored model uses embedding features; pass an embedding file")
-            if "pos_tags" in used and pos_tags is None:
-                raise ResourceError("stored model uses POS features; pass a POS sidecar")
-            if "appraisal_predictions" in used and appraisal is None:
-                raise ResourceError("stored model uses appraisal features; pass an appraisal sidecar")
+        missing = used - set(available_flags(a.resources))
+        if missing:
+            raise ResourceError("stored combinations use feature flags whose resources are not "
+                                f"loaded: {', '.join(f for f in FEATURE_FLAGS if f in missing)}")
+        if "word_embeddings" in used and res["embedding_dim"] != embeddings.dimension:
+            raise DataError(f"stored model reads embeddings {res['embedding_dim']} wide, but "
+                            f"the embedding file's are {embeddings.dimension} wide")
         check_models(a)
         if d["cpm_artifact"] is not None:
             a.cpm_artifact = from_dict(d["cpm_artifact"], ("cpm-me-base", "cpm-me-adv"))

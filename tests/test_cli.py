@@ -534,7 +534,7 @@ class TestEmbeddings:
         assert run(["train", "--model", "emo-nn-base", "--corpus", tec_path,
                     "--token-embeddings", store, "--epochs", "1",
                     "--out", tmp_path / "o"]) == 2
-        assert "store.txt: record 'tec0000'" in capsys.readouterr().err
+        assert "store.txt:4: non-finite value" in capsys.readouterr().err
         assert not (tmp_path / "o" / "checkpoint.json").exists()
 
     def test_divergence_is_config_error(self, tmp_path, tec_path, capsys):

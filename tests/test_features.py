@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from emocomp.errors import DataError, StateError
 from emocomp.features import (DictionaryLexicon, dictionary_features, hashed_token_embedding,
                               load_embedding_file, load_lexicon,
-                              load_token_embedding_store,
+                              load_token_embedding_store, load_vector_sidecar,
                               pooled_embedding_features,
                               resolve_token_embeddings, tfidf_fit,
                               tfidf_transform)
@@ -155,8 +155,52 @@ class TestTokenEmbeddingStore:
     def test_non_finite_value_names_record(self, tmp_path, value):
         f = tmp_path / "store.txt"
         f.write_text(f"id1\n1\n1.0 2.0\nid2\n2\n3.0 4.0\n5.0 {value}\n")
-        with pytest.raises(DataError, match=r"store\.txt: record 'id2'.*non-finite"):
+        with pytest.raises(DataError, match=r"store\.txt:7: non-finite value"):
             load_token_embedding_store(f)
+
+
+# each reader of rows of decimals, returning its rows by key: its text for an
+# entry (a key and a row), and the line of the entry that holds the row
+DECIMAL_READERS = {
+    "embeddings": (lambda p: load_embedding_file(p).vectors,
+                   lambda key, row: f"{key} {row}\n", 0),
+    "appraisal": (load_vector_sidecar, lambda key, row: f"{key}\t{row}\n", 0),
+    "store": (lambda p: load_token_embedding_store(p).sequences,
+              lambda key, row: f"{key}\n1\n{row}\n", 2),
+}
+# an entry after the good entry ``a`` and a blank line: its key, its row and
+# the error it raises
+BAD_ENTRIES = {
+    "non-numeric": ("b", "0.5 x", "non-numeric value"),
+    "empty": ("b", "", "entry has no values"),
+    "non-finite": ("b", "0.5 nan", "non-finite value"),
+    "other-width": ("b", "0.5 0.5 0.5", "expected 2 values, got 3"),
+    "repeated-key": ("a", "0.5 0.5", "'a' repeats"),
+}
+
+
+class TestDecimalRows:
+    @pytest.mark.parametrize("case", BAD_ENTRIES)
+    @pytest.mark.parametrize("reader", DECIMAL_READERS)
+    def test_bad_entry_names_its_line(self, reader, case, tmp_path):
+        load, entry, row_line = DECIMAL_READERS[reader]
+        key, row, message = BAD_ENTRIES[case]
+        head = entry("a", "0.1 0.2") + "\n"
+        f = tmp_path / "rows.txt"
+        f.write_text(head + entry(key, row))
+        # a repeated key is caught on its own line, anything else on the row's
+        line = head.count("\n") + 1 + (0 if case == "repeated-key" else row_line)
+        with pytest.raises(DataError, match=rf"rows\.txt:{line}: .*{message}"):
+            load(f)
+
+    @pytest.mark.parametrize("reader", DECIMAL_READERS)
+    def test_blank_lines_skipped(self, reader, tmp_path):
+        load, entry, _ = DECIMAL_READERS[reader]
+        f = tmp_path / "rows.txt"
+        f.write_text("\n" + entry("a", "0.1 0.2") + " \t\n\n" + entry("b", "0.3 0.4") + "\n")
+        rows = load(f)
+        assert sorted(rows) == ["a", "b"]
+        np.testing.assert_array_equal(np.reshape(rows["b"], -1), [0.3, 0.4])
 
 
 class _Inst:

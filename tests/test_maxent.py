@@ -8,13 +8,12 @@ import pytest
 from emocomp.autodiff import Parameter, Tensor
 from emocomp.corpus import REMAN_EMOTIONS
 from emocomp.errors import ConfigError, DataError, DimensionError, ResourceError
-from emocomp.features import (DictionaryLexicon, EmbeddingTable, tfidf_fit,
-                              tfidf_transform)
+from emocomp.features import (DictionaryLexicon, EmbeddingTable, load_tagged_sidecar,
+                              load_vector_sidecar, tfidf_fit, tfidf_transform)
 from emocomp.maxent import (BINARY, FEATURE_FLAGS, MULTINOMIAL, AdvResources,
                             FeatureSearchResult, available_flags, MaxEntConfig,
                             MaxEntModel, build_cpm_adv_features, combination_columns, combination_width,
-                            feature_combination_search, label_sets,
-                            load_tagged_sidecar, load_vector_sidecar, permits,
+                            feature_combination_search, label_sets, permits,
                             predict_maxent, split_labels,
                             stack_component_features, stack_labels,
                             train_maxent)
@@ -361,7 +360,7 @@ class TestSidecars:
     def test_sidecar_duplicate_id_reports_line(self, load, text, tmp_path):
         f = tmp_path / "side.tsv"
         f.write_text(text)
-        with pytest.raises(DataError, match=r"side\.tsv:4: duplicate id 'id1'"):
+        with pytest.raises(DataError, match=r"side\.tsv:4: id 'id1' repeats"):
             load(f)
 
     @pytest.mark.parametrize("load", [load_tagged_sidecar, load_vector_sidecar],

@@ -156,6 +156,23 @@ def test_saturated_sigmoid_predicts(tag, edit, files):
                  "--fallback-dim", "8", "--out", str(root / "out")]) == 0
 
 
+@pytest.mark.parametrize("where", [
+    lambda d: d["emotion_model"]["model"],
+    lambda d: d["cpm_artifact"]["component_models"]["cognitive_appraisal"],
+], ids=["emotion", "component"])
+def test_degenerate_trained_model_is_data_error(where, files):
+    # save_me_artifact writes degenerate: true only for a model with zero
+    # weights and bias; a trained model marked so would predict a constant
+    root, corpus, docs = files
+    doc = json.loads(json.dumps(docs["emo-cpm-me-pred"]))
+    model = where(doc)
+    assert model["degenerate"] is False and any(model["bias"])
+    model["degenerate"] = True
+    (root / "degenerate.json").write_text(json.dumps(doc))
+    assert main(["predict", "--model-path", str(root / "degenerate.json"), "--corpus", str(corpus),
+                 "--out", str(root / "out")]) == 2
+
+
 def nested(depth):
     value = 0.5
     for _ in range(depth):

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from emocomp.corpus import COMPONENTS, Corpus, load_corpus, split_train_test
-from emocomp.errors import ConfigError, ResourceError
-from emocomp.features import DictionaryLexicon, tfidf_transform
+from emocomp.errors import ConfigError, DataError, ResourceError
+from emocomp.features import DictionaryLexicon, EmbeddingTable, tfidf_transform
 from emocomp.maxent import (BINARY, AdvResources, MaxEntConfig, available_flags,
                             build_cpm_adv_features, combination_columns, combination_width,
                             predict_maxent, split_labels, train_maxent)
@@ -233,6 +233,58 @@ class TestMeArtifactPersistence:
                 load_model(path, {})
         else:
             load_model(path, {})
+
+
+class TestStoredResources:
+    @pytest.fixture(scope="class")
+    def stored(self, tec, tmp_path_factory):
+        """A cpm-me-adv model document whose components all read 2-wide
+        word embeddings (zero weights), with the table it was stored for."""
+        res = AdvResources(lexicons=[DictionaryLexicon("c", frozenset({"furious"}))])
+        art = train_component_me(split_train_test(tec, seed=0)[0], FAST, res, seed=0)
+        path = tmp_path_factory.mktemp("stored") / "model.json"
+        save_me_artifact(art, path)
+        doc = json.loads(path.read_text())
+        width = len(doc["tfidf"]["vocabulary"]) + 2
+        for comp, model in doc["component_models"].items():
+            doc["combinations"][comp] = ["word_embeddings"]
+            model.update(feature_dim=width, weights=[[0.0]] * width)
+        doc["resources"]["embedding_dim"] = 2
+        return doc, EmbeddingTable(2, {"furious": np.ones(2)})
+
+    def test_embedding_dim_matches_the_table(self, stored):
+        doc, table = stored
+        art = load_me_artifact(doc, embeddings=table)
+        assert set(art.combinations.values()) == {("word_embeddings",)}
+
+    def test_other_table_width_names_both(self, stored):
+        doc, _ = stored
+        with pytest.raises(DataError, match="2 wide.* 3 wide"):
+            load_me_artifact(doc, embeddings=EmbeddingTable(3, {"furious": np.ones(3)}))
+
+    @pytest.mark.parametrize("value", [0, -1, 1.5, 2.0, True, "2", [2], None])
+    def test_embedding_dim_is_a_positive_integer_or_null(self, stored, value):
+        doc, table = stored
+        doc = json.loads(json.dumps({**doc, "resources": {**doc["resources"],
+                                                          "embedding_dim": value}}))
+        with pytest.raises(DataError, match="embedding_dim|wide"):
+            load_me_artifact(doc, embeddings=table)
+
+    def test_null_embedding_dim_without_embedding_features(self, stored):
+        doc, table = stored
+        doc = json.loads(json.dumps(doc))
+        doc["resources"]["embedding_dim"] = None
+        for comp, model in doc["component_models"].items():
+            doc["combinations"][comp] = []
+            model.update(feature_dim=model["feature_dim"] - 2, weights=model["weights"][2:])
+        assert load_me_artifact(doc).resources.embeddings is None
+
+    def test_missing_resources_named_together(self, stored):
+        doc, _ = stored
+        doc = json.loads(json.dumps(doc))
+        doc["combinations"]["cognitive_appraisal"] = ["pos_tags", "word_embeddings"]
+        with pytest.raises(ResourceError, match="loaded: pos_tags, word_embeddings$"):
+            load_me_artifact(doc)
 
 
 class TestStemOnce:
