@@ -3,13 +3,14 @@
 Only the operations the classifiers in this package actually need are
 implemented: broadcasting addition and multiplication, row-wise matmul,
 sigmoid/ReLU, concatenation and sum, plus two fused sequence ops with
-hand-written backward passes: ``lstm`` (one direction over each sequence)
-and ``conv_pool`` (multi-kernel convolution, ReLU and max-over-time
-pooling). The loss is one more fused node, in ``losses``. Each op is one
-tape node. Gradients are accumulated into ``Tensor.grad`` buffers,
-allocated on first use, by ``Tensor.backward()`` via a topological sweep
-over the recorded tape. The sweep frees the tape as it goes, so a recorded
-graph can be backpropagated once; build it again for another pass.
+hand-written backward passes: ``bilstm`` (both LSTM directions over each
+sequence) and ``conv_pool`` (multi-kernel convolution, ReLU and
+max-over-time pooling). The loss is one more fused node, in ``losses``.
+Each op is one tape node. Gradients are accumulated into ``Tensor.grad``
+buffers, allocated on first use, by ``Tensor.backward()`` via a
+topological sweep over the recorded tape. The sweep frees the tape as it
+goes, so a recorded graph can be backpropagated once; build it again for
+another pass.
 
 A minibatch is one graph. Its sequences travel as a zero-padded
 B x T_max x d array plus the length of each; a 2-D T x d array is a batch
@@ -262,96 +263,110 @@ def _batch(data: Array, lengths, op: str) -> tuple[Array, Array, bool]:
     return data, lengths, single
 
 
-def lstm(x: Tensor, W: Tensor, U: Tensor, b: Tensor, reverse: bool = False,
-         lengths=None) -> Tensor:
-    """One LSTM direction over each sequence from a zero state.
+def bilstm(x: Tensor, fwd: tuple[Tensor, Tensor, Tensor], bwd: tuple[Tensor, Tensor, Tensor],
+           lengths=None) -> Tensor:
+    """Both LSTM directions over each sequence from a zero state, as one node.
 
     ``x`` is a zero-padded B x T x d batch with ``lengths`` (a T x d
-    sequence is a batch of one); the output has the same layout with
-    ``units`` columns and zeros past each length. W (d x 4u), U (u x 4u) and
-    b (4u) hold the gates in the order i, f, g, o. With ``reverse`` each
-    sequence is read from its own last row to its first; output row t is
-    always the hidden state after reading input row t. The backward pass is
-    backpropagation through time over the cached gates; it skips the
-    gradient of an ``x`` that is a leaf without ``requires_grad``, such as
-    a batch of embeddings.
+    sequence is a batch of one); the output has the same layout with 2u
+    columns, the ``fwd`` direction's first, and zeros past each length.
+    ``fwd`` and ``bwd`` are each W (d x 4u), U (u x 4u) and b (4u), gates
+    in the order i, f, g, o. ``bwd`` reads each sequence from its own last
+    row to its first; output row t is always the hidden state after
+    reading input row t. The backward pass is backpropagation through
+    time; it skips the gradient of an ``x`` that is a leaf without
+    ``requires_grad``, such as a batch of embeddings.
 
     The steps run over a packed layout: step s holds the row that every
     sequence longer than s reads at step s, longest sequences first, so the
     live sequences are a prefix and a step is one stacked product for all
-    of them. Per sequence the arithmetic is that of a lone sequence: the
-    recurrent products are per-row vector-matrix products, and the products
-    with W and the weight gradients are taken sequence by sequence (a BLAS
-    picks its kernel, and so its rounding, by matrix size), the latter
-    folded in example order.
+    of them, both directions on a leading axis. Per sequence and direction
+    the arithmetic is that of a lone sequence: the recurrent products are
+    per-row vector-matrix products, and the products with W and the weight
+    gradients are taken sequence by sequence (a BLAS picks its kernel, and
+    so its rounding, by matrix size), the latter folded in example order.
+    Backward keeps the activated gates and the cell states only: the
+    hidden state entering a step is read back from the output.
     """
-    X, lengths, single = _batch(x.data, lengths, "lstm")
+    X, lengths, single = _batch(x.data, lengths, "bilstm")
     B, T, d = X.shape
-    u = U.data.shape[0]
-    if d != W.data.shape[0]:
-        raise DimensionError(f"lstm shape mismatch: x {x.data.shape} vs W {W.data.shape}")
+    u = fwd[1].data.shape[0]
+    if any(W.data.shape[0] != d or U.data.shape != (u, 4 * u) for W, U, _ in (fwd, bwd)):
+        raise DimensionError(f"bilstm shape mismatch: x {x.data.shape} vs W and U "
+                             f"{[p.data.shape for p in (fwd[0], fwd[1], bwd[0], bwd[1])]}")
     live = np.count_nonzero(lengths[:, None] > np.arange(T), axis=0)   # sequences per step
     bounds = np.concatenate([[0], np.cumsum(live)])
     order = np.argsort(-lengths, kind="stable")
     ex = np.concatenate([order[:n] for n in live])       # sequence of each packed row
     step = np.repeat(np.arange(T), live)
-    time = lengths[ex] - 1 - step if reverse else step   # its row within the sequence
-    packed = np.empty((B, T), dtype=np.int64)           # packed row of each sequence row
-    packed[ex, time] = np.arange(len(ex))
+    time = np.stack([step, lengths[ex] - 1 - step])     # its row within the sequence, per direction
+    half = np.arange(2)[:, None]                        # direction, against rows of time
+    packed = np.empty((2, B, T), dtype=np.int64)        # packed row of each sequence row
+    packed[half, ex, time] = np.arange(len(ex))
     # x @ W + b, then step by step i, f, g, o after their nonlinearities
-    gates = np.empty((len(ex), 4 * u))
-    for k, n in enumerate(lengths):
-        gates[packed[k, :n]] = X[k, :n] @ W.data
-    gates += b.data
-    h_in, c_in = np.empty((len(ex), u)), np.empty((len(ex), u))   # state entering each step
-    h_out, tanh_c = np.empty((len(ex), u)), np.empty((len(ex), u))
-    h, c = np.zeros((B, u)), np.zeros((B, u))
+    gates = np.empty((2, len(ex), 4 * u))
+    for r, (W, _, b) in enumerate((fwd, bwd)):
+        for k, n in enumerate(lengths):
+            gates[r, packed[r, k, :n]] = X[k, :n] @ W.data
+        gates[r] += b.data
+    U2 = np.stack([fwd[1].data, bwd[1].data])[:, None]    # 2 x 1 x u x 4u
+    cells = np.empty((2, len(ex), u)) if _recording else None   # c after each step
+    out = np.zeros((B, T, 2 * u))
+    h, c = np.zeros((2, B, u)), np.zeros((2, B, u))
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        h, c = h[:hi - lo], c[:hi - lo]
-        h_in[lo:hi], c_in[lo:hi] = h, c
-        z = gates[lo:hi] + _rowwise(h, U.data)
-        gates[lo:hi] = _sigmoid(z)      # the g block is replaced below
-        gates[lo:hi, 2 * u:3 * u] = np.tanh(z[:, 2 * u:3 * u])
-        i, f, g, o = (gates[lo:hi, j * u:(j + 1) * u] for j in range(4))
+        h, c = h[:, :hi - lo], c[:, :hi - lo]
+        z = gates[:, lo:hi] + np.matmul(h[:, :, None], U2)[:, :, 0]
+        gates[:, lo:hi] = _sigmoid(z)      # the g block is replaced below
+        gates[:, lo:hi, 2 * u:3 * u] = np.tanh(z[:, :, 2 * u:3 * u])
+        i, f, g, o = (gates[:, lo:hi, j * u:(j + 1) * u] for j in range(4))
         c = f * c + i * g
-        tanh_c[lo:hi] = np.tanh(c)
-        h = h_out[lo:hi] = o * tanh_c[lo:hi]
-    out = np.zeros((B, T, u))
-    out[ex, time] = h_out
+        if cells is not None:
+            cells[:, lo:hi] = c
+        h = o * np.tanh(c)
+        out.reshape(B, T, 2, u)[ex[lo:hi], time[:, lo:hi], half] = h
 
-    def bwd(grad):
-        dh_in = grad.reshape(B, T, u)[ex, time]
+    def bwd_pass(grad):
+        dh_in = grad.reshape(B, T, 2, u)[ex, time, half]
         dz = np.empty_like(gates)
+        U2T = U2.swapaxes(-1, -2)
         # a sequence's rows stay zero until the step that reads its last row
-        dh, dc = np.zeros((B, u)), np.zeros((B, u))
-        for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
+        dh, dc = np.zeros((2, B, u)), np.zeros((2, B, u))
+        for s, lo, hi in zip(range(T - 1, -1, -1), bounds[-2::-1], bounds[:0:-1]):
             n = hi - lo
-            i, f, g, o = (gates[lo:hi, j * u:(j + 1) * u] for j in range(4))
-            dh_s = dh[:n] + dh_in[lo:hi]
-            dc_s = dc[:n] + dh_s * o * (1.0 - tanh_c[lo:hi] ** 2)
-            dz[lo:hi] = np.concatenate([dc_s * g * i * (1.0 - i), dc_s * c_in[lo:hi] * f * (1.0 - f),
-                                        dc_s * i * (1.0 - g ** 2),
-                                        dh_s * tanh_c[lo:hi] * o * (1.0 - o)], axis=1)
-            dh[:n], dc[:n] = _rowwise(dz[lo:hi], U.data.T), dc_s * f
+            i, f, g, o = (gates[:, lo:hi, j * u:(j + 1) * u] for j in range(4))
+            tanh_c = np.tanh(cells[:, lo:hi])
+            c_in = cells[:, bounds[s - 1]:bounds[s - 1] + n] if s else 0.0
+            dh_s = dh[:, :n] + dh_in[:, lo:hi]
+            dc_s = dc[:, :n] + dh_s * o * (1.0 - tanh_c ** 2)
+            dz[:, lo:hi] = np.concatenate([dc_s * g * i * (1.0 - i), dc_s * c_in * f * (1.0 - f),
+                                           dc_s * i * (1.0 - g ** 2),
+                                           dh_s * tanh_c * o * (1.0 - o)], axis=2)
+            dh[:, :n], dc[:, :n] = np.matmul(dz[:, lo:hi, None], U2T)[:, :, 0], dc_s * f
         needs_dx = x.requires_grad or x._backward is not None
         dX = np.zeros_like(X) if needs_dx else None
-        # the weight gradients add the sequences in order, one at a time:
-        # bitwise what _fold gives over the stacked per-sequence terms
-        sums = None
-        for k, n in enumerate(lengths):
-            rows = packed[k, :n]            # the sequence's rows in time order
-            dz_k = dz[rows]
-            if needs_dx:
-                dX[k, :n] = dz_k @ W.data.T
-            terms = (X[k, :n].T @ dz_k, h_in[rows].T @ dz_k, dz_k.sum(axis=0))
-            if sums is None:
-                sums = terms
-            else:
-                for total, term in zip(sums, terms):
-                    total += term
-        return ((dX[0] if single and needs_dx else dX), *sums)
+        grads = []
+        for r, (W, _, _) in enumerate((fwd, bwd)):
+            # the weight gradients add the sequences in order, one at a time:
+            # bitwise what _fold gives over the stacked per-sequence terms
+            sums = None
+            for k, n in enumerate(lengths):
+                dz_k = dz[r, packed[r, k, :n]]       # the sequence's rows in time order
+                if needs_dx:   # the forward direction's, plus the backward's
+                    dX[k, :n] = dz_k @ W.data.T if r == 0 else dX[k, :n] + dz_k @ W.data.T
+                # the hidden state entering each row: the output one row
+                # earlier in reading order, zero before the first
+                h_in = np.zeros((n, u))
+                h_in[1 - r:n - r] = out[k, r:n - 1 + r, r * u:(r + 1) * u]
+                terms = (X[k, :n].T @ dz_k, h_in.T @ dz_k, dz_k.sum(axis=0))
+                if sums is None:
+                    sums = terms
+                else:
+                    for total, term in zip(sums, terms):
+                        total += term
+            grads += sums
+        return (dX[0] if single and needs_dx else dX), *grads
 
-    return Tensor(out[0] if single else out, _parents=(x, W, U, b), _backward=bwd)
+    return Tensor(out[0] if single else out, _parents=(x, *fwd, *bwd), _backward=bwd_pass)
 
 
 def conv_pool(x: Tensor, kernels: list[Tensor], biases: list[Tensor], lengths=None) -> Tensor:

@@ -1,7 +1,7 @@
 """Network layers built on the autodiff core: fully connected (matmul, bias
-and activation nodes), BiLSTM (one fused ``lstm`` node per direction) and
-multi-kernel 1-d CNN with max-over-time pooling (one fused ``conv_pool``
-node).
+and activation nodes), BiLSTM (one fused ``bilstm`` node for both
+directions) and multi-kernel 1-d CNN with max-over-time pooling (one fused
+``conv_pool`` node).
 
 Each layer takes a minibatch at once. Dense maps B x d_in rows (one row
 per example) to B x d_out. BiLstm and ConvPool take a zero-padded
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, concat, conv_pool, filled, lstm, xavier_uniform
+from .autodiff import Parameter, Tensor, bilstm, conv_pool, filled, xavier_uniform
 
 
 class Dense:
@@ -65,9 +65,8 @@ class BiLstm:
         return self.directions[0] + self.directions[1]
 
     def __call__(self, x: Tensor, lengths=None) -> Tensor:
-        fwd, bwd = ([p.tensor for p in ps] for ps in self.directions)
-        return concat([lstm(x, *fwd, lengths=lengths),
-                       lstm(x, *bwd, reverse=True, lengths=lengths)], axis=-1)
+        fwd, bwd = (tuple(p.tensor for p in ps) for ps in self.directions)
+        return bilstm(x, fwd, bwd, lengths)
 
 
 class ConvPool:

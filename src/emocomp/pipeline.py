@@ -229,9 +229,11 @@ def save_me_artifact(artifact: MeArtifact, path: str | Path) -> None:
     write_text(path, json.dumps(artifact_dict(artifact)))
 
 
-def load_me_artifact(payload: dict, embeddings=None, pos_tags=None,
-                     appraisal=None) -> MeArtifact:
-    """Rebuild an artifact from a decoded ``model.json`` (``load_model`` opens the file)."""
+def load_me_artifact(payload: dict, sidecar=lambda flag: None) -> MeArtifact:
+    """Rebuild an artifact from a decoded ``model.json`` (``load_model`` opens
+    the file). ``sidecar(flag)`` gives the loaded resource of a feature flag
+    that reads a file, or None; it is called only for a flag that a stored
+    combination reads."""
 
     def from_dict(d: dict, tags: tuple[str, ...] = ME_TAGS) -> MeArtifact:
         for key, allowed in (("version", (1,)), ("tag", tags),
@@ -277,19 +279,20 @@ def load_me_artifact(payload: dict, embeddings=None, pos_tags=None,
                                 "that is a positive integer or null")
             lexicons = [DictionaryLexicon(c, frozenset(stored_names(entries, "lexicon")))
                         for c, entries in res["lexicons"].items()]
+            read = {f: sidecar(f) if f in used else None for f in SIDECARS}
             a.resources = AdvResources(lexicons=lexicons,
-                                       pos_tags=pos_tags,
+                                       pos_tags=read["pos_tags"],
                                        pos_inventory=stored_names(res["pos_inventory"], "pos_inventory"),
-                                       embeddings=embeddings,
-                                       appraisal=appraisal,
+                                       embeddings=read["word_embeddings"],
+                                       appraisal=read["appraisal_predictions"],
                                        appraisal_dim=res["appraisal_dim"])
         missing = used - set(available_flags(a.resources))
         if missing:
             raise ResourceError("stored combinations use feature flags whose resources are not "
                                 f"loaded: {', '.join(f for f in FEATURE_FLAGS if f in missing)}")
-        if "word_embeddings" in used and res["embedding_dim"] != embeddings.dimension:
+        if "word_embeddings" in used and res["embedding_dim"] != a.resources.embeddings.dimension:
             raise DataError(f"stored model reads embeddings {res['embedding_dim']} wide, but "
-                            f"the embedding file's are {embeddings.dimension} wide")
+                            f"the embedding file's are {a.resources.embeddings.dimension} wide")
         check_models(a)
         if d["cpm_artifact"] is not None:
             a.cpm_artifact = from_dict(d["cpm_artifact"], ("cpm-me-base", "cpm-me-adv"))
@@ -462,21 +465,26 @@ def embedder(corpus: Corpus, settings: dict, resources: dict):
         setting(settings, "fallback_dim"), setting(settings, "seed")))
 
 
-def _sidecars(resources: dict) -> tuple:
-    """The word-embedding, POS and appraisal inputs, None where not given."""
-    return tuple(load(resources[key]) if resources.get(key) else None
-                 for key, load in (("embeddings", load_embedding_file),
-                                   ("pos_sidecar", load_tagged_sidecar),
-                                   ("appraisal_sidecar", load_vector_sidecar)))
+# the resource key and reader of each feature flag that reads a sidecar file
+SIDECARS = {"word_embeddings": ("embeddings", load_embedding_file),
+            "pos_tags": ("pos_sidecar", load_tagged_sidecar),
+            "appraisal_predictions": ("appraisal_sidecar", load_vector_sidecar)}
+
+
+def _sidecar(resources: dict, flag: str):
+    """The loaded sidecar file of feature ``flag``, None where not given."""
+    key, load = SIDECARS[flag]
+    return load(resources[key]) if resources.get(key) else None
 
 
 def _adv_resources(resources: dict) -> AdvResources:
     """The resources of cpm-me-adv; lexicons default to the bundled ones."""
     base = (Path(resources["lexicons"]) if resources.get("lexicons")
             else importlib_resources.files("emocomp") / "lexicons")
-    embeddings, pos_tags, appraisal = _sidecars(resources)
     return AdvResources(lexicons=[load_lexicon(str(base / f"{c}.txt"), c) for c in COMPONENTS],
-                        pos_tags=pos_tags, embeddings=embeddings, appraisal=appraisal)
+                        pos_tags=_sidecar(resources, "pos_tags"),
+                        embeddings=_sidecar(resources, "word_embeddings"),
+                        appraisal=_sidecar(resources, "appraisal_predictions"))
 
 
 def _me_config(settings: dict) -> MaxEntConfig:
@@ -571,9 +579,10 @@ def save_model(model, out_dir: str | Path) -> None:
 
 def load_model(path: str | Path, resources: dict):
     """Open and decode a model file, the one place that does; a ``params``
-    key marks a neural checkpoint. A feature-based model gets the sidecar
-    files named in ``resources``. Unreadable JSON, JSON nested too deep to
-    decode or a missing key is a data error."""
+    key marks a neural checkpoint. A feature-based model reads, once each,
+    the sidecar files named in ``resources`` that its stored combinations
+    read. Unreadable JSON, JSON nested too deep to decode or a missing key
+    is a data error."""
     try:
         payload = read_model_text(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
@@ -583,6 +592,6 @@ def load_model(path: str | Path, resources: dict):
     try:
         if "params" in payload:
             return load_checkpoint(payload)
-        return load_me_artifact(payload, *_sidecars(resources))
+        return load_me_artifact(payload, functools.cache(functools.partial(_sidecar, resources)))
     except KeyError as exc:
         raise DataError(f"{path} lacks required key {exc}") from exc

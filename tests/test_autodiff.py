@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emocomp.autodiff import (Parameter, Tensor, _fold, concat, conv_pool, dropout,
-                              lstm, no_tape, stitch, xavier_uniform)
+from emocomp.autodiff import (Parameter, Tensor, _fold, bilstm, concat, conv_pool, dropout,
+                              no_tape, stitch, xavier_uniform)
 from emocomp.errors import ConfigError, DimensionError
 from emocomp.gradcheck import gradient_check
 
@@ -133,8 +133,9 @@ def _part(a: Tensor, key) -> Tensor:
 
 
 def lstm_reference(x, W, U, b, reverse=False):
-    """The per-timestep LSTM that ``lstm`` replaced: one cell step of Tensor
-    ops per row, rows sliced out of x and concatenated back."""
+    """One LSTM direction as the per-timestep cell that the fused node
+    replaced: one cell step of Tensor ops per row, rows sliced out of x and
+    concatenated back."""
     T, u = x.data.shape[0], U.data.shape[0]
     h = c = Tensor(np.zeros((1, u)))
     rows = [None] * T
@@ -165,42 +166,71 @@ def conv_pool_reference(x, kernels, biases):
 
 
 def lstm_params(rng, d=3, u=2):
-    return (Tensor(rng.standard_normal((d, 4 * u)) * 0.6),
-            Tensor(rng.standard_normal((u, 4 * u)) * 0.6),
-            Tensor(rng.standard_normal(4 * u) * 0.3))
+    """W, U and b of one direction, then those of the other: both halves
+    of a ``bilstm``."""
+    return [Tensor(rng.standard_normal(shape) * scale)
+            for _ in range(2) for shape, scale in (((d, 4 * u), 0.6), ((u, 4 * u), 0.6),
+                                                   ((4 * u,), 0.3))]
+
+
+def run_bilstm(x, params, lengths=None):
+    return bilstm(x, tuple(params[:3]), tuple(params[3:]), lengths)
+
+
+def bilstm_reference(x, *params):
+    return concat([lstm_reference(x, *params[:3]),
+                   lstm_reference(x, *params[3:], reverse=True)], axis=1)
+
+
+# the half of a bilstm output that a loss reads: each direction alone, then both
+READS = ["fwd", "bwd", "both"]
+
+
+def reading(rng, shape, reads):
+    """Random loss weights for a bilstm output of ``shape``, zero on the
+    half the loss does not read."""
+    w = rng.standard_normal(shape)
+    u = shape[-1] // 2
+    if reads == "fwd":
+        w[..., u:] = 0.0
+    elif reads == "bwd":
+        w[..., :u] = 0.0
+    return w
 
 
 class TestFusedOps:
-    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("reads", READS)
     @pytest.mark.parametrize("T", [1, 5])
-    def test_lstm_gradient(self, T, reverse, rng):
+    def test_lstm_gradient(self, T, reads, rng):
         x = Tensor(rng.standard_normal((T, 3)))
-        W, U, b = lstm_params(rng)
-        w = rng.standard_normal((T, 2))
-        check(lambda: (lstm(x, W, U, b, reverse) * w).sum(), [x, W, U, b])
+        params = lstm_params(rng)
+        w = reading(rng, (T, 4), reads)
+        check(lambda: (run_bilstm(x, params) * w).sum(), [x, *params])
 
-    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("reads", READS)
     @pytest.mark.parametrize("T", [1, 5])
-    def test_lstm_matches_composed_cell(self, T, reverse, rng):
+    def test_lstm_matches_composed_cell(self, T, reads, rng):
         tensors = [Tensor(rng.standard_normal((T, 3)), requires_grad=True)]
         tensors += [Tensor(p.data, requires_grad=True) for p in lstm_params(rng)]
-        grad_out = rng.standard_normal((T, 2))
+        grad_out = reading(rng, (T, 4), reads)
         results = []
-        for op in (lstm, lstm_reference):
+        for op in (lambda x, *params: run_bilstm(x, params), bilstm_reference):
             for t in tensors:
                 t.zero_grad()
-            out = op(*tensors, reverse=reverse)
+            out = op(*tensors)
             out.backward(grad_out)
             results.append([out.data] + [t.grad.copy() for t in tensors])
         for got, want in zip(*results):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_lstm_shape_errors(self, rng):
-        W, U, b = lstm_params(rng)
+        params = lstm_params(rng)
         with pytest.raises(DimensionError):
-            lstm(Tensor(np.zeros((0, 3))), W, U, b)
+            run_bilstm(Tensor(np.zeros((0, 3))), params)
         with pytest.raises(DimensionError):
-            lstm(Tensor(np.zeros((2, 4))), W, U, b)
+            run_bilstm(Tensor(np.zeros((2, 4))), params)
+        with pytest.raises(DimensionError):   # the directions differ in width
+            run_bilstm(Tensor(np.zeros((2, 3))), params[:3] + lstm_params(rng, u=3)[3:])
 
     # with kernels of 4 and 2 rows: T = 2 pads the first kernel, T = 4
     # fits it exactly, T = 7 is longer than both
@@ -263,14 +293,14 @@ RAGGED = [(1, 3, 7), (4, 4, 4), (7, 1)]
 
 
 class TestBatchedOps:
-    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
+    @pytest.mark.parametrize("reads", READS)
     @pytest.mark.parametrize("lengths", RAGGED, ids=str)
-    def test_lstm_gradient(self, lengths, reverse, rng):
+    def test_lstm_gradient(self, lengths, reads, rng):
         x, lengths = padded([rng.standard_normal((n, 3)) for n in lengths])
         x = Tensor(x)
-        W, U, b = lstm_params(rng)
-        w = rng.standard_normal(x.shape[:2] + (2,))
-        check(lambda: (lstm(x, W, U, b, reverse, lengths) * w).sum(), [x, W, U, b])
+        params = lstm_params(rng)
+        w = reading(rng, x.shape[:2] + (4,), reads)
+        check(lambda: (run_bilstm(x, params, lengths) * w).sum(), [x, *params])
 
     @pytest.mark.parametrize("lengths", RAGGED, ids=str)
     def test_conv_pool_gradient(self, lengths, rng):
@@ -281,19 +311,19 @@ class TestBatchedOps:
         w = rng.standard_normal((len(lengths), 4))
         check(lambda: (conv_pool(x, kernels, biases, lengths) * w).sum(), [x, *kernels, *biases])
 
-    @pytest.mark.parametrize("reverse", [False, True], ids=["fwd", "bwd"])
-    def test_lstm_batch_is_bitwise_one_at_a_time(self, reverse, rng):
+    @pytest.mark.parametrize("reads", READS)
+    def test_lstm_batch_is_bitwise_one_at_a_time(self, reads, rng):
         # the emo-nn-base sizes: 64-dimensional embeddings, 24 units
         seqs = [rng.standard_normal((n, 64)) for n in (1, 30, 7, 40, 2, 7)]
         params = [Tensor(rng.standard_normal(shape) * 0.3, requires_grad=True)
-                  for shape in ((64, 96), (24, 96), (96,))]
-        grads_out = [rng.standard_normal((len(s), 24)) for s in seqs]
-        alone = one_at_a_time(lambda x: lstm(x, *params, reverse), seqs, params, grads_out)
+                  for _ in range(2) for shape in ((64, 96), (24, 96), (96,))]
+        grads_out = [reading(rng, (len(s), 48), reads) for s in seqs]
+        alone = one_at_a_time(lambda x: run_bilstm(x, params), seqs, params, grads_out)
         x, lengths = padded(seqs)
         x = Tensor(x, requires_grad=True)
         for p in params:
             p.grad = None
-        out = lstm(x, *params, reverse, lengths)
+        out = run_bilstm(x, params, lengths)
         out.backward(padded(grads_out)[0])
         for k, (n, (want_out, want_dx, _)) in enumerate(zip(lengths, alone)):
             assert np.array_equal(out.data[k, :n], want_out) and not out.data[k, n:].any()
@@ -308,14 +338,13 @@ class TestBatchedOps:
         d, u = rng.integers(1, 40), rng.integers(1, 12)
         seqs = [rng.standard_normal((n, d)) for n in rng.integers(1, 30, size=rng.integers(1, 13))]
         params = [Tensor(rng.standard_normal(shape) * 0.3, requires_grad=True)
-                  for shape in ((d, 4 * u), (u, 4 * u), (4 * u,))]
-        reverse = bool(trial % 2)
-        grads_out = [rng.standard_normal((len(s), u)) for s in seqs]
-        alone = one_at_a_time(lambda x: lstm(x, *params, reverse), seqs, params, grads_out)
+                  for _ in range(2) for shape in ((d, 4 * u), (u, 4 * u), (4 * u,))]
+        grads_out = [reading(rng, (len(s), 2 * u), READS[trial % 3]) for s in seqs]
+        alone = one_at_a_time(lambda x: run_bilstm(x, params), seqs, params, grads_out)
         x, lengths = padded(seqs)
         for p in params:
             p.grad = None
-        lstm(Tensor(x), *params, reverse, lengths).backward(padded(grads_out)[0])
+        run_bilstm(Tensor(x), params, lengths).backward(padded(grads_out)[0])
         for j, p in enumerate(params):
             assert np.array_equal(p.grad, _fold(np.stack([grads[j] for _, _, grads in alone])))
 
@@ -348,19 +377,34 @@ class TestBatchedOps:
               [alpha, a, b])
 
     def test_lstm_skips_the_gradient_of_a_constant_input(self, rng):
-        W, U, b = lstm_params(rng)
         x = Tensor(rng.standard_normal((2, 4, 3)))
-        out = lstm(x, W, U, b, lengths=[4, 2])
+        out = run_bilstm(x, lstm_params(rng), [4, 2])
         assert out._backward(np.ones(out.data.shape))[0] is None
         x.requires_grad = True
         assert out._backward(np.ones(out.data.shape))[0].shape == x.data.shape
 
+    @pytest.mark.parametrize("lengths", [*RAGGED, (5,), None], ids=str)
+    def test_bilstm_without_tape_is_the_recorded_forward(self, lengths, rng):
+        # None: one T x d sequence, a batch of one kept 2-D
+        if lengths is None:
+            x = rng.standard_normal((6, 3))
+        else:
+            x, lengths = padded([rng.standard_normal((n, 3)) for n in lengths])
+        params = lstm_params(rng)
+        recorded = run_bilstm(Tensor(x), params, lengths)
+        with no_tape():
+            bare = run_bilstm(Tensor(x), params, lengths)
+        assert recorded._backward is not None
+        assert bare._backward is None and bare._parents == ()
+        assert bare.data.shape == x.shape[:-1] + (4,)
+        assert np.array_equal(bare.data.view(np.int64), recorded.data.view(np.int64))
+
     def test_lengths_must_fit(self, rng):
-        W, U, b = lstm_params(rng)
+        params = lstm_params(rng)
         x = Tensor(np.zeros((2, 3, 3)))
         for lengths in ([3, 4], [0, 2], [3]):
             with pytest.raises(DimensionError):
-                lstm(x, W, U, b, lengths=lengths)
+                run_bilstm(x, params, lengths)
 
 
 class TestDropout:

@@ -494,6 +494,31 @@ class TestInputFiles:
         assert run(args) == code
         assert ("config error", "data error")[code - 1] in capsys.readouterr().err
 
+    def test_predict_reads_only_the_resource_files_its_combinations_read(
+            self, tmp_path, tec_path, data_dir, capsys):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("x y\n")   # no valid embeddings file, POS or appraisal sidecar
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("me_iterations = 20\n")
+        # emo-me-base reads no resource, so train and predict both leave the file unread
+        for verb, model in (("train", ["--model", "emo-me-base"]),
+                            ("predict", ["--model-path", tmp_path / "base" / "model.json"])):
+            assert run([verb, *model, "--corpus", tec_path, "--embeddings", bad,
+                        "--config", cfg, "--out", tmp_path / "base"]) == 0
+        # on the ablation corpus every component's combination reads POS tags
+        corpus = data_dir / "ablation_corpus.jsonl"
+        assert run(["train", "--model", "cpm-me-adv", "--corpus", corpus, "--config", cfg,
+                    "--pos-sidecar", data_dir / "ablation_pos.tsv", "--out", tmp_path / "adv"]) == 0
+        stored = json.loads((tmp_path / "adv" / "model.json").read_text())
+        assert all("pos_tags" in combo for combo in stored["combinations"].values())
+        predict = ["predict", "--model-path", tmp_path / "adv" / "model.json", "--corpus", corpus,
+                   "--out", tmp_path / "adv_out"]
+        capsys.readouterr()
+        assert run([*predict, "--pos-sidecar", bad]) == 2
+        assert "data error" in capsys.readouterr().err
+        assert run([*predict, "--pos-sidecar", data_dir / "ablation_pos.tsv",
+                    "--embeddings", bad, "--appraisal-sidecar", bad]) == 0
+
 
 class TestCrossval:
     def test_three_folds(self, tmp_path, tec_path, capsys):

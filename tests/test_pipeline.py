@@ -192,7 +192,7 @@ class TestComponentFit:
         save_me_artifact(art, tmp_path / "model.json")
         stored = json.loads((tmp_path / "model.json").read_text())
         assert stored["component_models"]["action_tendencies"]["degenerate"] is True
-        again = load_me_artifact(stored, pos_tags=res.pos_tags)
+        again = load_me_artifact(stored, {"pos_tags": res.pos_tags}.get)
         assert again.component_models["action_tendencies"].constant == model.constant
 
 
@@ -254,13 +254,13 @@ class TestStoredResources:
 
     def test_embedding_dim_matches_the_table(self, stored):
         doc, table = stored
-        art = load_me_artifact(doc, embeddings=table)
+        art = load_me_artifact(doc, {"word_embeddings": table}.get)
         assert set(art.combinations.values()) == {("word_embeddings",)}
 
     def test_other_table_width_names_both(self, stored):
         doc, _ = stored
         with pytest.raises(DataError, match="2 wide.* 3 wide"):
-            load_me_artifact(doc, embeddings=EmbeddingTable(3, {"furious": np.ones(3)}))
+            load_me_artifact(doc, {"word_embeddings": EmbeddingTable(3, {"furious": np.ones(3)})}.get)
 
     @pytest.mark.parametrize("value", [0, -1, 1.5, 2.0, True, "2", [2], None])
     def test_embedding_dim_is_a_positive_integer_or_null(self, stored, value):
@@ -268,7 +268,7 @@ class TestStoredResources:
         doc = json.loads(json.dumps({**doc, "resources": {**doc["resources"],
                                                           "embedding_dim": value}}))
         with pytest.raises(DataError, match="embedding_dim|wide"):
-            load_me_artifact(doc, embeddings=table)
+            load_me_artifact(doc, {"word_embeddings": table}.get)
 
     def test_null_embedding_dim_without_embedding_features(self, stored):
         doc, table = stored
