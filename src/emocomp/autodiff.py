@@ -6,11 +6,12 @@ sigmoid/ReLU, concatenation and sum, plus two fused sequence ops with
 hand-written backward passes: ``bilstm`` (both LSTM directions over each
 sequence) and ``conv_pool`` (multi-kernel convolution, ReLU and
 max-over-time pooling). The loss is one more fused node, in ``losses``.
-Each op is one tape node. Gradients are accumulated into ``Tensor.grad``
-buffers, allocated on first use, by ``Tensor.backward()`` via a
-topological sweep over the recorded tape. The sweep frees the tape as it
-goes, so a recorded graph can be backpropagated once; build it again for
-another pass.
+Each op is one tape node. A parameter is a named leaf tensor
+(``Parameter``) that every op takes as it is. Gradients are accumulated
+into ``Tensor.grad`` buffers, allocated on first use, by
+``Tensor.backward()`` via a topological sweep over the recorded tape. The
+sweep frees the tape as it goes, so a recorded graph can be
+backpropagated once; build it again for another pass.
 
 A minibatch is one graph. Its sequences travel as a zero-padded
 B x T_max x d array plus the length of each; a 2-D T x d array is a batch
@@ -23,7 +24,6 @@ computes bitwise what one graph per example, summed in order, computes.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -462,24 +462,22 @@ def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | N
     return Tensor(x.data * mask, _parents=(x,), _backward=lambda g: (g * mask,))
 
 
-@dataclass
-class Parameter:
-    tensor: Tensor
-    name: str
-    frozen: bool = False
+class Parameter(Tensor):
+    """A named leaf tensor that training updates, with a zero gradient buffer
+    from the start (none under ``shapes_only()``). Adam skips a ``frozen`` one."""
 
-    def __post_init__(self):
-        self.tensor.requires_grad = True
-        if self.tensor.grad is None and _allocating:
-            self.tensor.grad = np.zeros_like(self.tensor.data)
+    __slots__ = ("name", "frozen")
 
-    @property
-    def data(self) -> Array:
-        return self.tensor.data
+    def __init__(self, data, name: str, frozen: bool = False):
+        super().__init__(data, requires_grad=True)
+        self.name, self.frozen = name, frozen
+        if _allocating:
+            self.grad = np.zeros_like(self.data)
 
     @property
-    def grad(self) -> Array:
-        return self.tensor.grad
+    def tensor(self) -> "Parameter":
+        """The parameter itself: ``tests/test_acceptance.py`` reads ``p.tensor``."""
+        return self
 
 
 def filled(shape: tuple, value) -> Array:

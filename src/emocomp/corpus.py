@@ -31,6 +31,8 @@ TEC_EMOTIONS = ("anger", "disgust", "fear", "joy", "sadness", "surprise")
 REMAN_EMOTIONS = ("anger", "anticipation", "disgust", "fear", "joy",
                   "neutral", "other", "sadness", "surprise", "trust")
 
+DOMAINS = ("tec", "reman", "other")
+
 SINGLE_LABEL = "single-label"
 MULTI_LABEL = "multi-label"
 
@@ -114,6 +116,9 @@ def load_corpus(path: str | Path) -> Corpus:
                 raise CorpusFormatError(f"duplicate id {inst_id!r}", line=lineno)
             seen_ids.add(inst_id)
             rec_domain = record.get("domain", "other")
+            if rec_domain not in DOMAINS:
+                raise CorpusFormatError(f"domain must be one of {', '.join(DOMAINS)}, "
+                                        f"got {rec_domain!r}", line=lineno)
             if domain is None:
                 domain = rec_domain
             elif rec_domain != domain:

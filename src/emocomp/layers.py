@@ -24,8 +24,8 @@ class Dense:
 
     def __init__(self, d_in: int, d_out: int, rng: np.random.Generator,
                  name: str, activation: str | None = "relu"):
-        self.W = Parameter(Tensor(xavier_uniform((d_in, d_out), rng)), f"{name}.W")
-        self.b = Parameter(Tensor(filled(d_out, 0.0)), f"{name}.b")
+        self.W = Parameter(xavier_uniform((d_in, d_out), rng), f"{name}.W")
+        self.b = Parameter(filled(d_out, 0.0), f"{name}.b")
         self.activation = activation
 
     @property
@@ -36,7 +36,7 @@ class Dense:
         return [self.W, self.b]
 
     def __call__(self, x: Tensor) -> Tensor:
-        out = x.matmul(self.W.tensor) + self.b.tensor
+        out = x.matmul(self.W) + self.b
         if self.activation == "relu":
             return out.relu()
         if self.activation == "sigmoid":
@@ -55,18 +55,17 @@ class BiLstm:
 
     def __init__(self, d_in: int, units: int, rng: np.random.Generator, name: str):
         self.directions = [
-            [Parameter(Tensor(xavier_uniform((d_in, 4 * units), rng)), f"{name}.{d}.W"),
-             Parameter(Tensor(xavier_uniform((units, 4 * units), rng)), f"{name}.{d}.U"),
-             Parameter(Tensor(filled(4 * units, 0.0)), f"{name}.{d}.b")]
+            (Parameter(xavier_uniform((d_in, 4 * units), rng), f"{name}.{d}.W"),
+             Parameter(xavier_uniform((units, 4 * units), rng), f"{name}.{d}.U"),
+             Parameter(filled(4 * units, 0.0), f"{name}.{d}.b"))
             for d in ("fwd", "bwd")]
         self.out_dim = 2 * units
 
     def params(self) -> list[Parameter]:
-        return self.directions[0] + self.directions[1]
+        return [*self.directions[0], *self.directions[1]]
 
     def __call__(self, x: Tensor, lengths=None) -> Tensor:
-        fwd, bwd = (tuple(p.tensor for p in ps) for ps in self.directions)
-        return bilstm(x, fwd, bwd, lengths)
+        return bilstm(x, *self.directions, lengths)
 
 
 class ConvPool:
@@ -83,9 +82,9 @@ class ConvPool:
         self.kernels: list[Parameter] = []
         self.biases: list[Parameter] = []
         for k in self.kernel_sizes:
-            self.kernels.append(Parameter(Tensor(xavier_uniform((k, d_in, filters), rng)),
+            self.kernels.append(Parameter(xavier_uniform((k, d_in, filters), rng),
                                           f"{name}.k{k}.kernel"))
-            self.biases.append(Parameter(Tensor(filled(filters, 0.0)), f"{name}.k{k}.bias"))
+            self.biases.append(Parameter(filled(filters, 0.0), f"{name}.k{k}.bias"))
 
     @property
     def out_dim(self) -> int:
@@ -98,5 +97,4 @@ class ConvPool:
         return out
 
     def __call__(self, x: Tensor, lengths=None) -> Tensor:
-        return conv_pool(x, [K.tensor for K in self.kernels], [b.tensor for b in self.biases],
-                         lengths)
+        return conv_pool(x, self.kernels, self.biases, lengths)

@@ -28,7 +28,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor
+from .autodiff import Parameter
 from .errors import ConfigError, DataError, DimensionError, ResourceError, check_fields
 from .features import (DictionaryLexicon, EmbeddingTable, TfIdfModel,
                        dictionary_features,
@@ -162,8 +162,8 @@ def _fit(X: np.ndarray, Y: np.ndarray, mode: str, config: MaxEntConfig,
     X_u = np.ascontiguousarray(X[:, first])
     counts = np.bincount(group)[:, None]
     mask_u = None if mask is None else mask[first]
-    W = Parameter(Tensor(np.zeros((len(first), k))), "maxent.W")
-    b = Parameter(Tensor(np.zeros(k)), "maxent.b")
+    W = Parameter(np.zeros((len(first), k)), "maxent.W")
+    b = Parameter(np.zeros(k), "maxent.b")
     opt = Adam([W, b], lr=config.learning_rate)
     # X.T @ G as (G.T @ X).T: the same values from a faster gemm
     dW, grad_t = W.grad, np.empty((k, len(first)))

@@ -329,7 +329,7 @@ class NeuralModel:
         if bad:
             raise DataError(f"checkpoint parameters hold non-finite values: {', '.join(bad[:4])}")
         for p in params:
-            p.tensor.data, p.tensor.grad = arrays[p.name], np.zeros_like(arrays[p.name])
+            p.data, p.grad = arrays[p.name], np.zeros_like(arrays[p.name])
 
 
 class SingleTaskModel(NeuralModel):
@@ -477,7 +477,7 @@ class MtlCrossStitch(NeuralModel):
         alpha_init = np.array([[0.9, 0.1], [0.1, 0.9]])
         if config.per_channel_stitch:
             alpha_init = filled((2, 2, self.width), alpha_init[:, :, None])
-        self.alpha = Parameter(Tensor(alpha_init), "stitch.alpha", frozen=freeze_stitch)
+        self.alpha = Parameter(alpha_init, "stitch.alpha", frozen=freeze_stitch)
         self.fc_emo = Dense(self.width, config.fc_neurons_emo, rng, "emo.fc", "relu")
         self.out_emo = Dense(config.fc_neurons_emo, len(self.emo_labels), rng, "emo.out", "sigmoid")
         self.fc_cpm = Dense(self.width, config.fc_neurons_cpm, rng, "cpm.fc", "relu")
@@ -497,9 +497,8 @@ class MtlCrossStitch(NeuralModel):
         if self.proj_emo is not None:
             pe = self.proj_emo(pe)
             pc = self.proj_cpm(pc)
-        a = self.alpha.tensor
-        he = drop(self.fc_emo(stitch(a, 0, pe, pc)))
-        hc = drop(self.fc_cpm(stitch(a, 1, pe, pc)))
+        he = drop(self.fc_emo(stitch(self.alpha, 0, pe, pc)))
+        hc = drop(self.fc_cpm(stitch(self.alpha, 1, pe, pc)))
         return {"emo": self.out_emo(he), "cpm": self.out_cpm(hc)}
 
 
@@ -565,53 +564,42 @@ def _stack(batch: list[Example], field_name: str) -> np.ndarray | None:
     return None if any(v is None for v in values) else np.stack(values)
 
 
-def _decide(model: NeuralModel, out: dict[str, Tensor],
-            mode: str) -> list[tuple[set[str], np.ndarray | None]]:
-    """The decision rule for each row of a forward pass's outputs: argmax
-    for single-label, threshold 0.5 for multi-label (empty sets map to the
-    neutral class when the inventory has one), plus the component
-    probabilities when the model outputs them."""
-    rows = []
-    for r in range(len(next(iter(out.values())).data)):
-        cpm_probs = out["cpm"].data[r] if "cpm" in out else None
-        if not model.has_emo:
-            rows.append((set(), cpm_probs))
-            continue
-        probs = out["emo"].data[r]
-        if mode == "single-label":
-            labels = {model.emo_labels[int(np.argmax(probs))]}
-        else:
-            labels = {l for l, p in zip(model.emo_labels, probs) if p > 0.5}
-            if not labels and "neutral" in model.emo_labels:
-                labels = {"neutral"}
-        rows.append((labels, cpm_probs))
-    return rows
+def _emotions(labels: tuple[str, ...], probs: np.ndarray, mode: str) -> set[str]:
+    """The emotion decision rule: argmax for single-label; every label above
+    0.5 for multi-label, or the neutral class when none is and the
+    inventory has one."""
+    if mode == "single-label":
+        return {labels[int(np.argmax(probs))]}
+    chosen = {l for l, p in zip(labels, probs) if p > 0.5}
+    return chosen or ({"neutral"} if "neutral" in labels else set())
 
 
-def predict_example(model: NeuralModel, ex: Example, mode: str) -> tuple[set[str], np.ndarray | None]:
-    """One example's labels and component probabilities under ``_decide``'s rule."""
-    with no_tape():
-        return _decide(model, model.forward(Tensor(ex.x), cpm=ex.y_cpm), mode)[0]
+def predict_example(model: NeuralModel, ex: Example, mode: str):
+    """``predict_examples`` of a batch of one; ``perfbench/calibrate.py`` calls it."""
+    return predict_examples(model, [ex], mode)
 
 
 def predict_examples(model: NeuralModel, examples: list[Example],
                      mode: str) -> tuple[list[set[str]] | None, list[set[str]] | None]:
-    """The emotion label sets and the component label sets of ``examples``
-    under ``_decide``'s rule (a component is predicted above 0.5); each list
-    is None when the model has no output for that task. Each forward pass
+    """The emotion label sets (under ``_emotions``' rule) and the component
+    label sets (every component above 0.5) of ``examples``; each list is
+    None when the model has no output for that task. Each forward pass
     scores ``minibatch_size`` examples, with the same results as one
     example at a time."""
-    pairs = []
+    emotions, components = [], []
     for start in range(0, len(examples), model.config.minibatch_size):
         batch = examples[start:start + model.config.minibatch_size]
         x, lengths = _pad(batch)
         with no_tape():
             out = model.forward(x, cpm=_stack(batch, "y_cpm"), lengths=lengths)
-        pairs += _decide(model, out, mode)
-    emotions = [labels for labels, _ in pairs] if model.has_emo else None
-    components = (None if any(probs is None for _, probs in pairs)
-                  else [{c for c, p in zip(COMPONENTS, probs) if p > 0.5} for _, probs in pairs])
-    return emotions, components
+        if model.has_emo:
+            emotions += [_emotions(model.emo_labels, probs, mode) for probs in out["emo"].data]
+        if "cpm" in out:
+            components += [{c for c, p in zip(COMPONENTS, probs) if p > 0.5}
+                           for probs in out["cpm"].data]
+        else:
+            components = None
+    return (emotions if model.has_emo else None), components
 
 
 def evaluate_examples(model: NeuralModel, examples: list[Example], mode: str) -> MetricsReport:

@@ -1,4 +1,5 @@
-"""Adam optimizer with bias correction, operating on Parameter objects."""
+"""Adam optimizer with bias correction. A parameter is a named leaf tensor
+(``autodiff.Parameter``); a step updates its ``data`` in place."""
 
 from __future__ import annotations
 
@@ -47,9 +48,9 @@ class Adam:
             s += EPS
             np.divide(m, bc1, out=g)
             g *= self.lr
-            p.tensor.data -= np.divide(g, s, out=g)
+            p.data -= np.divide(g, s, out=g)
         self.zero_grad()
 
     def zero_grad(self):
         for p in self.params:
-            p.tensor.zero_grad()
+            p.zero_grad()

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emocomp.autodiff import (Parameter, Tensor, _fold, bilstm, concat, conv_pool, dropout,
-                              no_tape, stitch, xavier_uniform)
+                              no_tape, shapes_only, stitch, xavier_uniform)
 from emocomp.errors import ConfigError, DimensionError
 from emocomp.gradcheck import gradient_check
 
@@ -439,9 +439,26 @@ class TestDropout:
 
 class TestParameter:
     def test_parameter_enables_grad(self):
-        p = Parameter(Tensor(np.zeros((2, 2))), "p")
-        assert p.tensor.requires_grad
+        p = Parameter(np.zeros((2, 2)), "p")
+        assert p.requires_grad
         assert p.grad.shape == (2, 2)
+
+    def test_parameter_is_a_leaf_tensor(self, rng):
+        # ops take a parameter as a parent directly, and its buffer accumulates
+        p = Parameter(rng.standard_normal((2, 3)), "p")
+        x = Tensor(rng.standard_normal((4, 2)))
+        y = x.matmul(p)
+        assert y._parents[1] is p
+        y.sum().backward()
+        first = p.grad.copy()
+        np.testing.assert_array_equal(first, x.data.sum(axis=0)[:, None] * np.ones((1, 3)))
+        (x.matmul(p) * 2.0).sum().backward()
+        np.testing.assert_array_equal(p.grad, first + 2.0 * first)
+        assert p.tensor is p
+        with shapes_only():
+            assert Parameter(np.zeros(3), "q").grad is None
+        with pytest.raises(TypeError):
+            Parameter(Tensor(np.zeros(3)), "p")
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)

@@ -125,6 +125,16 @@ class TestExitCodes:
         assert run(["stats", bad, "--out", tmp_path]) == 2
         assert f"line {line}:" in capsys.readouterr().err
 
+    def test_unknown_domain_is_data_error_for_a_neural_model(self, tmp_path, tec_path, capsys):
+        # an unhashable domain once reached the neural config's set of domains
+        records = [json.loads(line) for line in tec_path.read_text(encoding="utf-8").splitlines()]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps({**r, "domain": []}) + "\n" for r in records),
+                       encoding="utf-8")
+        assert run(["train", "--model", "emo-nn-base", "--corpus", bad,
+                    "--out", tmp_path / "o"]) == 2
+        assert "line 1:" in capsys.readouterr().err
+
     def test_unknown_verb_is_usage_error(self, capsys):
         assert run(["transmogrify"]) == 1
 

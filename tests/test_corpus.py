@@ -75,6 +75,16 @@ class TestLoading:
         with pytest.raises(CorpusFormatError, match="mixed"):
             load_corpus(f)
 
+    @pytest.mark.parametrize("domain", [[], {}, 5, "twitter"])
+    def test_unknown_domain_rejected_with_line(self, domain, tmp_path):
+        f = tmp_path / "c.jsonl"
+        rec = tec_record(1)
+        rec["domain"] = domain
+        write_jsonl(f, [tec_record(0), rec])
+        with pytest.raises(CorpusFormatError, match="domain must be one of") as exc:
+            load_corpus(f)
+        assert exc.value.line == 2
+
     def test_single_label_arity_enforced(self, tmp_path):
         f = tmp_path / "c.jsonl"
         rec = tec_record(0)

@@ -10,7 +10,7 @@ TOL = 1e-6
 
 
 def check_params(build_loss, layer, extra=(), tol=TOL):
-    tensors = [p.tensor for p in layer.params()] + list(extra)
+    tensors = layer.params() + list(extra)
     report = gradient_check(build_loss, tensors)
     assert report.max_rel_error < tol, report
 

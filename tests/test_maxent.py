@@ -112,18 +112,18 @@ def taped_fit(X, Y, mode, config):
     backward sweep's gradients."""
     n, k = Y.shape
     Xd, Yt = Tensor(X), Tensor(Y)
-    W = Parameter(Tensor(np.zeros((X.shape[1], k))), "maxent.W")
-    b = Parameter(Tensor(np.zeros(k)), "maxent.b")
+    W = Parameter(np.zeros((X.shape[1], k)), "maxent.W")
+    b = Parameter(np.zeros(k), "maxent.b")
 
     def loss_fn():
-        z = Xd.matmul(W.tensor) + b.tensor
+        z = Xd.matmul(W) + b
         if mode == MULTINOMIAL:
             m = z.data.max(axis=1, keepdims=True)
             lse = _log(_exp(z + Tensor(-m)).matmul(Tensor(np.ones((k, 1))))) + Tensor(m)
             data = (lse.sum() + (z * Yt).sum() * -1.0) * (1.0 / n)
         else:
             data = weighted_bce(z.sigmoid(), Yt, 1.0) * k
-        return data + config.l2 * (W.tensor * W.tensor).sum()
+        return data + config.l2 * (W * W).sum()
 
     opt = Adam([W, b], lr=config.learning_rate)
     for _ in range(config.iterations):
@@ -162,8 +162,8 @@ def full_width_fit(X, Y, mode, config, mask=None):
     """The closed-form fit with one weight row per design column, as it was
     before equal columns were fit once."""
     n, k = Y.shape
-    W = Parameter(Tensor(np.zeros((X.shape[1], k))), "maxent.W")
-    b = Parameter(Tensor(np.zeros(k)), "maxent.b")
+    W = Parameter(np.zeros((X.shape[1], k)), "maxent.W")
+    b = Parameter(np.zeros(k), "maxent.b")
     opt = Adam([W, b], lr=config.learning_rate)
     for _ in range(config.iterations):
         z = X @ W.data + b.data

@@ -7,13 +7,13 @@ import pytest
 
 from emocomp.autodiff import Tensor, shapes_only
 from emocomp.cli import main
-from emocomp.corpus import COMPONENTS, load_corpus
+from emocomp.corpus import load_corpus
 from emocomp.errors import ConfigError, DataError, DimensionError
 from emocomp.gradcheck import gradient_check
 from emocomp.nn import (CONFIG_DEFAULTS, NN_TAGS, Example, ModelConfig, MtlCrossStitch,
                         MtlMultiHead, SingleTaskModel, build_model,
-                        default_config, load_checkpoint, predict_example,
-                        predict_examples, read_model_text, save_checkpoint, train_model)
+                        default_config, load_checkpoint, predict_examples,
+                        read_model_text, save_checkpoint, train_model)
 from emocomp.pipeline import load_model
 
 LABELS = ("joy", "anger", "fear")
@@ -152,7 +152,7 @@ class TestGradients:
     def test_full_graph(self, tag, rng):
         model = build(tag)
         ex = toy_examples(1, rng)[0]
-        tensors = [p.tensor for p in model.params()]
+        tensors = model.params()
         report = gradient_check(lambda: model_loss(model, ex), tensors)
         assert report.max_rel_error < 1e-4, (tag, report)
 
@@ -161,7 +161,7 @@ class TestGradients:
         # branch is a constant by contract
         model = build("emo-cpm-nn-pred")
         ex = toy_examples(1, rng)[0]
-        tensors = [p.tensor for p in model.params() if not p.frozen]
+        tensors = [p for p in model.params() if not p.frozen]
         report = gradient_check(lambda: model_loss(model, ex), tensors)
         assert report.max_rel_error < 1e-4, report
 
@@ -170,14 +170,14 @@ class TestGradients:
         model = build("mtl-xs", toy_config(bilstm_units=(3, 2), cnn_filters=(2, 3)))
         assert model.proj_emo is not None
         ex = toy_examples(1, rng)[0]
-        tensors = [p.tensor for p in model.params()]
+        tensors = model.params()
         report = gradient_check(lambda: model_loss(model, ex), tensors)
         assert report.max_rel_error < 1e-4, report
 
     def test_xs_per_channel(self, rng):
         model = build("mtl-xs", toy_config(per_channel_stitch=True))
         ex = toy_examples(1, rng)[0]
-        tensors = [p.tensor for p in model.params()]
+        tensors = model.params()
         report = gradient_check(lambda: model_loss(model, ex), tensors)
         assert report.max_rel_error < 1e-4, report
 
@@ -216,7 +216,7 @@ class TestBatchedEqualsOneAtATime:
         scale = 1.0 / len(examples)
         x, lengths, y_emo, y_cpm = padded_batch(examples)
         for p in params:
-            p.tensor.zero_grad()
+            p.zero_grad()
         out = model.forward(x, True, np.random.default_rng(3), cpm=y_cpm, lengths=lengths)
         loss = model.loss(out, y_emo, y_cpm)
         loss.backward()
@@ -226,7 +226,7 @@ class TestBatchedEqualsOneAtATime:
         drop_rng, total, summed = np.random.default_rng(3), None, None
         for ex in examples:
             for p in params:
-                p.tensor.zero_grad()
+                p.zero_grad()
             one = model.loss(model.forward(Tensor(ex.x), True, drop_rng, cpm=ex.y_cpm),
                              ex.y_emo, ex.y_cpm)
             (one * scale).backward()
@@ -251,12 +251,11 @@ class TestBatchedEqualsOneAtATime:
                 assert np.array_equal(out[head].data[k:k + 1], t.data), (ex.id, head)
         # minibatch_size 4 scores the ten examples in three passes
         emotions, components = predict_examples(model, examples, "multi-label")
-        alone = [predict_example(model, ex, "multi-label") for ex in examples]
+        alone = [predict_examples(model, [ex], "multi-label") for ex in examples]
         if model.has_emo:
-            assert emotions == [labels for labels, _ in alone]
+            assert emotions == [labels for (labels,), _ in alone]
         if components is not None:
-            assert components == [{c for c, p in zip(COMPONENTS, probs) if p > 0.5}
-                                  for _, probs in alone]
+            assert components == [flags for _, (flags,) in alone]
 
 
 def graph_nodes(root):
@@ -311,7 +310,7 @@ class TestTapeIsFreed:
 
         def minibatch_loss():
             for p in params:
-                p.tensor.zero_grad()
+                p.zero_grad()
             out = model.forward(x, True, np.random.default_rng(3), lengths=lengths)
             return model.loss(out, y_emo, y_cpm)
 
@@ -418,7 +417,7 @@ class TestTraining:
     def test_predict_single_label_argmax(self, rng):
         model = build("emo-nn-base")
         ex = toy_examples(1, rng)[0]
-        labels, _ = predict_example(model, ex, "single-label")
+        (labels,), _ = predict_examples(model, [ex], "single-label")
         assert len(labels) == 1 and labels <= set(LABELS)
 
     def test_predict_multi_label_neutral_fallback(self, rng):
@@ -427,8 +426,8 @@ class TestTraining:
         # force near-zero probabilities for every class
         model.out.b.data[...] = -50.0
         ex = toy_examples(1, rng)[0]
-        got, _ = predict_example(model, Example(ex.id, ex.x, np.zeros(2), ex.y_cpm),
-                                 "multi-label")
+        (got,), _ = predict_examples(model, [Example(ex.id, ex.x, np.zeros(2), ex.y_cpm)],
+                                     "multi-label")
         assert got == {"neutral"}
 
 

@@ -16,7 +16,7 @@ class TestAdam:
     def test_first_step_matches_hand_computation(self):
         # with a constant gradient g, the bias-corrected first step is
         # lr * g / (|g| + eps) regardless of magnitude
-        p = Parameter(Tensor(np.array([1.0, -2.0])), "p")
+        p = Parameter(np.array([1.0, -2.0]), "p")
         opt = Adam([p], lr=0.1)
         p.grad[...] = np.array([0.5, -3.0])
         opt.step()
@@ -24,15 +24,15 @@ class TestAdam:
                                             -2.0 + 0.1 * 3.0 / (3.0 + 1e-8)])
 
     def test_grads_zeroed_after_step(self):
-        p = Parameter(Tensor(np.ones(3)), "p")
+        p = Parameter(np.ones(3), "p")
         opt = Adam([p])
         p.grad[...] = 1.0
         opt.step()
         np.testing.assert_array_equal(p.grad, np.zeros(3))
 
     def test_frozen_parameter_untouched(self):
-        frozen = Parameter(Tensor(np.ones(2)), "f", frozen=True)
-        live = Parameter(Tensor(np.ones(2)), "l")
+        frozen = Parameter(np.ones(2), "f", frozen=True)
+        live = Parameter(np.ones(2), "l")
         opt = Adam([frozen, live], lr=0.1)
         frozen.grad[...] = 5.0
         live.grad[...] = 5.0
@@ -44,7 +44,7 @@ class TestAdam:
         np.testing.assert_array_equal(frozen.grad, np.zeros(2))
 
     def test_no_moment_state_for_frozen(self):
-        frozen = Parameter(Tensor(np.ones(2)), "f", frozen=True)
+        frozen = Parameter(np.ones(2), "f", frozen=True)
         opt = Adam([frozen])
         assert "f" not in opt._m and "f" not in opt._v
 
@@ -65,14 +65,14 @@ class TestAdam:
                 m += (1.0 - BETA1) * g
                 v *= BETA2
                 v += (1.0 - BETA2) * g * g
-                p.tensor.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
-                p.tensor.zero_grad()
+                p.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
+                p.zero_grad()
 
         rng = np.random.default_rng(7)
         shapes = [(3,), (4, 5), (2, 3, 4), (1,)]
 
         def make():
-            return [Parameter(Tensor(np.random.default_rng(i).standard_normal(shape)),
+            return [Parameter(np.random.default_rng(i).standard_normal(shape),
                               f"p{i}", frozen=(i == 3)) for i, shape in enumerate(shapes)]
 
         ours, ref = make(), make()
@@ -91,11 +91,10 @@ class TestAdam:
                 assert not a.grad.any()
 
     def test_quadratic_convergence(self):
-        p = Parameter(Tensor(np.array([5.0])), "p")
+        p = Parameter(np.array([5.0]), "p")
         opt = Adam([p], lr=0.2)
         for _ in range(300):
-            x = p.tensor
-            ((x + -3.0) * (x + -3.0)).sum().backward()
+            ((p + -3.0) * (p + -3.0)).sum().backward()
             opt.step()
         assert abs(p.data[0] - 3.0) < 1e-3
 
