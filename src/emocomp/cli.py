@@ -131,25 +131,18 @@ def cmd_stats(args) -> int:
     out = _out_dir(args)
     short = ("cognitive", "physiological", "action", "expression", "feeling")
 
+    # a row: its name, a (count, rounded percentage) pair per component, its total
+    rows = [(e, [(n, round_half_up(table.percentage(e, j))) for j, n in enumerate(table.counts[e])],
+             table.emotion_totals[e]) for e in table.emotions]
+    rows.append(("total", [(n, round_half_up(table.total_percentage(j)))
+                           for j, n in enumerate(table.component_totals)], table.corpus_size))
     tsv = ["emotion\t" + "\t".join(f"{c}_count\t{c}_pct" for c in short) + "\ttotal"]
+    tsv += [name + "".join(f"\t{n}\t{pct}" for n, pct in cells) + f"\t{total}"
+            for name, cells, total in rows]
     text = [f"{len(corpus)} instances"]
-    for emotion in table.emotions:
-        cells = []
-        for j in range(len(COMPONENTS)):
-            cells.append(str(table.counts[emotion][j]))
-            cells.append(str(round_half_up(table.percentage(emotion, j))))
-        tsv.append(emotion + "\t" + "\t".join(cells) + f"\t{table.emotion_totals[emotion]}")
-        pretty = "  ".join(f"{table.counts[emotion][j]:5d} ({round_half_up(table.percentage(emotion, j)):3d}%)"
-                           for j in range(len(COMPONENTS)))
-        text.append(f"{emotion:<14}{pretty}  total {table.emotion_totals[emotion]}")
-    total_cells = []
-    for j in range(len(COMPONENTS)):
-        total_cells.append(str(table.component_totals[j]))
-        total_cells.append(str(round_half_up(table.total_percentage(j))))
-    tsv.append("total\t" + "\t".join(total_cells) + f"\t{table.corpus_size}")
-    text.append("total         " + "  ".join(
-        f"{table.component_totals[j]:5d} ({round_half_up(table.total_percentage(j)):3d}%)"
-        for j in range(len(COMPONENTS))))
+    text += [f"{name:<14}" + "  ".join(f"{n:5d} ({pct:3d}%)" for n, pct in cells)
+             + (f"  total {total}" if i < len(table.emotions) else "")   # not on the totals row
+             for i, (name, cells, total) in enumerate(rows)]
 
     write_lines(out / "stats.tsv", tsv)
     write_lines(out / "stats.txt", text)
@@ -189,7 +182,7 @@ def _check_tag_mode(tag: str, corpus: Corpus, args) -> None:
     needs_emotions = not tag.startswith("cpm-")
     if needs_emotions and not corpus.emotion_inventory:
         raise ConfigError(f"model {tag!r} needs an emotion inventory but the corpus declares none")
-    for attr, path in {**_resources(args), "config": args.config}.items():
+    for attr, path in _resources(args).items():
         if path and not Path(path).exists():
             raise ConfigError(f"--{attr.replace('_', '-')} path does not exist: {path}")
 

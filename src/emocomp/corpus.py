@@ -111,7 +111,9 @@ def load_corpus(path: str | Path) -> Corpus:
                     header_inventory = tuple(inv) if inv else None
                     continue
                 raise CorpusFormatError("record missing 'id'", line=lineno)
-            inst_id = str(record["id"])
+            inst_id = record["id"]
+            if not isinstance(inst_id, str):
+                raise CorpusFormatError(f"id must be a string, got {inst_id!r}", line=lineno)
             if inst_id in seen_ids:
                 raise CorpusFormatError(f"duplicate id {inst_id!r}", line=lineno)
             seen_ids.add(inst_id)

@@ -33,7 +33,7 @@ from .errors import ConfigError, DataError, DimensionError, ResourceError, check
 from .features import (DictionaryLexicon, EmbeddingTable, TfIdfModel,
                        dictionary_features,
                        pooled_embedding_features, tfidf_transform)
-from .metrics import evaluate
+from .metrics import decide, evaluate, label_sets
 from .optim import Adam
 
 MULTINOMIAL = "multinomial"
@@ -183,29 +183,19 @@ def _fit(X: np.ndarray, Y: np.ndarray, mode: str, config: MaxEntConfig,
 
 
 def predict_maxent(model: MaxEntModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decisions (N x classes, bool) and probabilities for each row of ``X``:
-    the argmax class (multinomial) or every class whose probability exceeds
-    0.5 (binary, so a row may have none); constant classes keep their
-    fixed decision."""
+    """Decisions (N x classes, bool, by :func:`metrics.decide`) and
+    probabilities for each row of ``X``; constant classes keep their fixed
+    decision."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.feature_dim:
         raise DimensionError(f"design matrix of shape {X.shape}, expected {model.feature_dim} columns")
     probs = _probabilities(X, model.weights, model.bias, model.mode)
-    if model.mode == MULTINOMIAL:
-        decisions = np.zeros(probs.shape, dtype=bool)
-        decisions[np.arange(len(probs)), np.argmax(probs, axis=1)] = True
-        if model.constant:
-            decisions[:] = False
-    else:
-        decisions = probs > 0.5
+    decisions = decide(probs, model.mode == MULTINOMIAL)
+    if model.mode == MULTINOMIAL and model.constant:
+        decisions[:] = False
     for label, value in model.constant.items():
         decisions[:, model.classes.index(label)] = value
     return decisions, probs
-
-
-def label_sets(decisions: np.ndarray, classes: tuple[str, ...]) -> list[set[str]]:
-    """The chosen classes of each row of a decision matrix."""
-    return [{c for c, chosen in zip(classes, row) if chosen} for row in decisions]
 
 
 def split_labels(model: MaxEntModel, mask: np.ndarray | None = None) -> dict[str, MaxEntModel]:

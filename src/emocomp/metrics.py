@@ -1,10 +1,13 @@
-"""Evaluation metrics, Cohen's kappa and the emotion/component
-co-occurrence statistics table.
+"""The decision rule that turns label probabilities into label sets,
+evaluation metrics, Cohen's kappa and the emotion/component co-occurrence
+statistics table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from .corpus import COMPONENTS, Corpus
 from .errors import DataError
@@ -51,6 +54,23 @@ class MetricsReport:
             "micro": {"precision": self.micro_precision, "recall": self.micro_recall,
                       "f1": self.micro_f1},
         }
+
+
+def decide(probs: np.ndarray, single_label: bool) -> np.ndarray:
+    """The decision rule of both model families, as a boolean matrix with
+    one row per row of ``probs``: the most probable label for single-label
+    data (the first on ties), every label above 0.5 otherwise."""
+    if single_label:
+        return np.eye(probs.shape[1], dtype=bool)[probs.argmax(axis=1)]
+    return probs > 0.5
+
+
+def label_sets(decisions: np.ndarray, labels: tuple[str, ...]) -> list[set[str]]:
+    """The chosen labels of each row of a boolean or 0/1 decision matrix; a
+    row that chooses nothing reads ``{"neutral"}`` when ``labels`` has it."""
+    fallback = "neutral" in labels
+    return [{l for l, chosen in zip(labels, row) if chosen} or ({"neutral"} if fallback else set())
+            for row in decisions]
 
 
 def _ratio(num: int, den: int) -> float:

@@ -32,12 +32,12 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Parameter, Tensor, concat, dropout, filled, no_tape, shapes_only, stitch
-from .corpus import COMPONENTS
+from .corpus import COMPONENTS, SINGLE_LABEL
 from .errors import ConfigError, DataError, DimensionError, check_fields, stored_names, stored_numbers
 from .fileio import write_text
 from .layers import BiLstm, ConvPool, Dense
 from .losses import weighted_bce
-from .metrics import MetricsReport, evaluate
+from .metrics import MetricsReport, decide, evaluate, label_sets
 from .optim import Adam
 
 CHECKPOINT_VERSION = 1
@@ -564,16 +564,6 @@ def _stack(batch: list[Example], field_name: str) -> np.ndarray | None:
     return None if any(v is None for v in values) else np.stack(values)
 
 
-def _emotions(labels: tuple[str, ...], probs: np.ndarray, mode: str) -> set[str]:
-    """The emotion decision rule: argmax for single-label; every label above
-    0.5 for multi-label, or the neutral class when none is and the
-    inventory has one."""
-    if mode == "single-label":
-        return {labels[int(np.argmax(probs))]}
-    chosen = {l for l, p in zip(labels, probs) if p > 0.5}
-    return chosen or ({"neutral"} if "neutral" in labels else set())
-
-
 def predict_example(model: NeuralModel, ex: Example, mode: str):
     """``predict_examples`` of a batch of one; ``perfbench/calibrate.py`` calls it."""
     return predict_examples(model, [ex], mode)
@@ -581,8 +571,8 @@ def predict_example(model: NeuralModel, ex: Example, mode: str):
 
 def predict_examples(model: NeuralModel, examples: list[Example],
                      mode: str) -> tuple[list[set[str]] | None, list[set[str]] | None]:
-    """The emotion label sets (under ``_emotions``' rule) and the component
-    label sets (every component above 0.5) of ``examples``; each list is
+    """The emotion label sets and the component label sets of ``examples``,
+    under :func:`metrics.decide` (components are multi-label); each list is
     None when the model has no output for that task. Each forward pass
     scores ``minibatch_size`` examples, with the same results as one
     example at a time."""
@@ -593,10 +583,9 @@ def predict_examples(model: NeuralModel, examples: list[Example],
         with no_tape():
             out = model.forward(x, cpm=_stack(batch, "y_cpm"), lengths=lengths)
         if model.has_emo:
-            emotions += [_emotions(model.emo_labels, probs, mode) for probs in out["emo"].data]
+            emotions += label_sets(decide(out["emo"].data, mode == SINGLE_LABEL), model.emo_labels)
         if "cpm" in out:
-            components += [{c for c, p in zip(COMPONENTS, probs) if p > 0.5}
-                           for probs in out["cpm"].data]
+            components += label_sets(decide(out["cpm"].data, False), COMPONENTS)
         else:
             components = None
     return (emotions if model.has_emo else None), components

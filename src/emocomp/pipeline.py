@@ -29,10 +29,10 @@ from .fileio import write_text
 from .maxent import (BINARY, FEATURE_FLAGS, GOLD, MULTINOMIAL, PREDICTED, AdvResources,
                      FeatureSearchResult, MaxEntConfig, MaxEntModel, available_flags,
                      build_cpm_adv_features, combination_columns, combination_mask,
-                     combination_width, feature_combination_search, label_sets,
+                     combination_width, feature_combination_search,
                      predict_maxent, split_labels, stack_component_features, stack_labels,
                      train_maxent)
-from .metrics import MetricsReport, evaluate
+from .metrics import MetricsReport, evaluate, label_sets
 from .nn import (NN_TAGS, Example, ModelConfig, NeuralModel, SingleTaskModel,
                  TrainingLog, build_model, default_config, load_checkpoint,
                  predict_examples, read_model_text, save_checkpoint, train_model)
@@ -126,10 +126,7 @@ class MeArtifact:
     def predict_emotions(self, instances: list[Instance], stemmed: list[list[str]]) -> list[set[str]]:
         """Emotion label sets of ``instances``, given their stemmed tokens."""
         decisions, _ = predict_maxent(self.emotion_model, self.emotion_features(instances, stemmed))
-        labels = label_sets(decisions, self.emotion_model.classes)
-        if "neutral" in self.emotion_inventory:
-            labels = [s or {"neutral"} for s in labels]
-        return labels
+        return label_sets(decisions, self.emotion_model.classes)
 
 
 def _maxent_to_dict(m: MaxEntModel) -> dict:
@@ -448,7 +445,6 @@ def _nn_config(tag: str, corpus: Corpus, settings: dict) -> ModelConfig:
     domains), overridden by the ModelConfig fields in ``settings``."""
     domains = {i.domain for i in corpus}
     overrides = {k: v for k, v in settings.items() if k in ModelConfig.__dataclass_fields__}
-    overrides["seed"] = setting(settings, "seed")
     return default_config(tag, domains.pop() if len(domains) == 1 else "other", overrides)
 
 

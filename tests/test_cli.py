@@ -135,6 +135,17 @@ class TestExitCodes:
                     "--out", tmp_path / "o"]) == 2
         assert "line 1:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("inst_id", [None, True, 1, {"a": [1]}],
+                             ids=["null", "true", "int", "object"])
+    def test_id_that_is_not_a_string_is_data_error(self, inst_id, tmp_path, tec_path, capsys):
+        lines = tec_path.read_text(encoding="utf-8").splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "id": inst_id})
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(["train", "--model", "emo-me-base", "--corpus", bad,
+                    "--out", tmp_path / "o"]) == 2
+        assert "line 3: id must be a string" in capsys.readouterr().err
+
     def test_unknown_verb_is_usage_error(self, capsys):
         assert run(["transmogrify"]) == 1
 

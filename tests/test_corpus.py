@@ -58,6 +58,17 @@ class TestLoading:
         with pytest.raises(CorpusFormatError, match="duplicate"):
             load_corpus(f)
 
+    @pytest.mark.parametrize("inst_id", [None, True, 1, 1.5, [], {"a": [1]}],
+                             ids=["null", "true", "int", "float", "list", "object"])
+    def test_id_that_is_not_a_string_rejected_with_line(self, inst_id, tmp_path):
+        f = tmp_path / "c.jsonl"
+        rec = tec_record(1)
+        rec["id"] = inst_id
+        write_jsonl(f, [tec_record(0), rec])
+        with pytest.raises(CorpusFormatError, match="id must be a string") as exc:
+            load_corpus(f)
+        assert exc.value.line == 2
+
     def test_bad_cpm_rejected_with_line(self, tmp_path):
         f = tmp_path / "c.jsonl"
         rec = tec_record(0)

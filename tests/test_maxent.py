@@ -13,12 +13,12 @@ from emocomp.features import (DictionaryLexicon, EmbeddingTable, load_tagged_sid
 from emocomp.maxent import (BINARY, FEATURE_FLAGS, MULTINOMIAL, AdvResources,
                             FeatureSearchResult, available_flags, MaxEntConfig,
                             MaxEntModel, build_cpm_adv_features, combination_columns, combination_width,
-                            feature_combination_search, label_sets, permits,
+                            feature_combination_search, permits,
                             predict_maxent, split_labels,
                             stack_component_features, stack_labels,
                             train_maxent)
 from emocomp.losses import weighted_bce
-from emocomp.metrics import evaluate
+from emocomp.metrics import evaluate, label_sets
 from emocomp.optim import Adam
 
 FAST = MaxEntConfig(iterations=150, learning_rate=0.1)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from emocomp.corpus import COMPONENTS, load_corpus
 from emocomp.errors import DataError
-from emocomp.metrics import (agreement_degenerate, cohen_kappa,
-                             cooccurrence_stats, evaluate, round_half_up)
+from emocomp.metrics import (agreement_degenerate, cohen_kappa, cooccurrence_stats,
+                             decide, evaluate, label_sets, round_half_up)
 
 
 def brute_force_report(gold, predicted, inventory):
@@ -43,6 +43,48 @@ def random_pairs(rng, n, inventory, single_label):
             gold[f"i{i}"] = {l for l in inventory if rng.random() < 0.4}
             pred[f"i{i}"] = {l for l in inventory if rng.random() < 0.4}
     return gold, pred
+
+
+EMOTIONS = ("joy", "neutral", "sadness")
+
+
+# probabilities, single-label?, labels, expected label sets
+DECISIONS = {
+    "single-label-tie-first": ([[0.3, 0.3, 0.2], [0.1, 0.45, 0.45]], True, EMOTIONS,
+                               [{"joy"}, {"neutral"}]),
+    "single-label-below-half": ([[0.1, 0.2, 0.4]], True, EMOTIONS, [{"sadness"}]),
+    "half-not-chosen": ([[0.5, 0.5000001, 0.9]], False, ("a", "b", "c"), [{"b", "c"}]),
+    "none-reads-neutral": ([[0.5, 0.2, 0.1]], False, EMOTIONS, [{"neutral"}]),
+    "none-without-neutral": ([[0.5, 0.2]], False, ("joy", "sadness"), [set()]),
+    "components-no-fallback": ([[0.1] * 5], False, COMPONENTS, [set()]),
+    "chosen-neutral-alone": ([[0.1, 0.7, 0.2]], False, EMOTIONS, [{"neutral"}]),
+}
+
+
+class TestDecisionRule:
+    @pytest.mark.parametrize("case", DECISIONS)
+    def test_table(self, case):
+        probs, single, labels, expected = DECISIONS[case]
+        decisions = decide(np.array(probs), single)
+        assert decisions.dtype == bool and decisions.shape == np.shape(probs)
+        assert label_sets(decisions, labels) == expected
+
+    @pytest.mark.parametrize("single", [True, False])
+    def test_zero_rows(self, single):
+        decisions = decide(np.zeros((0, 3)), single)
+        assert decisions.shape == (0, 3)
+        assert label_sets(decisions, EMOTIONS) == []
+
+    def test_boolean_and_zero_one_read_the_same(self):
+        flags = np.array([[1, 0, 1], [0, 0, 0], [0, 1, 0]])
+        for labels in (EMOTIONS, ("a", "b", "c")):
+            assert label_sets(flags, labels) == label_sets(flags.astype(bool), labels)
+        assert label_sets(flags, EMOTIONS) == [{"joy", "sadness"}, {"neutral"}, {"neutral"}]
+
+    def test_rows_are_separate_sets(self):
+        sets = label_sets(np.zeros((2, 3), dtype=bool), EMOTIONS)
+        sets[0].add("joy")
+        assert sets[1] == {"neutral"}
 
 
 class TestEvaluate:

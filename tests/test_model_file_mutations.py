@@ -16,12 +16,18 @@ duplicates its line. A mutation of a line-oriented text file cuts one line,
 replaces one of its whitespace-separated fields with a bad one or with
 nothing, or drops or duplicates the line.
 
+A sweep drops every member of a model file, at any depth, and replaces it
+with ``"x"`` (a boolean also with its negation): ``predict`` must exit 2,
+except for the members listed with the reason they may be missing.
+
 Each stored number of both model families passes one rule
 (``errors.stored_numbers``): a table of values in a checkpoint parameter and
 in a maxent bias must predict or exit 2 as listed.
 """
 
+import functools
 import json
+import operator
 import re
 from pathlib import Path
 
@@ -30,7 +36,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emocomp.cli import main
-from emocomp.corpus import load_corpus
+from emocomp.corpus import COMPONENTS, load_corpus
 from emocomp.nn import ModelConfig, SingleTaskModel, build_model, read_model_text, save_checkpoint
 
 TAGS = ["emo-cpm-nn-pred", "mtl-xs", "emo-cpm-me-pred"]
@@ -171,6 +177,67 @@ def test_degenerate_trained_model_is_data_error(where, files):
     (root / "degenerate.json").write_text(json.dumps(doc))
     assert main(["predict", "--model-path", str(root / "degenerate.json"), "--corpus", str(corpus),
                  "--out", str(root / "out")]) == 2
+
+
+LONG_MAPS = {"params", "vocabulary", "document_frequency"}
+
+
+def members(node, path=()):
+    """The path of every object member at any depth; a long map stands for
+    its members by its first one, as a list stands for its entries by its
+    first entry."""
+    if isinstance(node, dict):
+        items = list(node.items())[:1 if path and path[-1] in LONG_MAPS else None]
+        for key, value in items:
+            yield path + (key,)
+            yield from members(value, path + (key,))
+    elif isinstance(node, list) and node:
+        yield from members(node[0], path + (0,))
+
+
+DEFAULTS = "a training setting, which defaults when missing"
+UNREAD = "read by no stored combination"
+# each member whose removal still predicts (exit 0), with its reason
+DROPPABLE = {
+    "mtl-xs": {
+        **{f"config/{key}": DEFAULTS
+           for key in ("loss_weight_emo", "loss_weight_cpm", "task_weight_emo", "task_weight_cpm",
+                       "minibatch_size", "dropout_rate", "learning_rate", "epochs", "seed")},
+        "config/fc_neurons_combined": "the size of a layer mtl-xs does not have, which defaults",
+    },
+    "emo-cpm-me-pred": {
+        **{f"cpm_artifact/combinations/{c}": "TF-IDF alone, as a missing combination reads"
+           for c in COMPONENTS},
+        "cpm_artifact/resources": UNREAD,
+        **{f"cpm_artifact/resources/lexicons/{c}": UNREAD for c in COMPONENTS},
+    },
+}
+
+
+@pytest.mark.parametrize("tag", DROPPABLE)
+def test_every_member_dropped_or_mistyped_is_data_error(tag, files):
+    # each member is dropped and replaced by "x", a boolean also by its
+    # negation (a trained model marked degenerate); only the members listed
+    # in DROPPABLE may be dropped and still predict
+    root, corpus, docs = files
+    path = root / "swept.json"
+    exit_0 = set()
+    for where in members(docs[tag]):
+        value = functools.reduce(operator.getitem, where, docs[tag])
+        for edit in [DROP, "x"] + ([not value] if isinstance(value, bool) else []):
+            doc = json.loads(json.dumps(docs[tag]))
+            parent = functools.reduce(operator.getitem, where[:-1], doc)
+            if edit is DROP:
+                del parent[where[-1]]
+            else:
+                parent[where[-1]] = edit
+            path.write_text(json.dumps(doc))
+            code = main(["predict", "--model-path", str(path), "--corpus", str(corpus),
+                         "--fallback-dim", "8", "--out", str(root / "out")])
+            assert code == 2 or (code == 0 and edit is DROP), (where, edit, code)
+            if code == 0:
+                exit_0.add("/".join(map(str, where)))
+    assert exit_0 == set(DROPPABLE[tag])
 
 
 def nested(depth):

@@ -12,7 +12,7 @@ from emocomp.errors import ConfigError, DataError, DimensionError
 from emocomp.gradcheck import gradient_check
 from emocomp.nn import (CONFIG_DEFAULTS, NN_TAGS, Example, ModelConfig, MtlCrossStitch,
                         MtlMultiHead, SingleTaskModel, build_model,
-                        default_config, load_checkpoint, predict_examples,
+                        default_config, evaluate_examples, load_checkpoint, predict_examples,
                         read_model_text, save_checkpoint, train_model)
 from emocomp.pipeline import load_model
 
@@ -429,6 +429,18 @@ class TestTraining:
         (got,), _ = predict_examples(model, [Example(ex.id, ex.x, np.zeros(2), ex.y_cpm)],
                                      "multi-label")
         assert got == {"neutral"}
+
+    def test_gold_never_takes_the_neutral_rule(self, rng):
+        # an instance with no gold emotion stays empty in gold, so the
+        # prediction's neutral fallback counts as a false positive
+        labels = ("joy", "neutral")
+        model = build_model("emo-nn-base", toy_config(), 4, labels)
+        model.out.b.data[...] = -50.0
+        ex = toy_examples(1, rng)[0]
+        report = evaluate_examples(model, [Example(ex.id, ex.x, np.zeros(2), ex.y_cpm)],
+                                   "multi-label")
+        neutral = report.per_class["neutral"]
+        assert (neutral.tp, neutral.fp, neutral.fn, neutral.support) == (0, 1, 0, 0)
 
 
 class TestCheckpoints:
