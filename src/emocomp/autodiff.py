@@ -27,7 +27,7 @@ import contextlib
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 
 Array = np.ndarray
 
@@ -447,18 +447,8 @@ def stitch(alpha: Tensor, row: int, a: Tensor, b: Tensor) -> Tensor:
     return Tensor(w_a * a.data + w_b * b.data, _parents=(alpha, a, b), _backward=bwd)
 
 
-def dropout(x: Tensor, rate: float, training: bool, rng: np.random.Generator | None = None) -> Tensor:
-    """Inverted dropout: mask and rescale at train time, identity at inference.
-
-    ``rng`` is anything with numpy's ``random(shape)``; a model passes one
-    that hands out masks drawn in per-example order (``nn``)."""
-    if not 0.0 <= rate < 1.0:
-        raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x
-    if rng is None:
-        raise ConfigError("dropout in training mode needs a seeded generator")
-    mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
+def dropout(x: Tensor, mask: Array) -> Tensor:
+    """``x`` times a dropout ``mask`` of its shape, as ``nn`` builds it."""
     return Tensor(x.data * mask, _parents=(x,), _backward=lambda g: (g * mask,))
 
 

@@ -103,9 +103,14 @@ def gather_settings(args) -> dict:
 
 
 def _resources(args) -> dict:
-    """The resource file paths given on the command line, by flag name."""
-    return {k: getattr(args, k, None) for k in ("lexicons", "embeddings", "pos_sidecar",
-                                                "appraisal_sidecar", "token_embeddings")}
+    """The resource file paths given on the command line, by flag name; a
+    path that does not exist is a config error, whether or not it is read."""
+    paths = {k: getattr(args, k, None) for k in ("lexicons", "embeddings", "pos_sidecar",
+                                                 "appraisal_sidecar", "token_embeddings")}
+    for attr, path in paths.items():
+        if path and not Path(path).exists():
+            raise ConfigError(f"--{attr.replace('_', '-')} path does not exist: {path}")
+    return paths
 
 
 def _out_dir(args) -> Path:
@@ -178,13 +183,9 @@ def cmd_agreement(args) -> int:
 # train / eval / predict
 # ---------------------------------------------------------------------------
 
-def _check_tag_mode(tag: str, corpus: Corpus, args) -> None:
-    needs_emotions = not tag.startswith("cpm-")
-    if needs_emotions and not corpus.emotion_inventory:
+def _check_tag_mode(tag: str, corpus: Corpus) -> None:
+    if not tag.startswith("cpm-") and not corpus.emotion_inventory:
         raise ConfigError(f"model {tag!r} needs an emotion inventory but the corpus declares none")
-    for attr, path in _resources(args).items():
-        if path and not Path(path).exists():
-            raise ConfigError(f"--{attr.replace('_', '-')} path does not exist: {path}")
 
 
 def _write_metrics(out: Path, name: str, report) -> None:
@@ -193,15 +194,13 @@ def _write_metrics(out: Path, name: str, report) -> None:
 
 
 def cmd_train(args) -> int:
-    settings = gather_settings(args)
-    corpus = load_corpus(args.corpus)
-    _check_tag_mode(args.model, corpus, args)
+    settings, corpus, resources = gather_settings(args), load_corpus(args.corpus), _resources(args)
+    _check_tag_mode(args.model, corpus)
     ratio = setting(settings, "split_ratio")
     train_corpus, test_corpus = split_train_test(corpus, ratio=ratio, seed=setting(settings, "seed"))
     if not len(test_corpus):
         raise ConfigError(f"split_ratio {ratio} leaves no test instances among {len(corpus)}")
     out = _out_dir(args)
-    resources = _resources(args)
     embed = pipeline.embedder(corpus, settings, resources)
     model, log_lines = pipeline.train_tag(args.model, train_corpus, settings, resources, embed)
     pipeline.save_model(model, out)
@@ -266,12 +265,10 @@ def fold_workers(jobs: int, k: int) -> int:
 
 
 def cmd_crossval(args) -> int:
-    settings = gather_settings(args)
-    corpus = load_corpus(args.corpus)
-    _check_tag_mode(args.model, corpus, args)
+    settings, corpus, resources = gather_settings(args), load_corpus(args.corpus), _resources(args)
+    _check_tag_mode(args.model, corpus)
     kfold(corpus, k=args.k)   # a bad --k fails here, before any fold runs
-    payloads = [(i, args.k, args.corpus, args.model, settings, _resources(args))
-                for i in range(args.k)]
+    payloads = [(i, args.k, args.corpus, args.model, settings, resources) for i in range(args.k)]
     workers = fold_workers(args.jobs, args.k)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

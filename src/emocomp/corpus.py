@@ -4,7 +4,7 @@ A corpus file is UTF-8, one JSON object per line with fields ``id``,
 ``text``, ``emotions`` (array), ``cpm`` (5-int array) and ``domain``
 (``tec`` | ``reman`` | ``other``). An optional first line without an
 ``id`` acts as a header and may declare ``mode`` and ``inventory`` for
-``other``-domain corpora.
+``other``-domain corpora; the other domains fix both, so there it may not.
 """
 
 from __future__ import annotations
@@ -81,9 +81,7 @@ def _names(value) -> bool:
 def load_corpus(path: str | Path) -> Corpus:
     instances: list[Instance] = []
     seen_ids: set[str] = set()
-    header_mode = None
-    header_inventory = None
-    domain = None
+    header_mode = header_inventory = header_line = domain = None
 
     try:
         fh = open(path, encoding="utf-8")
@@ -109,6 +107,8 @@ def load_corpus(path: str | Path) -> Corpus:
                         raise CorpusFormatError(f"inventory must be an array of label names, "
                                                 f"got {inv!r}", line=lineno)
                     header_inventory = tuple(inv) if inv else None
+                    if header_mode is not None or inv is not None:
+                        header_line = lineno
                     continue
                 raise CorpusFormatError("record missing 'id'", line=lineno)
             inst_id = record["id"]
@@ -144,6 +144,9 @@ def load_corpus(path: str | Path) -> Corpus:
                                       tuple(int(v) for v in cpm), rec_domain))
 
     domain = domain or "other"
+    if domain != "other" and header_line is not None:
+        raise CorpusFormatError(f"a header may declare mode and inventory only for an 'other' "
+                                f"corpus, not for a {domain!r} one", line=header_line)
     inventory = _inventory_for_domain(domain) or header_inventory
     if inventory is None:
         inventory = tuple(sorted(set().union(*(i.emotions for i in instances)) if instances else set()))

@@ -18,8 +18,10 @@ batch of one. ``NeuralModel.forward`` serves every architecture; each
 declares the layers followed by dropout (``_dropped``) and its wiring
 (``_forward``). Training builds one graph per minibatch and prediction scores
 ``minibatch_size`` examples per pass. The losses, gradients and predictions
-are bitwise those of one graph per example (see ``autodiff``); dropout masks
-are drawn in the order such a per-example loop draws them.
+are bitwise those of one graph per example (see ``autodiff``). Dropout is
+decided here: a forward pass trains exactly when it is given a generator,
+and then builds the batch's masks from uniforms drawn in the order such a
+per-example loop draws them; ``autodiff.dropout`` only applies one.
 """
 
 from __future__ import annotations
@@ -183,10 +185,6 @@ class _Trunk:
     def out_dim(self) -> int:
         return self.convpool.out_dim
 
-    @property
-    def dropout_sites(self) -> list[tuple[int, bool]]:
-        return [(self.bilstm.out_dim, True), (self.out_dim, False)]
-
     def params(self) -> list[Parameter]:
         return self.bilstm.params() + self.convpool.params()
 
@@ -195,38 +193,28 @@ class _Trunk:
         return drop(self.convpool(h, lengths))
 
 
-def _sites(*layers) -> list[tuple[int, bool]]:
-    """(width, per token) of the dropout after each of ``layers`` in forward
-    order; a trunk drops out twice."""
-    out = []
+def _example_order_masks(rng: np.random.Generator, lengths: list[int], layers,
+                         rate: float) -> list[np.ndarray]:
+    """The masks of the dropout after each of ``layers`` in one batched
+    forward pass, in forward order; a trunk drops out per token after its
+    BiLSTM and again after pooling. The uniforms are drawn from ``rng`` as
+    one pass per example draws them: example by example and, within one,
+    site by site, with zeros past each length. A unit whose uniform is below
+    ``rate`` is dropped and the rest are scaled by 1 / (1 - ``rate``)."""
+    sites = []
     for layer in layers:
-        out += layer.dropout_sites if isinstance(layer, _Trunk) else [(layer.out_dim, False)]
-    return out
-
-
-class _ExampleOrderDraws:
-    """The uniforms behind one batched forward pass's dropout masks, drawn
-    from ``rng`` as one forward pass per example would draw them: example by
-    example and, within an example, site by site in forward order.
-    ``dropout`` takes it as its generator and gets the next site's draws,
-    zero past each length, per call."""
-
-    def __init__(self, rng: np.random.Generator, lengths: list[int],
-                 sites: list[tuple[int, bool]]):
-        batch, longest = len(lengths), max(lengths)
-        self._draws = [np.zeros((batch, longest, w) if per_token else (batch, w))
-                       for w, per_token in sites]
-        for k, n in enumerate(lengths):
-            for draws in self._draws:
-                row = draws[k, :n] if draws.ndim == 3 else draws[k]
-                row[...] = rng.random(row.shape)
-        self._next = iter(self._draws)
-
-    def random(self, shape: tuple) -> np.ndarray:
-        draws = next(self._next)
-        if draws.shape != shape:
-            raise DimensionError(f"dropout site of shape {shape}, expected {draws.shape}")
-        return draws
+        if isinstance(layer, _Trunk):
+            sites.append((layer.bilstm.out_dim, True))
+        sites.append((layer.out_dim, False))
+    batch, longest = len(lengths), max(lengths)
+    masks = [np.zeros((batch, longest, w) if per_token else (batch, w)) for w, per_token in sites]
+    for k, n in enumerate(lengths):
+        for mask in masks:
+            row = mask[k, :n] if mask.ndim == 3 else mask[k]
+            row[...] = rng.random(row.shape)
+    for mask in masks:
+        np.divide(mask >= rate, 1.0 - rate, out=mask)
+    return masks
 
 
 def _per_example_bce(p: Tensor, y, pos_weight: float) -> Tensor:
@@ -259,24 +247,33 @@ class NeuralModel:
                 out.extend(value.params())
         return out
 
-    def forward(self, x: Tensor, training: bool = False, rng=None,
+    def forward(self, x: Tensor, *, rng: np.random.Generator | None = None,
                 cpm=None, lengths=None) -> dict[str, Tensor]:
         """Outputs per head, one row per example. ``x`` is a zero-padded
         B x T_max x d batch with ``lengths`` (all of T_max without them),
         or one T x d example, a batch of one; ``cpm`` holds the gold
         component flags (B x 5, or 5 for one example), which only the
-        gold-injection model reads. In training, with ``rng``, the dropout
-        after each layer in ``_dropped`` draws its masks from ``rng``
-        example by example (``_ExampleOrderDraws``)."""
+        gold-injection model reads. A pass trains exactly when it is given
+        ``rng``: then each layer in ``_dropped`` is followed by dropout with
+        the masks of ``_example_order_masks``. Without ``rng``, or at rate 0,
+        nothing is drawn and dropout is the identity."""
         if x.data.ndim == 2:
             x, lengths = Tensor(x.data[None]), [x.data.shape[0]]
         else:
             lengths = [x.data.shape[1]] * x.data.shape[0] if lengths is None else list(lengths)
         rate = self.config.dropout_rate
-        if training and rate > 0.0 and rng is not None:
-            layers = (getattr(self, name) for name in self._dropped)
-            rng = _ExampleOrderDraws(rng, lengths, _sites(*layers))
-        return self._forward(x, lengths, lambda t: dropout(t, rate, training, rng), cpm)
+        if rng is None or rate == 0.0:
+            return self._forward(x, lengths, lambda t: t, cpm)
+        layers = [getattr(self, name) for name in self._dropped]
+        masks = iter(_example_order_masks(rng, lengths, layers, rate))
+
+        def drop(t: Tensor) -> Tensor:
+            mask = next(masks)
+            if mask.shape != t.data.shape:
+                raise DimensionError(f"dropout site of shape {t.data.shape}, expected {mask.shape}")
+            return dropout(t, mask)
+
+        return self._forward(x, lengths, drop, cpm)
 
     def _forward(self, x: Tensor, lengths: list[int], drop, cpm) -> dict[str, Tensor]:
         """The architecture's wiring over a batch; ``drop`` is the dropout
@@ -626,7 +623,7 @@ def train_model(model: NeuralModel, train: list[Example], mode: str,
             x, lengths = _pad(batch)
             # a diverging step overflows; the check below reports it, not numpy
             with np.errstate(over="ignore", invalid="ignore"):
-                out = model.forward(x, True, drop_rng, cpm=_stack(batch, "y_cpm"), lengths=lengths)
+                out = model.forward(x, rng=drop_rng, cpm=_stack(batch, "y_cpm"), lengths=lengths)
                 loss = model.loss(out, _stack(batch, "y_emo"), _stack(batch, "y_cpm"))
                 loss.backward()
             finite = np.isfinite(loss.item()) and all(np.isfinite(p.grad).all() for p in opt.params)

@@ -137,12 +137,14 @@ def _maxent_to_dict(m: MaxEntModel) -> dict:
             "constant_class": next((c for c, v in m.constant.items() if v), None)}
 
 
-def _maxent_from_dict(d: dict) -> MaxEntModel:
+def _maxent_from_dict(d: dict, mode: str = BINARY) -> MaxEntModel:
+    """A stored maxent model, which must be of ``mode``: binary for a
+    component or one-vs-rest label model, multinomial for a multinomial one."""
     if not isinstance(d, dict):
         raise DataError(f"maxent model must be an object, got {type(d).__name__}")
     classes = stored_names(d["classes"], "maxent classes")
-    if d["mode"] not in (BINARY, MULTINOMIAL):
-        raise DataError(f"unknown maxent mode {d['mode']!r}")
+    if d["mode"] != mode:
+        raise DataError(f"maxent mode must be {mode!r} here, got {d['mode']!r}")
     if type(d["feature_dim"]) is not int:
         raise DataError(f"maxent feature_dim must be an integer, got {d['feature_dim']!r}")
     weights, bias = stored_numbers(d["weights"]), stored_numbers(d["bias"])
@@ -255,9 +257,11 @@ def load_me_artifact(payload: dict, sidecar=lambda flag: None) -> MeArtifact:
                 a.emotion_model = stack_labels([_maxent_from_dict(em["models"][l])
                                                 for l in stored_names(em["labels"], "labels")])
             elif em["kind"] == "multinomial":
-                a.emotion_model = _maxent_from_dict(em["model"])
+                a.emotion_model = _maxent_from_dict(em["model"], MULTINOMIAL)
             else:
                 raise DataError(f"emotion_model of kind {em['kind']!r} is not a model set or model")
+            if (a.mode == SINGLE_LABEL) != (a.emotion_model.mode == MULTINOMIAL):
+                raise DataError(f"a {a.mode} model cannot hold an emotion model of kind {em['kind']!r}")
         a.component_models = {c: _maxent_from_dict(m) for c, m in d["component_models"].items()}
         for comp, flags in d["combinations"].items():
             unknown = set(stored_names(flags, "combination")) - set(FEATURE_FLAGS)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from emocomp.autodiff import (Parameter, Tensor, _fold, bilstm, concat, conv_pool, dropout,
                               no_tape, shapes_only, stitch, xavier_uniform)
-from emocomp.errors import ConfigError, DimensionError
+from emocomp.errors import DimensionError
 from emocomp.gradcheck import gradient_check
 
 TOL = 1e-6
@@ -408,33 +408,14 @@ class TestBatchedOps:
 
 
 class TestDropout:
-    def test_rate_zero_and_inference_identity(self, rng):
-        x = Tensor(rng.standard_normal((3, 3)))
-        assert dropout(x, 0.0, True, rng) is x
-        assert dropout(x, 0.5, False) is x
-
-    def test_inverted_scaling_mean(self):
-        rng = np.random.default_rng(1)
-        x = Tensor(np.ones((200, 200)))
-        out = dropout(x, 0.4, True, rng)
-        kept = out.data != 0.0
-        np.testing.assert_allclose(out.data[kept], 1.0 / 0.6)
-        assert abs(out.data.mean() - 1.0) < 0.02
-
     def test_one_node_whose_gradient_reaches_its_input_only(self, rng):
         x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-        out = dropout(x, 0.5, True, np.random.default_rng(2))
+        mask = (rng.random((3, 4)) >= 0.5) / 0.5
+        out = dropout(x, mask)
         assert out._parents == (x,)
+        np.testing.assert_array_equal(out.data, x.data * mask)
         out.backward(np.ones((3, 4)))
-        np.testing.assert_array_equal(x.grad, out.data / x.data)
-
-    def test_needs_rng_in_training(self):
-        with pytest.raises(ConfigError):
-            dropout(Tensor(np.ones((2, 2))), 0.5, True, None)
-
-    def test_invalid_rate(self):
-        with pytest.raises(ConfigError):
-            dropout(Tensor(np.ones((2, 2))), 1.0, True, np.random.default_rng(0))
+        np.testing.assert_array_equal(x.grad, mask)
 
 
 class TestParameter:

@@ -108,8 +108,12 @@ class TestExitCodes:
         ("cpm", None, 1),
         ("header", {"inventory": 6}, 1),
         ("header", ["mode", "single-label"], 1),
+        # the bundled corpus is tec: its mode and inventory are the domain's
+        ("header", {"mode": "multi-label"}, 1),
+        ("header", {"inventory": ["x"]}, 1),
     ], ids=["text-number", "emotions-number", "emotions-null", "emotions-nested",
-            "cpm-null", "header-inventory-number", "header-array"])
+            "cpm-null", "header-inventory-number", "header-array", "header-mode-on-tec",
+            "header-inventory-on-tec"])
     def test_malformed_record_is_data_error(self, field, value, line, tmp_path, tec_path,
                                             capsys):
         # the first record of the bundled corpus edited, or a header put before it
@@ -342,6 +346,14 @@ class TestModelFiles:
         variant("float_model_feature_dim", lambda p: p["emotion_model"]["model"].update(
             feature_dim=float(p["emotion_model"]["model"]["feature_dim"])))
         variant("unknown_maxent_mode", lambda p: p["emotion_model"]["model"].update(mode="x"))
+        # each stored mode must be the one of its place
+        variant("multinomial_model_binary", lambda p: p["emotion_model"]["model"].update(
+            mode="binary"))
+        variant("artifact_mode_flipped", lambda p: p.update(mode="multi-label"))
+        v1 = json.loads((Path(__file__).resolve().parent / "golden" / "me" / "v1" / "model.json")
+                        .read_text())
+        variant("label_model_multinomial", lambda p: p["emotion_model"]["models"]["joy"].update(
+            mode="multinomial"), v1)
         variant("unknown_emotion_model_kind", lambda p: p["emotion_model"].update(kind="x"))
         variant("number_classes", lambda p: p["emotion_model"]["model"].update(classes=5))
         variant("number_emotion_inventory", lambda p: p.update(emotion_inventory=5))
@@ -399,6 +411,8 @@ class TestModelFiles:
                 lambda p: p["component_models"].pop("cognitive_appraisal"), adv)
         variant("component_model_number",
                 lambda p: p["component_models"].update(cognitive_appraisal=5), adv)
+        variant("component_model_multinomial", lambda p: p["component_models"][
+            "cognitive_appraisal"].update(mode="multinomial"), adv)
         variant("stacked_component_model_missing", lambda p: p["cpm_artifact"][
             "component_models"].pop("cognitive_appraisal"), pred)
         variant("stacked_component_model_list", lambda p: p["cpm_artifact"][
@@ -514,6 +528,20 @@ class TestInputFiles:
             args += ["--out", tmp_path / "o"]
         assert run(args) == code
         assert ("config error", "data error")[code - 1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb,flag", [
+        ("train", "--lexicons"), ("crossval", "--embeddings"), ("ablate", "--token-embeddings"),
+        ("eval", "--lexicons"), ("predict", "--pos-sidecar"),
+    ])
+    def test_missing_resource_path_is_config_error(self, verb, flag, tmp_path, capsys):
+        # every verb that takes resource paths checks that each exists, read or not
+        v1 = Path(__file__).resolve().parent / "golden" / "me" / "v1"
+        model = (["--model-path", v1 / "model.json"] if verb in ("eval", "predict")
+                 else [] if verb == "ablate" else ["--model", "emo-me-base"])
+        assert run([verb, *model, "--corpus", v1 / "corpus.jsonl", flag, tmp_path / "missing",
+                    "--out", tmp_path / "o"]) == 1
+        assert f"{flag} path does not exist" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_predict_reads_only_the_resource_files_its_combinations_read(
             self, tmp_path, tec_path, data_dir, capsys):

@@ -10,8 +10,9 @@ from emocomp.cli import main
 from emocomp.corpus import load_corpus
 from emocomp.errors import ConfigError, DataError, DimensionError
 from emocomp.gradcheck import gradient_check
+from emocomp.layers import Dense
 from emocomp.nn import (CONFIG_DEFAULTS, NN_TAGS, Example, ModelConfig, MtlCrossStitch,
-                        MtlMultiHead, SingleTaskModel, build_model,
+                        MtlMultiHead, SingleTaskModel, _example_order_masks, _Trunk, build_model,
                         default_config, evaluate_examples, load_checkpoint, predict_examples,
                         read_model_text, save_checkpoint, train_model)
 from emocomp.pipeline import load_model
@@ -58,7 +59,7 @@ def redumped(text):
 
 
 def model_loss(model, ex):
-    out = model.forward(Tensor(ex.x), training=False,
+    out = model.forward(Tensor(ex.x),
                         cpm=ex.y_cpm if model.tag == "emo-cpm-nn-gold" else None)
     return model.loss(out, ex.y_emo if model.has_emo else None,
                       ex.y_cpm if model.has_cpm else None)
@@ -217,7 +218,7 @@ class TestBatchedEqualsOneAtATime:
         x, lengths, y_emo, y_cpm = padded_batch(examples)
         for p in params:
             p.zero_grad()
-        out = model.forward(x, True, np.random.default_rng(3), cpm=y_cpm, lengths=lengths)
+        out = model.forward(x, rng=np.random.default_rng(3), cpm=y_cpm, lengths=lengths)
         loss = model.loss(out, y_emo, y_cpm)
         loss.backward()
         batched = [p.grad.copy() for p in params]
@@ -227,7 +228,7 @@ class TestBatchedEqualsOneAtATime:
         for ex in examples:
             for p in params:
                 p.zero_grad()
-            one = model.loss(model.forward(Tensor(ex.x), True, drop_rng, cpm=ex.y_cpm),
+            one = model.loss(model.forward(Tensor(ex.x), rng=drop_rng, cpm=ex.y_cpm),
                              ex.y_emo, ex.y_cpm)
             (one * scale).backward()
             total = one.data if total is None else total + one.data
@@ -256,6 +257,75 @@ class TestBatchedEqualsOneAtATime:
             assert emotions == [labels for (labels,), _ in alone]
         if components is not None:
             assert components == [flags for _, (flags,) in alone]
+
+
+class TestDropout:
+    """``_example_order_masks`` builds a pass's masks; ``forward`` applies
+    them exactly when it is given a generator."""
+
+    @pytest.mark.parametrize("rate", [0.1, 0.5, 0.9])
+    def test_masks_are_a_per_example_loop_byte_for_byte(self, rate, rng):
+        layers = [_Trunk(4, 3, 2, (2, 3), rng, "t"), Dense(4, 5, rng, "fc")]
+        lengths = [3, 1, 6, 2]
+        gen = np.random.default_rng(11)
+        masks = _example_order_masks(gen, lengths, layers, rate)
+        # the reference: one pass per example draws the BiLSTM's per-token
+        # site (6 wide), the pooled vector (4) and the Dense output (5)
+        want = [np.zeros((4, 6, 6)), np.zeros((4, 4)), np.zeros((4, 5))]
+        draw = np.random.default_rng(11)
+        for k, n in enumerate(lengths):
+            for array in want:
+                row = array[k, :n] if array.ndim == 3 else array[k]
+                row[...] = (draw.random(row.shape) >= rate) / (1.0 - rate)
+        assert gen.bit_generator.state == draw.bit_generator.state
+        assert [m.shape for m in masks] == [w.shape for w in want]
+        for got, ref in zip(masks, want):
+            assert got.tobytes() == ref.tobytes()
+            assert set(np.unique(got)) <= {0.0, 1.0 / (1.0 - rate)}
+        for k, n in enumerate(lengths):
+            assert not masks[0][k, n:].any()
+
+    def test_inverted_scaling_mean(self):
+        masks = _example_order_masks(np.random.default_rng(1), [1] * 200,
+                                     [Dense(3, 200, np.random.default_rng(0), "fc")], 0.4)
+        kept = masks[0] != 0.0
+        np.testing.assert_allclose(masks[0][kept], 1.0 / 0.6)
+        assert abs(masks[0].mean() - 1.0) < 0.02
+
+    @pytest.mark.parametrize("tag", NN_TAGS)
+    def test_rate_zero_and_inference_identity(self, tag, rng, monkeypatch):
+        # without a generator, or at rate 0, each dropout returns its input
+        # and a generator given is left as it was
+        x, lengths, _, y_cpm = padded_batch(ragged_examples(rng))
+        for rate, gen in ((0.5, None), (0.0, np.random.default_rng(5))):
+            model = build(tag, toy_config(dropout_rate=rate))
+            inner, returned_its_input = model._forward, []
+
+            def spy(x, lengths, drop, cpm, inner=inner, seen=returned_its_input):
+                def traced(t):
+                    out = drop(t)
+                    seen.append(out is t)
+                    return out
+                return inner(x, lengths, traced, cpm)
+
+            monkeypatch.setattr(model, "_forward", spy)
+            state = gen and gen.bit_generator.state
+            model.forward(x, rng=gen, cpm=y_cpm, lengths=lengths)
+            assert len(returned_its_input) == len(model._dropped) + sum(
+                isinstance(getattr(model, name), _Trunk) for name in model._dropped)
+            assert all(returned_its_input), rate
+            assert (gen and gen.bit_generator.state) == state
+
+    def test_training_is_keyword_only(self, rng):
+        model = build("emo-nn-base", toy_config(dropout_rate=0.5))
+        with pytest.raises(TypeError):
+            model.forward(Tensor(toy_examples(1, rng)[0].x), True, np.random.default_rng(0))
+
+    def test_a_mask_of_the_wrong_shape_is_a_dimension_error(self, rng, monkeypatch):
+        model = build("emo-nn-base", toy_config(dropout_rate=0.5))
+        monkeypatch.setattr(model, "_dropped", ("fc", "trunk"))
+        with pytest.raises(DimensionError):
+            model.forward(Tensor(toy_examples(1, rng)[0].x), rng=np.random.default_rng(0))
 
 
 def graph_nodes(root):
@@ -311,7 +381,7 @@ class TestTapeIsFreed:
         def minibatch_loss():
             for p in params:
                 p.zero_grad()
-            out = model.forward(x, True, np.random.default_rng(3), lengths=lengths)
+            out = model.forward(x, rng=np.random.default_rng(3), lengths=lengths)
             return model.loss(out, y_emo, y_cpm)
 
         kept = minibatch_loss()
