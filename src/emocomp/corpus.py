@@ -2,9 +2,11 @@
 
 A corpus file is UTF-8, one JSON object per line with fields ``id``,
 ``text``, ``emotions`` (array), ``cpm`` (5-int array) and ``domain``
-(``tec`` | ``reman`` | ``other``). An optional first line without an
-``id`` acts as a header and may declare ``mode`` and ``inventory`` for
-``other``-domain corpora; the other domains fix both, so there it may not.
+(``tec`` | ``reman`` | ``other``). The first non-blank line, when it has no
+``id``, is a header that may declare ``mode`` and ``inventory`` for an
+``other``-domain corpus; the other domains fix both, so there it may not.
+An ``id`` holds no tab or line break and a label is one run of
+non-whitespace characters, so that ``predictions.tsv`` can hold them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, CorpusFormatError
+from .errors import ConfigError, CorpusFormatError, DataError, stored_names
 from .fileio import write_text
 
 COMPONENTS = (
@@ -31,10 +33,12 @@ TEC_EMOTIONS = ("anger", "disgust", "fear", "joy", "sadness", "surprise")
 REMAN_EMOTIONS = ("anger", "anticipation", "disgust", "fear", "joy",
                   "neutral", "other", "sadness", "surprise", "trust")
 
-DOMAINS = ("tec", "reman", "other")
-
 SINGLE_LABEL = "single-label"
 MULTI_LABEL = "multi-label"
+
+# the mode and inventory a domain fixes; an ``other`` corpus takes its header's
+_DOMAIN_LABELS = {"tec": (SINGLE_LABEL, TEC_EMOTIONS), "reman": (MULTI_LABEL, REMAN_EMOTIONS)}
+DOMAINS = (*_DOMAIN_LABELS, "other")
 
 
 @dataclass(frozen=True)
@@ -62,26 +66,23 @@ class Corpus:
         return Corpus(instances, self.emotion_inventory, self.mode)
 
 
-def _mode_for_domain(domain: str) -> str:
-    return SINGLE_LABEL if domain == "tec" else MULTI_LABEL
-
-
-def _inventory_for_domain(domain: str) -> tuple[str, ...] | None:
-    if domain == "tec":
-        return TEC_EMOTIONS
-    if domain == "reman":
-        return REMAN_EMOTIONS
-    return None
-
-
-def _names(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+def _labels(value, what: str, line: int) -> tuple[str, ...]:
+    """``value`` as distinct label names (the rule of ``errors.stored_names``), each
+    one run of non-whitespace characters: ``predictions.tsv`` joins labels with spaces."""
+    try:
+        labels = stored_names(value, what)
+    except DataError as exc:
+        raise CorpusFormatError(str(exc), line=line) from None
+    if any(label.split() != [label] for label in labels):
+        raise CorpusFormatError(f"{what} must hold non-empty labels without whitespace, "
+                                f"got {list(labels)!r}", line=line)
+    return labels
 
 
 def load_corpus(path: str | Path) -> Corpus:
     instances: list[Instance] = []
     seen_ids: set[str] = set()
-    header_mode = header_inventory = header_line = domain = None
+    first = header_line = domain = mode = inventory = None
 
     try:
         fh = open(path, encoding="utf-8")
@@ -91,6 +92,7 @@ def load_corpus(path: str | Path) -> Corpus:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            first = first or lineno
             try:
                 record = json.loads(line)
             except (json.JSONDecodeError, RecursionError) as exc:   # or nested too deep
@@ -98,22 +100,20 @@ def load_corpus(path: str | Path) -> Corpus:
             if not isinstance(record, dict):
                 raise CorpusFormatError(f"a record must be a JSON object, got {record!r}", line=lineno)
             if "id" not in record:
-                if lineno == 1 or not instances:
-                    header_mode = record.get("mode")
-                    if header_mode not in (None, SINGLE_LABEL, MULTI_LABEL):
-                        raise CorpusFormatError(f"unknown mode {header_mode!r}", line=lineno)
-                    inv = record.get("inventory")
-                    if inv is not None and not _names(inv):
-                        raise CorpusFormatError(f"inventory must be an array of label names, "
-                                                f"got {inv!r}", line=lineno)
-                    header_inventory = tuple(inv) if inv else None
-                    if header_mode is not None or inv is not None:
-                        header_line = lineno
-                    continue
-                raise CorpusFormatError("record missing 'id'", line=lineno)
+                if lineno != first:
+                    raise CorpusFormatError("record missing 'id'", line=lineno)
+                mode, inventory = record.get("mode"), record.get("inventory")
+                if mode not in (None, SINGLE_LABEL, MULTI_LABEL):
+                    raise CorpusFormatError(f"unknown mode {mode!r}", line=lineno)
+                if inventory is not None:
+                    inventory = _labels(inventory, "inventory", lineno)
+                header_line = lineno if mode is not None or inventory is not None else None
+                continue
             inst_id = record["id"]
             if not isinstance(inst_id, str):
                 raise CorpusFormatError(f"id must be a string, got {inst_id!r}", line=lineno)
+            if "\t" in inst_id or "".join(inst_id.splitlines()) != inst_id:
+                raise CorpusFormatError(f"id {inst_id!r} holds a tab or a line break", line=lineno)
             if inst_id in seen_ids:
                 raise CorpusFormatError(f"duplicate id {inst_id!r}", line=lineno)
             seen_ids.add(inst_id)
@@ -123,52 +123,50 @@ def load_corpus(path: str | Path) -> Corpus:
                                         f"got {rec_domain!r}", line=lineno)
             if domain is None:
                 domain = rec_domain
+                if domain in _DOMAIN_LABELS:
+                    if header_line is not None:
+                        raise CorpusFormatError(
+                            f"a header may declare mode and inventory only for an 'other' "
+                            f"corpus, not for a {domain!r} one", line=header_line)
+                    mode, inventory = _DOMAIN_LABELS[domain]
             elif rec_domain != domain:
-                raise CorpusFormatError(
-                    f"mixed domains {domain!r} and {rec_domain!r}", line=lineno)
+                raise CorpusFormatError(f"mixed domains {domain!r} and {rec_domain!r}", line=lineno)
             cpm = record.get("cpm", [])
             if (not isinstance(cpm, list) or len(cpm) != len(COMPONENTS)
                     or any(v not in (0, 1) for v in cpm)):
-                raise CorpusFormatError(
-                    f"cpm must be 5 binary flags, got {cpm!r}", line=lineno)
-            text, emotions = record.get("text", ""), record.get("emotions", [])
+                raise CorpusFormatError(f"cpm must be 5 binary flags, got {cpm!r}", line=lineno)
+            text = record.get("text", "")
             if not isinstance(text, str):
                 raise CorpusFormatError(f"text must be a string, got {text!r}", line=lineno)
-            if not _names(emotions):
-                raise CorpusFormatError(f"emotions must be an array of label names, "
-                                        f"got {emotions!r}", line=lineno)
-            emotions = frozenset(emotions)
-            if rec_domain == "reman" and not emotions:
+            emotions = frozenset(_labels(record.get("emotions", []), "emotions", lineno))
+            if domain == "reman" and not emotions:
                 emotions = frozenset({"neutral"})
-            instances.append(Instance(inst_id, text, emotions,
-                                      tuple(int(v) for v in cpm), rec_domain))
+            if inventory and not emotions.issubset(inventory):
+                raise CorpusFormatError(
+                    f"id {inst_id!r}: unknown labels {sorted(emotions.difference(inventory))} "
+                    f"(inventory {list(inventory)})", line=lineno)
+            if mode == SINGLE_LABEL and len(emotions) != 1:
+                raise CorpusFormatError(
+                    f"id {inst_id!r}: single-label corpus requires exactly one emotion, "
+                    f"got {sorted(emotions)}", line=lineno)
+            instances.append(Instance(inst_id, text, emotions, tuple(map(int, cpm)), domain))
 
-    domain = domain or "other"
-    if domain != "other" and header_line is not None:
-        raise CorpusFormatError(f"a header may declare mode and inventory only for an 'other' "
-                                f"corpus, not for a {domain!r} one", line=header_line)
-    inventory = _inventory_for_domain(domain) or header_inventory
-    if inventory is None:
-        inventory = tuple(sorted(set().union(*(i.emotions for i in instances)) if instances else set()))
-    mode = header_mode or _mode_for_domain(domain)
-
-    for inst in instances:
-        unknown = inst.emotions - set(inventory)
-        if unknown:
-            raise CorpusFormatError(
-                f"id {inst.id!r}: unknown labels {sorted(unknown)} (inventory {list(inventory)})")
-        if mode == SINGLE_LABEL and len(inst.emotions) != 1:
-            raise CorpusFormatError(
-                f"id {inst.id!r}: single-label corpus requires exactly one emotion, got {sorted(inst.emotions)}")
-    return Corpus(instances, tuple(inventory), mode)
+    # an ``other`` corpus without a declared inventory has the labels its records use
+    inventory = inventory or tuple(sorted(set().union(*(i.emotions for i in instances))))
+    return Corpus(instances, inventory, mode or MULTI_LABEL)
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    write_text(path, "".join(json.dumps({
+    """Write ``corpus`` so that :func:`load_corpus` reads it back equal: a corpus
+    whose domain fixes no mode and inventory (``other``, or no instances) starts
+    with a header that declares both."""
+    fixed = corpus.instances and corpus.instances[0].domain in _DOMAIN_LABELS
+    header = [] if fixed else [{"mode": corpus.mode, "inventory": list(corpus.emotion_inventory)}]
+    write_text(path, "".join(json.dumps(record) + "\n" for record in header + [{
         "id": inst.id, "text": inst.text,
         "emotions": sorted(inst.emotions),
         "cpm": list(inst.cpm), "domain": inst.domain,
-    }) + "\n" for inst in corpus))
+    } for inst in corpus]))
 
 
 def split_indices(n: int, ratio: float = 0.9, seed: int = 0) -> tuple[list[int], list[int]]:

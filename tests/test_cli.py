@@ -111,9 +111,14 @@ class TestExitCodes:
         # the bundled corpus is tec: its mode and inventory are the domain's
         ("header", {"mode": "multi-label"}, 1),
         ("header", {"inventory": ["x"]}, 1),
+        ("header", {"inventory": []}, 1),
+        # predictions.tsv could not hold these ids
+        ("id", "tec\t0000", 1),
+        ("id", "tec\n0000", 1),
     ], ids=["text-number", "emotions-number", "emotions-null", "emotions-nested",
             "cpm-null", "header-inventory-number", "header-array", "header-mode-on-tec",
-            "header-inventory-on-tec"])
+            "header-inventory-on-tec", "header-empty-inventory-on-tec", "id-tab",
+            "id-newline"])
     def test_malformed_record_is_data_error(self, field, value, line, tmp_path, tec_path,
                                             capsys):
         # the first record of the bundled corpus edited, or a header put before it
@@ -127,6 +132,25 @@ class TestExitCodes:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert run(["stats", bad, "--out", tmp_path]) == 2
+        assert f"line {line}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header,emotions,line", [
+        # only the first line can be a header, or this would train as multi-label
+        ([{"mode": "single-label"}, {"inventory": ["a", "b"]}], ["a", "b"], 2),
+        # a repeated name would score macro-F1 over 3 labels and write a model that
+        # predict cannot load
+        ([{"mode": "multi-label", "inventory": ["happy", "sad", "happy"]}], ["happy"], 1),
+        # predictions.tsv joins labels with spaces, where this would read as two
+        ([], ["very happy"], 1),
+    ], ids=["second-header-line", "inventory-repeats-a-name", "label-with-space"])
+    def test_malformed_other_corpus_is_data_error(self, header, emotions, line, tmp_path,
+                                                  capsys):
+        records = header + [{"id": f"o{i}", "text": f"text {i}", "emotions": emotions,
+                             "cpm": [0, 0, 0, 0, 0], "domain": "other"} for i in range(20)]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert run(["train", "--model", "emo-me-base", "--corpus", bad,
+                    "--out", tmp_path / "o"]) == 2
         assert f"line {line}:" in capsys.readouterr().err
 
     def test_unknown_domain_is_data_error_for_a_neural_model(self, tmp_path, tec_path, capsys):
