@@ -15,7 +15,7 @@ from .errors import (ConfigError, CorpusFormatError, DataError,
                      DimensionError, EmocompError, ResourceError, StateError)
 from .gradcheck import GradCheckReport, gradient_check
 from .losses import weighted_bce
-from .maxent import (AdvResources, FeatureSearchResult, MaxEntConfig, MaxEntModel,
+from .maxent import (AdvResources, MaxEntConfig, MaxEntModel, best_combination,
                      feature_combination_search, predict_maxent, train_maxent)
 from .metrics import (CooccurrenceTable, MetricsReport, agreement_degenerate,
                       cohen_kappa, cooccurrence_stats, evaluate)
@@ -34,8 +34,8 @@ __all__ = [
     "load_corpus", "save_corpus", "split_train_test", "kfold",
     "evaluate", "MetricsReport", "cohen_kappa", "agreement_degenerate",
     "cooccurrence_stats", "CooccurrenceTable",
-    "MaxEntConfig", "MaxEntModel", "AdvResources", "FeatureSearchResult",
-    "train_maxent", "predict_maxent", "feature_combination_search",
+    "MaxEntConfig", "MaxEntModel", "AdvResources",
+    "train_maxent", "predict_maxent", "feature_combination_search", "best_combination",
     "ModelConfig", "NeuralModel", "build_model", "default_config",
     "train_model", "save_checkpoint", "load_checkpoint",
     "ME_TAGS", "ALL_TAGS", "MeArtifact",

@@ -27,9 +27,10 @@ from pathlib import Path
 from .corpus import Corpus, COMPONENTS, load_corpus, kfold, split_train_test
 from .errors import ConfigError, DataError, EmocompError
 from .fileio import write_lines, write_text
-from .maxent import FEATURE_FLAGS
+from .maxent import FEATURE_FLAGS, best_combination
 from .metrics import (agreement_degenerate, cohen_kappa, cooccurrence_stats,
                       round_half_up)
+from .nn import NeuralModel
 from . import pipeline
 from .pipeline import ALL_TAGS, SETTINGS, setting
 
@@ -216,6 +217,8 @@ def _stored_model(args):
     """The stored model, the corpus and an embedder for it (eval, predict)."""
     settings, corpus, resources = gather_settings(args), load_corpus(args.corpus), _resources(args)
     model = pipeline.load_model(args.model_path, resources)
+    if isinstance(model, NeuralModel):   # embed with the seed the model was trained with
+        settings["seed"] = model.config.seed
     return model, corpus, pipeline.embedder(corpus, settings, resources)
 
 
@@ -293,20 +296,18 @@ def cmd_ablate(args) -> int:
     corpus = load_corpus(args.corpus)
     train_corpus, _ = split_train_test(corpus, ratio=setting(settings, "split_ratio"),
                                        seed=setting(settings, "seed"))
-    results = pipeline.search_features(train_corpus, settings, _resources(args))
+    tables = pipeline.search_features(train_corpus, settings, _resources(args))
     out = _out_dir(args)
     single_lines = ["component\tbase\t" + "\t".join(FEATURE_FLAGS)]
     best_lines = ["component\tbest_combination\tdev_f1"]
     full_lines = ["component\tcombination\tdev_f1"]
     for comp in COMPONENTS:
-        result = results[comp]
-        base = result.all_results[()]
-        row = [f"{base:.4f}"]
-        for flag in FEATURE_FLAGS:
-            row.append(f"{result.single_feature[flag]:.4f}" if flag in result.single_feature else "--")
+        scores, best = tables[comp], best_combination(tables[comp])
+        row = [f"{scores[combo]:.4f}" if combo in scores else "--"
+               for combo in [()] + [(flag,) for flag in FEATURE_FLAGS]]
         single_lines.append(comp + "\t" + "\t".join(row))
-        best_lines.append(f"{comp}\t{'+'.join(result.best) or '(none)'}\t{result.best_f1:.4f}")
-        for subset, f1 in sorted(result.all_results.items()):
+        best_lines.append(f"{comp}\t{'+'.join(best) or '(none)'}\t{scores[best]:.4f}")
+        for subset, f1 in sorted(scores.items()):
             full_lines.append(f"{comp}\t{'+'.join(subset) or '(none)'}\t{f1:.4f}")
     write_lines(out / "ablation_single_feature.tsv", single_lines)
     write_lines(out / "ablation_best.tsv", best_lines)

@@ -338,20 +338,14 @@ def available_flags(resources: AdvResources | None) -> tuple[str, ...]:
     return tuple(f for f, ok in zip(FEATURE_FLAGS, loaded) if ok)
 
 
-@dataclass
-class FeatureSearchResult:
-    best: tuple[str, ...]
-    best_f1: float
-    all_results: dict[tuple[str, ...], float]        # combination -> dev F1
-    single_feature: dict[str, float]                 # one flag at a time
-
-
 def feature_combination_search(X: np.ndarray, offsets: dict[str, tuple[int, int]],
                                Y: np.ndarray, components: tuple[str, ...],
                                train_rows: list[int] | slice, dev_rows: list[int] | slice,
-                               config: MaxEntConfig | None = None) -> dict[str, FeatureSearchResult]:
-    """Exhaustive search over all subsets of the feature blocks of ``X``,
-    selected per component by dev F1; ties go to fewer features.
+                               config: MaxEntConfig | None = None,
+                               ) -> dict[str, dict[tuple[str, ...], float]]:
+    """Exhaustive search over all subsets of the feature blocks of ``X``:
+    each component's score table, the dev F1 of every combination it
+    permits, in the order the combinations are searched.
 
     ``X`` and ``offsets`` come from :func:`build_cpm_adv_features` with every
     available flag; ``Y`` holds one 0/1 column per entry of ``components``.
@@ -373,15 +367,16 @@ def feature_combination_search(X: np.ndarray, offsets: dict[str, tuple[int, int]
     pred = predict_maxent(model, X[dev_rows])[0]
     report = evaluate(dict(enumerate(label_sets(targets[dev_rows], names))),
                       dict(enumerate(label_sets(pred, names))), names)
-    results: dict[str, dict[tuple[str, ...], float]] = {c: {} for c in components}
+    scores: dict[str, dict[tuple[str, ...], float]] = {c: {} for c in components}
     for (combo, j), name in zip(fits, names):
-        results[components[j]][combo] = report.per_class[name].f1
-    out = {}
-    for c, res in results.items():
-        best = max(res, key=lambda s: (res[s], -len(s)))
-        out[c] = FeatureSearchResult(best, res[best], res,
-                                     {f: res[(f,)] for f in flags if (f,) in res})
-    return out
+        scores[components[j]][combo] = report.per_class[name].f1
+    return scores
+
+
+def best_combination(scores: dict[tuple[str, ...], float]) -> tuple[str, ...]:
+    """The combination a score table picks: the highest dev F1, ties to fewer
+    flags, then to the combination searched first."""
+    return max(scores, key=lambda s: (scores[s], -len(s)))
 
 
 # ---------------------------------------------------------------------------

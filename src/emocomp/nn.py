@@ -87,10 +87,12 @@ class ModelConfig:
                      "fc_neurons_emo", "fc_neurons_combined", "minibatch_size", "epochs"):
             if np.min(getattr(self, name)) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("seed", "loss_weight_emo", "loss_weight_cpm",
-                     "task_weight_emo", "task_weight_cpm"):
+        for name in ("seed", "task_weight_emo", "task_weight_cpm"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("learning_rate", "loss_weight_emo", "loss_weight_cpm"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 

@@ -27,11 +27,10 @@ from .features import (DictionaryLexicon, TfIdfModel, load_embedding_file, load_
                        resolve_token_embeddings, tfidf_fit, tfidf_transform)
 from .fileio import write_text
 from .maxent import (BINARY, FEATURE_FLAGS, GOLD, MULTINOMIAL, PREDICTED, AdvResources,
-                     FeatureSearchResult, MaxEntConfig, MaxEntModel, available_flags,
+                     MaxEntConfig, MaxEntModel, available_flags, best_combination,
                      build_cpm_adv_features, combination_columns, combination_mask,
-                     combination_width, feature_combination_search,
-                     predict_maxent, split_labels, stack_component_features, stack_labels,
-                     train_maxent)
+                     combination_width, feature_combination_search, predict_maxent,
+                     split_labels, stack_component_features, stack_labels, train_maxent)
 from .metrics import MetricsReport, evaluate, label_sets
 from .nn import (NN_TAGS, Example, ModelConfig, NeuralModel, SingleTaskModel,
                  TrainingLog, build_model, default_config, load_checkpoint,
@@ -90,7 +89,6 @@ class MeArtifact:
     resources: AdvResources | None = None
     stack_source: str | None = None          # gold | predicted for emo-cpm-me-*
     cpm_artifact: "MeArtifact | None" = None  # predictor used for stacking
-    search_results: dict[str, FeatureSearchResult] = field(default_factory=dict)
 
     @property
     def emo_labels(self) -> tuple[str, ...]:
@@ -368,9 +366,9 @@ def train_component_me(corpus: Corpus, config: MaxEntConfig | None = None,
         X, offsets = build_cpm_adv_features(stemmed, [i.id for i in corpus], (), tfidf, None)
     else:
         artifact.tag = "cpm-me-adv"
-        artifact.resources, X, offsets, artifact.search_results = _adv_search(
+        artifact.resources, X, offsets, scores = _adv_search(
             corpus, stemmed, tfidf, config, resources, dev_ratio, seed)
-        artifact.combinations = {c: r.best for c, r in artifact.search_results.items()}
+        artifact.combinations = {c: best_combination(s) for c, s in scores.items()}
     mask = combination_mask(offsets, [artifact.combinations.get(c, ()) for c in COMPONENTS])
     model = train_maxent(X, Y, COMPONENTS, BINARY, X.shape[1], config, mask)
     artifact.component_models = split_labels(model, mask)
@@ -382,7 +380,7 @@ def _adv_search(corpus: Corpus, stemmed: list[list[str]], tfidf: TfIdfModel,
                 seed: int) -> tuple:
     """Cpm-ME-Adv's feature search on ``corpus``: the copy of ``resources``
     fit on it, the design matrix of every available block with the blocks'
-    spans, and each component's result."""
+    spans, and each component's score table."""
     ids = [i.id for i in corpus]
     resources = resources.fitted(ids)
     sub_rows, dev_rows = split_indices(len(corpus), 1.0 - dev_ratio, seed)
@@ -396,9 +394,9 @@ def _adv_search(corpus: Corpus, stemmed: list[list[str]], tfidf: TfIdfModel,
                                         available_flags(resources), tfidf, resources)
     n = len(sub_rows)
     Y = np.array([corpus.instances[r].cpm for r in order], dtype=float)
-    results = feature_combination_search(X, offsets, Y, COMPONENTS, slice(0, n),
-                                         slice(n, None), config)
-    return resources, X[np.argsort(order)], offsets, results
+    scores = feature_combination_search(X, offsets, Y, COMPONENTS, slice(0, n),
+                                        slice(n, None), config)
+    return resources, X[np.argsort(order)], offsets, scores
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +491,8 @@ def _me_config(settings: dict) -> MaxEntConfig:
 
 
 def search_features(corpus: Corpus, settings: dict,
-                    resources: dict) -> dict[str, FeatureSearchResult]:
-    """Each component's result of cpm-me-adv's feature search on ``corpus``,
+                    resources: dict) -> dict[str, dict[tuple[str, ...], float]]:
+    """Each component's score table of cpm-me-adv's feature search on ``corpus``,
     without the component fits that training adds after it."""
     stemmed = preprocess_corpus(corpus)
     return _adv_search(corpus, stemmed, tfidf_fit(stemmed), _me_config(settings),

@@ -194,6 +194,10 @@ class TestExitCodes:
         ("emo-me-base", "me_l2 = nan", {}, []),
         ("emo-me-base", "me_l2 = -1", {}, []),
         ("emo-me-base", "me_learning_rate = 1e300", {}, []),
+        ("emo-nn-base", "learning_rate = 0", {}, []),
+        ("emo-nn-base", "", {}, ["--learning-rate", "-0.001"]),
+        ("emo-nn-base", "loss_weight_emo = 0", {}, []),
+        ("cpm-nn-base", "loss_weight_cpm = 0", {}, []),
     ])
     def test_bad_config_value_is_config_error(self, tag, config, env, flags, tmp_path,
                                               tec_path, monkeypatch, capsys):
@@ -290,6 +294,22 @@ class TestTrainEvalPredict:
         assert run(["eval", "--model-path", out / "checkpoint.json",
                     "--corpus", overfit_path, "--out", tmp_path / "ev"]) == 0
         assert (tmp_path / "ev" / "metrics.json").exists()
+
+    def test_stored_checkpoint_embeds_with_its_training_seed(self, tmp_path, overfit_path,
+                                                             capsys):
+        # hashed fallback embeddings are a function of the seed: eval and
+        # predict embed with the stored one, whatever the run's --seed
+        out = tmp_path / "run"
+        assert run(["train", "--model", "emo-nn-base", "--corpus", overfit_path,
+                    "--out", out, "--seed", "1", "--epochs", "2"]) == 0
+        for verb in ("eval", "predict"):
+            written = []
+            for name, seed in (("1", ["--seed", "1"]), ("7", ["--seed", "7"]), ("none", [])):
+                dest = tmp_path / verb / name
+                assert run([verb, "--model-path", out / "checkpoint.json", "--corpus",
+                            overfit_path, "--out", dest, *seed]) == 0
+                written.append({p.name: p.read_bytes() for p in dest.iterdir()})
+            assert written[0] and written[1] == written[0] and written[2] == written[0]
 
     def test_metrics_reports_byte_identical_across_reruns(self, tmp_path, overfit_path, capsys):
         for name in ("a", "b"):
@@ -483,7 +503,8 @@ class TestModelFiles:
         # each stored config value has its field default's type, and the
         # labels and the component count are checked too
         for key, value in [("learning_rate", True), ("loss_weight_emo", float("nan")),
-                           ("per_channel_stitch", "yes")]:
+                           ("per_channel_stitch", "yes"), ("learning_rate", 0.0),
+                           ("loss_weight_emo", 0.0), ("loss_weight_cpm", 0.0)]:
             variant(f"config_{key}_{value}", lambda p, k=key, v=value: p["config"].update({k: v}),
                     checkpoint)
         variant("components_7", lambda p: p.update(components=7), checkpoint)

@@ -11,7 +11,7 @@ from emocomp.errors import ConfigError, DataError, DimensionError, ResourceError
 from emocomp.features import (DictionaryLexicon, EmbeddingTable, load_tagged_sidecar,
                               load_vector_sidecar, tfidf_fit, tfidf_transform)
 from emocomp.maxent import (BINARY, FEATURE_FLAGS, MULTINOMIAL, AdvResources,
-                            FeatureSearchResult, available_flags, MaxEntConfig,
+                            available_flags, best_combination, MaxEntConfig,
                             MaxEntModel, build_cpm_adv_features, combination_columns, combination_width,
                             feature_combination_search, permits,
                             predict_maxent, split_labels,
@@ -447,10 +447,11 @@ class TestFeatureSearch:
         pos = {i: (["NN"] if label else ["JJ"]) for i, label in zip(ids, y)}
         res = AdvResources(lexicons=[DictionaryLexicon("c", frozenset({"zzz"}))],
                            pos_tags=pos).fitted(ids)
-        result = search(stemmed, ids, y, ("motor_expressions",), res, 30)["motor_expressions"]
-        assert "pos_tags" in result.best
-        assert result.best_f1 == max(result.all_results.values())
-        assert result.best_f1 >= result.all_results[()]
+        scores = search(stemmed, ids, y, ("motor_expressions",), res, 30)["motor_expressions"]
+        best = best_combination(scores)
+        assert "pos_tags" in best
+        assert scores[best] == max(scores.values())
+        assert scores[best] >= scores[()]
 
     def test_tie_prefers_fewer_features(self):
         # uninformative resources everywhere: all combinations tie, so the
@@ -459,8 +460,16 @@ class TestFeatureSearch:
         y = ([0, 1] * 10)
         stemmed = [["aaa"] if label else ["bbb"] for label in y]
         res = AdvResources(lexicons=[DictionaryLexicon("c", frozenset({"zzz"}))])
-        result = search(stemmed, ids, y, ("motor_expressions",), res, 14)["motor_expressions"]
-        assert result.best == ()
+        scores = search(stemmed, ids, y, ("motor_expressions",), res, 14)["motor_expressions"]
+        assert best_combination(scores) == ()
+
+    def test_best_combination_rule(self):
+        # the highest dev F1; ties go to fewer flags, then to the first searched
+        scores = {(): 0.5, ("pos_tags",): 0.75, ("dictionaries",): 0.75,
+                  ("dictionaries", "pos_tags"): 0.75, ("word_embeddings",): 0.25}
+        assert best_combination(scores) == ("pos_tags",)
+        assert best_combination({**scores, ("dictionaries", "pos_tags"): 0.8}) == (
+            "dictionaries", "pos_tags")
 
     def test_joint_search_equals_per_component_search(self):
         # appraisal combinations apply to the cognitive component only; every
@@ -475,18 +484,19 @@ class TestFeatureSearch:
                            pos_tags=pos, appraisal=appraisal).fitted(ids)
         comps = ("cognitive_appraisal", "motor_expressions")
         joint = search(stemmed, ids, Y, comps, res, 30)
-        assert len(joint["cognitive_appraisal"].all_results) == 8
-        assert len(joint["motor_expressions"].all_results) == 4
-        assert "appraisal_predictions" not in joint["motor_expressions"].single_feature
+        assert len(joint["cognitive_appraisal"]) == 8
+        assert len(joint["motor_expressions"]) == 4
+        assert ("appraisal_predictions",) not in joint["motor_expressions"]
         for j, comp in enumerate(comps):
             alone = search(stemmed, ids, Y[:, j], (comp,), res, 30)[comp]
-            assert alone.all_results == joint[comp].all_results
-            assert alone.best == joint[comp].best
+            assert alone == joint[comp]
+            assert best_combination(alone) == best_combination(joint[comp])
 
 
 def per_combination_search(X, offsets, Y, components, train_rows, dev_rows, config):
     """The search as it was before the joint fit: one fit per combination,
-    over that combination's columns only, for every component it permits."""
+    over that combination's columns only, for every component it permits;
+    each component's score table."""
     Y = np.asarray(Y).reshape(len(Y), -1)
     flags = tuple(f for f in FEATURE_FLAGS if f in offsets)
     results = {c: {} for c in components}
@@ -505,12 +515,7 @@ def per_combination_search(X, offsets, Y, components, train_rows, dev_rows, conf
                               dict(enumerate(label_sets(pred, labels))), labels)
             for c in labels:
                 results[c][combo] = report.per_class[c].f1
-    out = {}
-    for c, res in results.items():
-        best = max(res, key=lambda s: (res[s], -len(s)))
-        out[c] = FeatureSearchResult(best, res[best], res,
-                                     {f: res[(f,)] for f in flags if (f,) in res})
-    return out
+    return results
 
 
 class TestJointSearch:
@@ -542,14 +547,16 @@ class TestJointSearch:
                                                rows[45:], self.CONFIG)
             alone = per_combination_search(X, offsets, Y, self.COMPONENTS, rows[:45],
                                            rows[45:], self.CONFIG)
-        assert len(joint["cognitive_appraisal"].all_results) == 16
-        assert len(joint["motor_expressions"].all_results) == 8
+        assert len(joint["cognitive_appraisal"]) == 16
+        assert len(joint["motor_expressions"]) == 8
         for comp in self.COMPONENTS:
-            assert joint[comp].all_results == alone[comp].all_results
-            assert joint[comp].best == alone[comp].best
-            assert joint[comp].best_f1 == alone[comp].best_f1
-            assert joint[comp].single_feature == alone[comp].single_feature
-        assert len(set(joint["cognitive_appraisal"].all_results.values())) > 1
+            best = best_combination(joint[comp])
+            assert joint[comp] == alone[comp]
+            assert best == best_combination(alone[comp])
+            assert joint[comp][best] == alone[comp][best]
+            assert ({s: f1 for s, f1 in joint[comp].items() if len(s) == 1}
+                    == {s: f1 for s, f1 in alone[comp].items() if len(s) == 1})
+        assert len(set(joint["cognitive_appraisal"].values())) > 1
 
     def test_single_class_warned_once(self):
         X, offsets, Y = self.design()

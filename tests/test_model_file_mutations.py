@@ -18,7 +18,10 @@ nothing, or drops or duplicates the line.
 
 A sweep drops every member of a model file, at any depth, and replaces it
 with ``"x"`` (a boolean also with its negation): ``predict`` must exit 2,
-except for the members listed with the reason they may be missing.
+except for the members listed with the reason they may be missing. One
+swept model is a cpm-me-adv model whose combinations read the lexicons,
+POS tags, embeddings and appraisal predictions; its predicts read the
+sidecar files.
 
 Each stored number of both model families passes one rule
 (``errors.stored_numbers``): a table of values in a checkpoint parameter and
@@ -35,8 +38,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emocomp import pipeline
 from emocomp.cli import main
 from emocomp.corpus import COMPONENTS, load_corpus
+from emocomp.maxent import FEATURE_FLAGS
 from emocomp.nn import ModelConfig, SingleTaskModel, build_model, read_model_text, save_checkpoint
 
 TAGS = ["emo-cpm-nn-pred", "mtl-xs", "emo-cpm-me-pred"]
@@ -48,7 +53,7 @@ BAD_FIELDS = ["x", "nan", "1e400", "-1", ""]
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """The tiny corpus and the three model files, parsed."""
+    """The tiny corpus and the four model files, parsed."""
     root = tmp_path_factory.mktemp("mutations")
     source = Path(__file__).resolve().parent.parent / "data" / "synthetic_tec.jsonl"
     corpus = root / "corpus.jsonl"
@@ -73,7 +78,35 @@ def files(tmp_path_factory):
     assert main(["train", "--model", "emo-cpm-me-pred", "--corpus", str(corpus),
                  "--config", str(root / "cfg.txt"), "--out", str(root / "me")]) == 0
     docs["emo-cpm-me-pred"] = json.loads((root / "me" / "model.json").read_text())
+    # cpm-me-adv with each component's combination of the most flags, so
+    # that together they read the lexicons and all three resource files
+    instances = load_corpus(corpus).instances
+    (root / "pos.tsv").write_text("".join(
+        f"{i.id}\t{' '.join('NN' if len(w) > 4 else 'VB' for w in i.text.split())}\n"
+        for i in instances), encoding="utf-8")
+    (root / "appraisal.tsv").write_text("".join(
+        f"{i.id}\t{0.2 + 0.6 * i.cpm[0]:.1f} 0.5\n" for i in instances), encoding="utf-8")
+    tokens = sorted({w for i in instances for w in i.text.lower().split()})
+    (root / "embeddings.txt").write_text("".join(
+        f"{t} {0.1 * (k % 7):.1f} {0.1 * (k % 3):.1f}\n" for k, t in enumerate(tokens)),
+        encoding="utf-8")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "best_combination", lambda scores: max(scores, key=len))
+        assert main(["train", "--model", "cpm-me-adv", "--corpus", str(corpus),
+                     "--config", str(root / "cfg.txt"), *resource_flags(root, "cpm-me-adv"),
+                     "--out", str(root / "adv")]) == 0
+    docs["cpm-me-adv"] = json.loads((root / "adv" / "model.json").read_text())
+    assert {f for combo in docs["cpm-me-adv"]["combinations"].values()
+            for f in combo} == set(FEATURE_FLAGS)
     return root, corpus, docs
+
+
+def resource_flags(root, tag):
+    """The resource files a predict of model ``tag`` reads."""
+    if tag != "cpm-me-adv":
+        return []
+    return ["--pos-sidecar", str(root / "pos.tsv"), "--embeddings", str(root / "embeddings.txt"),
+            "--appraisal-sidecar", str(root / "appraisal.tsv")]
 
 
 @st.composite
@@ -211,6 +244,7 @@ DROPPABLE = {
         "cpm_artifact/resources": UNREAD,
         **{f"cpm_artifact/resources/lexicons/{c}": UNREAD for c in COMPONENTS},
     },
+    "cpm-me-adv": {},   # its combinations read every resource, so it needs every member
 }
 
 
@@ -233,7 +267,8 @@ def test_every_member_dropped_or_mistyped_is_data_error(tag, files):
                 parent[where[-1]] = edit
             path.write_text(json.dumps(doc))
             code = main(["predict", "--model-path", str(path), "--corpus", str(corpus),
-                         "--fallback-dim", "8", "--out", str(root / "out")])
+                         "--fallback-dim", "8", *resource_flags(root, tag),
+                         "--out", str(root / "out")])
             assert code == 2 or (code == 0 and edit is DROP), (where, edit, code)
             if code == 0:
                 exit_0.add("/".join(map(str, where)))

@@ -98,6 +98,15 @@ class TestConfig:
         with pytest.raises(DataError, match=field):
             ModelConfig.from_dict({**ModelConfig().to_dict(), field: value})
 
+    @pytest.mark.parametrize("field", ["learning_rate", "loss_weight_emo", "loss_weight_cpm"])
+    @pytest.mark.parametrize("value", [0.0, -0.5])
+    def test_rate_and_loss_weights_are_positive(self, field, value):
+        # training would reject them in Adam or in the weighted loss
+        with pytest.raises(ConfigError, match=f"{field} must be > 0"):
+            ModelConfig(**{field: value})
+        with pytest.raises(DataError, match=field):
+            ModelConfig.from_dict({**ModelConfig().to_dict(), field: value})
+
     def test_published_defaults_present(self):
         for tag in ("emo-nn-base", "cpm-nn-base", "emo-cpm-nn-gold",
                     "emo-cpm-nn-pred", "mtl-mh", "mtl-xs"):

@@ -9,8 +9,9 @@ from emocomp.corpus import COMPONENTS, Corpus, load_corpus, split_train_test
 from emocomp.errors import ConfigError, DataError, ResourceError
 from emocomp.features import DictionaryLexicon, EmbeddingTable, tfidf_transform
 from emocomp.maxent import (BINARY, AdvResources, MaxEntConfig, available_flags,
-                            build_cpm_adv_features, combination_columns, combination_width,
-                            predict_maxent, split_labels, train_maxent)
+                            best_combination, build_cpm_adv_features, combination_columns,
+                            combination_width, feature_combination_search, predict_maxent,
+                            split_labels, train_maxent)
 from emocomp import pipeline
 from emocomp.pipeline import (ALL_TAGS, ME_TAGS, embeddings_for, evaluate_model,
                               evaluate_neural, load_me_artifact, load_model, preprocess,
@@ -102,14 +103,23 @@ class TestComponentMe:
         report = evaluate_model(art, test)
         assert set(report.per_class) == set(COMPONENTS)
 
-    def test_adv_runs_search_per_component(self, tec):
+    def test_adv_runs_search_per_component(self, tec, monkeypatch):
+        searched = []   # the score tables of each search training runs
+
+        def search(*args):
+            searched.append(feature_combination_search(*args))
+            return searched[-1]
+
+        monkeypatch.setattr(pipeline, "feature_combination_search", search)
         res = AdvResources(lexicons=[DictionaryLexicon("c", frozenset({"furious", "scare"}))])
         train, _ = split_train_test(tec, seed=0)
         art = train_component_me(train, FAST, res, seed=0)
         assert art.tag == "cpm-me-adv"
-        assert set(art.search_results) == set(COMPONENTS)
-        for comp, result in art.search_results.items():
-            assert result.best_f1 >= result.all_results[()]
+        [tables] = searched
+        assert set(tables) == set(COMPONENTS)
+        for comp, scores in tables.items():
+            assert art.combinations[comp] == best_combination(scores)
+            assert scores[art.combinations[comp]] >= scores[()]
 
 
 class TestComponentFit:
