@@ -201,9 +201,9 @@ def cmd_train(args) -> int:
     train_corpus, test_corpus = split_train_test(corpus, ratio=ratio, seed=setting(settings, "seed"))
     if not len(test_corpus):
         raise ConfigError(f"split_ratio {ratio} leaves no test instances among {len(corpus)}")
-    out = _out_dir(args)
     embed = pipeline.embedder(corpus, settings, resources)
     model, log_lines = pipeline.train_tag(args.model, train_corpus, settings, resources, embed)
+    out = _out_dir(args)
     pipeline.save_model(model, out)
     report = pipeline.evaluate_model(model, test_corpus, embed)
     _write_metrics(out, "metrics_test", report)
@@ -231,13 +231,12 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     model, corpus, embed = _stored_model(args)
-    out = _out_dir(args)
     emotions, components = pipeline.predict(model, corpus, embed)
     no_labels = [set()] * len(corpus)
     lines = ["id\temotions\tcpm"] + [
         f"{inst.id}\t{' '.join(sorted(labels))}\t{' '.join(c for c in COMPONENTS if c in comps)}"
         for inst, labels, comps in zip(corpus, emotions or no_labels, components or no_labels)]
-    write_lines(out / "predictions.tsv", lines)
+    write_lines(_out_dir(args) / "predictions.tsv", lines)
     print("\n".join(lines[:11]))
     return 0
 

@@ -4,13 +4,14 @@ All variants share the same trunk: BiLSTM over per-token embeddings,
 multi-kernel CNN with max-over-time pooling, then fully connected layers
 into per-class sigmoid outputs. On top of that trunk:
 
-* single-task emotion / component models,
+* single-task emotion / component models, each an FC layer and a sigmoid
+  output (a task's head) on one trunk; the multi-head model (MTL-MH) is the
+  single-task model with both heads on its one trunk,
 * component injection: a 5-flag vector through its own layer,
   concatenated into a combining layer; the flags are the gold annotations,
   or (emo-cpm-nn-pred) the predictions of a frozen component model,
-* a multi-head model with one shared trunk and two output heads,
 * a cross-stitch model with two parallel trunks whose pooled vectors are
-  mixed by a trainable 2x2 matrix.
+  mixed by a trainable 2x2 matrix, then the same two heads.
 
 A forward pass takes a whole minibatch: a zero-padded B x T_max x d
 embedding array and the length of each example, or one T x d example as a
@@ -117,7 +118,11 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """Rebuild a stored config; unknown keys or mistyped values are data errors."""
+        """Rebuild a stored config; a missing, unknown or mistyped field is a data error."""
+        if isinstance(d, dict):
+            missing = [name for name in cls.__dataclass_fields__ if name not in d]
+            if missing:
+                raise DataError(f"stored model config lacks {', '.join(missing)}")
         try:
             return cls(**d)
         except (TypeError, ConfigError) as exc:
@@ -282,6 +287,27 @@ class NeuralModel:
         to apply after each layer in ``_dropped``."""
         raise NotImplementedError
 
+    def _add_heads(self, width: int, rng: np.random.Generator) -> None:
+        """An FC layer and a sigmoid output per task, emotions first, on a ``width``-wide input."""
+        cfg = self.config
+        if self.has_emo:
+            if not self.emo_labels:
+                raise ConfigError("emotion head needs a label inventory")
+            self.fc_emo = Dense(width, cfg.fc_neurons_emo, rng, "emo.fc", "relu")
+            self.out_emo = Dense(cfg.fc_neurons_emo, len(self.emo_labels), rng, "emo.out", "sigmoid")
+        if self.has_cpm:
+            self.fc_cpm = Dense(width, cfg.fc_neurons_cpm, rng, "cpm.fc", "relu")
+            self.out_cpm = Dense(cfg.fc_neurons_cpm, N_COMPONENTS, rng, "cpm.out", "sigmoid")
+
+    def _heads(self, emo: Tensor, cpm: Tensor, drop) -> dict[str, Tensor]:
+        """The output of each task's head on its input, with dropout after its FC layer."""
+        out = {}
+        if self.has_emo:
+            out["emo"] = self.out_emo(drop(self.fc_emo(emo)))
+        if self.has_cpm:
+            out["cpm"] = self.out_cpm(drop(self.fc_cpm(cpm)))
+        return out
+
     def loss(self, outputs: dict[str, Tensor], y_emo=None, y_cpm=None) -> Tensor:
         """Mean loss over the batch: each example's task-weighted losses,
         added example by example, times 1/B. Targets have one row per
@@ -331,37 +357,47 @@ class NeuralModel:
             p.data, p.grad = arrays[p.name], np.zeros_like(arrays[p.name])
 
 
-class SingleTaskModel(NeuralModel):
-    """Emo-NN-Base / Cpm-NN-Base: one trunk, one FC layer, one sigmoid head."""
+class SharedTrunkModel(NeuralModel):
+    """Emo-NN-Base, Cpm-NN-Base and MTL-MH: one trunk, sized and named for
+    the first task, then one head per task, emotions first. With
+    task_weight_cpm == 0, MTL-MH's parameters follow Emo-NN-Base's."""
+
+    TASKS = {"emo-nn-base": ("emo",), "cpm-nn-base": ("cpm",), "mtl-mh": ("emo", "cpm")}
+
+    def __init__(self, tag: str, config: ModelConfig, input_dim: int,
+                 emo_labels: tuple[str, ...] = ()):
+        super().__init__(config, input_dim)
+        tasks = self.TASKS[tag]
+        self.tag = tag
+        self.has_emo, self.has_cpm = "emo" in tasks, "cpm" in tasks
+        self.emo_labels = tuple(emo_labels) if self.has_emo else ()
+        rng = np.random.default_rng(config.seed)
+        size = 0 if self.has_emo else 1   # the emo or the cpm entry of each size pair
+        self.trunk = _Trunk(input_dim, config.bilstm_units[size], config.cnn_filters[size],
+                            config.kernel_sizes, rng, tasks[0])
+        self._add_heads(self.trunk.out_dim, rng)
+        self._dropped = ("trunk", *(f"fc_{task}" for task in tasks))
+
+    def _forward(self, x, lengths, drop, cpm):
+        pooled = self.trunk(x, lengths, drop)
+        return self._heads(pooled, pooled, drop)
+
+
+class SingleTaskModel(SharedTrunkModel):
+    """Emo-NN-Base (``head`` "emo") or Cpm-NN-Base (``head`` "cpm")."""
 
     def __init__(self, config: ModelConfig, input_dim: int, head: str,
                  emo_labels: tuple[str, ...] = ()):
-        super().__init__(config, input_dim)
         if head not in ("emo", "cpm"):
             raise ConfigError(f"head must be 'emo' or 'cpm', got {head!r}")
-        self.head = head
-        self.has_emo = head == "emo"
-        self.has_cpm = head == "cpm"
-        self.tag = "emo-nn-base" if self.has_emo else "cpm-nn-base"
-        self.emo_labels = tuple(emo_labels)
-        rng = np.random.default_rng(config.seed)
-        if self.has_emo:
-            units, filters, fc = config.units_emo, config.filters_emo, config.fc_neurons_emo
-            n_out = len(self.emo_labels)
-            if n_out == 0:
-                raise ConfigError("emotion head needs a label inventory")
-        else:
-            units, filters, fc = config.units_cpm, config.filters_cpm, config.fc_neurons_cpm
-            n_out = N_COMPONENTS
-        self.trunk = _Trunk(input_dim, units, filters, config.kernel_sizes, rng, head)
-        self.fc = Dense(self.trunk.out_dim, fc, rng, f"{head}.fc", activation="relu")
-        self.out = Dense(fc, n_out, rng, f"{head}.out", activation="sigmoid")
+        super().__init__(f"{head}-nn-base", config, input_dim, emo_labels)
 
-    _dropped = ("trunk", "fc")
 
-    def _forward(self, x, lengths, drop, cpm):
-        hidden = drop(self.fc(self.trunk(x, lengths, drop)))
-        return {self.head: self.out(hidden)}
+class MtlMultiHead(SharedTrunkModel):
+    """MTL-MH: the single-task model with both heads on its one trunk."""
+
+    def __init__(self, config: ModelConfig, input_dim: int, emo_labels: tuple[str, ...]):
+        super().__init__("mtl-mh", config, input_dim, emo_labels)
 
 
 class CpmInjectModel(NeuralModel):
@@ -374,7 +410,7 @@ class CpmInjectModel(NeuralModel):
     has_emo = True
 
     def __init__(self, config: ModelConfig, input_dim: int, emo_labels: tuple[str, ...],
-                 frozen_cpm: SingleTaskModel | None = None):
+                 frozen_cpm: SharedTrunkModel | None = None):
         super().__init__(config, input_dim)
         self.emo_labels = tuple(emo_labels)
         rng = np.random.default_rng(config.seed)
@@ -417,35 +453,6 @@ class CpmInjectModel(NeuralModel):
         return out
 
 
-class MtlMultiHead(NeuralModel):
-    """MTL-MH: shared trunk, two task-specific FC+output heads, joint loss."""
-
-    tag = "mtl-mh"
-    has_emo = True
-    has_cpm = True
-
-    def __init__(self, config: ModelConfig, input_dim: int, emo_labels: tuple[str, ...]):
-        super().__init__(config, input_dim)
-        self.emo_labels = tuple(emo_labels)
-        rng = np.random.default_rng(config.seed)
-        # trunk and emotion head first: with task_weight_cpm == 0 this makes
-        # the parameter trajectory match the single-task emotion model
-        self.trunk = _Trunk(input_dim, config.units_emo, config.filters_emo,
-                            config.kernel_sizes, rng, "emo")
-        self.fc_emo = Dense(self.trunk.out_dim, config.fc_neurons_emo, rng, "emo.fc", "relu")
-        self.out_emo = Dense(config.fc_neurons_emo, len(self.emo_labels), rng, "emo.out", "sigmoid")
-        self.fc_cpm = Dense(self.trunk.out_dim, config.fc_neurons_cpm, rng, "cpm.fc", "relu")
-        self.out_cpm = Dense(config.fc_neurons_cpm, N_COMPONENTS, rng, "cpm.out", "sigmoid")
-
-    _dropped = ("trunk", "fc_emo", "fc_cpm")
-
-    def _forward(self, x, lengths, drop, cpm):
-        pooled = self.trunk(x, lengths, drop)
-        he = drop(self.fc_emo(pooled))
-        hc = drop(self.fc_cpm(pooled))
-        return {"emo": self.out_emo(he), "cpm": self.out_cpm(hc)}
-
-
 class MtlCrossStitch(NeuralModel):
     """MTL-XS: two parallel trunks whose pooled activations are mixed by a
     trainable 2x2 matrix before the task-specific layers.
@@ -477,10 +484,7 @@ class MtlCrossStitch(NeuralModel):
         if config.per_channel_stitch:
             alpha_init = filled((2, 2, self.width), alpha_init[:, :, None])
         self.alpha = Parameter(alpha_init, "stitch.alpha", frozen=freeze_stitch)
-        self.fc_emo = Dense(self.width, config.fc_neurons_emo, rng, "emo.fc", "relu")
-        self.out_emo = Dense(config.fc_neurons_emo, len(self.emo_labels), rng, "emo.out", "sigmoid")
-        self.fc_cpm = Dense(self.width, config.fc_neurons_cpm, rng, "cpm.fc", "relu")
-        self.out_cpm = Dense(config.fc_neurons_cpm, N_COMPONENTS, rng, "cpm.out", "sigmoid")
+        self._add_heads(self.width, rng)
 
     def set_identity_stitch(self) -> None:
         ident = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -496,26 +500,20 @@ class MtlCrossStitch(NeuralModel):
         if self.proj_emo is not None:
             pe = self.proj_emo(pe)
             pc = self.proj_cpm(pc)
-        he = drop(self.fc_emo(stitch(self.alpha, 0, pe, pc)))
-        hc = drop(self.fc_cpm(stitch(self.alpha, 1, pe, pc)))
-        return {"emo": self.out_emo(he), "cpm": self.out_cpm(hc)}
+        return self._heads(stitch(self.alpha, 0, pe, pc), stitch(self.alpha, 1, pe, pc), drop)
 
 
 def build_model(tag: str, config: ModelConfig, input_dim: int,
                 emo_labels: tuple[str, ...] = (),
-                frozen_cpm: SingleTaskModel | None = None) -> NeuralModel:
-    if tag == "emo-nn-base":
-        return SingleTaskModel(config, input_dim, "emo", emo_labels)
-    if tag == "cpm-nn-base":
-        return SingleTaskModel(config, input_dim, "cpm")
+                frozen_cpm: SharedTrunkModel | None = None) -> NeuralModel:
+    if tag in SharedTrunkModel.TASKS:
+        return SharedTrunkModel(tag, config, input_dim, emo_labels)
     if tag == "emo-cpm-nn-gold":
         return CpmInjectModel(config, input_dim, emo_labels)
     if tag == "emo-cpm-nn-pred":
         if frozen_cpm is None:
             raise ConfigError("emo-cpm-nn-pred needs a trained component model")
         return CpmInjectModel(config, input_dim, emo_labels, frozen_cpm)
-    if tag == "mtl-mh":
-        return MtlMultiHead(config, input_dim, emo_labels)
     if tag == "mtl-xs":
         return MtlCrossStitch(config, input_dim, emo_labels)
     raise ConfigError(f"unknown neural model tag {tag!r}")
@@ -751,8 +749,8 @@ def load_checkpoint(payload: dict) -> NeuralModel:
     try:
         # the stored config's shapes, allocated only as load_state sets them
         with shapes_only():
-            frozen = (None if tag != "emo-cpm-nn-pred" else SingleTaskModel(
-                ModelConfig.from_dict(payload["frozen_cpm_config"]), input_dim, "cpm"))
+            frozen = (None if tag != "emo-cpm-nn-pred" else SharedTrunkModel(
+                "cpm-nn-base", ModelConfig.from_dict(payload["frozen_cpm_config"]), input_dim))
             model = build_model(tag, config, input_dim, labels, frozen_cpm=frozen)
     except ValueError as exc:   # a parameter larger than any array can be
         raise DataError(f"stored model config is invalid: {exc}") from exc

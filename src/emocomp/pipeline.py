@@ -32,7 +32,7 @@ from .maxent import (BINARY, FEATURE_FLAGS, GOLD, MULTINOMIAL, PREDICTED, AdvRes
                      combination_width, feature_combination_search, predict_maxent,
                      split_labels, stack_component_features, stack_labels, train_maxent)
 from .metrics import MetricsReport, evaluate, label_sets
-from .nn import (NN_TAGS, Example, ModelConfig, NeuralModel, SingleTaskModel,
+from .nn import (NN_TAGS, Example, ModelConfig, NeuralModel, SharedTrunkModel,
                  TrainingLog, build_model, default_config, load_checkpoint,
                  predict_examples, read_model_text, save_checkpoint, train_model)
 from .text import stem_tokens, tokenize
@@ -426,7 +426,7 @@ def embeddings_for(corpus: Corpus, store_path: str | None = None,
 def train_neural(tag: str, train_corpus: Corpus, config: ModelConfig,
                  embeddings: dict[str, np.ndarray], input_dim: int,
                  dev_ratio: float = 0.1,
-                 frozen_cpm: SingleTaskModel | None = None) -> tuple[NeuralModel, TrainingLog]:
+                 frozen_cpm: SharedTrunkModel | None = None) -> tuple[NeuralModel, TrainingLog]:
     train_split, dev_split = split_train_test(train_corpus, ratio=1.0 - dev_ratio,
                                               seed=config.seed)
     model = build_model(tag, config, input_dim, train_corpus.emotion_inventory,

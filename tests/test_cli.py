@@ -311,6 +311,23 @@ class TestTrainEvalPredict:
                 written.append({p.name: p.read_bytes() for p in dest.iterdir()})
             assert written[0] and written[1] == written[0] and written[2] == written[0]
 
+    def test_failed_train_or_predict_saves_nothing(self, tmp_path, overfit_path, capsys):
+        # each fails after its arguments were accepted, and leaves no --out
+        (tmp_path / "cfg.txt").write_text("me_iterations = 0\n")
+        assert run(["train", "--model", "emo-nn-base", "--corpus", overfit_path,
+                    "--out", tmp_path / "run", "--epochs", "1"]) == 0
+        failing = [
+            ["train", "--model", "emo-nn-base", "--corpus", overfit_path, "--learning-rate", "0"],
+            ["train", "--model", "emo-me-base", "--corpus", overfit_path,
+             "--config", tmp_path / "cfg.txt"],
+            ["predict", "--model-path", tmp_path / "run" / "checkpoint.json",
+             "--corpus", overfit_path, "--fallback-dim", "8"],
+        ]
+        for i, argv in enumerate(failing):
+            out = tmp_path / f"failed{i}"
+            assert run([*argv, "--out", out]) == 1, argv
+            assert not out.exists(), argv
+
     def test_metrics_reports_byte_identical_across_reruns(self, tmp_path, overfit_path, capsys):
         for name in ("a", "b"):
             assert run(["train", "--model", "emo-nn-base", "--corpus", overfit_path,
@@ -478,6 +495,7 @@ class TestModelFiles:
         variant("params_list", lambda p: p.update(params=[]), checkpoint)
         variant("checkpoint_version_true", lambda p: p.update(version=True), checkpoint)
         variant("unknown_config_key", lambda p: p["config"].update(mystery=1), checkpoint)
+        variant("seedless_config", lambda p: p["config"].pop("seed"), checkpoint)
         variant("text_input_dim", lambda p: p.update(input_dim="x"), checkpoint)
         variant("text_kernel_sizes", lambda p: p["config"].update(kernel_sizes="ab"), checkpoint)
         variant("number_emo_labels", lambda p: p.update(emo_labels=5), checkpoint)
@@ -520,6 +538,13 @@ class TestModelFiles:
         save_checkpoint(stitched, tmp_path / "stitched.json")
         variant("huge_per_channel_stitch", lambda p: p["config"].update(cnn_filters=10**9),
                 json.loads((tmp_path / "stitched.json").read_text()))
+        tiny = ModelConfig(bilstm_units=2, cnn_filters=2, kernel_sizes=(2,), fc_neurons_emo=2,
+                           fc_neurons_cpm=2, fc_neurons_combined=2)
+        injected = build_model("emo-cpm-nn-pred", tiny, 4, ("joy", "sadness"),
+                               frozen_cpm=build_model("cpm-nn-base", tiny, 4))
+        save_checkpoint(injected, tmp_path / "injected.json")
+        variant("seedless_frozen_cpm_config", lambda p: p["frozen_cpm_config"].pop("seed"),
+                json.loads((tmp_path / "injected.json").read_text()))
         for bad in bad_files:
             assert run([verb, "--model-path", bad, "--corpus", tec_path,
                         "--out", tmp_path / "o"]) == 2

@@ -228,16 +228,10 @@ def members(node, path=()):
         yield from members(node[0], path + (0,))
 
 
-DEFAULTS = "a training setting, which defaults when missing"
 UNREAD = "read by no stored combination"
 # each member whose removal still predicts (exit 0), with its reason
 DROPPABLE = {
-    "mtl-xs": {
-        **{f"config/{key}": DEFAULTS
-           for key in ("loss_weight_emo", "loss_weight_cpm", "task_weight_emo", "task_weight_cpm",
-                       "minibatch_size", "dropout_rate", "learning_rate", "epochs", "seed")},
-        "config/fc_neurons_combined": "the size of a layer mtl-xs does not have, which defaults",
-    },
+    "mtl-xs": {},   # a stored config holds every field
     "emo-cpm-me-pred": {
         **{f"cpm_artifact/combinations/{c}": "TF-IDF alone, as a missing combination reads"
            for c in COMPONENTS},

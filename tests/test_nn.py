@@ -107,6 +107,12 @@ class TestConfig:
         with pytest.raises(DataError, match=field):
             ModelConfig.from_dict({**ModelConfig().to_dict(), field: value})
 
+    def test_stored_config_needs_every_field(self):
+        stored = toy_config().to_dict()
+        del stored["seed"], stored["epochs"]
+        with pytest.raises(DataError, match="lacks epochs, seed"):
+            ModelConfig.from_dict(stored)
+
     def test_published_defaults_present(self):
         for tag in ("emo-nn-base", "cpm-nn-base", "emo-cpm-nn-gold",
                     "emo-cpm-nn-pred", "mtl-mh", "mtl-xs"):
@@ -154,6 +160,14 @@ class TestForward:
     def test_unknown_tag(self):
         with pytest.raises(ConfigError):
             build_model("mystery", toy_config(), 4, LABELS)
+
+    @pytest.mark.parametrize("make", [lambda: SingleTaskModel(toy_config(), 4, "emo", ()),
+                                      lambda: MtlMultiHead(toy_config(), 4, ()),
+                                      lambda: MtlCrossStitch(toy_config(), 4, ())],
+                             ids=["single-task", "mtl-mh", "mtl-xs"])
+    def test_emotion_head_needs_labels(self, make):
+        with pytest.raises(ConfigError, match="emotion head needs a label inventory"):
+            make()
 
 
 class TestGradients:
@@ -332,7 +346,7 @@ class TestDropout:
 
     def test_a_mask_of_the_wrong_shape_is_a_dimension_error(self, rng, monkeypatch):
         model = build("emo-nn-base", toy_config(dropout_rate=0.5))
-        monkeypatch.setattr(model, "_dropped", ("fc", "trunk"))
+        monkeypatch.setattr(model, "_dropped", ("fc_emo", "trunk"))
         with pytest.raises(DimensionError):
             model.forward(Tensor(toy_examples(1, rng)[0].x), rng=np.random.default_rng(0))
 
@@ -503,7 +517,7 @@ class TestTraining:
         labels = ("joy", "neutral")
         model = build_model("emo-nn-base", toy_config(), 4, labels)
         # force near-zero probabilities for every class
-        model.out.b.data[...] = -50.0
+        model.out_emo.b.data[...] = -50.0
         ex = toy_examples(1, rng)[0]
         (got,), _ = predict_examples(model, [Example(ex.id, ex.x, np.zeros(2), ex.y_cpm)],
                                      "multi-label")
@@ -514,7 +528,7 @@ class TestTraining:
         # prediction's neutral fallback counts as a false positive
         labels = ("joy", "neutral")
         model = build_model("emo-nn-base", toy_config(), 4, labels)
-        model.out.b.data[...] = -50.0
+        model.out_emo.b.data[...] = -50.0
         ex = toy_examples(1, rng)[0]
         report = evaluate_examples(model, [Example(ex.id, ex.x, np.zeros(2), ex.y_cpm)],
                                    "multi-label")
@@ -550,7 +564,7 @@ class TestCheckpoints:
     def test_non_finite_parameter_rejected(self, tmp_path):
         path = tmp_path / "ckpt.json"
         model = build("emo-nn-base")
-        model.out.b.data[0] = np.inf
+        model.out_emo.b.data[0] = np.inf
         save_checkpoint(model, path)
         with pytest.raises(DataError, match="non-finite.*emo.out.b"):
             load_model(path, {})
@@ -653,6 +667,38 @@ class TestCheckpoints:
         finally:
             tracemalloc.stop()
         assert peak < 10**6
+
+    @pytest.mark.parametrize("tag", NN_TAGS)
+    def test_parameter_layout(self, tag):
+        # the checkpoint's names and shapes, and the rng draw order, on any
+        # BLAS (the golden digests run only on some)
+        def dense(name, d_in, d_out):
+            return [(f"{name}.W", (d_in, d_out)), (f"{name}.b", (d_out,))]
+
+        def trunk(name, units, filters):
+            bilstm = [(f"{name}.bilstm.{d}.{p}", shape) for d in ("fwd", "bwd") for p, shape in
+                      (("W", (4, 4 * units)), ("U", (units, 4 * units)), ("b", (4 * units,)))]
+            return bilstm + [(f"{name}.cnn.k{k}.{p}", shape) for k in (2, 3) for p, shape in
+                             (("kernel", (k, 2 * units, filters)), ("bias", (filters,)))]
+
+        emo_head = dense("emo.fc", 4, 4) + dense("emo.out", 4, 3)
+        cpm_net = trunk("cpm", 2, 1) + dense("cpm.fc", 2, 5) + dense("cpm.out", 5, 5)
+        injected = (trunk("emo", 3, 2) + dense("emo.fc", 4, 4) + dense("cpmin.fc", 5, 5)
+                    + dense("comb.fc", 9, 6) + dense("emo.out", 6, 3))
+        want = {
+            "emo-nn-base": trunk("emo", 3, 2) + emo_head,
+            "cpm-nn-base": cpm_net,
+            "emo-cpm-nn-gold": injected,
+            "emo-cpm-nn-pred": injected + cpm_net,
+            "mtl-mh": trunk("emo", 3, 2) + emo_head + dense("cpm.fc", 4, 5) + dense("cpm.out", 5, 5),
+            "mtl-xs": (trunk("emo", 3, 2) + trunk("cpm", 2, 1) + dense("stitch.proj_emo", 4, 4)
+                       + dense("stitch.proj_cpm", 2, 4) + [("stitch.alpha", (2, 2))] + emo_head
+                       + dense("cpm.fc", 4, 5) + dense("cpm.out", 5, 5)),
+        }[tag]
+        cfg = toy_config(bilstm_units=(3, 2), cnn_filters=(2, 1), fc_neurons_cpm=5,
+                         fc_neurons_combined=6)
+        model = build(tag, cfg, SingleTaskModel(cfg, 4, "cpm"))
+        assert [(p.name, p.data.shape) for p in model.params()] == want
 
     def test_shapes_only_allocates_nothing(self):
         with shapes_only():
