@@ -30,7 +30,6 @@ from .fileio import write_lines, write_text
 from .maxent import FEATURE_FLAGS, best_combination
 from .metrics import (agreement_degenerate, cohen_kappa, cooccurrence_stats,
                       round_half_up)
-from .nn import NeuralModel
 from . import pipeline
 from .pipeline import ALL_TAGS, SETTINGS, setting
 
@@ -217,8 +216,6 @@ def _stored_model(args):
     """The stored model, the corpus and an embedder for it (eval, predict)."""
     settings, corpus, resources = gather_settings(args), load_corpus(args.corpus), _resources(args)
     model = pipeline.load_model(args.model_path, resources)
-    if isinstance(model, NeuralModel):   # embed with the seed the model was trained with
-        settings["seed"] = model.config.seed
     return model, corpus, pipeline.embedder(corpus, settings, resources)
 
 
@@ -246,10 +243,9 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_fold(payload):
-    (fold_index, k, corpus_path, tag, settings, resources) = payload
+    (fold_index, test_rows, corpus_path, tag, settings, resources) = payload
     corpus = load_corpus(corpus_path)
-    folds = kfold(corpus, k=k, seed=setting(settings, "seed"))
-    test_idx = set(folds[fold_index])
+    test_idx = set(test_rows)
     train_corpus = corpus.subset([i for j, i in enumerate(corpus.instances) if j not in test_idx])
     test_corpus = corpus.subset([corpus.instances[j] for j in sorted(test_idx)])
     fold_settings = dict(settings, seed=setting(settings, "seed") + fold_index)
@@ -269,8 +265,9 @@ def fold_workers(jobs: int, k: int) -> int:
 def cmd_crossval(args) -> int:
     settings, corpus, resources = gather_settings(args), load_corpus(args.corpus), _resources(args)
     _check_tag_mode(args.model, corpus)
-    kfold(corpus, k=args.k)   # a bad --k fails here, before any fold runs
-    payloads = [(i, args.k, args.corpus, args.model, settings, resources) for i in range(args.k)]
+    folds = kfold(corpus, k=args.k, seed=setting(settings, "seed"))   # a bad --k fails here
+    payloads = [(i, fold, args.corpus, args.model, settings, resources)
+                for i, fold in enumerate(folds)]
     workers = fold_workers(args.jobs, args.k)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

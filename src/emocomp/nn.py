@@ -239,9 +239,14 @@ class NeuralModel:
     # the attributes of the layers followed by dropout, in forward order
     _dropped: tuple[str, ...] = ()
 
-    def __init__(self, config: ModelConfig, input_dim: int):
+    def __init__(self, config: ModelConfig, input_dim: int, emo_labels: tuple[str, ...] = ()):
+        """A model with an emotion head keeps ``emo_labels``, which must not be empty."""
         self.config = config
         self.input_dim = input_dim
+        if self.has_emo:
+            self.emo_labels = tuple(emo_labels)
+            if not self.emo_labels:
+                raise ConfigError("emotion head needs a label inventory")
 
     def params(self) -> list[Parameter]:
         """The parameters of the model's layers in the order the layers were
@@ -291,8 +296,6 @@ class NeuralModel:
         """An FC layer and a sigmoid output per task, emotions first, on a ``width``-wide input."""
         cfg = self.config
         if self.has_emo:
-            if not self.emo_labels:
-                raise ConfigError("emotion head needs a label inventory")
             self.fc_emo = Dense(width, cfg.fc_neurons_emo, rng, "emo.fc", "relu")
             self.out_emo = Dense(cfg.fc_neurons_emo, len(self.emo_labels), rng, "emo.out", "sigmoid")
         if self.has_cpm:
@@ -366,11 +369,10 @@ class SharedTrunkModel(NeuralModel):
 
     def __init__(self, tag: str, config: ModelConfig, input_dim: int,
                  emo_labels: tuple[str, ...] = ()):
-        super().__init__(config, input_dim)
         tasks = self.TASKS[tag]
         self.tag = tag
         self.has_emo, self.has_cpm = "emo" in tasks, "cpm" in tasks
-        self.emo_labels = tuple(emo_labels) if self.has_emo else ()
+        super().__init__(config, input_dim, emo_labels)
         rng = np.random.default_rng(config.seed)
         size = 0 if self.has_emo else 1   # the emo or the cpm entry of each size pair
         self.trunk = _Trunk(input_dim, config.bilstm_units[size], config.cnn_filters[size],
@@ -411,8 +413,7 @@ class CpmInjectModel(NeuralModel):
 
     def __init__(self, config: ModelConfig, input_dim: int, emo_labels: tuple[str, ...],
                  frozen_cpm: SharedTrunkModel | None = None):
-        super().__init__(config, input_dim)
-        self.emo_labels = tuple(emo_labels)
+        super().__init__(config, input_dim, emo_labels)
         rng = np.random.default_rng(config.seed)
         self.trunk = _Trunk(input_dim, config.units_emo, config.filters_emo,
                             config.kernel_sizes, rng, "emo")
@@ -467,8 +468,7 @@ class MtlCrossStitch(NeuralModel):
 
     def __init__(self, config: ModelConfig, input_dim: int,
                  emo_labels: tuple[str, ...], freeze_stitch: bool = False):
-        super().__init__(config, input_dim)
-        self.emo_labels = tuple(emo_labels)
+        super().__init__(config, input_dim, emo_labels)
         rng = np.random.default_rng(config.seed)
         self.trunk_emo = _Trunk(input_dim, config.units_emo, config.filters_emo,
                                 config.kernel_sizes, rng, "emo")
@@ -744,8 +744,6 @@ def load_checkpoint(payload: dict) -> NeuralModel:
         raise DataError(f"checkpoint input_dim must be a positive integer, got {input_dim!r}")
     if tag not in NN_TAGS:
         raise DataError(f"unknown checkpoint tag {tag!r}")
-    if not labels and tag != "cpm-nn-base":
-        raise DataError(f"a checkpoint tagged {tag} needs emo_labels")
     try:
         # the stored config's shapes, allocated only as load_state sets them
         with shapes_only():
@@ -754,5 +752,7 @@ def load_checkpoint(payload: dict) -> NeuralModel:
             model = build_model(tag, config, input_dim, labels, frozen_cpm=frozen)
     except ValueError as exc:   # a parameter larger than any array can be
         raise DataError(f"stored model config is invalid: {exc}") from exc
+    except ConfigError as exc:   # an emotion head without labels
+        raise DataError(f"checkpoint emo_labels: {exc}") from exc
     model.load_state(payload["params"])
     return model

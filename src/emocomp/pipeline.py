@@ -439,7 +439,7 @@ def train_neural(tag: str, train_corpus: Corpus, config: ModelConfig,
 def evaluate_neural(model: NeuralModel, corpus: Corpus,
                     embeddings: dict[str, np.ndarray]) -> MetricsReport:
     """:func:`evaluate_model` given a token-embedding table covering ``corpus``."""
-    return evaluate_model(model, corpus, lambda: (embeddings, model.input_dim))
+    return evaluate_model(model, corpus, lambda seed: (embeddings, model.input_dim))
 
 
 def _nn_config(tag: str, corpus: Corpus, settings: dict) -> ModelConfig:
@@ -456,11 +456,12 @@ def _nn_config(tag: str, corpus: Corpus, settings: dict) -> ModelConfig:
 # ---------------------------------------------------------------------------
 
 def embedder(corpus: Corpus, settings: dict, resources: dict):
-    """A function returning :func:`embeddings_for` of ``corpus``, computed on
-    its first call; only neural models call it."""
+    """A function of a seed returning :func:`embeddings_for` of ``corpus``
+    with that seed, computed once per seed; only neural models call it, with
+    their config's seed. Of ``settings`` it reads ``fallback_dim`` alone."""
     return functools.cache(functools.partial(
         embeddings_for, corpus, resources.get("token_embeddings"),
-        setting(settings, "fallback_dim"), setting(settings, "seed")))
+        setting(settings, "fallback_dim")))
 
 
 # the resource key and reader of each feature flag that reads a sidecar file
@@ -502,8 +503,9 @@ def search_features(corpus: Corpus, settings: dict,
 
 def train_tag(tag: str, corpus: Corpus, settings: dict, resources: dict, embed=None):
     """Train model ``tag`` on ``corpus``; the tag picks the family. ``embed``
-    is an :func:`embedder` covering ``corpus``, needed by neural tags only.
-    Returns the model and the lines its training adds to the run log."""
+    is an :func:`embedder` covering ``corpus``, needed by neural tags only,
+    which embed with the seed of their config. Returns the model and the
+    lines its training adds to the run log."""
     seed, dev_ratio = setting(settings, "seed"), setting(settings, "dev_ratio")
     if tag in ME_TAGS:
         config = _me_config(settings)
@@ -519,13 +521,14 @@ def train_tag(tag: str, corpus: Corpus, settings: dict, resources: dict, embed=N
             return cpm, []
         return train_emotion_me(corpus, config, stack_source=PREDICTED, cpm_artifact=cpm,
                                 stemmed=stemmed), []
-    table, dim = embed()
+    config = _nn_config(tag, corpus, settings)
+    table, dim = embed(config.seed)
     frozen = None
     if tag == "emo-cpm-nn-pred":
         frozen, _ = train_neural("cpm-nn-base", corpus, _nn_config("cpm-nn-base", corpus, settings),
                                  table, dim, dev_ratio=dev_ratio)
-    model, log = train_neural(tag, corpus, _nn_config(tag, corpus, settings), table, dim,
-                              dev_ratio=dev_ratio, frozen_cpm=frozen)
+    model, log = train_neural(tag, corpus, config, table, dim, dev_ratio=dev_ratio,
+                              frozen_cpm=frozen)
     return model, log.lines()
 
 
@@ -535,7 +538,8 @@ def predict(model, corpus: Corpus, embed=None) -> tuple[list[set[str]] | None,
     """The emotion label sets and the component label sets of the instances
     of ``corpus``; each list is None when the model does not predict that
     task. ``embed`` is an :func:`embedder` covering ``corpus``; a neural
-    model needs embeddings as wide as it was trained on."""
+    model is embedded with its config's seed, the one it was trained with,
+    and needs embeddings as wide as it was trained on."""
     if isinstance(model, MeArtifact):
         stemmed = preprocess_corpus(corpus)
         emotions = (model.predict_emotions(corpus.instances, stemmed)
@@ -543,7 +547,7 @@ def predict(model, corpus: Corpus, embed=None) -> tuple[list[set[str]] | None,
         components = (label_sets(model.predict_components(stemmed, [i.id for i in corpus]),
                                  COMPONENTS) if model.component_models else None)
         return emotions, components
-    table, dim = embed()
+    table, dim = embed(model.config.seed)
     if dim != model.input_dim:
         raise ConfigError(f"the token embeddings are {dim} wide but the model was trained on "
                           f"{model.input_dim}; pass the same --token-embeddings or --fallback-dim")

@@ -101,6 +101,16 @@ _STEP4 = [
 ]
 
 
+def _replace_suffix(w: str, rules) -> str:
+    """``w`` with the first suffix of ``rules`` that it ends in replaced,
+    when the stem before it has a measure above 0 (Porter steps 2 and 3)."""
+    for suffix, repl in rules:
+        if w.endswith(suffix):
+            stem = w[:-len(suffix)]
+            return stem + repl if _measure(stem) > 0 else w
+    return w
+
+
 def porter_stem(word: str) -> str:
     """Porter (1980) stemming of a lowercase token."""
     if len(word) <= 2:
@@ -141,21 +151,8 @@ def porter_stem(word: str) -> str:
     if w.endswith("y") and _has_vowel(w[:-1]):
         w = w[:-1] + "i"
 
-    # step 2
-    for suffix, repl in _STEP2:
-        if w.endswith(suffix):
-            stem = w[:-len(suffix)]
-            if _measure(stem) > 0:
-                w = stem + repl
-            break
-
-    # step 3
-    for suffix, repl in _STEP3:
-        if w.endswith(suffix):
-            stem = w[:-len(suffix)]
-            if _measure(stem) > 0:
-                w = stem + repl
-            break
+    # steps 2 and 3
+    w = _replace_suffix(_replace_suffix(w, _STEP2), _STEP3)
 
     # step 4
     for suffix in _STEP4:

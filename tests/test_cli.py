@@ -536,19 +536,27 @@ class TestModelFiles:
                                                      per_channel_stitch=True),
                                4, ("joy", "sadness"))
         save_checkpoint(stitched, tmp_path / "stitched.json")
+        stitched = json.loads((tmp_path / "stitched.json").read_text())
         variant("huge_per_channel_stitch", lambda p: p["config"].update(cnn_filters=10**9),
-                json.loads((tmp_path / "stitched.json").read_text()))
+                stitched)
         tiny = ModelConfig(bilstm_units=2, cnn_filters=2, kernel_sizes=(2,), fc_neurons_emo=2,
                            fc_neurons_cpm=2, fc_neurons_combined=2)
         injected = build_model("emo-cpm-nn-pred", tiny, 4, ("joy", "sadness"),
                                frozen_cpm=build_model("cpm-nn-base", tiny, 4))
         save_checkpoint(injected, tmp_path / "injected.json")
+        injected = json.loads((tmp_path / "injected.json").read_text())
         variant("seedless_frozen_cpm_config", lambda p: p["frozen_cpm_config"].pop("seed"),
-                json.loads((tmp_path / "injected.json").read_text()))
+                injected)
+        # every model with an emotion head checks its labels alike
+        variant("empty_emo_labels_injected", lambda p: p.update(emo_labels=[]), injected)
+        variant("empty_emo_labels_stitched", lambda p: p.update(emo_labels=[]), stitched)
         for bad in bad_files:
             assert run([verb, "--model-path", bad, "--corpus", tec_path,
                         "--out", tmp_path / "o"]) == 2
-            assert "data error" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "data error" in err
+            if bad.stem.startswith("empty_emo_labels"):
+                assert "emo_labels" in err and "label inventory" in err, err
 
 
 class TestInputFiles:

@@ -161,10 +161,14 @@ class TestForward:
         with pytest.raises(ConfigError):
             build_model("mystery", toy_config(), 4, LABELS)
 
-    @pytest.mark.parametrize("make", [lambda: SingleTaskModel(toy_config(), 4, "emo", ()),
-                                      lambda: MtlMultiHead(toy_config(), 4, ()),
-                                      lambda: MtlCrossStitch(toy_config(), 4, ())],
-                             ids=["single-task", "mtl-mh", "mtl-xs"])
+    @pytest.mark.parametrize("make", [
+        lambda: SingleTaskModel(toy_config(), 4, "emo", ()),
+        lambda: MtlMultiHead(toy_config(), 4, ()),
+        lambda: MtlCrossStitch(toy_config(), 4, ()),
+        lambda: build_model("emo-cpm-nn-gold", toy_config(), 4, ()),
+        lambda: build_model("emo-cpm-nn-pred", toy_config(), 4, (),
+                            frozen_cpm=SingleTaskModel(toy_config(seed=9), 4, "cpm"))],
+        ids=["single-task", "mtl-mh", "mtl-xs", "emo-cpm-nn-gold", "emo-cpm-nn-pred"])
     def test_emotion_head_needs_labels(self, make):
         with pytest.raises(ConfigError, match="emotion head needs a label inventory"):
             make()

@@ -29,16 +29,17 @@ def tec(data_dir=None):
 
 
 def test_readme_library_use(tmp_path, monkeypatch, capsys):
-    # the README's library example runs as written on a bundled corpus
+    # each of the README's library examples runs as written on a bundled corpus
     root = Path(__file__).resolve().parent.parent
     readme = (root / "README.md").read_text(encoding="utf-8")
-    section = readme[readme.index("## Library use"):]
-    code = section[section.index("```python") + len("```python"):]
-    code = code[:code.index("```")]
+    section = readme[readme.index("## Library use"):].split("\n## ")[0]
+    blocks = [part.split("```", 1)[0] for part in section.split("```python")[1:]]
+    assert len(blocks) == 2
     (tmp_path / "corpus.jsonl").write_bytes((root / "data" / "synthetic_tec.jsonl").read_bytes())
     monkeypatch.chdir(tmp_path)
-    exec(compile(code, "README.md", "exec"), {})
-    assert capsys.readouterr().out.startswith("class\tprecision")
+    for code in blocks:
+        exec(compile(code, "README.md", "exec"), {})
+        assert capsys.readouterr().out.startswith("class\tprecision")
 
 
 def test_tag_inventory():
@@ -59,6 +60,45 @@ def test_save_load_round_trip_predicts_the_same(tag, tec, tmp_path):
     after = pipeline.predict(pipeline.load_model(path, {}), test, embed)
     assert after == before
     assert any(labels is not None for labels in before)
+
+
+class TestLibraryScoresAsCli:
+    """A neural model is embedded with its stored seed, so the library's
+    report equals ``eval``'s ``metrics.json`` whatever seed the caller's
+    settings hold."""
+
+    @staticmethod
+    def cli_metrics(checkpoint: Path, corpus: Path, out: Path) -> str:
+        from emocomp.cli import main
+        assert main(["eval", "--model-path", str(checkpoint), "--corpus", str(corpus),
+                     "--out", str(out)]) == 0
+        return (out / "metrics.json").read_text(encoding="utf-8")
+
+    @staticmethod
+    def library_metrics(model, corpus, settings: dict) -> str:
+        report = evaluate_model(model, corpus, pipeline.embedder(corpus, settings, {}))
+        return json.dumps(report.to_dict(), indent=2) + "\n"
+
+    def test_cli_trained_model(self, data_dir, tmp_path, capsys):
+        from emocomp.cli import main
+        path = data_dir / "overfit_tec.jsonl"
+        assert main(["train", "--model", "emo-nn-base", "--corpus", str(path), "--seed", "1",
+                     "--epochs", "2", "--out", str(tmp_path / "run")]) == 0
+        checkpoint = tmp_path / "run" / "checkpoint.json"
+        expected = self.cli_metrics(checkpoint, path, tmp_path / "eval")
+        corpus, model = load_corpus(path), load_model(checkpoint, {})
+        for settings in ({"seed": 1}, {"seed": 7}, {}):
+            assert self.library_metrics(model, corpus, settings) == expected, settings
+
+    def test_library_trained_model(self, data_dir, tmp_path, capsys):
+        path = data_dir / "overfit_tec.jsonl"
+        corpus = load_corpus(path)
+        model, _ = pipeline.train_tag("emo-nn-base", corpus, {"seed": 3, "epochs": 2}, {},
+                                      pipeline.embedder(corpus, {}, {}))
+        assert model.config.seed == 3
+        pipeline.save_model(model, tmp_path)
+        expected = self.cli_metrics(tmp_path / "checkpoint.json", path, tmp_path / "eval")
+        assert self.library_metrics(model, corpus, {}) == expected
 
 
 class TestEmotionMe:
