@@ -106,9 +106,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     def zero_grad(self):
         if self.grad is not None:
             self.grad.fill(0.0)

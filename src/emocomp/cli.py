@@ -24,8 +24,8 @@ import sys
 import time
 from pathlib import Path
 
-from .corpus import Corpus, COMPONENTS, load_corpus, kfold, split_train_test
-from .errors import ConfigError, DataError, EmocompError
+from .corpus import COMPONENTS, load_corpus, kfold, split_train_test
+from .errors import ConfigError, DataError
 from .fileio import write_lines, write_text
 from .maxent import FEATURE_FLAGS, best_combination
 from .metrics import (agreement_degenerate, cohen_kappa, cooccurrence_stats,
@@ -183,11 +183,6 @@ def cmd_agreement(args) -> int:
 # train / eval / predict
 # ---------------------------------------------------------------------------
 
-def _check_tag_mode(tag: str, corpus: Corpus) -> None:
-    if not tag.startswith("cpm-") and not corpus.emotion_inventory:
-        raise ConfigError(f"model {tag!r} needs an emotion inventory but the corpus declares none")
-
-
 def _write_metrics(out: Path, name: str, report) -> None:
     write_text(out / f"{name}.tsv", report.to_tsv())
     write_text(out / f"{name}.json", json.dumps(report.to_dict(), indent=2) + "\n")
@@ -195,7 +190,6 @@ def _write_metrics(out: Path, name: str, report) -> None:
 
 def cmd_train(args) -> int:
     settings, corpus, resources = gather_settings(args), load_corpus(args.corpus), _resources(args)
-    _check_tag_mode(args.model, corpus)
     ratio = setting(settings, "split_ratio")
     train_corpus, test_corpus = split_train_test(corpus, ratio=ratio, seed=setting(settings, "seed"))
     if not len(test_corpus):
@@ -243,8 +237,7 @@ def cmd_predict(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _run_fold(payload):
-    (fold_index, test_rows, corpus_path, tag, settings, resources) = payload
-    corpus = load_corpus(corpus_path)
+    (fold_index, test_rows, corpus, tag, settings, resources) = payload
     test_idx = set(test_rows)
     train_corpus = corpus.subset([i for j, i in enumerate(corpus.instances) if j not in test_idx])
     test_corpus = corpus.subset([corpus.instances[j] for j in sorted(test_idx)])
@@ -264,9 +257,8 @@ def fold_workers(jobs: int, k: int) -> int:
 
 def cmd_crossval(args) -> int:
     settings, corpus, resources = gather_settings(args), load_corpus(args.corpus), _resources(args)
-    _check_tag_mode(args.model, corpus)
     folds = kfold(corpus, k=args.k, seed=setting(settings, "seed"))   # a bad --k fails here
-    payloads = [(i, fold, args.corpus, args.model, settings, resources)
+    payloads = [(i, fold, corpus, args.model, settings, resources)
                 for i, fold in enumerate(folds)]
     workers = fold_workers(args.jobs, args.k)
     if workers > 1:
@@ -412,9 +404,6 @@ def main(argv=None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except EmocompError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except PATH_ERRORS as exc:
         # corpus paths are data errors already (load_corpus); the rest are
         # config, resource, model and output paths: a config problem
@@ -428,5 +417,5 @@ def main(argv=None) -> int:
         return 3
 
 
-if __name__ == "__main__":
+if __name__ == "__main__":   # a script run only; tests call main()
     sys.exit(main())

@@ -15,9 +15,6 @@ class GradCheckReport:
     worst_tensor: int
     worst_index: tuple
 
-    def ok(self, tolerance: float) -> bool:
-        return self.max_rel_error < tolerance
-
 
 def gradient_check(build_loss, tensors: list[Tensor], h: float = 1e-5) -> GradCheckReport:
     """Compare analytic gradients of ``build_loss()`` against central finite

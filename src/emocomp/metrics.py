@@ -139,9 +139,7 @@ def cohen_kappa(a: list[int], b: list[int]) -> float:
     categories = set(a) | set(b)
     p_e = sum((a.count(c) / n) * (b.count(c) / n) for c in categories)
     if abs(1.0 - p_e) < 1e-15:
-        if p_o == 1.0:
-            return 1.0
-        raise DataError("kappa undefined: chance agreement is 1 but annotations disagree")
+        return 1.0
     return (p_o - p_e) / (1.0 - p_e)
 
 

@@ -17,12 +17,14 @@ A forward pass takes a whole minibatch: a zero-padded B x T_max x d
 embedding array and the length of each example, or one T x d example as a
 batch of one. ``NeuralModel.forward`` serves every architecture; each
 declares the layers followed by dropout (``_dropped``) and its wiring
-(``_forward``). Training builds one graph per minibatch and prediction scores
-``minibatch_size`` examples per pass. The losses, gradients and predictions
-are bitwise those of one graph per example (see ``autodiff``). Dropout is
-decided here: a forward pass trains exactly when it is given a generator,
-and then builds the batch's masks from uniforms drawn in the order such a
-per-example loop draws them; ``autodiff.dropout`` only applies one.
+(``_forward(x, lengths, drop, cpm)``, where ``drop`` is the dropout after
+each layer in ``_dropped``). Training builds one graph per minibatch and
+prediction scores ``minibatch_size`` examples per pass. The losses,
+gradients and predictions are bitwise those of one graph per example (see
+``autodiff``). Dropout is decided here: a forward pass trains exactly when
+it is given a generator, and then builds the batch's masks from uniforms
+drawn in the order such a per-example loop draws them; ``autodiff.dropout``
+only applies one.
 """
 
 from __future__ import annotations
@@ -287,11 +289,6 @@ class NeuralModel:
 
         return self._forward(x, lengths, drop, cpm)
 
-    def _forward(self, x: Tensor, lengths: list[int], drop, cpm) -> dict[str, Tensor]:
-        """The architecture's wiring over a batch; ``drop`` is the dropout
-        to apply after each layer in ``_dropped``."""
-        raise NotImplementedError
-
     def _add_heads(self, width: int, rng: np.random.Generator) -> None:
         """An FC layer and a sigmoid output per task, emotions first, on a ``width``-wide input."""
         cfg = self.config
@@ -390,8 +387,6 @@ class SingleTaskModel(SharedTrunkModel):
 
     def __init__(self, config: ModelConfig, input_dim: int, head: str,
                  emo_labels: tuple[str, ...] = ()):
-        if head not in ("emo", "cpm"):
-            raise ConfigError(f"head must be 'emo' or 'cpm', got {head!r}")
         super().__init__(f"{head}-nn-base", config, input_dim, emo_labels)
 
 
@@ -563,6 +558,7 @@ def _stack(batch: list[Example], field_name: str) -> np.ndarray | None:
 
 def predict_example(model: NeuralModel, ex: Example, mode: str):
     """``predict_examples`` of a batch of one; ``perfbench/calibrate.py`` calls it."""
+    # no test calls it: it stays while the benchmark's calibration does
     return predict_examples(model, [ex], mode)
 
 
@@ -754,5 +750,8 @@ def load_checkpoint(payload: dict) -> NeuralModel:
         raise DataError(f"stored model config is invalid: {exc}") from exc
     except ConfigError as exc:   # an emotion head without labels
         raise DataError(f"checkpoint emo_labels: {exc}") from exc
+    if labels != model.emo_labels:   # a model without an emotion head keeps none
+        raise DataError(f"checkpoint emo_labels {list(labels)} are not the {tag} model's "
+                        f"{list(model.emo_labels)}")
     model.load_state(payload["params"])
     return model

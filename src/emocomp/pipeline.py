@@ -505,7 +505,10 @@ def train_tag(tag: str, corpus: Corpus, settings: dict, resources: dict, embed=N
     """Train model ``tag`` on ``corpus``; the tag picks the family. ``embed``
     is an :func:`embedder` covering ``corpus``, needed by neural tags only,
     which embed with the seed of their config. Returns the model and the
-    lines its training adds to the run log."""
+    lines its training adds to the run log. A tag that predicts emotions
+    needs a corpus that declares its inventory."""
+    if not tag.startswith("cpm-") and not corpus.emotion_inventory:
+        raise ConfigError(f"model {tag!r} needs an emotion inventory but the corpus declares none")
     seed, dev_ratio = setting(settings, "seed"), setting(settings, "dev_ratio")
     if tag in ME_TAGS:
         config = _me_config(settings)

@@ -231,6 +231,9 @@ class TestFusedOps:
             run_bilstm(Tensor(np.zeros((2, 4))), params)
         with pytest.raises(DimensionError):   # the directions differ in width
             run_bilstm(Tensor(np.zeros((2, 3))), params[:3] + lstm_params(rng, u=3)[3:])
+        with pytest.raises(DimensionError, match=r"bilstm needs a T x d sequence or a B x T x d "
+                                                 r"batch, got \(1, 2, 3, 3\)"):
+            run_bilstm(Tensor(np.zeros((1, 2, 3, 3))), params)
 
     # with kernels of 4 and 2 rows: T = 2 pads the first kernel, T = 4
     # fits it exactly, T = 7 is longer than both

@@ -1,13 +1,15 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from emocomp import pipeline
+from emocomp import cli, pipeline
 from emocomp.cli import fold_workers, main, read_config_file
+from emocomp.corpus import TEC_EMOTIONS, load_corpus
 from emocomp.errors import ConfigError
 from emocomp.nn import ModelConfig, build_model, save_checkpoint
 
@@ -115,10 +117,11 @@ class TestExitCodes:
         # predictions.tsv could not hold these ids
         ("id", "tec\t0000", 1),
         ("id", "tec\n0000", 1),
+        ("header", {"mode": "x"}, 1),
     ], ids=["text-number", "emotions-number", "emotions-null", "emotions-nested",
             "cpm-null", "header-inventory-number", "header-array", "header-mode-on-tec",
             "header-inventory-on-tec", "header-empty-inventory-on-tec", "id-tab",
-            "id-newline"])
+            "id-newline", "header-unknown-mode"])
     def test_malformed_record_is_data_error(self, field, value, line, tmp_path, tec_path,
                                             capsys):
         # the first record of the bundled corpus edited, or a header put before it
@@ -176,6 +179,27 @@ class TestExitCodes:
 
     def test_unknown_verb_is_usage_error(self, capsys):
         assert run(["transmogrify"]) == 1
+
+    def test_maxent_learning_rate_of_0_is_config_error(self, tmp_path, tec_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("me_learning_rate = 0\n")
+        assert run(["train", "--model", "emo-me-base", "--corpus", tec_path, "--config", cfg,
+                    "--out", tmp_path / "o"]) == 1
+        assert "config error: maxent learning_rate must be > 0, got 0.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tag", ["emo-me-base", "emo-cpm-me-gold", "emo-nn-base"])
+    def test_emotion_model_needs_an_inventory(self, tag, tmp_path, capsys):
+        # an ``other`` corpus whose records carry no emotions declares none
+        path = tmp_path / "unlabeled.jsonl"
+        path.write_text("".join(json.dumps({"id": f"o{i}", "text": f"text {i}", "cpm": [i % 2] * 5,
+                                            "domain": "other"}) + "\n" for i in range(20)))
+        message = f"model {tag!r} needs an emotion inventory but the corpus declares none"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            pipeline.train_tag(tag, load_corpus(path), {}, {})
+        for verb in (["train"], ["crossval", "--k", "2"]):
+            assert run([*verb, "--model", tag, "--corpus", path, "--out", tmp_path / "o"]) == 1
+            assert f"config error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("tag,config,env,flags", [
         ("emo-me-base", "epochs = x", {}, []),
@@ -272,6 +296,14 @@ class TestAgreement:
         # every component column is constant here, so kappa is uninformative
         assert out.count("--") == 5
 
+    def test_ids_missing_from_the_second_file_is_data_error(self, tmp_path, tec_path, capsys):
+        lines = tec_path.read_text(encoding="utf-8").splitlines(True)
+        (tmp_path / "b.jsonl").write_text("".join(lines[2:]), encoding="utf-8")
+        assert run(["agreement", tec_path, tmp_path / "b.jsonl", "--out", tmp_path / "o"]) == 2
+        err = capsys.readouterr().err
+        assert "data error: ids missing from second file: ['tec0000', 'tec0001']" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestTrainEvalPredict:
     def test_me_round_trip(self, tmp_path, tec_path, capsys):
@@ -328,6 +360,23 @@ class TestTrainEvalPredict:
             assert run([*argv, "--out", out]) == 1, argv
             assert not out.exists(), argv
 
+    def test_single_label_model_on_a_multi_label_corpus_is_config_error(self, tmp_path, tec_path,
+                                                                          capsys):
+        # the same labels, declared multi-label by an ``other`` corpus
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("me_iterations = 5\n")
+        assert run(["train", "--model", "emo-me-base", "--corpus", tec_path, "--config", cfg,
+                    "--out", tmp_path / "run"]) == 0
+        records = [json.loads(line) for line in tec_path.read_text(encoding="utf-8").splitlines()]
+        other = tmp_path / "other.jsonl"
+        other.write_text("".join(json.dumps(r) + "\n" for r in [
+            {"mode": "multi-label", "inventory": list(TEC_EMOTIONS)},
+            *({**r, "domain": "other"} for r in records)]), encoding="utf-8")
+        assert run(["eval", "--model-path", tmp_path / "run" / "model.json", "--corpus", other,
+                    "--out", tmp_path / "ev"]) == 1
+        err = capsys.readouterr().err
+        assert "config error: model was trained single-label but the corpus is multi-label" in err
+
     def test_metrics_reports_byte_identical_across_reruns(self, tmp_path, overfit_path, capsys):
         for name in ("a", "b"):
             assert run(["train", "--model", "emo-nn-base", "--corpus", overfit_path,
@@ -355,6 +404,18 @@ class TestModelFiles:
                            env=env, check=True, capture_output=True, timeout=300)
             outputs.append((out / "model.json").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("text,message", [
+        ("[1]", "does not hold a JSON object"),
+        ("{}", "lacks required key 'version'"),
+        ('{"params": {}}', "unsupported checkpoint version None (expected 1)"),
+    ], ids=["array", "empty-object", "params-alone"])
+    def test_file_that_holds_no_model_is_data_error(self, text, message, tmp_path, tec_path,
+                                                     capsys):
+        (tmp_path / "model.json").write_text(text)
+        assert run(["predict", "--model-path", tmp_path / "model.json", "--corpus", tec_path,
+                    "--out", tmp_path / "o"]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("verb", ["predict", "eval"])
     def test_bad_model_file_is_data_error(self, verb, tmp_path, tec_path, capsys):
@@ -390,6 +451,12 @@ class TestModelFiles:
             del vocab[top], p["tfidf"]["document_frequency"][top]
 
         variant("top_ngram_dropped", drop_top_ngram)
+
+        def renumber_first_ngram(p):   # its index moved past the last
+            vocab = p["tfidf"]["vocabulary"]
+            vocab[next(iter(vocab))] = len(vocab)
+
+        variant("vocabulary_renumbered", renumber_first_ngram)
         variant("nan_weight", lambda p: p["emotion_model"]["model"]["weights"][0].__setitem__(
             0, float("nan")))
         variant("inf_bias", lambda p: p["emotion_model"]["model"]["bias"].__setitem__(
@@ -550,6 +617,11 @@ class TestModelFiles:
         # every model with an emotion head checks its labels alike
         variant("empty_emo_labels_injected", lambda p: p.update(emo_labels=[]), injected)
         variant("empty_emo_labels_stitched", lambda p: p.update(emo_labels=[]), stitched)
+        component = build_model("cpm-nn-base", tiny, 4)
+        save_checkpoint(component, tmp_path / "component.json")
+        component = json.loads((tmp_path / "component.json").read_text())
+        # a model without an emotion head keeps no labels, so it stores none
+        variant("labels_on_component_model", lambda p: p.update(emo_labels=["joy"]), component)
         for bad in bad_files:
             assert run([verb, "--model-path", bad, "--corpus", tec_path,
                         "--out", tmp_path / "o"]) == 2
@@ -557,6 +629,10 @@ class TestModelFiles:
             assert "data error" in err
             if bad.stem.startswith("empty_emo_labels"):
                 assert "emo_labels" in err and "label inventory" in err, err
+            if bad.stem == "vocabulary_renumbered":
+                assert "tfidf vocabulary must number its" in err, err
+            if bad.stem == "labels_on_component_model":
+                assert "checkpoint emo_labels ['joy'] are not the cpm-nn-base model's []" in err, err
 
 
 class TestInputFiles:
@@ -665,6 +741,17 @@ class TestCrossval:
         assert ((tmp_path / "1" / "crossval.tsv").read_bytes()
                 == (tmp_path / "2" / "crossval.tsv").read_bytes())
 
+    def test_reads_the_corpus_once(self, tmp_path, tec_path, monkeypatch, capsys):
+        # each fold is given the loaded corpus, in-process and in a worker
+        calls = []
+        load = cli.load_corpus
+        monkeypatch.setattr(cli, "load_corpus", lambda path: calls.append(path) or load(path))
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("me_iterations = 5\n")
+        assert run(["crossval", "--model", "emo-me-base", "--corpus", tec_path, "--k", "3",
+                    "--jobs", "1", "--config", cfg, "--out", tmp_path]) == 0
+        assert calls == [str(tec_path)]
+
     def test_workers_capped_at_folds(self):
         assert fold_workers(1, 10) == 1
         assert fold_workers(4, 10) == 4
@@ -688,6 +775,14 @@ class TestEmbeddings:
                     "--out", tmp_path / "o"]) == 2
         assert "store.txt:4: non-finite value" in capsys.readouterr().err
         assert not (tmp_path / "o" / "checkpoint.json").exists()
+
+    def test_empty_token_store_is_data_error(self, tmp_path, tec_path, capsys):
+        store = tmp_path / "store.txt"
+        store.write_text("\n")
+        assert run(["train", "--model", "emo-nn-base", "--corpus", tec_path,
+                    "--token-embeddings", store, "--epochs", "1", "--out", tmp_path / "o"]) == 2
+        assert f"data error: token embedding store {store} is empty" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_divergence_is_config_error(self, tmp_path, tec_path, capsys):
         assert run(["train", "--model", "emo-nn-base", "--corpus", tec_path,

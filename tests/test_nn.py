@@ -173,6 +173,21 @@ class TestForward:
         with pytest.raises(ConfigError, match="emotion head needs a label inventory"):
             make()
 
+    def test_loss_needs_the_targets_of_each_head(self, rng):
+        ex = toy_examples(1, rng)[0]
+        model = build("mtl-mh")
+        out = model.forward(Tensor(ex.x))
+        with pytest.raises(DataError, match="emotion targets required"):
+            model.loss(out, None, ex.y_cpm)
+        with pytest.raises(DataError, match="component targets required"):
+            model.loss(out, ex.y_emo, None)
+
+    def test_injected_predictions_need_a_component_model(self):
+        with pytest.raises(ConfigError, match="emo-cpm-nn-pred needs a trained component model"):
+            build_model("emo-cpm-nn-pred", toy_config(), 4, LABELS)
+        with pytest.raises(ConfigError, match="the frozen submodel must be a component model"):
+            build("emo-cpm-nn-pred", frozen=SingleTaskModel(toy_config(), 4, "emo", LABELS))
+
 
 class TestGradients:
     @pytest.mark.parametrize("tag", ["emo-nn-base", "cpm-nn-base",
@@ -443,6 +458,11 @@ class TestCrossStitchReduction:
                                        atol=1e-9)
             np.testing.assert_allclose(out["cpm"].data, cpm.forward(x)["cpm"].data,
                                        atol=1e-9)
+
+    def test_identity_stitch_per_channel(self):
+        xs = build("mtl-xs", toy_config(per_channel_stitch=True))
+        xs.set_identity_stitch()
+        np.testing.assert_array_equal(xs.alpha.data, np.repeat(np.eye(2)[:, :, None], xs.width, 2))
 
     def test_default_alpha_is_dominant_diagonal(self):
         xs = build("mtl-xs")

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -26,13 +27,6 @@ def test_synthetic_corpus_script_reproduces_bundled_data(tmp_path, monkeypatch, 
         assert (tmp_path / name).read_bytes() == (data / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("tag", ["emo-nn-base", "mtl-xs"])
-def test_overfit_demo_runs(tag, capsys):
-    f1 = load_script("overfit_demo").run(tag, epochs=1, seed=0)
-    assert 0.0 <= f1 <= 1.0
-    assert "train micro-F1" in capsys.readouterr().out
-
-
 def test_compare_feature_models_prints_every_me_tag(capsys):
     script = load_script("compare_feature_models")
     script.main([])
@@ -40,3 +34,19 @@ def test_compare_feature_models_prints_every_me_tag(capsys):
     assert [row.split()[0] for row in rows] == list(script.TAGS)
     for row in rows:
         assert all(0.0 <= float(v) <= 1.0 for v in row.split()[1:])
+
+
+def test_untested_statements_lists_what_a_run_leaves_out(capsys):
+    # one test of fileio, traced by a pytest run inside this one; without the
+    # hypothesis plugin, which would import hypothesis when run on its own
+    test = SCRIPTS.parent / "tests" / "test_fileio.py::test_pieces_written_in_order_or_not_at_all"
+    args = ["-q", "-p", "no:cacheprovider", "-p", "no:hypothesispytest", str(test)]
+    assert load_script("untested_statements").main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    missed, total = map(int, re.fullmatch(r"(\d+) of (\d+) statements in src/ never ran",
+                                          lines[-1]).groups())
+    listed = [line for line in lines if line.startswith("src/emocomp/")]
+    assert 0 < len(listed) == missed < total
+    assert "src/emocomp/cli.py" in " ".join(listed)
+    assert not any(line.startswith("src/emocomp/fileio.py") and "os.replace" in line
+                   for line in listed)

@@ -128,6 +128,12 @@ PORTER_VECTORS = [
     ("cease", "ceas"),
     ("controll", "control"),
     ("roll", "roll"),
+    # and words for the rules' other branches: step 4 keeps "ion" after a
+    # stem not ending in s or t, and "op" is too short to end
+    # consonant-vowel-consonant (steps 1b and 5a)
+    ("opinion", "opinion"),
+    ("oping", "op"),
+    ("ope", "op"),
 ]
 
 
