@@ -1,5 +1,5 @@
 """Exception hierarchy shared across the package, and the checks that
-raise them for config dataclasses, stored name lists and stored numbers.
+raise them for config dataclasses, stored objects, name lists and numbers.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
 anything else -> 3.
@@ -60,6 +60,18 @@ def check_fields(config, prefix: str = "") -> None:
         value = getattr(config, f.name)
         if not ok(value):
             raise ConfigError(f"{prefix}{f.name} must be {what}, got {value!r}")
+
+
+def stored_object(value, members, what: str) -> dict:
+    """An object holding exactly ``members``; else a data error naming ``what`` and the member."""
+    if not isinstance(value, dict):
+        raise DataError(f"{what} must be an object, got {type(value).__name__}")
+    for m in [*members, *value]:   # each missing member first, then each unknown one
+        if m not in value:
+            raise DataError(f"{what} lacks required key {m!r}")
+        if m not in members:
+            raise DataError(f"{what} holds unknown member {m!r}")
+    return value
 
 
 def stored_names(value, what: str) -> tuple[str, ...]:

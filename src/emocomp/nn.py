@@ -38,7 +38,7 @@ import numpy as np
 
 from .autodiff import Parameter, Tensor, concat, dropout, filled, no_tape, shapes_only, stitch
 from .corpus import COMPONENTS, SINGLE_LABEL
-from .errors import ConfigError, DataError, DimensionError, check_fields, stored_names, stored_numbers
+from .errors import ConfigError, DataError, DimensionError, check_fields, stored_names, stored_numbers, stored_object
 from .fileio import write_text
 from .layers import BiLstm, ConvPool, Dense
 from .losses import weighted_bce
@@ -119,16 +119,12 @@ class ModelConfig:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        """Rebuild a stored config; a missing, unknown or mistyped field is a data error."""
-        if isinstance(d, dict):
-            missing = [name for name in cls.__dataclass_fields__ if name not in d]
-            if missing:
-                raise DataError(f"stored model config lacks {', '.join(missing)}")
+    def from_dict(cls, d: dict, what: str = "stored model config") -> "ModelConfig":
+        """Rebuild stored config ``what``; a missing, unknown or invalid field is a data error."""
         try:
-            return cls(**d)
-        except (TypeError, ConfigError) as exc:
-            raise DataError(f"stored model config is invalid: {exc}") from exc
+            return cls(**stored_object(d, tuple(cls.__dataclass_fields__), what))
+        except ConfigError as exc:
+            raise DataError(f"{what} is invalid: {exc}") from exc
 
 
 # Per-(tag, domain) hyperparameter defaults for the studied corpora.
@@ -729,11 +725,16 @@ def read_model_text(text: str) -> object:
 
 
 def load_checkpoint(payload: dict) -> NeuralModel:
-    """Rebuild a model from a decoded checkpoint (``pipeline.load_model`` opens the file)."""
+    """Rebuild a model from a decoded checkpoint (``pipeline.load_model`` opens the
+    file), which holds what ``save_checkpoint`` writes for its tag."""
     for key, value in (("version", CHECKPOINT_VERSION), ("components", N_COMPONENTS)):
         if type(payload.get(key)) is not int or payload[key] != value:
             raise DataError(f"unsupported checkpoint {key} {payload.get(key)!r} (expected {value})")
-    config = ModelConfig.from_dict(payload["config"])
+    pred = payload.get("tag") == "emo-cpm-nn-pred"
+    stored_object(payload, ("version", "tag", "input_dim", "config", "emo_labels", "components",
+                            "params") + ("frozen_cpm_config",) * pred, "checkpoint")
+    config, frozen_config = (ModelConfig.from_dict(payload[key], f"checkpoint {key}") if key in payload
+                             else None for key in ("config", "frozen_cpm_config"))
     tag, input_dim = payload["tag"], payload["input_dim"]
     labels = stored_names(payload["emo_labels"], "checkpoint emo_labels")
     if type(input_dim) is not int or input_dim < 1:
@@ -743,8 +744,7 @@ def load_checkpoint(payload: dict) -> NeuralModel:
     try:
         # the stored config's shapes, allocated only as load_state sets them
         with shapes_only():
-            frozen = (None if tag != "emo-cpm-nn-pred" else SharedTrunkModel(
-                "cpm-nn-base", ModelConfig.from_dict(payload["frozen_cpm_config"]), input_dim))
+            frozen = SharedTrunkModel("cpm-nn-base", frozen_config, input_dim) if pred else None
             model = build_model(tag, config, input_dim, labels, frozen_cpm=frozen)
     except ValueError as exc:   # a parameter larger than any array can be
         raise DataError(f"stored model config is invalid: {exc}") from exc

@@ -21,7 +21,7 @@ import numpy as np
 
 from .corpus import (COMPONENTS, MULTI_LABEL, SINGLE_LABEL, Corpus, Instance,
                      split_indices, split_train_test)
-from .errors import ConfigError, DataError, ResourceError, stored_names, stored_numbers
+from .errors import ConfigError, DataError, ResourceError, stored_names, stored_numbers, stored_object
 from .features import (DictionaryLexicon, TfIdfModel, load_embedding_file, load_lexicon,
                        load_tagged_sidecar, load_token_embedding_store, load_vector_sidecar,
                        resolve_token_embeddings, tfidf_fit, tfidf_transform)
@@ -135,49 +135,44 @@ def _maxent_to_dict(m: MaxEntModel) -> dict:
             "constant_class": next((c for c, v in m.constant.items() if v), None)}
 
 
-def _maxent_from_dict(d: dict, mode: str = BINARY) -> MaxEntModel:
-    """A stored maxent model, which must be of ``mode``: binary for a
-    component or one-vs-rest label model, multinomial for a multinomial one."""
-    if not isinstance(d, dict):
-        raise DataError(f"maxent model must be an object, got {type(d).__name__}")
-    classes = stored_names(d["classes"], "maxent classes")
-    if d["mode"] != mode:
-        raise DataError(f"maxent mode must be {mode!r} here, got {d['mode']!r}")
-    if type(d["feature_dim"]) is not int:
-        raise DataError(f"maxent feature_dim must be an integer, got {d['feature_dim']!r}")
+def _maxent_from_dict(d: dict, what: str, mode: str, classes: tuple, width: int) -> MaxEntModel:
+    """The stored maxent model ``what``, of the ``mode`` (binary for a component or
+    one-vs-rest label model), ``classes`` and ``width`` features its place fixes."""
+    stored_object(d, ("classes", "mode", "weights", "bias", "feature_dim", "degenerate",
+                      "constant_class"), what)
+    if (stored_names(d["classes"], f"{what} classes") != classes or d["mode"] != mode
+            or type(d["feature_dim"]) is not int or d["feature_dim"] != width):
+        raise DataError(f"{what} must be a {mode} model of {list(classes)} over {width} features, "
+                        f"not {d['mode']!r} of {d['classes']} over {d['feature_dim']!r}")
     weights, bias = stored_numbers(d["weights"]), stored_numbers(d["bias"])
-    if weights is None or bias is None:
-        raise DataError("maxent weights and bias must hold arrays of numbers")
-    if weights.shape != (d["feature_dim"], len(classes)) or bias.shape != (len(classes),):
-        raise DataError(f"maxent weights {weights.shape} / bias {bias.shape} do not fit "
-                        f"{d['feature_dim']} features x {len(classes)} classes")
-    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
-        raise DataError("maxent weights and bias must be finite")
+    if (weights is None or bias is None or weights.shape != (width, len(classes))
+            or bias.shape != (len(classes),) or not np.isfinite(weights).all()
+            or not np.isfinite(bias).all()):
+        raise DataError(f"{what} weights and bias must be finite numbers of shapes "
+                        f"({width}, {len(classes)}) and ({len(classes)},)")
     if type(d["degenerate"]) is not bool or d["constant_class"] not in (None, *classes):
-        raise DataError("maxent degenerate must be a boolean and constant_class one of its classes")
+        raise DataError(f"{what} degenerate must be a boolean and constant_class one of its classes")
     if d["degenerate"] and (weights.any() or bias.any()):   # a constant class is never fit
-        raise DataError("a degenerate maxent model must store zero weights and bias")
+        raise DataError(f"{what} is degenerate, so it must store zero weights and bias")
     constant = {}
     if d["degenerate"]:
         constant = ({d["constant_class"]: True} if d["constant_class"] is not None
                     else {classes[0]: False})
-    return MaxEntModel(classes, d["mode"], weights, bias, d["feature_dim"], constant)
+    return MaxEntModel(classes, mode, weights, bias, width, constant)
 
 
-def _tfidf_from_dict(d: dict) -> TfIdfModel:
-    """The stored featurizer: integer counts, and a vocabulary that numbers
-    its n-grams 0..n-1 and has a document frequency for each."""
-    if not isinstance(d, dict):
-        raise DataError(f"tfidf must be an object, got {type(d).__name__}")
+def _tfidf_from_dict(d: dict, what: str) -> TfIdfModel:
+    """The stored featurizer: n-grams numbered 0..n-1, each with its document frequency."""
+    stored_object(d, ("vocabulary", "document_frequency", "corpus_size"), what)
     vocab, df, n = d["vocabulary"], d["document_frequency"], d["corpus_size"]
     if not (isinstance(vocab, dict) and isinstance(df, dict)) or set(vocab) != set(df):
-        raise DataError("tfidf vocabulary and document_frequency must cover the same n-grams")
+        raise DataError(f"{what} vocabulary and document_frequency must cover the same n-grams")
     if not all(type(v) is int for v in (n, *vocab.values(), *df.values())):
-        raise DataError("tfidf indices, document frequencies and corpus_size must be integers")
+        raise DataError(f"{what} indices, document frequencies and corpus_size must be integers")
     if n < 1 or not all(1 <= v <= n for v in df.values()):
-        raise DataError("tfidf document frequencies must lie in 1..corpus_size, and corpus_size >= 1")
+        raise DataError(f"{what} document frequencies must lie in 1..corpus_size, and corpus_size >= 1")
     if sorted(vocab.values()) != list(range(len(vocab))):
-        raise DataError(f"tfidf vocabulary must number its {len(vocab)} n-grams 0..{len(vocab) - 1}")
+        raise DataError(f"{what} vocabulary must number its {len(vocab)} n-grams 0..{len(vocab) - 1}")
     return TfIdfModel(vocab, df, n)
 
 
@@ -226,65 +221,68 @@ def save_me_artifact(artifact: MeArtifact, path: str | Path) -> None:
     write_text(path, json.dumps(artifact_dict(artifact)))
 
 
-def load_me_artifact(payload: dict, sidecar=lambda flag: None) -> MeArtifact:
-    """Rebuild an artifact from a decoded ``model.json`` (``load_model`` opens
-    the file). ``sidecar(flag)`` gives the loaded resource of a feature flag
-    that reads a file, or None; it is called only for a flag that a stored
-    combination reads."""
-
-    def from_dict(d: dict, tags: tuple[str, ...] = ME_TAGS) -> MeArtifact:
-        for key, allowed in (("version", (1,)), ("tag", tags),
-                             ("mode", (SINGLE_LABEL, MULTI_LABEL)),
-                             ("stack_source", tuple(EMOTION_ME_TAGS))):
-            if not any(type(d[key]) is type(a) and d[key] == a for a in allowed):
-                raise DataError(f"model {key} must be one of {allowed}, got {d[key]!r}")
-        for key, kind in (("emotion_model", (dict, type(None))), ("component_models", dict),
-                          ("combinations", dict), ("cpm_artifact", (dict, type(None)))):
-            if not isinstance(d[key], kind):
-                raise DataError(f"model {key} must be an object, got {type(d[key]).__name__}")
-        if d["stack_source"] == PREDICTED and d["cpm_artifact"] is None:
-            raise DataError("a model stacking predicted components needs its cpm_artifact")
-        tfidf = _tfidf_from_dict(d["tfidf"])
-        a = MeArtifact(d["tag"], d["mode"], stored_names(d["emotion_inventory"], "emotion_inventory"),
-                       tfidf, stack_source=d["stack_source"])
-        if type(d["feature_dim"]) is not int or d["feature_dim"] != a.feature_dim:
-            raise DataError(f"stored feature_dim {d['feature_dim']!r} is not {a.feature_dim}")
-        em = d["emotion_model"]
-        if em is not None:
-            if em["kind"] == "ovr" and isinstance(em["models"], dict) and em["labels"]:
-                a.emotion_model = stack_labels([_maxent_from_dict(em["models"][l])
-                                                for l in stored_names(em["labels"], "labels")])
-            elif em["kind"] == "multinomial":
-                a.emotion_model = _maxent_from_dict(em["model"], MULTINOMIAL)
-            else:
-                raise DataError(f"emotion_model of kind {em['kind']!r} is not a model set or model")
-            if (a.mode == SINGLE_LABEL) != (a.emotion_model.mode == MULTINOMIAL):
-                raise DataError(f"a {a.mode} model cannot hold an emotion model of kind {em['kind']!r}")
-        a.component_models = {c: _maxent_from_dict(m) for c, m in d["component_models"].items()}
-        for comp, flags in d["combinations"].items():
-            unknown = set(stored_names(flags, "combination")) - set(FEATURE_FLAGS)
-            if unknown:
-                raise DataError(f"combination of {comp} names unknown flags {sorted(unknown)}")
-            a.combinations[comp] = tuple(f for f in FEATURE_FLAGS if f in flags)
+def _artifact_from_dict(d: dict, what: str, tags: tuple[str, ...], sidecar) -> MeArtifact:
+    """The stored artifact ``what``, tagged one of ``tags`` (see :func:`load_me_artifact`)."""
+    head = d if isinstance(d, dict) else {}
+    tag = head.get("tag")
+    # checked before the members, so that a file of a later version is named as one
+    for key, allowed in (("version", (1,)), ("tag", tags), ("mode", (SINGLE_LABEL, MULTI_LABEL)),
+                         ("stack_source", tuple(s for s, t in EMOTION_ME_TAGS.items() if t == tag)
+                          or (None,))):
+        if key in head and not any(type(d[key]) is type(v) and d[key] == v for v in allowed):
+            raise DataError(f"{what} {key} must be one of {allowed}, got {d[key]!r}")
+    adv, cpm = tag == "cpm-me-adv", tag in ("cpm-me-base", "cpm-me-adv")
+    stored_object(d, ("version", "tag", "mode", "emotion_inventory", "tfidf", "feature_dim",
+                      "emotion_model", "component_models", "combinations", "stack_source",
+                      "cpm_artifact") + ("resources",) * adv, what)
+    for key, held in (("emotion_model", not cpm), ("cpm_artifact", tag == "emo-cpm-me-pred")):
+        if not held and d[key] is not None:
+            raise DataError(f"{what} {key} must be null for tag {tag}")
+    a = MeArtifact(tag, d["mode"], stored_names(d["emotion_inventory"], f"{what} emotion_inventory"),
+                   _tfidf_from_dict(d["tfidf"], f"{what} tfidf"), stack_source=d["stack_source"])
+    if type(d["feature_dim"]) is not int or d["feature_dim"] != a.feature_dim:
+        raise DataError(f"{what} feature_dim {d['feature_dim']!r} is not {a.feature_dim}")
+    if not cpm:   # a multinomial model, or one binary model per label ("ovr")
+        single, em, where = a.mode == SINGLE_LABEL, d["emotion_model"], f"{what} emotion_model"
+        stored_object(em, ("kind", "model") if single else ("kind", "labels", "models"), where)
+        if not a.emotion_inventory or em["kind"] != ("multinomial" if single else "ovr"):
+            raise DataError(f"a {a.mode} model tagged {tag} needs emotion labels and an "
+                            f"emotion model of kind {'multinomial' if single else 'ovr'}")
+        if single:
+            a.emotion_model = _maxent_from_dict(em["model"], f"{where} model", MULTINOMIAL,
+                                                a.emotion_inventory, a.feature_dim)
+        elif stored_names(em["labels"], f"{where} labels") != a.emotion_inventory:
+            raise DataError(f"{where} labels {em['labels']} are not the emotion_inventory")
+        else:
+            models = stored_object(em["models"], a.emotion_inventory, f"{where} models")
+            a.emotion_model = stack_labels([_maxent_from_dict(models[l], f"{where} models {l}",
+                                                              BINARY, (l,), a.feature_dim)
+                                            for l in a.emotion_inventory])
+    combinations = stored_object(d["combinations"], COMPONENTS if adv else (), f"{what} combinations")
+    for comp, flags in combinations.items():
+        unknown = set(stored_names(flags, "combination")) - set(FEATURE_FLAGS)
+        if unknown:
+            raise DataError(f"combination of {comp} names unknown flags {sorted(unknown)}")
+        a.combinations[comp] = tuple(f for f in FEATURE_FLAGS if f in flags)
+    if adv:
+        res = stored_object(d["resources"], ("lexicons", "pos_inventory", "appraisal_dim",
+                                             "embedding_dim"), f"{what} resources")
+        if not (isinstance(res["lexicons"], dict)
+                and type(res["appraisal_dim"]) is int and res["appraisal_dim"] >= 0
+                and (res["embedding_dim"] is None
+                     or type(res["embedding_dim"]) is int and res["embedding_dim"] >= 1)):
+            raise DataError(f"{what} resources must hold a lexicons map of term lists, a non-negative "
+                            "integer appraisal_dim and a positive integer or null embedding_dim")
+        lexicons = [DictionaryLexicon(c, frozenset(stored_names(entries, "lexicon")))
+                    for c, entries in res["lexicons"].items()]
         used = {f for combo in a.combinations.values() for f in combo}
-        res = d.get("resources")
-        if res is not None:
-            if not (isinstance(res, dict) and isinstance(res["lexicons"], dict)
-                    and type(res["appraisal_dim"]) is int and res["appraisal_dim"] >= 0
-                    and (res["embedding_dim"] is None
-                         or type(res["embedding_dim"]) is int and res["embedding_dim"] >= 1)):
-                raise DataError("resources must be an object with a lexicons map of term lists, "
-                                "a non-negative integer appraisal_dim and an embedding_dim "
-                                "that is a positive integer or null")
-            lexicons = [DictionaryLexicon(c, frozenset(stored_names(entries, "lexicon")))
-                        for c, entries in res["lexicons"].items()]
-            read = {f: sidecar(f) if f in used else None for f in SIDECARS}
-            a.resources = AdvResources(lexicons=lexicons,
-                                       pos_tags=read["pos_tags"],
-                                       pos_inventory=stored_names(res["pos_inventory"], "pos_inventory"),
-                                       embeddings=read["word_embeddings"],
-                                       appraisal=read["appraisal_predictions"],
-                                       appraisal_dim=res["appraisal_dim"])
+        read = {f: sidecar(f) if f in used else None for f in SIDECARS}
+        a.resources = AdvResources(lexicons=lexicons,
+                                   pos_tags=read["pos_tags"],
+                                   pos_inventory=stored_names(res["pos_inventory"], "pos_inventory"),
+                                   embeddings=read["word_embeddings"],
+                                   appraisal=read["appraisal_predictions"],
+                                   appraisal_dim=res["appraisal_dim"])
         missing = used - set(available_flags(a.resources))
         if missing:
             raise ResourceError("stored combinations use feature flags whose resources are not "
@@ -292,32 +290,22 @@ def load_me_artifact(payload: dict, sidecar=lambda flag: None) -> MeArtifact:
         if "word_embeddings" in used and res["embedding_dim"] != a.resources.embeddings.dimension:
             raise DataError(f"stored model reads embeddings {res['embedding_dim']} wide, but "
                             f"the embedding file's are {a.resources.embeddings.dimension} wide")
-        check_models(a)
-        if d["cpm_artifact"] is not None:
-            a.cpm_artifact = from_dict(d["cpm_artifact"], ("cpm-me-base", "cpm-me-adv"))
-        return a
+    models = stored_object(d["component_models"], COMPONENTS if cpm else (), f"{what} component_models")
+    for c, m in models.items():
+        width = a.tfidf.dim + combination_width(a.resources, a.combinations.get(c, ()))
+        a.component_models[c] = _maxent_from_dict(m, f"{what} component_models {c}", BINARY, (c,), width)
+    if tag == "emo-cpm-me-pred":
+        a.cpm_artifact = _artifact_from_dict(d["cpm_artifact"], f"{what} cpm_artifact",
+                                             ("cpm-me-base", "cpm-me-adv"), sidecar)
+    return a
 
-    def check_models(a: MeArtifact) -> None:
-        """The tag's models must be there, each over its classes and reading
-        as many columns as its featurizer makes."""
-        cpm = a.tag.startswith("cpm-")
-        if (set(a.component_models) != (set(COMPONENTS) if cpm else set())
-                or (a.emotion_model is None) != cpm or not (cpm or a.emotion_inventory)):
-            raise DataError(f"a model tagged {a.tag} needs exactly "
-                            + ("one model per component" if cpm else "an emotion model and labels"))
-        expected = [(comp, m, (comp,),
-                     a.tfidf.dim + combination_width(a.resources, a.combinations.get(comp, ())))
-                    for comp, m in a.component_models.items()]
-        if a.emotion_model is not None:
-            expected.append(("emotion", a.emotion_model, a.emotion_inventory, a.feature_dim))
-        for name, m, classes, width in expected:
-            if m.classes != classes:
-                raise DataError(f"stored {name} model predicts {list(m.classes)}, not {list(classes)}")
-            if m.feature_dim != width:
-                raise DataError(f"stored {name} model reads {m.feature_dim} features, "
-                                f"but its featurizer makes {width}")
 
-    return from_dict(payload)
+def load_me_artifact(payload: dict, sidecar=lambda flag: None) -> MeArtifact:
+    """Rebuild an artifact from a decoded ``model.json`` (``load_model`` opens the file),
+    which holds what :func:`save_me_artifact` writes for its tag. ``sidecar(flag)`` gives
+    the loaded resource of a feature flag that reads a file, or None; it is called only
+    for a flag that a stored combination reads."""
+    return _artifact_from_dict(payload, "model", ME_TAGS, sidecar)
 
 
 def train_emotion_me(corpus: Corpus, config: MaxEntConfig | None = None,
@@ -429,8 +417,11 @@ def train_neural(tag: str, train_corpus: Corpus, config: ModelConfig,
                  frozen_cpm: SharedTrunkModel | None = None) -> tuple[NeuralModel, TrainingLog]:
     train_split, dev_split = split_train_test(train_corpus, ratio=1.0 - dev_ratio,
                                               seed=config.seed)
-    model = build_model(tag, config, input_dim, train_corpus.emotion_inventory,
-                        frozen_cpm=frozen_cpm)
+    try:
+        model = build_model(tag, config, input_dim, train_corpus.emotion_inventory, frozen_cpm)
+    except (MemoryError, ValueError) as exc:   # numpy refuses a parameter this large
+        raise ConfigError(f"model {tag} is too large to build ({exc}); lower bilstm_units, "
+                          "cnn_filters, kernel_sizes or fc_neurons_*") from exc
     log = train_model(model, build_examples(train_split, embeddings), train_corpus.mode,
                       dev=build_examples(dev_split, embeddings) or None)
     return model, log
@@ -586,17 +577,14 @@ def load_model(path: str | Path, resources: dict):
     """Open and decode a model file, the one place that does; a ``params``
     key marks a neural checkpoint. A feature-based model reads, once each,
     the sidecar files named in ``resources`` that its stored combinations
-    read. Unreadable JSON, JSON nested too deep to decode or a missing key
-    is a data error."""
+    read. Unreadable JSON, JSON nested too deep to decode or a file that
+    ``save_model`` could not have written is a data error."""
     try:
         payload = read_model_text(Path(path).read_text(encoding="utf-8"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise DataError(f"{path} is not a JSON model file: {exc}") from exc
     if not isinstance(payload, dict):
         raise DataError(f"{path} does not hold a JSON object")
-    try:
-        if "params" in payload:
-            return load_checkpoint(payload)
-        return load_me_artifact(payload, functools.cache(functools.partial(_sidecar, resources)))
-    except KeyError as exc:
-        raise DataError(f"{path} lacks required key {exc}") from exc
+    if "params" in payload:
+        return load_checkpoint(payload)
+    return load_me_artifact(payload, functools.cache(functools.partial(_sidecar, resources)))

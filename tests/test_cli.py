@@ -201,6 +201,24 @@ class TestExitCodes:
             assert f"config error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("setting,tag", [
+        ("bilstm_units", "emo-nn-base"), ("cnn_filters", "emo-nn-base"),
+        ("kernel_sizes", "emo-nn-base"), ("fc_neurons_emo", "emo-nn-base"),
+        ("fc_neurons_cpm", "cpm-nn-base"), ("fc_neurons_combined", "emo-cpm-nn-gold"),
+    ])
+    def test_model_too_large_to_build_is_config_error(self, setting, tag, tmp_path,
+                                                      overfit_path, capsys):
+        # numpy refuses a parameter this large before it allocates anything
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text(f"epochs = 1\n{setting} = {10**18}\n")
+        for verb in (["train"], ["crossval", "--k", "2"]):
+            assert run([*verb, "--model", tag, "--corpus", overfit_path, "--config", cfg,
+                        "--out", tmp_path / "o"]) == 1
+            err = capsys.readouterr().err
+            assert f"config error: model {tag} is too large to build" in err, err
+            assert "bilstm_units, cnn_filters, kernel_sizes or fc_neurons_*" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("tag,config,env,flags", [
         ("emo-me-base", "epochs = x", {}, []),
         ("emo-me-base", "kernel_sizes = a", {}, []),
@@ -389,6 +407,29 @@ class TestTrainEvalPredict:
         assert aj == bj
 
 
+# each error names the object and the member
+MESSAGES = {
+    "no_tfidf": "data error: model lacks required key 'tfidf'",
+    "unknown_top_level_member": "data error: model holds unknown member 'mystery'",
+    "unknown_tfidf_member": "data error: model tfidf holds unknown member 'mystery'",
+    "label_model_missing": "data error: model emotion_model models lacks required key 'joy'",
+    "empty_emotion_inventory": "data error: a single-label model tagged emo-me-base needs emotion labels",
+    "cpm_artifact_on_gold": "data error: model cpm_artifact must be null for tag emo-cpm-me-gold",
+    "emotion_model_on_component_model":
+        "data error: model emotion_model must be null for tag cpm-me-adv",
+    "stacked_component_model_missing":
+        "data error: model cpm_artifact component_models lacks required key 'cognitive_appraisal'",
+    "classes_not_inventory": "data error: model emotion_model model must be a multinomial model of",
+    "seedless_config": "data error: checkpoint config lacks required key 'seed'",
+    "unknown_config_key": "data error: checkpoint config holds unknown member 'mystery'",
+    "seedless_frozen_cpm_config":
+        "data error: checkpoint frozen_cpm_config lacks required key 'seed'",
+    "unknown_checkpoint_member": "data error: checkpoint holds unknown member 'mystery'",
+    "frozen_cpm_config_on_component_model":
+        "data error: checkpoint holds unknown member 'frozen_cpm_config'",
+}
+
+
 class TestModelFiles:
     def test_model_json_independent_of_hash_seed(self, tmp_path, tec_path):
         cfg = tmp_path / "cfg.txt"
@@ -516,6 +557,12 @@ class TestModelFiles:
                 names[-1] = names[0]
 
         variant("emotion_repeated", repeat_first_emotion)
+        variant("empty_emotion_inventory", lambda p: p.update(emotion_inventory=[]))
+        variant("unknown_top_level_member", lambda p: p.update(mystery=1))
+        variant("unknown_tfidf_member", lambda p: p["tfidf"].update(mystery=1))
+        variant("label_models_reordered", lambda p: p["emotion_model"].update(
+            labels=p["emotion_model"]["labels"][::-1]), v1)
+        variant("label_model_missing", lambda p: p["emotion_model"]["models"].pop("joy"), v1)
         assert run(["train", "--model", "cpm-me-adv", "--corpus", tec_path,
                     "--config", cfg, "--out", tmp_path / "adv"]) == 0
         adv = json.loads((tmp_path / "adv" / "model.json").read_text())
@@ -548,6 +595,9 @@ class TestModelFiles:
         variant("stacked_component_models_empty",
                 lambda p: p["cpm_artifact"].update(component_models={}), pred)
         variant("stacked_version_true", lambda p: p["cpm_artifact"].update(version=True), pred)
+        variant("cpm_artifact_on_gold", lambda p: p.update(cpm_artifact=pred["cpm_artifact"]), gold)
+        variant("emotion_model_on_component_model",
+                lambda p: p.update(emotion_model=gold["emotion_model"]), adv)
         model = build_model("emo-nn-base", ModelConfig(bilstm_units=2, cnn_filters=2,
                                                        kernel_sizes=(2,), fc_neurons_emo=2),
                             4, ("joy", "sadness"))
@@ -622,6 +672,9 @@ class TestModelFiles:
         component = json.loads((tmp_path / "component.json").read_text())
         # a model without an emotion head keeps no labels, so it stores none
         variant("labels_on_component_model", lambda p: p.update(emo_labels=["joy"]), component)
+        variant("unknown_checkpoint_member", lambda p: p.update(mystery=1), component)
+        variant("frozen_cpm_config_on_component_model",
+                lambda p: p.update(frozen_cpm_config=p["config"]), component)
         for bad in bad_files:
             assert run([verb, "--model-path", bad, "--corpus", tec_path,
                         "--out", tmp_path / "o"]) == 2
@@ -633,6 +686,8 @@ class TestModelFiles:
                 assert "tfidf vocabulary must number its" in err, err
             if bad.stem == "labels_on_component_model":
                 assert "checkpoint emo_labels ['joy'] are not the cpm-nn-base model's []" in err, err
+            if bad.stem in MESSAGES:
+                assert MESSAGES[bad.stem] in err, err
 
 
 class TestInputFiles:

@@ -18,7 +18,9 @@ nothing, or drops or duplicates the line.
 
 A sweep drops every member of a model file, at any depth, and replaces it
 with ``"x"`` (a boolean also with its negation): ``predict`` must exit 2,
-except for the members listed with the reason they may be missing. One
+except for the members listed with the reason they may be missing. Another
+adds an unknown member to every object of a model file: ``predict`` must
+exit 2, except for the objects listed, whose keys are data. One
 swept model is a cpm-me-adv model whose combinations read the lexicons,
 POS tags, embeddings and appraisal predictions; its predicts read the
 sidecar files.
@@ -53,7 +55,7 @@ BAD_FIELDS = ["x", "nan", "1e400", "-1", ""]
 
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
-    """The tiny corpus and the four model files, parsed."""
+    """The tiny corpus and the six model files, parsed."""
     root = tmp_path_factory.mktemp("mutations")
     source = Path(__file__).resolve().parent.parent / "data" / "synthetic_tec.jsonl"
     corpus = root / "corpus.jsonl"
@@ -78,6 +80,10 @@ def files(tmp_path_factory):
     assert main(["train", "--model", "emo-cpm-me-pred", "--corpus", str(corpus),
                  "--config", str(root / "cfg.txt"), "--out", str(root / "me")]) == 0
     docs["emo-cpm-me-pred"] = json.loads((root / "me" / "model.json").read_text())
+    for tag in ("emo-cpm-me-gold", "cpm-me-base"):
+        assert main(["train", "--model", tag, "--corpus", str(corpus),
+                     "--config", str(root / "cfg.txt"), "--out", str(root / tag)]) == 0
+        docs[tag] = json.loads((root / tag / "model.json").read_text())
     # cpm-me-adv with each component's combination of the most flags, so
     # that together they read the lexicons and all three resource files
     instances = load_corpus(corpus).instances
@@ -232,12 +238,7 @@ UNREAD = "read by no stored combination"
 # each member whose removal still predicts (exit 0), with its reason
 DROPPABLE = {
     "mtl-xs": {},   # a stored config holds every field
-    "emo-cpm-me-pred": {
-        **{f"cpm_artifact/combinations/{c}": "TF-IDF alone, as a missing combination reads"
-           for c in COMPONENTS},
-        "cpm_artifact/resources": UNREAD,
-        **{f"cpm_artifact/resources/lexicons/{c}": UNREAD for c in COMPONENTS},
-    },
+    "emo-cpm-me-pred": {f"cpm_artifact/resources/lexicons/{c}": UNREAD for c in COMPONENTS},
     "cpm-me-adv": {},   # its combinations read every resource, so it needs every member
 }
 
@@ -267,6 +268,57 @@ def test_every_member_dropped_or_mistyped_is_data_error(tag, files):
             if code == 0:
                 exit_0.add("/".join(map(str, where)))
     assert exit_0 == set(DROPPABLE[tag])
+
+
+# each object that may gain an unknown member and still predict (exit 0), with its reason
+ADDABLE = {
+    "emo-cpm-nn-pred": {},
+    "mtl-xs": {},
+    "emo-cpm-me-pred": {"cpm_artifact/resources/lexicons": f"lexicons by any name, {UNREAD}"},
+    "cpm-me-adv": {},   # its combinations read the lexicons, one per stored lexicon
+}
+
+
+@pytest.mark.parametrize("tag", ADDABLE)
+def test_unknown_member_is_data_error(tag, files):
+    # every object, the root too, gains a member that holds a copy of its
+    # first member's value (null in an empty object): a file holds exactly
+    # the members that save writes for its tag
+    root, corpus, docs = files
+    path = root / "added.json"
+    exit_0 = set()
+    objects = [()] + [where for where in members(docs[tag])
+                      if isinstance(functools.reduce(operator.getitem, where, docs[tag]), dict)]
+    for where in objects:
+        doc = json.loads(json.dumps(docs[tag]))
+        node = functools.reduce(operator.getitem, where, doc)
+        node["mystery"] = json.loads(json.dumps(next(iter(node.values()), None)))
+        path.write_text(json.dumps(doc))
+        code = main(["predict", "--model-path", str(path), "--corpus", str(corpus),
+                     "--fallback-dim", "8", *resource_flags(root, tag), "--out", str(root / "out")])
+        assert code in (0, 2), (where, code)
+        if code == 0:
+            exit_0.add("/".join(map(str, where)))
+    assert exit_0 == set(ADDABLE[tag])
+
+
+@pytest.mark.parametrize("tag,edit,message", [
+    ("emo-cpm-me-gold", lambda d: d.update(tag="emo-me-base"),
+     "model stack_source must be one of (None,), got 'gold'"),
+    ("cpm-me-base", lambda d: d.update(tag="cpm-me-adv"), "model lacks required key 'resources'"),
+    ("cpm-me-base", lambda d: d["combinations"].update(cognitive_appraisal=[]),
+     "model combinations holds unknown member 'cognitive_appraisal'"),
+], ids=["gold-retagged-emo-me-base", "base-retagged-cpm-me-adv", "base-with-combination"])
+def test_file_that_save_cannot_write_is_data_error(tag, edit, message, files, capsys):
+    # each loaded with exit 0 before the tag fixed the members
+    root, corpus, docs = files
+    doc = json.loads(json.dumps(docs[tag]))
+    edit(doc)
+    (root / "retagged.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["predict", "--model-path", str(root / "retagged.json"), "--corpus", str(corpus),
+                 "--out", str(root / "out")]) == 2
+    assert f"data error: {message}" in capsys.readouterr().err
 
 
 def nested(depth):

@@ -110,7 +110,7 @@ class TestConfig:
     def test_stored_config_needs_every_field(self):
         stored = toy_config().to_dict()
         del stored["seed"], stored["epochs"]
-        with pytest.raises(DataError, match="lacks epochs, seed"):
+        with pytest.raises(DataError, match="stored model config lacks required key 'epochs'"):
             ModelConfig.from_dict(stored)
 
     def test_published_defaults_present(self):

@@ -57,9 +57,15 @@ def test_save_load_round_trip_predicts_the_same(tag, tec, tmp_path):
     pipeline.save_model(model, tmp_path)
     (path,) = tmp_path.iterdir()
     assert path.name == ("model.json" if tag in ME_TAGS else "checkpoint.json")
-    after = pipeline.predict(pipeline.load_model(path, {}), test, embed)
+    again = pipeline.load_model(path, {})
+    after = pipeline.predict(again, test, embed)
     assert after == before
     assert any(labels is not None for labels in before)
+    # the loaded model saves the same JSON value (1 and 1.0 compare equal)
+    (tmp_path / "again").mkdir()
+    pipeline.save_model(again, tmp_path / "again")
+    assert (json.loads((tmp_path / "again" / path.name).read_text())
+            == json.loads(path.read_text()))
 
 
 class TestLibraryScoresAsCli:
