@@ -65,6 +65,15 @@ class Corpus:
     def subset(self, instances: list[Instance]) -> "Corpus":
         return Corpus(instances, self.emotion_inventory, self.mode)
 
+    def emotion_targets(self) -> np.ndarray:
+        """N x L: 1.0 where an instance carries the inventory label of that column, else 0.0."""
+        return np.array([[float(label in i.emotions) for label in self.emotion_inventory]
+                         for i in self.instances]).reshape(len(self), len(self.emotion_inventory))
+
+    def component_targets(self) -> np.ndarray:
+        """N x 5: each instance's component flags, in the order of :data:`COMPONENTS`."""
+        return np.array([i.cpm for i in self.instances], dtype=float).reshape(len(self), len(COMPONENTS))
+
 
 def _labels(value, what: str, line: int) -> tuple[str, ...]:
     """``value`` as distinct label names (the rule of ``errors.stored_names``), each

@@ -29,6 +29,7 @@ from itertools import combinations
 import numpy as np
 
 from .autodiff import Parameter
+from .corpus import COMPONENTS
 from .errors import ConfigError, DataError, DimensionError, ResourceError, check_fields
 from .features import (DictionaryLexicon, EmbeddingTable, TfIdfModel,
                        dictionary_features,
@@ -74,11 +75,13 @@ def train_maxent(X: np.ndarray, y, classes: tuple[str, ...],
                  mask: np.ndarray | None = None) -> MaxEntModel:
     """Fit a logistic model on the N x ``feature_dim`` design matrix ``X``.
 
-    Multinomial: ``y`` holds one label per row. Binary: ``y`` is an N x L
-    0/1 matrix with one column per class (a 1-d ``y`` is one column); the
-    columns are independent one-vs-rest problems fit in one call. A binary
-    column, or a multinomial target, with a single class present becomes a
-    zero-weight constant predictor.
+    ``y`` is an N x L 0/1 matrix with one column per class in both modes (a
+    1-d ``y`` is one column), as ``Corpus.emotion_targets`` and
+    ``Corpus.component_targets`` give it. Multinomial: each row holds exactly
+    one 1, its class; any other row is a data error. Binary: the columns are
+    independent one-vs-rest problems fit in one call. A binary column, or a
+    multinomial target, with a single class present becomes a zero-weight
+    constant predictor.
 
     ``mask`` (the feature search's and the component fit's, not a user
     option), ``feature_dim`` x classes and boolean, confines each class to
@@ -94,24 +97,22 @@ def train_maxent(X: np.ndarray, y, classes: tuple[str, ...],
     if X.ndim != 2 or X.shape[1] != feature_dim:
         raise DimensionError(f"design matrix of shape {X.shape}, expected {feature_dim} columns")
 
+    if mode not in (MULTINOMIAL, BINARY):
+        raise ConfigError(f"unknown mode {mode!r}")
+    Y = np.asarray(y, dtype=float).reshape(len(y), -1)
+    if Y.shape[1] != len(classes):
+        raise DimensionError(f"{Y.shape[1]} target columns for {len(classes)} classes")
+    positives = Y.sum(axis=0)
     if mode == MULTINOMIAL:
-        class_index = {c: i for i, c in enumerate(classes)}
-        Y = np.zeros((len(y), len(classes)))
-        for row, label in enumerate(y):
-            Y[row, class_index[label]] = 1.0
-        present = set(y)
-        constant = {next(iter(present)): True} if len(present) < 2 else {}
+        if not (np.isin(Y, (0.0, 1.0)).all() and (Y.sum(axis=1) == 1.0).all()):
+            raise DataError("a multinomial target must hold exactly one 1 per row and 0 elsewhere")
+        present = np.flatnonzero(positives)
+        constant = {classes[present[0]]: True} if len(present) < 2 else {}
         live = [] if constant else list(range(len(classes)))
-    elif mode == BINARY:
-        Y = np.asarray(y, dtype=float).reshape(len(y), -1)
-        if Y.shape[1] != len(classes):
-            raise DimensionError(f"{Y.shape[1]} target columns for {len(classes)} classes")
-        positives = Y.sum(axis=0)
+    else:
         constant = {c: bool(positives[j]) for j, c in enumerate(classes)
                     if positives[j] in (0, len(Y))}
         live = [j for j, c in enumerate(classes) if c not in constant]
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
 
     if constant:
         warnings.warn(f"single class present in training data for {', '.join(constant)}; "
@@ -388,8 +389,9 @@ PREDICTED = "predicted"
 
 
 def stack_component_features(base: np.ndarray, cpm) -> np.ndarray:
-    """Extend each row of a design matrix by its 5 binary component flags."""
-    cpm = np.zeros((0, 5)) if len(base) == 0 else np.asarray(cpm, dtype=float)
-    if cpm.shape != (len(base), 5) or not np.isin(cpm, (0.0, 1.0)).all():
-        raise DimensionError(f"cpm features must be 5 binary values per row, got shape {cpm.shape}")
+    """Extend each row of a design matrix by its binary component flags, one per component."""
+    n = len(COMPONENTS)
+    cpm = np.zeros((0, n)) if len(base) == 0 else np.asarray(cpm, dtype=float)
+    if cpm.shape != (len(base), n) or not np.isin(cpm, (0.0, 1.0)).all():
+        raise DimensionError(f"cpm features must be {n} binary values per row, got shape {cpm.shape}")
     return np.hstack([base, cpm])

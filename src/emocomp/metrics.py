@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import COMPONENTS, Corpus
+from .corpus import Corpus
 from .errors import DataError
 
 
@@ -177,18 +177,10 @@ def round_half_up(x: float) -> int:
 
 def cooccurrence_stats(corpus: Corpus) -> CooccurrenceTable:
     """Per emotion: how many instances carry each component flag, plus a
-    totals row counting instances (not emotion mentions) per component."""
-    counts = {e: [0] * len(COMPONENTS) for e in corpus.emotion_inventory}
-    emotion_totals = {e: 0 for e in corpus.emotion_inventory}
-    component_totals = [0] * len(COMPONENTS)
-    for inst in corpus:
-        for j, flag in enumerate(inst.cpm):
-            if flag:
-                component_totals[j] += 1
-        for e in inst.emotions:
-            emotion_totals[e] += 1
-            for j, flag in enumerate(inst.cpm):
-                if flag:
-                    counts[e][j] += 1
-    return CooccurrenceTable(corpus.emotion_inventory, counts, emotion_totals,
-                             component_totals, len(corpus))
+    totals row counting instances (not emotion mentions) per component. The
+    counts are sums of 0/1 products, so exact as floats and as integers."""
+    E, C = corpus.emotion_targets(), corpus.component_targets()
+    inventory = corpus.emotion_inventory
+    return CooccurrenceTable(inventory, dict(zip(inventory, (E.T @ C).astype(int).tolist())),
+                             dict(zip(inventory, E.sum(axis=0).astype(int).tolist())),
+                             C.sum(axis=0).astype(int).tolist(), len(corpus))

@@ -50,7 +50,7 @@ CHECKPOINT_VERSION = 1
 NN_TAGS = ("emo-nn-base", "cpm-nn-base", "emo-cpm-nn-pred", "emo-cpm-nn-gold",
            "mtl-mh", "mtl-xs")
 
-N_COMPONENTS = 5
+N_COMPONENTS = len(COMPONENTS)
 
 
 @dataclass
@@ -433,8 +433,8 @@ class CpmInjectModel(NeuralModel):
             raise DataError("emo-cpm-nn-gold requires a component input vector")
         cpm = np.asarray(cpm, dtype=float)
         if cpm.size != len(lengths) * N_COMPONENTS:
-            raise DimensionError(f"component vectors must have 5 entries each, got shape {cpm.shape} "
-                                 f"for {len(lengths)} example(s)")
+            raise DimensionError(f"component vectors must have {N_COMPONENTS} entries each, got "
+                                 f"shape {cpm.shape} for {len(lengths)} example(s)")
         cpm_rows = Tensor(cpm.reshape(len(lengths), N_COMPONENTS))
         pen = drop(self.fc(self.trunk(x, lengths, drop)))
         branch = drop(self.cpm_branch(cpm_rows))
@@ -518,8 +518,8 @@ def build_model(tag: str, config: ModelConfig, input_dim: int,
 class Example:
     id: str
     x: np.ndarray                      # T x d token embeddings
-    y_emo: np.ndarray | None = None    # multi-hot over the emotion inventory
-    y_cpm: np.ndarray | None = None    # 5 binary flags
+    y_emo: np.ndarray                  # multi-hot over the emotion inventory
+    y_cpm: np.ndarray                  # one binary flag per component
 
 
 @dataclass
@@ -546,10 +546,9 @@ def _pad(batch: list[Example]) -> tuple[Tensor, list[int]]:
     return Tensor(x), lengths
 
 
-def _stack(batch: list[Example], field_name: str) -> np.ndarray | None:
-    """One row per example of a target field; None when an example lacks it."""
-    values = [getattr(ex, field_name) for ex in batch]
-    return None if any(v is None for v in values) else np.stack(values)
+def _stack(batch: list[Example], field_name: str) -> np.ndarray:
+    """One row per example of a target field."""
+    return np.stack([getattr(ex, field_name) for ex in batch])
 
 
 def predict_example(model: NeuralModel, ex: Example, mode: str):

@@ -67,10 +67,6 @@ def preprocess_corpus(instances) -> list[list[str]]:
     return [preprocess(i, stems) for i in instances]
 
 
-def emotion_multi_hot(instance: Instance, inventory: tuple[str, ...]) -> np.ndarray:
-    return np.array([1.0 if label in instance.emotions else 0.0 for label in inventory])
-
-
 # ---------------------------------------------------------------------------
 # Feature-based family
 # ---------------------------------------------------------------------------
@@ -110,20 +106,20 @@ class MeArtifact:
             flags[:, j] = predict_maxent(self.component_models[comp], X[:, cols])[0][:, 0]
         return flags
 
-    def emotion_features(self, instances: list[Instance], stemmed: list[list[str]]) -> np.ndarray:
-        """The emotion model's design matrix for ``instances``, given their
+    def emotion_features(self, corpus: Corpus, stemmed: list[list[str]]) -> np.ndarray:
+        """The emotion model's design matrix for ``corpus``, given its
         stemmed tokens: TF-IDF, then the gold or the predicted component
         flags when the model stacks them."""
         X = tfidf_transform(self.tfidf, stemmed)
         if self.stack_source is None:
             return X
-        cpm = ([i.cpm for i in instances] if self.stack_source == GOLD
-               else self.cpm_artifact.predict_components(stemmed, [i.id for i in instances]))
+        cpm = (corpus.component_targets() if self.stack_source == GOLD
+               else self.cpm_artifact.predict_components(stemmed, [i.id for i in corpus]))
         return stack_component_features(X, cpm)
 
-    def predict_emotions(self, instances: list[Instance], stemmed: list[list[str]]) -> list[set[str]]:
-        """Emotion label sets of ``instances``, given their stemmed tokens."""
-        decisions, _ = predict_maxent(self.emotion_model, self.emotion_features(instances, stemmed))
+    def predict_emotions(self, corpus: Corpus, stemmed: list[list[str]]) -> list[set[str]]:
+        """Emotion label sets of the instances of ``corpus``, given their stemmed tokens."""
+        decisions, _ = predict_maxent(self.emotion_model, self.emotion_features(corpus, stemmed))
         return label_sets(decisions, self.emotion_model.classes)
 
 
@@ -325,13 +321,10 @@ def train_emotion_me(corpus: Corpus, config: MaxEntConfig | None = None,
     inventory = corpus.emotion_inventory
     artifact = MeArtifact(EMOTION_ME_TAGS[stack_source], corpus.mode, inventory,
                           tfidf_fit(stemmed), stack_source=stack_source, cpm_artifact=cpm_artifact)
-    X = artifact.emotion_features(corpus.instances, stemmed)
-    if corpus.mode == SINGLE_LABEL:
-        y = [next(iter(i.emotions)) for i in corpus]
-        artifact.emotion_model = train_maxent(X, y, inventory, MULTINOMIAL, X.shape[1], config)
-    else:
-        Y = np.array([emotion_multi_hot(i, inventory) for i in corpus])
-        artifact.emotion_model = train_maxent(X, Y, inventory, BINARY, X.shape[1], config)
+    X = artifact.emotion_features(corpus, stemmed)
+    mode = MULTINOMIAL if corpus.mode == SINGLE_LABEL else BINARY
+    artifact.emotion_model = train_maxent(X, corpus.emotion_targets(), inventory, mode,
+                                          X.shape[1], config)
     return artifact
 
 
@@ -348,7 +341,6 @@ def train_component_me(corpus: Corpus, config: MaxEntConfig | None = None,
     ``stemmed`` is the corpus's preprocessed tokens, if already at hand."""
     stemmed = stemmed or preprocess_corpus(corpus)
     tfidf = tfidf_fit(stemmed)
-    Y = np.array([i.cpm for i in corpus], dtype=float)
     artifact = MeArtifact("cpm-me-base", corpus.mode, corpus.emotion_inventory, tfidf)
     if resources is None:
         X, offsets = build_cpm_adv_features(stemmed, [i.id for i in corpus], (), tfidf, None)
@@ -358,7 +350,7 @@ def train_component_me(corpus: Corpus, config: MaxEntConfig | None = None,
             corpus, stemmed, tfidf, config, resources, dev_ratio, seed)
         artifact.combinations = {c: best_combination(s) for c, s in scores.items()}
     mask = combination_mask(offsets, [artifact.combinations.get(c, ()) for c in COMPONENTS])
-    model = train_maxent(X, Y, COMPONENTS, BINARY, X.shape[1], config, mask)
+    model = train_maxent(X, corpus.component_targets(), COMPONENTS, BINARY, X.shape[1], config, mask)
     artifact.component_models = split_labels(model, mask)
     return artifact
 
@@ -381,9 +373,8 @@ def _adv_search(corpus: Corpus, stemmed: list[list[str]], tfidf: TfIdfModel,
     X, offsets = build_cpm_adv_features([stemmed[r] for r in order], [ids[r] for r in order],
                                         available_flags(resources), tfidf, resources)
     n = len(sub_rows)
-    Y = np.array([corpus.instances[r].cpm for r in order], dtype=float)
-    scores = feature_combination_search(X, offsets, Y, COMPONENTS, slice(0, n),
-                                        slice(n, None), config)
+    scores = feature_combination_search(X, offsets, corpus.component_targets()[order], COMPONENTS,
+                                        slice(0, n), slice(n, None), config)
     return resources, X[np.argsort(order)], offsets, scores
 
 
@@ -392,12 +383,8 @@ def _adv_search(corpus: Corpus, stemmed: list[list[str]], tfidf: TfIdfModel,
 # ---------------------------------------------------------------------------
 
 def build_examples(corpus: Corpus, embeddings: dict[str, np.ndarray]) -> list[Example]:
-    out = []
-    for inst in corpus:
-        out.append(Example(inst.id, embeddings[inst.id],
-                           emotion_multi_hot(inst, corpus.emotion_inventory),
-                           np.array([float(v) for v in inst.cpm])))
-    return out
+    return [Example(inst.id, embeddings[inst.id], y_emo, y_cpm) for inst, y_emo, y_cpm
+            in zip(corpus, corpus.emotion_targets(), corpus.component_targets())]
 
 
 def embeddings_for(corpus: Corpus, store_path: str | None = None,
@@ -453,6 +440,13 @@ def embedder(corpus: Corpus, settings: dict, resources: dict):
     return functools.cache(functools.partial(
         embeddings_for, corpus, resources.get("token_embeddings"),
         setting(settings, "fallback_dim")))
+
+
+def _embed(embed, seed: int) -> tuple[dict[str, np.ndarray], int]:
+    """``embed(seed)``, where ``embed`` is the :func:`embedder` a neural model needs."""
+    if embed is None:
+        raise ConfigError("a neural model needs embed=pipeline.embedder(corpus, settings, resources)")
+    return embed(seed)
 
 
 # the resource key and reader of each feature flag that reads a sidecar file
@@ -516,7 +510,7 @@ def train_tag(tag: str, corpus: Corpus, settings: dict, resources: dict, embed=N
         return train_emotion_me(corpus, config, stack_source=PREDICTED, cpm_artifact=cpm,
                                 stemmed=stemmed), []
     config = _nn_config(tag, corpus, settings)
-    table, dim = embed(config.seed)
+    table, dim = _embed(embed, config.seed)
     frozen = None
     if tag == "emo-cpm-nn-pred":
         frozen, _ = train_neural("cpm-nn-base", corpus, _nn_config("cpm-nn-base", corpus, settings),
@@ -536,12 +530,12 @@ def predict(model, corpus: Corpus, embed=None) -> tuple[list[set[str]] | None,
     and needs embeddings as wide as it was trained on."""
     if isinstance(model, MeArtifact):
         stemmed = preprocess_corpus(corpus)
-        emotions = (model.predict_emotions(corpus.instances, stemmed)
+        emotions = (model.predict_emotions(corpus, stemmed)
                     if model.emotion_model is not None else None)
         components = (label_sets(model.predict_components(stemmed, [i.id for i in corpus]),
                                  COMPONENTS) if model.component_models else None)
         return emotions, components
-    table, dim = embed(model.config.seed)
+    table, dim = _embed(embed, model.config.seed)
     if dim != model.input_dim:
         raise ConfigError(f"the token embeddings are {dim} wide but the model was trained on "
                           f"{model.input_dim}; pass the same --token-embeddings or --fallback-dim")

@@ -344,6 +344,26 @@ class TestKfold:
         assert kfold(corpus, k=3, seed=5) != kfold(corpus, k=3, seed=6)
 
 
+class TestTargets:
+    def test_other_corpus(self, tmp_path):
+        f = tmp_path / "c.jsonl"
+        records = [other_record(0, ["b"]), other_record(1, ["a", "c"]), other_record(2, [])]
+        records[1]["cpm"] = [1, 0, 1, 0, 1]
+        write_jsonl(f, [{"inventory": ["c", "b", "a"]}] + records)
+        corpus = load_corpus(f)
+        emotions, components = corpus.emotion_targets(), corpus.component_targets()
+        assert emotions.dtype == components.dtype == float
+        # one column per inventory label, in the inventory's order
+        assert emotions.tolist() == [[0, 1, 0], [1, 0, 1], [0, 0, 0]]
+        assert components.tolist() == [[0, 0, 0, 0, 0], [1, 0, 1, 0, 1], [0, 0, 0, 0, 0]]
+
+    @pytest.mark.parametrize("inventory", [(), ("a", "b")])
+    def test_empty_corpus_keeps_the_shapes(self, inventory):
+        corpus = Corpus([], inventory, MULTI_LABEL)
+        assert corpus.emotion_targets().shape == (0, len(inventory))
+        assert corpus.component_targets().shape == (0, len(COMPONENTS))
+
+
 def test_components_inventory():
     assert COMPONENTS == ("cognitive_appraisal", "neurophysiological_symptoms",
                           "action_tendencies", "motor_expressions",

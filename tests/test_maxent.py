@@ -36,7 +36,7 @@ class TestTraining:
 
     def test_multinomial_separable(self):
         X = units(0, 1, 2, 0, 1, 2, 0, 1, 2)
-        y = ["a", "b", "c"] * 3
+        y = np.eye(3)[[0, 1, 2] * 3]
         model = train_maxent(X, y, ("a", "b", "c"), MULTINOMIAL, 4, FAST)
         decisions, _ = predict_maxent(model, units(0, 1, 2))
         assert label_sets(decisions, model.classes) == [{"a"}, {"b"}, {"c"}]
@@ -56,7 +56,7 @@ class TestTraining:
             negative = train_maxent(units(0, 0, 0), [0, 0, 0], ("p",), BINARY, 4, FAST)
         assert predict_maxent(negative, units(2))[0].tolist() == [[False]]
         with pytest.warns(UserWarning):
-            multi = train_maxent(units(0, 1), ["b", "b"], ("a", "b"), MULTINOMIAL, 4, FAST)
+            multi = train_maxent(units(0, 1), np.eye(2)[[1, 1]], ("a", "b"), MULTINOMIAL, 4, FAST)
         assert label_sets(predict_maxent(multi, units(0))[0], multi.classes) == [{"b"}]
 
     def test_single_class_column_of_joint_fit(self):
@@ -94,6 +94,11 @@ class TestTraining:
     def test_target_columns_must_match_classes(self):
         with pytest.raises(DimensionError):
             train_maxent(units(0, 1), np.eye(2), ("p",), BINARY, 4, FAST)
+
+    @pytest.mark.parametrize("row", [[0, 0], [1, 1], [0.5, 0.5]], ids=["no 1", "two 1s", "halves"])
+    def test_multinomial_target_needs_one_1_per_row(self, row):
+        with pytest.raises(DataError, match="exactly one 1 per row"):
+            train_maxent(units(0, 1), np.array([[1, 0], row]), ("a", "b"), MULTINOMIAL, 4, FAST)
 
 
 def _exp(a: Tensor) -> Tensor:
@@ -151,8 +156,7 @@ class TestClosedFormGradient:
         rng = np.random.default_rng(4)
         X = rng.standard_normal((40, 12))
         idx = np.argmax(X[:, :3] + rng.standard_normal((40, 3)), axis=1)
-        model = train_maxent(X, ["abc"[i] for i in idx], ("a", "b", "c"), MULTINOMIAL, 12,
-                             self.CONFIG)
+        model = train_maxent(X, np.eye(3)[idx], ("a", "b", "c"), MULTINOMIAL, 12, self.CONFIG)
         W, b = taped_fit(X, np.eye(3)[idx], MULTINOMIAL, self.CONFIG)
         np.testing.assert_allclose(model.weights, W, rtol=0, atol=1e-12)
         np.testing.assert_allclose(model.bias, b, rtol=0, atol=1e-12)
@@ -196,10 +200,9 @@ class TestDistinctColumns:
         score = base @ rng.standard_normal((6, 3)) + 0.3 * rng.standard_normal((n, 3))
         return X, score
 
-    def fit_both(self, X, Y, mode, labels=None, mask=None):
+    def fit_both(self, X, Y, mode, mask=None):
         classes = tuple("abcdef"[:Y.shape[1]])
-        model = train_maxent(X, Y if labels is None else labels, classes, mode, X.shape[1],
-                             self.CONFIG, mask)
+        model = train_maxent(X, Y, classes, mode, X.shape[1], self.CONFIG, mask)
         W, b = full_width_fit(X, Y, mode, self.CONFIG, mask)
         np.testing.assert_allclose(model.weights, W, rtol=0, atol=1e-12)
         np.testing.assert_allclose(model.bias, b, rtol=0, atol=1e-12)
@@ -220,7 +223,7 @@ class TestDistinctColumns:
     def test_multinomial_with_duplicate_zero_and_constant_columns(self):
         X, score = self.design(seed=6)
         idx = np.argmax(score, axis=1)
-        model = self.fit_both(X, np.eye(3)[idx], MULTINOMIAL, ["abc"[i] for i in idx])
+        model = self.fit_both(X, np.eye(3)[idx], MULTINOMIAL)
         self.assert_groups_bitwise_equal(X, model.weights)
 
     def test_mask_splits_equal_columns(self):
@@ -264,7 +267,7 @@ class TestPrediction:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((6, 4))
         for mode, y in ((BINARY, np.array([[1, 0], [0, 1], [1, 1], [0, 0], [1, 0], [0, 1]])),
-                        (MULTINOMIAL, ["a", "b", "a", "b", "a", "b"])):
+                        (MULTINOMIAL, np.eye(2)[[0, 1, 0, 1, 0, 1]])):
             model = train_maxent(X, y, ("a", "b"), mode, 4, FAST)
             decisions, probs = predict_maxent(model, X)
             for row in range(len(X)):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emocomp.corpus import COMPONENTS, load_corpus
+from emocomp.corpus import COMPONENTS, MULTI_LABEL, Corpus, Instance, load_corpus
 from emocomp.errors import DataError
 from emocomp.metrics import (agreement_degenerate, cohen_kappa, cooccurrence_stats,
                              decide, evaluate, label_sets, round_half_up)
@@ -188,7 +188,47 @@ class TestRounding:
         assert round_half_up(0.5) == 1
 
 
+def per_instance_cooccurrence(corpus):
+    """The co-occurrence counts by a loop over instances: the reference."""
+    counts = {e: [0] * len(COMPONENTS) for e in corpus.emotion_inventory}
+    emotion_totals = {e: 0 for e in corpus.emotion_inventory}
+    component_totals = [0] * len(COMPONENTS)
+    for inst in corpus:
+        for j, flag in enumerate(inst.cpm):
+            if flag:
+                component_totals[j] += 1
+        for e in inst.emotions:
+            emotion_totals[e] += 1
+            for j, flag in enumerate(inst.cpm):
+                if flag:
+                    counts[e][j] += 1
+    return counts, emotion_totals, component_totals
+
+
+@st.composite
+def random_corpora(draw):
+    """Multi-label corpora of up to 20 instances over up to 4 labels."""
+    inventory = tuple(draw(st.lists(st.sampled_from("abcdef"), unique=True, max_size=4)))
+    instances = []
+    for k in range(draw(st.integers(0, 20))):
+        chosen = draw(st.lists(st.booleans(), min_size=len(inventory), max_size=len(inventory)))
+        cpm = draw(st.tuples(*[st.integers(0, 1)] * len(COMPONENTS)))
+        instances.append(Instance(f"i{k}", "", frozenset(l for l, c in zip(inventory, chosen) if c),
+                                  cpm))
+    return Corpus(instances, inventory, MULTI_LABEL)
+
+
 class TestCooccurrence:
+    @given(random_corpora())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_per_instance_count(self, corpus):
+        table = cooccurrence_stats(corpus)
+        got = (table.counts, table.emotion_totals, table.component_totals)
+        assert got == per_instance_cooccurrence(corpus)
+        assert all(type(v) is int for row in table.counts.values() for v in row)
+        assert all(type(v) is int for v in [*table.emotion_totals.values(), *table.component_totals])
+        assert (table.emotions, table.corpus_size) == (corpus.emotion_inventory, len(corpus))
+
     def test_bundled_corpus_matches_precomputed_counts(self, data_dir):
         corpus = load_corpus(data_dir / "synthetic_tec.jsonl")
         expected = json.loads((data_dir / "synthetic_tec_stats.json").read_text())

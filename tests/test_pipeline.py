@@ -17,7 +17,7 @@ from emocomp.pipeline import (ALL_TAGS, ME_TAGS, embeddings_for, evaluate_model,
                               evaluate_neural, load_me_artifact, load_model, preprocess,
                               save_me_artifact, train_component_me,
                               train_emotion_me, train_neural)
-from emocomp.nn import ModelConfig
+from emocomp.nn import ModelConfig, build_model, default_config
 
 FAST = MaxEntConfig(iterations=120, learning_rate=0.1)
 
@@ -260,8 +260,8 @@ class TestMeArtifactPersistence:
         save_me_artifact(art, path)
         again = load_model(path, {})
         stemmed = [preprocess(i) for i in test]
-        assert (art.predict_emotions(test.instances, stemmed)
-                == again.predict_emotions(test.instances, stemmed))
+        assert (art.predict_emotions(test, stemmed)
+                == again.predict_emotions(test, stemmed))
 
     def test_round_trip_component_adv(self, tec, tmp_path):
         res = AdvResources(lexicons=[DictionaryLexicon("c", frozenset({"furious"}))])
@@ -421,6 +421,17 @@ class TestNeuralPipeline:
         other = Corpus(small.instances, small.emotion_inventory[::-1], small.mode)
         with pytest.raises(ConfigError, match="inventories differ"):
             evaluate_neural(model, other, table)
+
+    @pytest.mark.parametrize("call", [
+        lambda corpus, model: pipeline.train_tag("emo-nn-base", corpus, {"epochs": 1}, {}),
+        lambda corpus, model: pipeline.predict(model, corpus),
+        lambda corpus, model: evaluate_model(model, corpus),
+    ], ids=["train_tag", "predict", "evaluate_model"])
+    def test_neural_model_without_embedder_is_config_error(self, tec, call):
+        model = build_model("emo-nn-base", default_config("emo-nn-base", "tec"), 8,
+                            tec.emotion_inventory)
+        with pytest.raises(ConfigError, match=r"needs embed=pipeline\.embedder"):
+            call(tec, model)
 
     def test_embeddings_shapes(self, tec):
         table, dim = embeddings_for(tec.subset(tec.instances[:5]), fallback_dim=16)
